@@ -132,7 +132,7 @@ def _cmd_tune(args):
     else:
         grid = default_lambda_grid()
     rule = {"cs_post": "cs_post", "l1cls": "l1cls", "lasso": "lasso"}[args.method]
-    best, losses = cross_validate(data, test, grid, rule, opts)
+    best, losses, _ = cross_validate(data, test, grid, rule, opts)
     lines = ["value,loss"] + [f"{v:.17g},{l:.17g}" for v, l in zip(grid, losses)]
     out = "\n".join(lines) + "\n"
     if args.out:

@@ -16,21 +16,19 @@ import numpy as np
 
 from ._rng import substream
 from .metrics import false_positives, ree, true_positive_rate
-from .moments import corrected_moments
 from .post import (
     cross_validate,
-    cs_post_fit,
     default_an_grid,
     default_lambda_grid,
-    lasso_fit,
     with_estimated_missing_rates,
 )
-from .selection import SolverOptions, l1_cls_fit, support
+from .selection import SolverOptions, support
 from .simulate import SimConfig, gen_regression
 
 __all__ = ["GridSpec", "ExperimentRecord", "grid_cells", "run_grid", "emit_results", "CSV_HEADER"]
 
 METHODS = ("CS+post", "L1CLS", "Lasso")
+_FIT_RULES = {"CS+post": "cs_post", "L1CLS": "l1cls", "Lasso": "lasso"}
 
 CSV_HEADER = "scenario,n,p,s,noise,method,seed,tuning,ree,fp,tpr,wall_s"
 
@@ -115,19 +113,11 @@ def _run_cell(spec: GridSpec, n, p, s, rep, keep_beta):
     for method in spec.methods:
         t0 = time.perf_counter()
         try:
-            if method == "CS+post":
-                grid = default_an_grid(n, p)
-                a_n, _ = cross_validate(train, test, grid, "cs_post", opts)
-                fit = cs_post_fit(corrected_moments(train), a_n, opts)
-                tuning = float(a_n)
-            elif method == "L1CLS":
-                lam, _ = cross_validate(train, test, default_lambda_grid(), "l1cls", opts)
-                fit = l1_cls_fit(corrected_moments(train), replace(opts, lam=lam))
-                tuning = float(lam)
-            else:  # Lasso
-                lam, _ = cross_validate(train, test, default_lambda_grid(), "lasso", opts)
-                fit = lasso_fit(train, lam, opts)
-                tuning = float(lam)
+            grid = default_an_grid(n, p) if method == "CS+post" else default_lambda_grid()
+            best, _, fit = cross_validate(train, test, grid, _FIT_RULES[method], opts)
+            if fit is None:
+                raise ArithmeticError("cross-validation failed at every grid point")
+            tuning = float(best)
             T_hat = fit.support_used if method == "CS+post" else tuple(support(fit.beta))
             records.append(ExperimentRecord(
                 scenario=scenario, n=n, p=p, s=s, noise_kind=spec.noise_kind,

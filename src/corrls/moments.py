@@ -11,6 +11,7 @@ inside an ordinary least-squares quadratic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -53,6 +54,13 @@ class CorrectedMoments:
         G = 0.5 * (G + G.T)
         object.__setattr__(self, "gamma_mat", G)
         object.__setattr__(self, "gamma_vec", g)
+
+    @cached_property
+    def lipschitz(self) -> float:
+        """Lipschitz constant of the loss gradient, computed once per instance."""
+        from .selection import lipschitz_estimate  # selection imports this module
+
+        return lipschitz_estimate(self.gamma_mat)
 
 
 def estimate_missing_rates(mask):

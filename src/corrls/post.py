@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -68,9 +69,7 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
         fallback = True
     else:
         sub = CorrectedMoments(gamma_mat=G_TT, gamma_vec=g_T, n=m.n, p=len(T))
-        fit = l1_cls_fit(sub, SolverOptions(
-            max_iters=opts.max_iters, rel_tol=opts.rel_tol,
-            step_rule=opts.step_rule, radius=opts.radius, lam=0.0))
+        fit = l1_cls_fit(sub, replace(opts, lam=0.0))
         b_T = fit.beta
         iters = fit.iterations
         converged = fit.converged
@@ -96,13 +95,11 @@ def cs_post_fit(m: CorrectedMoments, a_n, opts: SolverOptions) -> FitResult:
 
 def lasso_fit(data: SurrogateDataset, lam, opts: SolverOptions) -> FitResult:
     """Ordinary Lasso baseline: same solver, raw uncorrected moments."""
-    fit = l1_cls_fit(uncorrected_moments(data), SolverOptions(
-        max_iters=opts.max_iters, rel_tol=opts.rel_tol,
-        step_rule=opts.step_rule, radius=opts.radius, lam=float(lam)))
-    return FitResult(
-        beta=fit.beta, support_used=fit.support_used, method="Lasso",
-        iterations=fit.iterations, objective=fit.objective,
-        converged=fit.converged, wall_time=fit.wall_time)
+    return _lasso_on(uncorrected_moments(data), lam, opts)
+
+
+def _lasso_on(raw_m, lam, opts):
+    return replace(l1_cls_fit(raw_m, replace(opts, lam=float(lam))), method="Lasso")
 
 
 def with_estimated_missing_rates(data: SurrogateDataset) -> SurrogateDataset:
@@ -114,8 +111,9 @@ def with_estimated_missing_rates(data: SurrogateDataset) -> SurrogateDataset:
 
 
 def default_an_grid(n, p):
-    """Screening-size grid 1 .. min(p, n/log p)."""
-    return list(range(1, max(1, min(p, int(n / math.log(p)))) + 1))
+    """Screening-size grid 1 .. min(p, n/log p); just [1] when p is 1."""
+    top = 1 if p == 1 else min(p, int(n / math.log(p)))
+    return list(range(1, max(1, top) + 1))
 
 
 def default_lambda_grid():
@@ -127,13 +125,9 @@ def _fit_for_value(method, value, train_m, train_raw_m, opts):
     if method == "cs_post":
         return cs_post_fit(train_m, int(value), opts)
     if method == "l1cls":
-        return l1_cls_fit(train_m, SolverOptions(
-            max_iters=opts.max_iters, rel_tol=opts.rel_tol,
-            step_rule=opts.step_rule, radius=opts.radius, lam=float(value)))
+        return l1_cls_fit(train_m, replace(opts, lam=float(value)))
     if method == "lasso":
-        return l1_cls_fit(train_raw_m, SolverOptions(
-            max_iters=opts.max_iters, rel_tol=opts.rel_tol,
-            step_rule=opts.step_rule, radius=opts.radius, lam=float(value)))
+        return _lasso_on(train_raw_m, value, opts)
     raise ValueError(f"unknown fit rule {method!r}")
 
 
@@ -148,7 +142,8 @@ def cross_validate(train: SurrogateDataset, test: SurrogateDataset, grid,
     uses uncorrected moments on both sides.  A failed fit records an
     infinite loss for that grid point.  Ties break toward the smaller value.
 
-    Returns (best_value, losses) with losses aligned to the grid.
+    Returns (best_value, losses, fit): losses aligned to the grid, and the
+    training fit at best_value, or None if that fit raised.
     """
     grid = list(grid)
     if not grid:
@@ -163,7 +158,9 @@ def cross_validate(train: SurrogateDataset, test: SurrogateDataset, grid,
         train_m = corrected_moments(train)
         train_raw_m = None
     losses = []
+    best = None  # (loss, value, fit) of the first grid point with the least key
     for v in grid:
+        fit = None
         try:
             fit = _fit_for_value(fit_rule, v, train_m, train_raw_m, opts)
             loss = float(corrected_loss(fit.beta, eval_m))
@@ -172,5 +169,6 @@ def cross_validate(train: SurrogateDataset, test: SurrogateDataset, grid,
         except (ValueError, ArithmeticError, np.linalg.LinAlgError):
             loss = np.inf
         losses.append(loss)
-    best = min(zip(losses, grid), key=lambda t: (t[0], t[1]))[1]
-    return best, losses
+        if best is None or (loss, v) < best[:2]:
+            best = (loss, v, fit)
+    return best[1], losses, best[2]

@@ -10,7 +10,7 @@ transpose-average makes the result symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,17 +92,14 @@ def fit_neighborhood(data: SurrogateDataset, j, a_n, radius,
     if not 1 <= a_n <= m.p:
         raise ValueError(f"a_n must lie in [1, {m.p}]")
     sel = cs_screen(m.gamma_vec, a_n)
-    fit = post_cls_fit(m, sel.support, SolverOptions(
-        max_iters=opts.max_iters, rel_tol=opts.rel_tol,
-        step_rule=opts.step_rule, radius=radius, lam=0.0))
+    ball_opts = replace(opts, radius=radius, lam=0.0)
+    fit = post_cls_fit(m, sel.support, ball_opts)
     theta, fallback = fit.beta, fit.fallback_used
     if not fallback and np.abs(theta).sum() > radius * (1 + 1e-12):
         T = list(fit.support_used)
         sub = CorrectedMoments(gamma_mat=m.gamma_mat[np.ix_(T, T)],
                                gamma_vec=m.gamma_vec[T], n=m.n, p=len(T))
-        cfit = l1_cls_fit(sub, SolverOptions(
-            max_iters=opts.max_iters, rel_tol=opts.rel_tol,
-            step_rule=opts.step_rule, radius=radius, lam=0.0))
+        cfit = l1_cls_fit(sub, ball_opts)
         theta = np.zeros(m.p)
         theta[T] = cfit.beta
         fallback = True

@@ -13,7 +13,7 @@ iterates bounded either way.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class SelectionResult:
     support: tuple
     method: str  # "CS" | "L1CLS"
     tuning: float
-    scores: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def cs_screen(gamma_vec, a_n) -> SelectionResult:
     # stable sort on (-|g|, index) gives magnitude order with index tie-break
     order = np.argsort(-np.abs(g), kind="stable")
     sel = tuple(sorted(int(j) for j in order[:k]))
-    return SelectionResult(support=sel, method="CS", tuning=float(a_n), scores=np.abs(g))
+    return SelectionResult(support=sel, method="CS", tuning=float(a_n))
 
 
 def soft_threshold(v, t):
@@ -145,34 +144,34 @@ def lipschitz_estimate(G, iters=50, tol=1e-6):
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def _penalized_objective(beta, m, lam):
-    return 0.5 * beta @ m.gamma_mat @ beta - m.gamma_vec @ beta + lam * np.abs(beta).sum()
-
-
 def l1_cls_fit(m: CorrectedMoments, opts: SolverOptions, beta0=None) -> FitResult:
     """Minimize 0.5 b'Gb - g'b + lam*||b||_1 subject to ||b||_1 <= radius.
 
     Composite projected gradient: gradient step, soft-threshold by
-    eta*lambda, project onto the ball.  Fixed step 1/L (L from power
-    iteration) or Armijo backtracking.  Returns the best-objective iterate,
-    which for an indefinite G may precede the last one.
+    eta*lambda, project onto the ball.  Fixed step 1/L (L cached on the
+    moments) or Armijo backtracking.  G @ b is formed once per candidate and
+    serves both its objective and the next gradient.  Returns the
+    best-objective iterate, which for an indefinite G may precede the last
+    one.
     """
     t0 = time.perf_counter()
     G, g, p = m.gamma_mat, m.gamma_vec, m.p
     lam, R = opts.lam, opts.radius
     beta = np.zeros(p) if beta0 is None else project_l1_ball(np.asarray(beta0, float), R)
-    L = lipschitz_estimate(G)
+    L = m.lipschitz
     eta0 = 1.0 / L if L > 0 else 1.0
-    f = _penalized_objective(beta, m, lam)
+    Gb = G @ beta
+    f = 0.5 * beta @ Gb - g @ beta + lam * np.abs(beta).sum()
     best_beta, best_f = beta.copy(), f
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
-        grad = G @ beta - g
+        grad = Gb - g
         eta = eta0
         while True:
             cand = project_l1_ball(soft_threshold(beta - eta * grad, eta * lam), R)
-            f_cand = _penalized_objective(cand, m, lam)
+            Gc = G @ cand
+            f_cand = 0.5 * cand @ Gc - g @ cand + lam * np.abs(cand).sum()
             if not np.isfinite(f_cand):
                 raise ArithmeticError("diverged: non-finite objective in solver")
             if opts.step_rule == "fixed":
@@ -182,7 +181,7 @@ def l1_cls_fit(m: CorrectedMoments, opts: SolverOptions, beta0=None) -> FitResul
                 break
             eta *= 0.5
         df = f - f_cand
-        beta, f = cand, f_cand
+        beta, Gb, f = cand, Gc, f_cand
         if f < best_f:
             best_f, best_beta = f, beta.copy()
         if abs(df) < opts.rel_tol * max(1.0, abs(f)):

@@ -212,9 +212,9 @@ def _comparative_run(base_seed, reps=50):
         test = with_estimated_missing_rates(test)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum(), max_iters=5000)
 
-        a_n, _ = cross_validate(train, test, default_an_grid(n, p), "cs_post", opts)
+        a_n, _, _ = cross_validate(train, test, default_an_grid(n, p), "cs_post", opts)
         fit_cs = cs_post_fit(corrected_moments(train), int(a_n), opts)
-        lam, _ = cross_validate(train, test, default_lambda_grid(), "l1cls", opts)
+        lam, _, _ = cross_validate(train, test, default_lambda_grid(), "l1cls", opts)
         fit_l1 = l1_cls_fit(corrected_moments(train), replace(opts, lam=float(lam)))
 
         Tset = set(T)

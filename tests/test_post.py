@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import corrls.selection
 from corrls import (
     AdditiveNoise,
     CorrectedMoments,
@@ -10,6 +13,7 @@ from corrls import (
     corrected_loss,
     corrected_moments,
     cross_validate,
+    cs_post_fit,
     lasso_fit,
     l1_cls_fit,
     post_cls_fit,
@@ -152,30 +156,30 @@ class TestCrossValidate:
     def test_single_value_grid(self):
         train, test, beta0, _ = _split_pair(1)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        best, losses = cross_validate(train, test, [4], "cs_post", opts)
+        best, losses, _ = cross_validate(train, test, [4], "cs_post", opts)
         assert best == 4 and len(losses) == 1
 
     def test_an_within_grid_bounds(self):
         train, test, beta0, _ = _split_pair(2)
         grid = default_an_grid(train.n, train.p)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        best, _ = cross_validate(train, test, grid, "cs_post", opts)
+        best, _, _ = cross_validate(train, test, grid, "cs_post", opts)
         assert grid[0] <= best <= grid[-1]
 
     def test_deterministic_and_tie_to_smaller(self):
         train, test, beta0, _ = _split_pair(3)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        b1, l1 = cross_validate(train, test, [2, 3, 4, 5], "cs_post", opts)
-        b2, l2 = cross_validate(train, test, [2, 3, 4, 5], "cs_post", opts)
+        b1, l1, _ = cross_validate(train, test, [2, 3, 4, 5], "cs_post", opts)
+        b2, l2, _ = cross_validate(train, test, [2, 3, 4, 5], "cs_post", opts)
         assert b1 == b2 and l1 == l2
         # duplicated grid value: tie must resolve to the smaller entry
-        b3, _ = cross_validate(train, test, [b1, b1 + 0], "cs_post", opts)
+        b3, _, _ = cross_validate(train, test, [b1, b1 + 0], "cs_post", opts)
         assert b3 == b1
 
     def test_failed_fit_records_infinite_loss(self):
         train, test, beta0, _ = _split_pair(4)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        best, losses = cross_validate(train, test, [0, 4], "cs_post", opts)
+        best, losses, _ = cross_validate(train, test, [0, 4], "cs_post", opts)
         assert losses[0] == np.inf and best == 4
 
     def test_lambda_grid_shape(self):
@@ -190,7 +194,46 @@ class TestCrossValidate:
             train, test, beta0, T = _split_pair(100 + r, n=500, p=100, s=4)
             opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
             grid = default_an_grid(train.n, train.p)
-            best, _ = cross_validate(train, test, grid, "cs_post", opts)
+            best, _, _ = cross_validate(train, test, grid, "cs_post", opts)
             if 4 <= best <= 12:
                 hits += 1
         assert hits >= runs * 0.8
+
+    def test_returns_the_fit_at_the_chosen_value(self):
+        train, test, beta0, _ = _split_pair(5)
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        fresh = {
+            "cs_post": lambda v: cs_post_fit(corrected_moments(train), v, opts),
+            "l1cls": lambda v: l1_cls_fit(corrected_moments(train), replace(opts, lam=v)),
+            "lasso": lambda v: lasso_fit(train, v, opts),
+        }
+        for rule, refit in fresh.items():
+            grid = [2, 4, 8] if rule == "cs_post" else default_lambda_grid()
+            best, losses, fit = cross_validate(train, test, grid, rule, opts)
+            assert np.array_equal(fit.beta, refit(best).beta), rule
+            assert fit.method == refit(best).method
+
+    @pytest.mark.parametrize("rule", ["l1cls", "lasso"])
+    def test_one_lipschitz_bound_per_moments(self, monkeypatch, rule):
+        original = corrls.selection.lipschitz_estimate
+        calls = []
+
+        def counting(G):
+            calls.append(G)
+            return original(G)
+
+        monkeypatch.setattr(corrls.selection, "lipschitz_estimate", counting)
+        train, test, beta0, _ = _split_pair(6)
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        cross_validate(train, test, default_lambda_grid(), rule, opts)
+        assert len(calls) == 1
+
+
+class TestDefaultGrids:
+    def test_an_grid_for_one_column(self):
+        assert default_an_grid(100, 1) == [1]
+
+    def test_an_grid_caps_at_p_and_n_over_log_p(self):
+        assert default_an_grid(500, 100) == list(range(1, 101))
+        assert default_an_grid(200, 100) == list(range(1, 44))  # 200 / log 100 = 43.4
+        assert default_an_grid(10, 1000) == [1]

@@ -12,8 +12,9 @@ from corrls import (
     project_l1_ball,
     support,
 )
-from corrls.moments import corrected_loss
-from corrls.simulate import ar1_covariance
+from corrls.moments import corrected_loss, corrected_moments
+from corrls.selection import lipschitz_estimate, soft_threshold
+from corrls.simulate import SimConfig, ar1_covariance, gen_regression
 
 finite_vecs = hnp.arrays(
     dtype=float,
@@ -149,6 +150,59 @@ class TestL1ClsFit:
         fit = l1_cls_fit(_m(G, [0.5, 0.3]), SolverOptions(radius=1.5, lam=0.05))
         assert np.abs(fit.beta).sum() <= 1.5 + 1e-10
         assert np.isfinite(fit.objective)
+
+
+def _two_matvec_fit(m, opts):
+    """The solver loop as it was with two G products per step: one for the
+    gradient, one inside the objective of every candidate."""
+    G, g, lam, R = m.gamma_mat, m.gamma_vec, opts.lam, opts.radius
+
+    def objective(b):
+        return 0.5 * b @ G @ b - g @ b + lam * np.abs(b).sum()
+
+    L = lipschitz_estimate(G)
+    eta0 = 1.0 / L if L > 0 else 1.0
+    beta = np.zeros(m.p)
+    f = objective(beta)
+    best_beta, best_f = beta.copy(), f
+    for _ in range(opts.max_iters):
+        grad = G @ beta - g
+        eta = eta0
+        while True:
+            cand = project_l1_ball(soft_threshold(beta - eta * grad, eta * lam), R)
+            f_cand = objective(cand)
+            if opts.step_rule == "fixed" or f_cand <= f or eta < 1e-12:
+                break
+            eta *= 0.5
+        df = f - f_cand
+        beta, f = cand, f_cand
+        if f < best_f:
+            best_f, best_beta = f, beta.copy()
+        if abs(df) < opts.rel_tol * max(1.0, abs(f)):
+            break
+    return best_beta, best_f
+
+
+def _sim_moments(noise_kind, n, p, seed):
+    train, beta0, _ = gen_regression(SimConfig(n=n, p=p, s=4, noise_kind=noise_kind,
+                                               seed=seed))
+    return corrected_moments(train), 1.1 * np.abs(beta0).sum()
+
+
+class TestOneMatvecSolver:
+    @pytest.mark.parametrize("step_rule", ["fixed", "backtracking"])
+    @pytest.mark.parametrize("noise_kind, n, p", [("additive", 30, 50),
+                                                  ("missing", 200, 40)])
+    def test_matches_two_matvec_loop(self, noise_kind, n, p, step_rule):
+        m, radius = _sim_moments(noise_kind, n, p, seed=17)
+        if noise_kind == "additive":
+            assert np.linalg.eigvalsh(m.gamma_mat)[0] < 0  # indefinite on purpose
+        opts = SolverOptions(radius=radius, lam=0.05, step_rule=step_rule,
+                             max_iters=2000)
+        ref_beta, ref_f = _two_matvec_fit(m, opts)
+        fit = l1_cls_fit(m, opts)
+        assert np.max(np.abs(fit.beta - ref_beta)) <= 1e-12
+        assert abs(fit.objective - ref_f) <= 1e-12 * max(1.0, abs(ref_f))
 
 
 class TestSupport:
