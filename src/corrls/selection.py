@@ -123,25 +123,10 @@ def project_l1_ball(v, R):
     return soft_threshold(v, tau)
 
 
-def lipschitz_estimate(G, iters=50, tol=1e-6):
-    """Largest |eigenvalue| of symmetric G, by power iteration on G @ G."""
-    G = np.asarray(G, dtype=float)
-    p = G.shape[0]
-    v = np.ones(p) / np.sqrt(p)
-    G2 = G @ G
-    lam = 0.0
-    for _ in range(iters):
-        w = G2 @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v_new = w / nrm
-        lam_new = float(v_new @ G2 @ v_new)
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        v, lam = v_new, lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+def lipschitz_estimate(G):
+    """Largest |eigenvalue| of symmetric G, the gradient's Lipschitz constant."""
+    vals = np.linalg.eigvalsh(np.asarray(G, dtype=float))
+    return float(np.max(np.abs(vals), initial=0.0))
 
 
 def l1_cls_fit(m: CorrectedMoments, opts: SolverOptions, beta0=None) -> FitResult:

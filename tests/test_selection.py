@@ -205,6 +205,24 @@ class TestOneMatvecSolver:
         assert abs(fit.objective - ref_f) <= 1e-12 * max(1.0, abs(ref_f))
 
 
+class TestLipschitzEstimate:
+    def test_direction_orthogonal_to_ones(self):
+        # power iteration started from the all-ones vector never sees u
+        p = 50
+        u = np.zeros(p)
+        u[0], u[1] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+        G = np.eye(p) + 10 * np.outer(u, u)
+        assert lipschitz_estimate(G) == pytest.approx(11.0, rel=1e-12)
+
+    def test_negative_eigenvalue_dominates(self):
+        assert lipschitz_estimate(np.diag([1.0, -3.0])) == pytest.approx(3.0)
+
+    def test_cached_once_per_moments(self):
+        m = _m(np.diag([2.0, 1.0]), [1.0, 1.0])
+        assert m.lipschitz == pytest.approx(2.0)
+        assert "lipschitz" in vars(m)
+
+
 class TestSupport:
     def test_threshold(self):
         assert support([0.0, 1e-12, 0.5], tol=1e-8) == [2]
