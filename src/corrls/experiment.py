@@ -27,8 +27,8 @@ from .simulate import SimConfig, gen_regression
 
 __all__ = ["GridSpec", "ExperimentRecord", "grid_cells", "run_grid", "emit_results", "CSV_HEADER"]
 
-METHODS = ("CS+post", "L1CLS", "Lasso")
-_FIT_RULES = {"CS+post": "cs_post", "L1CLS": "l1cls", "Lasso": "lasso"}
+_FIT_RULES = {"CS+post": "cs_post", "L1CLS": "l1cls", "Lasso": "lasso"}  # for cross_validate
+METHODS = tuple(_FIT_RULES)
 
 CSV_HEADER = "scenario,n,p,s,noise,method,seed,tuning,ree,fp,tpr,wall_s"
 
