@@ -15,6 +15,7 @@ experiment makes it 1.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -48,37 +49,30 @@ def _load_config(path):
         return json.load(fh)
 
 
-def _noise_from_args(args, path):
-    """Build the declared noise model for a dataset file."""
-    if args.noise == "missing":
-        # rates are estimated from the NA pattern after loading
-        return None
-    if args.sigma_w:
-        return AdditiveNoise(read_matrix_csv(args.sigma_w))
-    if args.sigma_w_ar1:
-        phi, scale = args.sigma_w_ar1
-        # dimension is discovered from the file header
-        import csv
-
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh))
-        p = len(header) - (1 if "y" in header else 0)
-        return AdditiveNoise(ar1_covariance(p, phi, scale))
-    raise SystemExit("additive noise needs --sigma-w FILE or --sigma-w-ar1 PHI SCALE")
+def _z_width(path):
+    """Number of covariate columns in a dataset file: its header less any y."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+    return len(header) - ("y" in header)
 
 
-def _load_dataset(args):
-    noise = _noise_from_args(args, args.data)
-    if noise is not None:
-        return read_dataset_csv(args.data, noise)
-    # missing case: load with rho = 0, then replace by the estimated rates
-    import csv
-
-    with open(args.data, newline="") as fh:
-        header = next(csv.reader(fh))
-    p = len(header) - (1 if "y" in header else 0)
-    data = read_dataset_csv(args.data, MissingNoise(np.zeros(p)))
+def _load_missing(path):
+    """Load with rho = 0, then replace rho by the rates of the NA pattern."""
+    data = read_dataset_csv(path, MissingNoise(np.zeros(_z_width(path))))
     return with_estimated_missing_rates(data)
+
+
+def _load_dataset(args, path):
+    """Load a dataset file under the noise model the arguments declare."""
+    if args.noise == "missing":
+        return _load_missing(path)
+    if args.sigma_w:
+        noise = AdditiveNoise(read_matrix_csv(args.sigma_w))
+    elif args.sigma_w_ar1:
+        noise = AdditiveNoise(ar1_covariance(_z_width(path), *args.sigma_w_ar1))
+    else:
+        raise SystemExit("additive noise needs --sigma-w FILE or --sigma-w-ar1 PHI SCALE")
+    return read_dataset_csv(path, noise)
 
 
 def _cmd_simulate(args):
@@ -103,7 +97,7 @@ def _solver_opts(args):
 
 
 def _cmd_fit(args):
-    data = _load_dataset(args)
+    data = _load_dataset(args, args.data)
     opts = _solver_opts(args)
     if args.method == "cs_post":
         fit = cs_post_fit(corrected_moments(data), int(args.tuning), opts)
@@ -124,8 +118,8 @@ def _cmd_fit(args):
 
 
 def _cmd_tune(args):
-    data = _load_dataset(args)
-    test = _load_dataset_from(args, args.test_data)
+    data = _load_dataset(args, args.data)
+    test = _load_dataset(args, args.test_data)
     opts = _solver_opts(args)
     if args.method == "cs_post":
         grid = default_an_grid(data.n, data.p)
@@ -144,26 +138,13 @@ def _cmd_tune(args):
     return 0
 
 
-def _load_dataset_from(args, path):
-    class _A:
-        pass
-
-    a = _A()
-    a.data = path
-    a.noise = args.noise
-    a.sigma_w = getattr(args, "sigma_w", None)
-    a.sigma_w_ar1 = getattr(args, "sigma_w_ar1", None)
-    return _load_dataset(a)
-
-
 def _cmd_precision(args):
-    args.noise = "missing"
-    args.sigma_w = None
-    args.sigma_w_ar1 = None
-    data = _load_dataset(args)
+    data = _load_missing(args.data)
     est = estimate_precision(data, args.an, args.radius)
     write_matrix_csv(est.theta, args.out)
-    print(f"precision matrix ({data.p}x{data.p}) written to {args.out}")
+    neg = " ".join(str(j + 1) for j in est.negative_d)
+    print(f"precision matrix ({data.p}x{data.p}) written to {args.out}; "
+          f"{len(est.negative_d)} columns with d_j <= 0" + (f" (1-based): {neg}" if neg else ""))
     if args.diagnostics:
         lines = ["column,support_size,d,fallback"]
         for j in range(data.p):

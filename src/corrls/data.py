@@ -10,6 +10,7 @@ with missing cells zero-filled.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,37 +119,52 @@ class SurrogateDataset:
         return self.Z.shape[1]
 
 
+def _data_lines(fh, width):
+    """The data lines of a dataset file as ``np.loadtxt`` input, NA as nan.
+
+    A literal nan or inf cell is rejected here, since after the NA
+    substitution it could not be told from a missing one.
+    """
+    for lineno, line in enumerate(fh, start=2):
+        if not line.strip():
+            continue
+        if line.count(",") != width - 1:
+            raise ValueError(f"row {lineno} has {line.count(',') + 1} fields, expected {width}")
+        low = line.lower()
+        if "nan" in low or "inf" in low:
+            raise ValueError(f"row {lineno} has a non-finite cell")
+        yield line.replace(NA_TOKEN, "nan")
+
+
 def read_dataset_csv(path, noise):
     """Load a dataset from a delimited file.
 
     Expects a header row; a column named "y" (if present) becomes the
     response, all remaining columns become Z in file order.  Missing cells
     carry the literal token "NA" and are only legal under a missing-data
-    noise model, where they zero-fill Z and clear the mask.
+    noise model, where they zero-fill Z and clear the mask.  Every other
+    cell must be a finite number.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    y_idx = header.index("y") if "y" in header else None
-    z_cols = [j for j in range(len(header)) if j != y_idx]
-    n, p = len(rows), len(z_cols)
-    Z = np.zeros((n, p))
-    mask = np.ones((n, p), dtype=bool)
-    y = np.zeros(n) if y_idx is not None else None
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}")
-        if y_idx is not None:
-            y[i] = float(row[y_idx])
-        for k, j in enumerate(z_cols):
-            tok = row[j].strip()
-            if tok == NA_TOKEN:
-                mask[i, k] = False
-            else:
-                Z[i, k] = float(tok)
+        header = next(csv.reader(fh), [])
+        lines = _data_lines(fh, len(header))
+        try:
+            first = next(lines, None)
+            if first is None:
+                raise ValueError("no data rows")
+            cells = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if np.isinf(cells).any():
+        raise ValueError(f"{path}: a cell overflows to infinity")
+    y = None
+    if "y" in header:
+        y = cells[:, header.index("y")]
+        if np.isnan(y).any():
+            raise ValueError(f"{path}: NA in the y column")
+        cells = np.delete(cells, header.index("y"), axis=1)
+    mask = ~np.isnan(cells)
+    Z = np.nan_to_num(cells, copy=False)
     if isinstance(noise, MissingNoise):
         return SurrogateDataset(Z=Z, y=y, noise=noise, mask=mask)
     if not mask.all():
@@ -158,21 +174,18 @@ def read_dataset_csv(path, noise):
 
 def write_dataset_csv(data: SurrogateDataset, path):
     """Write a dataset in the format `read_dataset_csv` accepts."""
-    p = data.p
-    header = (["y"] if data.y is not None else []) + [f"z{j + 1}" for j in range(p)]
+    header = [f"z{j + 1}" for j in range(data.p)]
+    cells = data.Z
+    observed = np.ones(cells.shape, dtype=bool) if data.mask is None else data.mask
+    if data.y is not None:
+        header = ["y"] + header
+        cells = np.column_stack([data.y, cells])
+        observed = np.column_stack([np.ones(data.n, dtype=bool), observed])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(data.n):
-            row = []
-            if data.y is not None:
-                row.append(f"{data.y[i]:.17g}")
-            for j in range(p):
-                if data.mask is not None and not data.mask[i, j]:
-                    row.append(NA_TOKEN)
-                else:
-                    row.append(f"{data.Z[i, j]:.17g}")
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        for row, obs in zip(cells, observed):
+            fmt = ",".join(np.where(obs, "%.17g", NA_TOKEN).tolist()) + "\r\n"
+            fh.write(fmt % tuple(row[obs].tolist()))
 
 
 def read_matrix_csv(path):

@@ -63,7 +63,8 @@ def neighborhood_moments(data: SurrogateDataset, j, sigma_hat=None) -> Corrected
 
     The quadratic part is the corrected covariance with row/column j
     deleted; the linear part is column j of the same matrix, i.e. the
-    cross-moments divided by (1-rho_k)(1-rho_j).
+    cross-moments divided by (1-rho_k)(1-rho_j).  `fit_neighborhood` reads
+    the same entries of S without building this (p-1)-dimensional pair.
     """
     if data.p < 2:
         raise ValueError("need at least two columns")
@@ -80,30 +81,35 @@ def neighborhood_moments(data: SurrogateDataset, j, sigma_hat=None) -> Corrected
 def fit_neighborhood(data: SurrogateDataset, j, a_n, radius,
                      opts: SolverOptions | None = None,
                      sigma_hat=None) -> NeighborhoodFit:
-    """Screen then refit one neighborhood regression.
+    """Screen column j of S, then refit on the a_n x a_n block it selects.
 
     The unconstrained linear-system refit is accepted only if it lands
     inside the l1 ball of the given radius; otherwise the restricted
     problem is re-solved as projected gradient under the constraint.
     """
-    if opts is None:
-        opts = SolverOptions(radius=radius)
-    m = neighborhood_moments(data, j, sigma_hat=sigma_hat)
-    if not 1 <= a_n <= m.p:
-        raise ValueError(f"a_n must lie in [1, {m.p}]")
-    sel = cs_screen(m.gamma_vec, a_n)
-    ball_opts = replace(opts, radius=radius, lam=0.0)
-    fit = post_cls_fit(m, sel.support, ball_opts)
-    theta, fallback = fit.beta, fit.fallback_used
+    if data.p < 2:
+        raise ValueError("need at least two columns")
+    j = int(j)
+    if j < 0 or j >= data.p:
+        raise ValueError("column index out of range")
+    if not 1 <= a_n <= data.p - 1:
+        raise ValueError(f"a_n must lie in [1, {data.p - 1}]")
+    S = corrected_covariance(data) if sigma_hat is None else sigma_hat
+    keep = np.delete(np.arange(data.p), j)
+    g = S[keep, j]
+    T = list(cs_screen(g, a_n).support)
+    cols = keep[T]
+    sub = CorrectedMoments(gamma_mat=S[np.ix_(cols, cols)], gamma_vec=g[T],
+                           n=data.n, p=len(T))
+    ball_opts = replace(opts or SolverOptions(), radius=radius, lam=0.0)
+    fit = post_cls_fit(sub, range(len(T)), ball_opts)
+    theta = np.zeros(data.p - 1)
+    theta[T] = fit.beta
+    fallback = fit.fallback_used
     if not fallback and np.abs(theta).sum() > radius * (1 + 1e-12):
-        T = list(fit.support_used)
-        sub = CorrectedMoments(gamma_mat=m.gamma_mat[np.ix_(T, T)],
-                               gamma_vec=m.gamma_vec[T], n=m.n, p=len(T))
-        cfit = l1_cls_fit(sub, ball_opts)
-        theta = np.zeros(m.p)
-        theta[T] = cfit.beta
+        theta[T] = l1_cls_fit(sub, ball_opts).beta
         fallback = True
-    return NeighborhoodFit(theta=theta, support=fit.support_used, fallback_used=fallback)
+    return NeighborhoodFit(theta=theta, support=tuple(T), fallback_used=fallback)
 
 
 def assemble_precision(fits, sigma_hat) -> PrecisionEstimate:

@@ -100,3 +100,22 @@ def test_experiment_save_coefs_sidecar(tmp_path):
     assert main(["experiment", "--config", str(cfg), "--out", str(out),
                  "--save-coefs", "--no-timing"]) == 0
     assert (tmp_path / "res.csv.coefs.csv").exists()
+
+
+def test_precision_reports_negative_d(tmp_path, capsys):
+    from corrls.data import write_dataset_csv
+    from corrls.simulate import gen_graph_data, generate_band_precision
+
+    _, sigma = generate_band_precision(30, 2)
+    data_csv, diag_csv = tmp_path / "graph.csv", tmp_path / "diag.csv"
+    write_dataset_csv(gen_graph_data(sigma, 150, 1.0, (0.2, 0.7), seed=1), data_csv)
+    assert main(["precision", "--data", str(data_csv), "--an", "6", "--radius", "2.5",
+                 "--out", str(tmp_path / "theta.csv"),
+                 "--diagnostics", str(diag_csv)]) == 0
+    lines = diag_csv.read_text().splitlines()
+    assert len(lines) == 31
+    d_col = lines[0].split(",").index("d")
+    negative = [row.split(",")[0] for row in lines[1:] if float(row.split(",")[d_col]) <= 0]
+    assert negative
+    summary = capsys.readouterr().out
+    assert (f"{len(negative)} columns with d_j <= 0 (1-based): " + " ".join(negative)) in summary

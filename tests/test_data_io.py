@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,71 @@ class TestCsvRoundTrip:
         path = tmp_path / "m.csv"
         write_matrix_csv(M, path)
         assert np.array_equal(read_matrix_csv(path), M)
+
+
+def _old_writer(data, path):
+    """Reference writer: one csv.writer row per sample, one f-string per cell."""
+    import csv
+
+    header = (["y"] if data.y is not None else []) + [f"z{j + 1}" for j in range(data.p)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(data.n):
+            row = [f"{data.y[i]:.17g}"] if data.y is not None else []
+            for j in range(data.p):
+                if data.mask is not None and not data.mask[i, j]:
+                    row.append("NA")
+                else:
+                    row.append(f"{data.Z[i, j]:.17g}")
+            writer.writerow(row)
+
+
+class TestCsvFormat:
+    @pytest.mark.parametrize("kind", ["missing", "additive"])
+    def test_writer_bytes_match_csv_writer_reference(self, tmp_path, kind):
+        data, _, _ = gen_regression(SimConfig(n=40, p=7, s=2, noise_kind=kind, seed=6))
+        write_dataset_csv(data, tmp_path / "new.csv")
+        _old_writer(data, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_wrong_field_count_names_file_and_row(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("y,z1,z2\n1,2,3\n4,5\n")
+        with pytest.raises(ValueError, match=r"short\.csv: row 3 has 2 fields, expected 3"):
+            read_dataset_csv(path, MissingNoise([0.0, 0.0]))
+
+    def test_unparsable_cell_names_file(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("z1,z2\n1,abc\n")
+        with pytest.raises(ValueError, match=r"text\.csv: .*abc"):
+            read_dataset_csv(path, MissingNoise([0.0, 0.0]))
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("y,z1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                read_dataset_csv(path, MissingNoise([0.0]))
+
+    def test_na_in_response_rejected(self, tmp_path):
+        path = tmp_path / "y_na.csv"
+        path.write_text("y,z1\n1,2\nNA,3\n")
+        with pytest.raises(ValueError, match="y column"):
+            read_dataset_csv(path, MissingNoise([0.0]))
+
+    def test_padded_na_is_missing_and_y_may_come_last(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text("z1,z2,y\r\n1.5, NA ,7\r\n\r\n NA,-2,8\r\n")
+        data = read_dataset_csv(path, MissingNoise([0.0, 0.0]))
+        assert np.array_equal(data.y, [7.0, 8.0])
+        assert np.array_equal(data.Z, [[1.5, 0.0], [0.0, -2.0]])
+        assert np.array_equal(data.mask, [[True, False], [False, True]])
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"z1,z2\n1,2\n3,{cell}\n")
+        with pytest.raises(ValueError, match=r"nonfinite\.csv: .*(non-finite|infinity)"):
+            read_dataset_csv(path, MissingNoise([0.0, 0.0]))

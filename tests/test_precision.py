@@ -209,3 +209,50 @@ class TestEstimatePrecision:
                 acc += column_norm_error(est.theta, theta)
             errs[n] = acc / 8
         assert errs[400] < errs[100]
+
+
+def _parent_route(data, a_n, radius):
+    """The pipeline as it was before it read S directly: full (p-1)-dimensional
+    moments per column, then screen, refit and ball re-solve.  Also returns
+    the branch each column took."""
+    from corrls.moments import CorrectedMoments
+    from corrls.post import post_cls_fit
+    from corrls.selection import SolverOptions, cs_screen, l1_cls_fit
+
+    S = corrected_covariance(data)
+    ball_opts = SolverOptions(radius=radius)
+    fits, branches = [], []
+    for j in range(data.p):
+        m = neighborhood_moments(data, j, sigma_hat=S)
+        sel = cs_screen(m.gamma_vec, a_n)
+        fit = post_cls_fit(m, sel.support, ball_opts)
+        theta, fallback = fit.beta, fit.fallback_used
+        branch = "indefinite" if fit.iterations else "pinv" if fallback else "solve"
+        if not fallback and np.abs(theta).sum() > radius * (1 + 1e-12):
+            T = list(fit.support_used)
+            sub = CorrectedMoments(gamma_mat=m.gamma_mat[np.ix_(T, T)],
+                                   gamma_vec=m.gamma_vec[T], n=m.n, p=len(T))
+            theta = np.zeros(m.p)
+            theta[T] = l1_cls_fit(sub, ball_opts).beta
+            fallback, branch = True, "ball"
+        fits.append(NeighborhoodFit(theta=theta, support=fit.support_used,
+                                    fallback_used=fallback))
+        branches.append(branch)
+    return assemble_precision(fits, S), branches
+
+
+class TestPipelineReadsSDirectly:
+    def test_bit_identical_to_full_neighborhood_moments(self):
+        from corrls.simulate import generate_band_precision
+
+        _, sigma = generate_band_precision(30, 2)
+        data = gen_graph_data(sigma, 150, 1.0, (0.2, 0.7), seed=1)
+        ref, branches = _parent_route(data, a_n=6, radius=2.5)
+        assert {"solve", "ball", "indefinite"} <= set(branches)
+        est = estimate_precision(data, a_n=6, radius=2.5)
+        assert np.array_equal(est.theta, ref.theta)
+        assert np.array_equal(est.theta_raw, ref.theta_raw)
+        assert np.array_equal(est.d, ref.d)
+        assert est.neighborhood_supports == ref.neighborhood_supports
+        assert est.fallback_flags == ref.fallback_flags
+        assert est.negative_d == ref.negative_d and est.negative_d
