@@ -30,17 +30,16 @@ from .data import (
     write_matrix_csv,
 )
 from .experiment import GridSpec, emit_results, run_grid
-from .moments import corrected_moments
 from .post import (
+    METHODS,
     cross_validate,
-    cs_post_fit,
-    default_an_grid,
-    default_lambda_grid,
-    lasso_fit,
+    fit_method,
+    method_grid,
+    method_moments,
     with_estimated_missing_rates,
 )
 from .precision import estimate_precision
-from .selection import SolverOptions, l1_cls_fit, support
+from .selection import SolverOptions
 from .simulate import SimConfig, ar1_covariance, gen_regression
 
 
@@ -98,19 +97,11 @@ def _solver_opts(args):
 
 def _cmd_fit(args):
     data = _load_dataset(args, args.data)
-    opts = _solver_opts(args)
-    if args.method == "cs_post":
-        fit = cs_post_fit(corrected_moments(data), int(args.tuning), opts)
-    elif args.method == "l1cls":
-        from dataclasses import replace
-
-        fit = l1_cls_fit(corrected_moments(data), replace(opts, lam=args.tuning))
-    else:
-        fit = lasso_fit(data, args.tuning, opts)
-    sel = fit.support_used if args.method == "cs_post" else tuple(support(fit.beta))
+    fit = fit_method(args.method, method_moments(args.method, data), args.tuning,
+                     _solver_opts(args))
     print(f"method={fit.method} tuning={args.tuning:g} objective={fit.objective:.6g} "
           f"iterations={fit.iterations} converged={fit.converged}")
-    print("support (1-based):", " ".join(str(j + 1) for j in sel))
+    print("support (1-based):", " ".join(str(j + 1) for j in fit.support_used))
     if args.out:
         write_matrix_csv(fit.beta.reshape(-1, 1), args.out)
         print(f"coefficients written to {args.out}")
@@ -120,13 +111,8 @@ def _cmd_fit(args):
 def _cmd_tune(args):
     data = _load_dataset(args, args.data)
     test = _load_dataset(args, args.test_data)
-    opts = _solver_opts(args)
-    if args.method == "cs_post":
-        grid = default_an_grid(data.n, data.p)
-    else:
-        grid = default_lambda_grid()
-    rule = {"cs_post": "cs_post", "l1cls": "l1cls", "lasso": "lasso"}[args.method]
-    best, losses, _ = cross_validate(data, test, grid, rule, opts)
+    grid = method_grid(args.method, data.n, data.p)
+    best, losses, _ = cross_validate(data, test, grid, args.method, _solver_opts(args))
     lines = ["value,loss"] + [f"{v:.17g},{l:.17g}" for v, l in zip(grid, losses)]
     out = "\n".join(lines) + "\n"
     if args.out:
@@ -161,9 +147,6 @@ def _cmd_experiment(args):
         cfg["base_seed"] = args.seed
     if "rho_range" in cfg:
         cfg["rho_range"] = tuple(cfg["rho_range"])
-    for key in ("n_values", "p_values", "s_values", "methods"):
-        if key in cfg:
-            cfg[key] = tuple(cfg[key])
     spec = GridSpec(**cfg)
     records = run_grid(spec, workers=args.workers, keep_beta=args.save_coefs,
                        no_timing=args.no_timing)
@@ -211,7 +194,7 @@ def build_parser():
 
     sp = sub.add_parser("fit", help="fit one method on one dataset")
     _add_dataset_args(sp)
-    sp.add_argument("--method", choices=["cs_post", "l1cls", "lasso"], required=True)
+    sp.add_argument("--method", choices=list(METHODS), required=True)
     sp.add_argument("--tuning", type=float, required=True,
                     help="a_n for cs_post, lambda otherwise")
     _add_solver_args(sp)
@@ -221,7 +204,7 @@ def build_parser():
     sp = sub.add_parser("tune", help="dump a cross-validation curve")
     _add_dataset_args(sp)
     sp.add_argument("--test-data", required=True, help="held-out dataset CSV")
-    sp.add_argument("--method", choices=["cs_post", "l1cls", "lasso"], required=True)
+    sp.add_argument("--method", choices=list(METHODS), required=True)
     _add_solver_args(sp)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_tune)

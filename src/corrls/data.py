@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,10 +120,11 @@ class SurrogateDataset:
         return self.Z.shape[1]
 
 
-def _data_lines(fh, width):
+def _data_lines(fh, width, linenos):
     """The data lines of a dataset file as ``np.loadtxt`` input, NA as nan.
 
-    A literal nan or inf cell is rejected here, since after the NA
+    Appends the file line number of each line it yields to ``linenos``.  A
+    literal nan or inf cell is rejected here, since after the NA
     substitution it could not be told from a missing one.
     """
     for lineno, line in enumerate(fh, start=2):
@@ -133,6 +135,7 @@ def _data_lines(fh, width):
         low = line.lower()
         if "nan" in low or "inf" in low:
             raise ValueError(f"row {lineno} has a non-finite cell")
+        linenos.append(lineno)
         yield line.replace(NA_TOKEN, "nan")
 
 
@@ -147,14 +150,18 @@ def read_dataset_csv(path, noise):
     """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])
-        lines = _data_lines(fh, len(header))
+        linenos = []
+        lines = _data_lines(fh, len(header), linenos)
         try:
             first = next(lines, None)
             if first is None:
                 raise ValueError("no data rows")
-            cells = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+            cells = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2,
+                               comments=None)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+            # loadtxt counts rows from 0 among the lines it was given
+            msg = re.sub(r"at row (\d+)", lambda r: f"at row {linenos[int(r[1])]}", str(exc))
+            raise ValueError(f"{path}: {msg}") from exc
     if np.isinf(cells).any():
         raise ValueError(f"{path}: a cell overflows to infinity")
     y = None

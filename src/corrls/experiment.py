@@ -16,18 +16,13 @@ import numpy as np
 
 from ._rng import substream
 from .metrics import false_positives, ree, true_positive_rate
-from .post import (
-    cross_validate,
-    default_an_grid,
-    default_lambda_grid,
-    with_estimated_missing_rates,
-)
-from .selection import SolverOptions, support
+from .post import METHODS as _LABELS, cross_validate, method_grid, with_estimated_missing_rates
+from .selection import SolverOptions
 from .simulate import SimConfig, gen_regression
 
 __all__ = ["GridSpec", "ExperimentRecord", "grid_cells", "run_grid", "emit_results", "CSV_HEADER"]
 
-_FIT_RULES = {"CS+post": "cs_post", "L1CLS": "l1cls", "Lasso": "lasso"}  # for cross_validate
+_FIT_RULES = {label: name for name, label in _LABELS.items()}  # record label -> fit rule
 METHODS = tuple(_FIT_RULES)
 
 CSV_HEADER = "scenario,n,p,s,noise,method,seed,tuning,ree,fp,tpr,wall_s"
@@ -113,18 +108,17 @@ def _run_cell(spec: GridSpec, n, p, s, rep, keep_beta):
     for method in spec.methods:
         t0 = time.perf_counter()
         try:
-            grid = default_an_grid(n, p) if method == "CS+post" else default_lambda_grid()
-            best, _, fit = cross_validate(train, test, grid, _FIT_RULES[method], opts)
+            rule = _FIT_RULES[method]
+            best, _, fit = cross_validate(train, test, method_grid(rule, n, p), rule, opts)
             if fit is None:
                 raise ArithmeticError("cross-validation failed at every grid point")
             tuning = float(best)
-            T_hat = fit.support_used if method == "CS+post" else tuple(support(fit.beta))
             records.append(ExperimentRecord(
                 scenario=scenario, n=n, p=p, s=s, noise_kind=spec.noise_kind,
                 method=method, seed=seed, tuning=tuning,
                 ree=ree(fit.beta, beta0),
-                false_positives=false_positives(T_hat, T),
-                true_positive_rate=true_positive_rate(T_hat, T),
+                false_positives=false_positives(fit.support_used, T),
+                true_positive_rate=true_positive_rate(fit.support_used, T),
                 wall_time_s=time.perf_counter() - t0,
                 beta=fit.beta.copy() if keep_beta else None))
         except Exception as exc:  # error row, not a run abort

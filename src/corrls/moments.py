@@ -23,6 +23,7 @@ __all__ = [
     "CorrectedMoments",
     "estimate_missing_rates",
     "build_mask_matrix",
+    "corrected_gram",
     "corrected_moments",
     "uncorrected_moments",
     "corrected_loss",
@@ -91,26 +92,27 @@ def build_mask_matrix(rho):
     return M
 
 
+def corrected_gram(data: SurrogateDataset) -> np.ndarray:
+    """Corrected Gram matrix: Z'Z/n - sigma_w (additive noise) or (Z'Z/n) / M
+    componentwise (missing data); not symmetrized."""
+    raw = (data.Z.T @ data.Z) / data.n
+    if isinstance(data.noise, AdditiveNoise):
+        return raw - data.noise.sigma_w
+    return raw / build_mask_matrix(data.noise.rho)
+
+
 def corrected_moments(data: SurrogateDataset) -> CorrectedMoments:
     """Build (gamma_mat, gamma_vec) for the dataset's noise mechanism.
 
-    Additive: gamma_mat = Z'Z/n - sigma_w, gamma_vec = Z'y/n.
-    Missing:  gamma_mat = (Z'Z/n) / M componentwise,
-              gamma_vec = (Z'y/n) / (1 - rho) componentwise.
+    gamma_mat is `corrected_gram(data)`; gamma_vec is Z'y/n under additive
+    noise and (Z'y/n) / (1 - rho) componentwise under missing data.
     """
-    Z, n, p = data.Z, data.n, data.p
     if data.y is None:
         raise ValueError("dataset has no response; corrected_moments needs y")
-    raw_mat = (Z.T @ Z) / n
-    raw_vec = (Z.T @ data.y) / n
-    if isinstance(data.noise, AdditiveNoise):
-        G = raw_mat - data.noise.sigma_w
-        g = raw_vec
-    else:
-        rho = data.noise.rho
-        G = raw_mat / build_mask_matrix(rho)
-        g = raw_vec / (1.0 - rho)
-    return CorrectedMoments(gamma_mat=G, gamma_vec=g, n=n, p=p)
+    g = (data.Z.T @ data.y) / data.n
+    if isinstance(data.noise, MissingNoise):
+        g = g / (1.0 - data.noise.rho)
+    return CorrectedMoments(gamma_mat=corrected_gram(data), gamma_vec=g, n=data.n, p=data.p)
 
 
 def uncorrected_moments(data: SurrogateDataset) -> CorrectedMoments:

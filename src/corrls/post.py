@@ -24,9 +24,13 @@ from .moments import (
     estimate_missing_rates,
     uncorrected_moments,
 )
-from .selection import FitResult, SolverOptions, cs_screen, l1_cls_fit, support
+from .selection import FitResult, SolverOptions, cs_screen, l1_cls_fit
 
 __all__ = [
+    "METHODS",
+    "method_moments",
+    "method_grid",
+    "fit_method",
     "post_cls_fit",
     "cs_post_fit",
     "lasso_fit",
@@ -37,6 +41,9 @@ __all__ = [
 ]
 
 _PD_EPS = 1e-8
+
+#: method name (CLI and cross-validation) -> label in FitResult.method and experiment records
+METHODS = {"cs_post": "CS+post", "l1cls": "L1CLS", "lasso": "Lasso"}
 
 
 def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
@@ -95,11 +102,7 @@ def cs_post_fit(m: CorrectedMoments, a_n, opts: SolverOptions) -> FitResult:
 
 def lasso_fit(data: SurrogateDataset, lam, opts: SolverOptions) -> FitResult:
     """Ordinary Lasso baseline: same solver, raw uncorrected moments."""
-    return _lasso_on(uncorrected_moments(data), lam, opts)
-
-
-def _lasso_on(raw_m, lam, opts):
-    return replace(l1_cls_fit(raw_m, replace(opts, lam=float(lam))), method="Lasso")
+    return fit_method("lasso", uncorrected_moments(data), lam, opts)
 
 
 def with_estimated_missing_rates(data: SurrogateDataset) -> SurrogateDataset:
@@ -121,26 +124,41 @@ def default_lambda_grid():
     return [round(0.05 * k, 2) for k in range(21)]
 
 
-def _fit_for_value(method, value, train_m, train_raw_m, opts):
+def _check_method(method):
+    if method not in METHODS:
+        raise ValueError(f"unknown fit rule {method!r}; expected one of {list(METHODS)}")
+
+
+def method_moments(method, data: SurrogateDataset) -> CorrectedMoments:
+    """The moments a method fits on: raw for the Lasso, corrected otherwise."""
+    _check_method(method)
+    return uncorrected_moments(data) if method == "lasso" else corrected_moments(data)
+
+
+def method_grid(method, n, p):
+    """Default tuning grid: screening sizes a_n for cs_post, penalty levels otherwise."""
+    _check_method(method)
+    return default_an_grid(n, p) if method == "cs_post" else default_lambda_grid()
+
+
+def fit_method(method, m: CorrectedMoments, value, opts: SolverOptions) -> FitResult:
+    """Fit a method on moments ``m`` at one tuning value (a_n or lambda)."""
+    _check_method(method)
     if method == "cs_post":
-        return cs_post_fit(train_m, int(value), opts)
-    if method == "l1cls":
-        return l1_cls_fit(train_m, replace(opts, lam=float(value)))
-    if method == "lasso":
-        return _lasso_on(train_raw_m, value, opts)
-    raise ValueError(f"unknown fit rule {method!r}")
+        return cs_post_fit(m, int(value), opts)
+    return replace(l1_cls_fit(m, replace(opts, lam=float(value))), method=METHODS[method])
 
 
 def cross_validate(train: SurrogateDataset, test: SurrogateDataset, grid,
                    fit_rule, opts: SolverOptions):
     """Pick the tuning value minimizing the held-out loss.
 
-    ``fit_rule`` is "cs_post" (grid of screening sizes a_n), "l1cls" or
-    "lasso" (grids of penalty levels).  Fits use the training moments; the
-    loss is evaluated with the test set's own moments (the test split
-    self-corrects with its own estimated missing rates).  The Lasso route
-    uses uncorrected moments on both sides.  A failed fit records an
-    infinite loss for that grid point.  Ties break toward the smaller value.
+    ``fit_rule`` is a name in `METHODS` (ValueError otherwise).  Fits use
+    the training moments; the loss is evaluated with the test set's own
+    moments (the test split self-corrects with its own estimated missing
+    rates).  The Lasso route uses uncorrected moments on both sides.  A
+    failed fit records an infinite loss for that grid point.  Ties break
+    toward the smaller value.
 
     Returns (best_value, losses, fit): losses aligned to the grid, and the
     training fit at best_value, or None if that fit raised.
@@ -150,19 +168,14 @@ def cross_validate(train: SurrogateDataset, test: SurrogateDataset, grid,
         raise ValueError("empty tuning grid")
     if train.p != test.p:
         raise ValueError("train and test dimension mismatch")
-    if fit_rule == "lasso":
-        eval_m = uncorrected_moments(test)
-        train_m = train_raw_m = uncorrected_moments(train)
-    else:
-        eval_m = corrected_moments(test)
-        train_m = corrected_moments(train)
-        train_raw_m = None
+    eval_m = method_moments(fit_rule, test)
+    train_m = method_moments(fit_rule, train)
     losses = []
     best = None  # (loss, value, fit) of the first grid point with the least key
     for v in grid:
         fit = None
         try:
-            fit = _fit_for_value(fit_rule, v, train_m, train_raw_m, opts)
+            fit = fit_method(fit_rule, train_m, v, opts)
             loss = float(corrected_loss(fit.beta, eval_m))
             if not np.isfinite(loss):
                 loss = np.inf

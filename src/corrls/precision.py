@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import MissingNoise, SurrogateDataset
-from .moments import CorrectedMoments, build_mask_matrix
+from .moments import CorrectedMoments, corrected_gram
 from .selection import SolverOptions, cs_screen, l1_cls_fit
 from .post import post_cls_fit
 
@@ -54,7 +54,7 @@ def corrected_covariance(data: SurrogateDataset) -> np.ndarray:
     """Missingness-corrected covariance (Z'Z/n) / M, symmetrized."""
     if not isinstance(data.noise, MissingNoise):
         raise ValueError("corrected covariance requires a missing-data noise model")
-    S = (data.Z.T @ data.Z) / data.n / build_mask_matrix(data.noise.rho)
+    S = corrected_gram(data)
     return 0.5 * (S + S.T)
 
 
@@ -127,7 +127,7 @@ def assemble_precision(fits, sigma_hat) -> PrecisionEstimate:
     d = np.zeros(p)
     negative_d = []
     for j, fit in enumerate(fits):
-        keep = [k for k in range(p) if k != j]
+        keep = np.delete(np.arange(p), j)
         denom = S[j, j] - S[j, keep] @ fit.theta
         if abs(denom) < 1e-10:
             raise ValueError(f"residual variance degenerate at column {j}")

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from corrls import MissingNoise, SolverOptions, corrected_moments, l1_cls_fit, lasso_fit, support
 from corrls.cli import main
-from corrls.data import read_matrix_csv
+from corrls.data import read_dataset_csv, read_matrix_csv
+from corrls.post import with_estimated_missing_rates
 
 
 @pytest.fixture
@@ -31,6 +33,23 @@ def test_simulate_then_fit(tmp_path, sim_config, capsys):
     out = capsys.readouterr().out
     assert "support (1-based):" in out
     assert np.linalg.norm(beta_hat - beta0) / np.linalg.norm(beta0) < 0.5
+
+
+@pytest.mark.parametrize("method", ["l1cls", "lasso"])
+def test_fit_penalized_matches_direct_fit(tmp_path, sim_config, capsys, method):
+    data_csv, coef_csv = tmp_path / "data.csv", tmp_path / "coef.csv"
+    main(["simulate", "--config", str(sim_config), "--out", str(data_csv)])
+    assert main(["fit", "--data", str(data_csv), "--noise", "missing",
+                 "--method", method, "--tuning", "0.05", "--radius", "15",
+                 "--out", str(coef_csv)]) == 0
+    data = with_estimated_missing_rates(read_dataset_csv(data_csv, MissingNoise(np.zeros(12))))
+    opts = SolverOptions(radius=15.0, lam=0.05)
+    ref = l1_cls_fit(corrected_moments(data), opts) if method == "l1cls" \
+        else lasso_fit(data, 0.05, opts)
+    assert np.array_equal(read_matrix_csv(coef_csv).ravel(), ref.beta)
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("support (1-based):")]
+    assert printed == ["support (1-based): " + " ".join(str(j + 1) for j in support(ref.beta))]
 
 
 def test_fit_additive_with_ar1_sigma(tmp_path, capsys):

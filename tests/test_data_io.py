@@ -116,9 +116,11 @@ class TestCsvFormat:
 
     def test_unparsable_cell_names_file(self, tmp_path):
         path = tmp_path / "text.csv"
-        path.write_text("z1,z2\n1,abc\n")
-        with pytest.raises(ValueError, match=r"text\.csv: .*abc"):
-            read_dataset_csv(path, MissingNoise([0.0, 0.0]))
+        # the file's line number, past a blank line; '#' is a cell, not a comment
+        for bad in ("abc", "#"):
+            path.write_text(f"z1,z2\n1,2\n\n3,4\n5,{bad}\n")
+            with pytest.raises(ValueError, match=rf"text\.csv: .*'{bad}'.* at row 5, column 2"):
+                read_dataset_csv(path, MissingNoise([0.0, 0.0]))
 
     def test_header_only_file_has_no_data_rows(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -1,8 +1,11 @@
+import ast
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import corrls.cli
+import corrls.experiment
 import corrls.selection
 from corrls import (
     AdditiveNoise,
@@ -18,7 +21,12 @@ from corrls import (
     l1_cls_fit,
     post_cls_fit,
 )
-from corrls.post import default_an_grid, default_lambda_grid, with_estimated_missing_rates
+from corrls.post import (
+    METHODS,
+    default_an_grid,
+    default_lambda_grid,
+    with_estimated_missing_rates,
+)
 from corrls.simulate import SimConfig, ar1_covariance, gen_regression
 
 
@@ -213,6 +221,12 @@ class TestCrossValidate:
             assert np.array_equal(fit.beta, refit(best).beta), rule
             assert fit.method == refit(best).method
 
+    def test_unknown_rule_raises_before_fitting(self):
+        train, test, beta0, _ = _split_pair(7)
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        with pytest.raises(ValueError, match="unknown fit rule 'cs-post'"):
+            cross_validate(train, test, [1, 2, 3], "cs-post", opts)
+
     @pytest.mark.parametrize("rule", ["l1cls", "lasso"])
     def test_one_lipschitz_bound_per_moments(self, monkeypatch, rule):
         original = corrls.selection.lipschitz_estimate
@@ -237,3 +251,15 @@ class TestDefaultGrids:
         assert default_an_grid(500, 100) == list(range(1, 101))
         assert default_an_grid(200, 100) == list(range(1, 44))  # 200 / log 100 = 43.4
         assert default_an_grid(10, 1000) == [1]
+
+
+@pytest.mark.parametrize("module", [corrls.cli, corrls.experiment])
+def test_only_post_names_the_methods(module):
+    """The CLI and the grid read method names and labels from post.METHODS;
+    neither module spells one out."""
+    names = set(METHODS) | set(METHODS.values())
+    with open(module.__file__) as fh:
+        tree = ast.parse(fh.read())
+    spelled = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and node.value in names}
+    assert not spelled, f"{module.__name__} names methods {sorted(spelled)}"

@@ -11,7 +11,7 @@ from corrls import (
     neighborhood_moments,
     symmetrize,
 )
-from corrls.precision import NeighborhoodFit, corrected_covariance
+from corrls.precision import NeighborhoodFit, PrecisionEstimate, corrected_covariance
 from corrls.simulate import ar1_covariance, gen_graph_data, sample_gaussian
 from corrls._rng import substream
 
@@ -213,13 +213,15 @@ class TestEstimatePrecision:
 
 def _parent_route(data, a_n, radius):
     """The pipeline as it was before it read S directly: full (p-1)-dimensional
-    moments per column, then screen, refit and ball re-solve.  Also returns
-    the branch each column took."""
-    from corrls.moments import CorrectedMoments
+    moments per column, then screen, refit and ball re-solve.  S and the
+    assembly are in-test copies of the old formula and keep-list loop.  Also
+    returns the branch each column took."""
+    from corrls.moments import CorrectedMoments, build_mask_matrix
     from corrls.post import post_cls_fit
     from corrls.selection import SolverOptions, cs_screen, l1_cls_fit
 
-    S = corrected_covariance(data)
+    S = (data.Z.T @ data.Z) / data.n / build_mask_matrix(data.noise.rho)
+    S = 0.5 * (S + S.T)
     ball_opts = SolverOptions(radius=radius)
     fits, branches = [], []
     for j in range(data.p):
@@ -238,7 +240,20 @@ def _parent_route(data, a_n, radius):
         fits.append(NeighborhoodFit(theta=theta, support=fit.support_used,
                                     fallback_used=fallback))
         branches.append(branch)
-    return assemble_precision(fits, S), branches
+    p = data.p
+    theta_raw, d, negative_d = np.zeros((p, p)), np.zeros(p), []
+    for j, fit in enumerate(fits):
+        keep = [k for k in range(p) if k != j]
+        denom = S[j, j] - S[j, keep] @ fit.theta
+        if denom <= 0:
+            negative_d.append(j)
+        d[j] = 1.0 / denom
+        theta_raw[j, j] = d[j]
+        theta_raw[keep, j] = -d[j] * fit.theta
+    return PrecisionEstimate(
+        theta=0.5 * (theta_raw + theta_raw.T), theta_raw=theta_raw, d=d,
+        neighborhood_supports=[fit.support for fit in fits],
+        fallback_flags=[fit.fallback_used for fit in fits], negative_d=negative_d), branches
 
 
 class TestPipelineReadsSDirectly:
