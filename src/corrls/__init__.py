@@ -25,7 +25,6 @@ from .precision import (
 )
 from .selection import (
     FitResult,
-    SelectionResult,
     SolverOptions,
     cs_screen,
     l1_cls_fit,

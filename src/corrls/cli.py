@@ -92,7 +92,7 @@ def _cmd_simulate(args):
 
 def _solver_opts(args):
     return SolverOptions(max_iters=args.max_iters, rel_tol=args.rel_tol,
-                         radius=args.radius, lam=0.0)
+                         radius=args.radius)
 
 
 def _cmd_fit(args):

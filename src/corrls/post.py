@@ -76,7 +76,7 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
         fallback = True
     else:
         sub = CorrectedMoments(gamma_mat=G_TT, gamma_vec=g_T, n=m.n, p=len(T))
-        fit = l1_cls_fit(sub, replace(opts, lam=0.0))
+        fit = l1_cls_fit(sub, 0.0, opts)
         b_T = fit.beta
         iters = fit.iterations
         converged = fit.converged
@@ -96,8 +96,7 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
 
 def cs_post_fit(m: CorrectedMoments, a_n, opts: SolverOptions) -> FitResult:
     """Screen the a_n largest corrected correlations, then refit on them."""
-    sel = cs_screen(m.gamma_vec, a_n)
-    return post_cls_fit(m, sel.support, opts)
+    return post_cls_fit(m, cs_screen(m.gamma_vec, a_n), opts)
 
 
 def lasso_fit(data: SurrogateDataset, lam, opts: SolverOptions) -> FitResult:
@@ -146,7 +145,7 @@ def fit_method(method, m: CorrectedMoments, value, opts: SolverOptions) -> FitRe
     _check_method(method)
     if method == "cs_post":
         return cs_post_fit(m, int(value), opts)
-    return replace(l1_cls_fit(m, replace(opts, lam=float(value))), method=METHODS[method])
+    return replace(l1_cls_fit(m, float(value), opts), method=METHODS[method])
 
 
 def cross_validate(train: SurrogateDataset, test: SurrogateDataset, grid,

@@ -10,7 +10,7 @@ transpose-average makes the result symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,11 +79,10 @@ def neighborhood_moments(data: SurrogateDataset, j, sigma_hat=None) -> Corrected
 
 
 def fit_neighborhood(data: SurrogateDataset, j, a_n, radius,
-                     opts: SolverOptions | None = None,
                      sigma_hat=None) -> NeighborhoodFit:
     """Screen column j of S, then refit on the a_n x a_n block it selects.
 
-    The unconstrained linear-system refit is accepted only if it lands
+    A linear-solve or pseudo-inverse refit is accepted only if it lands
     inside the l1 ball of the given radius; otherwise the restricted
     problem is re-solved as projected gradient under the constraint.
     """
@@ -97,17 +96,17 @@ def fit_neighborhood(data: SurrogateDataset, j, a_n, radius,
     S = corrected_covariance(data) if sigma_hat is None else sigma_hat
     keep = np.delete(np.arange(data.p), j)
     g = S[keep, j]
-    T = list(cs_screen(g, a_n).support)
+    T = list(cs_screen(g, a_n))
     cols = keep[T]
     sub = CorrectedMoments(gamma_mat=S[np.ix_(cols, cols)], gamma_vec=g[T],
                            n=data.n, p=len(T))
-    ball_opts = replace(opts or SolverOptions(), radius=radius, lam=0.0)
+    ball_opts = SolverOptions(radius=radius)
     fit = post_cls_fit(sub, range(len(T)), ball_opts)
     theta = np.zeros(data.p - 1)
     theta[T] = fit.beta
     fallback = fit.fallback_used
-    if not fallback and np.abs(theta).sum() > radius * (1 + 1e-12):
-        theta[T] = l1_cls_fit(sub, ball_opts).beta
+    if fit.iterations == 0 and np.abs(theta).sum() > radius * (1 + 1e-12):
+        theta[T] = l1_cls_fit(sub, 0.0, ball_opts).beta
         fallback = True
     return NeighborhoodFit(theta=theta, support=tuple(T), fallback_used=fallback)
 
@@ -154,8 +153,7 @@ def symmetrize(theta_raw):
     return 0.5 * (A + A.T)
 
 
-def estimate_precision(data: SurrogateDataset, a_n, radius,
-                       opts: SolverOptions | None = None) -> PrecisionEstimate:
+def estimate_precision(data: SurrogateDataset, a_n, radius) -> PrecisionEstimate:
     """Full pipeline: corrected covariance, p neighborhood fits, assembly,
     symmetrization.  A failing column aborts with its index named."""
     if not isinstance(data.noise, MissingNoise):
@@ -166,7 +164,7 @@ def estimate_precision(data: SurrogateDataset, a_n, radius,
     fits = []
     for j in range(data.p):
         try:
-            fits.append(fit_neighborhood(data, j, a_n, radius, opts=opts, sigma_hat=S))
+            fits.append(fit_neighborhood(data, j, a_n, radius, sigma_hat=S))
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             raise RuntimeError(f"neighborhood fit failed at column {j}: {exc}") from exc
     return assemble_precision(fits, S)

@@ -20,7 +20,6 @@ import numpy as np
 from .moments import CorrectedMoments
 
 __all__ = [
-    "SelectionResult",
     "SolverOptions",
     "FitResult",
     "cs_screen",
@@ -33,21 +32,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SelectionResult:
-    """Selected support (0-based; reports print 1-based) with its tuning value."""
-
-    support: tuple
-    method: str  # "CS" | "L1CLS"
-    tuning: float
-
-
-@dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 10_000
     rel_tol: float = 1e-6
-    step_rule: str = "fixed"  # "fixed" (1/L) | "backtracking"
     radius: float = 1.0
-    lam: float = 0.0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -56,10 +44,6 @@ class SolverOptions:
             raise ValueError("rel_tol must be positive")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
-        if self.step_rule not in ("fixed", "backtracking"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -81,12 +65,9 @@ class FitResult:
     wall_time: float = 0.0
 
 
-def cs_screen(gamma_vec, a_n) -> SelectionResult:
-    """Keep the a_n indices with largest |gamma_vec|, ties to smaller index.
-
-    Ranks are descending in magnitude (rank one is the largest).  a_n >= p
-    selects everything.
-    """
+def cs_screen(gamma_vec, a_n) -> tuple:
+    """Sorted indices of the a_n largest |gamma_vec| (0-based; reports print
+    1-based), ties to the smaller index.  a_n >= p selects everything."""
     g = np.asarray(gamma_vec, dtype=float).ravel()
     if not np.all(np.isfinite(g)):
         raise ValueError("screening scores must be finite")
@@ -97,8 +78,7 @@ def cs_screen(gamma_vec, a_n) -> SelectionResult:
     k = min(a_n, p)
     # stable sort on (-|g|, index) gives magnitude order with index tie-break
     order = np.argsort(-np.abs(g), kind="stable")
-    sel = tuple(sorted(int(j) for j in order[:k]))
-    return SelectionResult(support=sel, method="CS", tuning=float(a_n))
+    return tuple(sorted(int(j) for j in order[:k]))
 
 
 def soft_threshold(v, t):
@@ -129,42 +109,34 @@ def lipschitz_estimate(G):
     return float(np.max(np.abs(vals), initial=0.0))
 
 
-def l1_cls_fit(m: CorrectedMoments, opts: SolverOptions, beta0=None) -> FitResult:
+def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> FitResult:
     """Minimize 0.5 b'Gb - g'b + lam*||b||_1 subject to ||b||_1 <= radius.
 
-    Composite projected gradient: gradient step, soft-threshold by
-    eta*lambda, project onto the ball.  Fixed step 1/L (L cached on the
-    moments) or Armijo backtracking.  G @ b is formed once per candidate and
-    serves both its objective and the next gradient.  Returns the
-    best-objective iterate, which for an indefinite G may precede the last
-    one.
+    Composite projected gradient with the fixed step 1/L (L cached on the
+    moments): gradient step, soft-threshold by lam/L, project onto the ball.
+    G @ b is formed once per iterate and serves both its objective and the
+    next gradient.  Returns the best-objective iterate, which for an
+    indefinite G may precede the last one.
     """
+    if lam < 0:
+        raise ValueError("lambda must be non-negative")
     t0 = time.perf_counter()
     G, g, p = m.gamma_mat, m.gamma_vec, m.p
-    lam, R = opts.lam, opts.radius
+    R = opts.radius
     beta = np.zeros(p) if beta0 is None else project_l1_ball(np.asarray(beta0, float), R)
     L = m.lipschitz
-    eta0 = 1.0 / L if L > 0 else 1.0
+    eta = 1.0 / L if L > 0 else 1.0
     Gb = G @ beta
     f = 0.5 * beta @ Gb - g @ beta + lam * np.abs(beta).sum()
     best_beta, best_f = beta.copy(), f
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
-        grad = Gb - g
-        eta = eta0
-        while True:
-            cand = project_l1_ball(soft_threshold(beta - eta * grad, eta * lam), R)
-            Gc = G @ cand
-            f_cand = 0.5 * cand @ Gc - g @ cand + lam * np.abs(cand).sum()
-            if not np.isfinite(f_cand):
-                raise ArithmeticError("diverged: non-finite objective in solver")
-            if opts.step_rule == "fixed":
-                break
-            # Armijo-type: accept any decrease, else halve the step
-            if f_cand <= f or eta < 1e-12:
-                break
-            eta *= 0.5
+        cand = project_l1_ball(soft_threshold(beta - eta * (Gb - g), eta * lam), R)
+        Gc = G @ cand
+        f_cand = 0.5 * cand @ Gc - g @ cand + lam * np.abs(cand).sum()
+        if not np.isfinite(f_cand):
+            raise ArithmeticError("diverged: non-finite objective in solver")
         df = f - f_cand
         beta, Gb, f = cand, Gc, f_cand
         if f < best_f:

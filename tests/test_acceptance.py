@@ -8,7 +8,6 @@ see the repository notes for how the statistical ones were chosen.
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from corrls import (
     AdditiveNoise,
@@ -87,11 +86,11 @@ def test_c1_correction_unbiasedness():
 
 # -- 2: solver oracle equivalence ----------------------------------------------
 
-def _multistart_oracle(m, opts, rng, starts=100):
+def _multistart_oracle(m, lam, opts, rng, starts=100):
     best = np.inf
     for _ in range(starts):
         b0 = project_l1_ball(rng.uniform(-opts.radius, opts.radius, m.p), opts.radius)
-        f = l1_cls_fit(m, opts, beta0=b0)
+        f = l1_cls_fit(m, lam, opts, beta0=b0)
         best = min(best, f.objective)
     return best
 
@@ -104,9 +103,9 @@ def test_c2_solver_oracle_equivalence():
         A = rng.standard_normal((p, p))
         m = CorrectedMoments(gamma_mat=A @ A.T + 0.5 * np.eye(p),
                              gamma_vec=rng.standard_normal(p), n=100, p=p)
-        opts = SolverOptions(radius=2.0, lam=0.1)
-        fit = l1_cls_fit(m, opts)
-        oracle = _multistart_oracle(m, opts, rng)
+        opts = SolverOptions(radius=2.0)
+        fit = l1_cls_fit(m, 0.1, opts)
+        oracle = _multistart_oracle(m, 0.1, opts, rng)
         # local grid refinement around the solver's own point
         for j in range(p):
             for v in np.linspace(fit.beta[j] - 0.05, fit.beta[j] + 0.05, 41):
@@ -159,7 +158,7 @@ def test_c4_screening_recovery():
         data, beta0, T = gen_regression(SimConfig(n=n, p=p, s=s,
                                                   noise_kind="additive", seed=seed))
         sel = cs_screen(corrected_moments(data).gamma_vec, a_n)
-        S, Tset = set(sel.support), set(T)
+        S, Tset = set(sel), set(T)
         if Tset <= S:
             hits += 1
             # with the truth fully captured the a_n-sized output leaves
@@ -215,7 +214,7 @@ def _comparative_run(base_seed, reps=50):
         a_n, _, _ = cross_validate(train, test, default_an_grid(n, p), "cs_post", opts)
         fit_cs = cs_post_fit(corrected_moments(train), int(a_n), opts)
         lam, _, _ = cross_validate(train, test, default_lambda_grid(), "l1cls", opts)
-        fit_l1 = l1_cls_fit(corrected_moments(train), replace(opts, lam=float(lam)))
+        fit_l1 = l1_cls_fit(corrected_moments(train), float(lam), opts)
 
         Tset = set(T)
         S_l1 = set(support(fit_l1.beta))

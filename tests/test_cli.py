@@ -43,8 +43,8 @@ def test_fit_penalized_matches_direct_fit(tmp_path, sim_config, capsys, method):
                  "--method", method, "--tuning", "0.05", "--radius", "15",
                  "--out", str(coef_csv)]) == 0
     data = with_estimated_missing_rates(read_dataset_csv(data_csv, MissingNoise(np.zeros(12))))
-    opts = SolverOptions(radius=15.0, lam=0.05)
-    ref = l1_cls_fit(corrected_moments(data), opts) if method == "l1cls" \
+    opts = SolverOptions(radius=15.0)
+    ref = l1_cls_fit(corrected_moments(data), 0.05, opts) if method == "l1cls" \
         else lasso_fit(data, 0.05, opts)
     assert np.array_equal(read_matrix_csv(coef_csv).ravel(), ref.beta)
     printed = [line for line in capsys.readouterr().out.splitlines()

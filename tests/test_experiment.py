@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from corrls import GridSpec, emit_results, run_grid
@@ -51,7 +50,6 @@ class TestRunGrid:
 
     def test_ree_recomputes_from_saved_coefficients(self):
         from corrls.simulate import SimConfig, gen_regression
-        from corrls.experiment import _cell_seed
 
         spec = _tiny_spec()
         records = run_grid(spec, keep_beta=True)

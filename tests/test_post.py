@@ -1,5 +1,4 @@
 import ast
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ import corrls.selection
 from corrls import (
     AdditiveNoise,
     CorrectedMoments,
-    MissingNoise,
     SolverOptions,
     SurrogateDataset,
     corrected_loss,
@@ -27,7 +25,7 @@ from corrls.post import (
     default_lambda_grid,
     with_estimated_missing_rates,
 )
-from corrls.simulate import SimConfig, ar1_covariance, gen_regression
+from corrls.simulate import SimConfig, gen_regression
 
 
 def _m(G, g, n=100):
@@ -125,9 +123,7 @@ class TestLassoFit:
         data = SurrogateDataset(Z=Z, y=y, noise=AdditiveNoise(np.zeros((5, 5))))
         opts = SolverOptions(radius=5.0)
         a = lasso_fit(data, 0.2, opts)
-        from dataclasses import replace
-
-        b = l1_cls_fit(corrected_moments(data), replace(opts, lam=0.2))
+        b = l1_cls_fit(corrected_moments(data), 0.2, opts)
         assert np.allclose(a.beta, b.beta, atol=1e-10)
 
     def test_lambda_zero_gives_least_squares(self):
@@ -190,6 +186,12 @@ class TestCrossValidate:
         best, losses, _ = cross_validate(train, test, [0, 4], "cs_post", opts)
         assert losses[0] == np.inf and best == 4
 
+    def test_negative_lambda_records_infinite_loss(self):
+        train, test, beta0, _ = _split_pair(4)
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        best, losses, _ = cross_validate(train, test, [-0.1, 0.1], "l1cls", opts)
+        assert losses[0] == np.inf and np.isfinite(losses[1]) and best == 0.1
+
     def test_lambda_grid_shape(self):
         grid = default_lambda_grid()
         assert grid[0] == 0.0 and grid[-1] == 1.0 and len(grid) == 21
@@ -212,7 +214,7 @@ class TestCrossValidate:
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
         fresh = {
             "cs_post": lambda v: cs_post_fit(corrected_moments(train), v, opts),
-            "l1cls": lambda v: l1_cls_fit(corrected_moments(train), replace(opts, lam=v)),
+            "l1cls": lambda v: l1_cls_fit(corrected_moments(train), v, opts),
             "lasso": lambda v: lasso_fit(train, v, opts),
         }
         for rule, refit in fresh.items():

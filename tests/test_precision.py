@@ -100,6 +100,15 @@ class TestFitNeighborhood:
         assert fit.fallback_used
         assert np.abs(fit.theta).sum() <= 0.1 + 1e-10
 
+    def test_radius_enforced_on_singular_block(self):
+        # the selected 2x2 block [[1, 1], [1, 1]] is singular, so the refit
+        # takes the pseudo-inverse, whose solution (2.5, 2.5) leaves the ball
+        S = np.array([[10.0, 5.0, 5.0], [5.0, 1.0, 1.0], [5.0, 1.0, 1.0]])
+        data = _missing_dataset(np.ones((4, 3)), np.zeros(3), seed=0)
+        fit = fit_neighborhood(data, 0, a_n=2, radius=1.0, sigma_hat=S)
+        assert fit.fallback_used
+        assert np.abs(fit.theta).sum() <= 1.0 + 1e-10
+
 
 class TestAssemblePrecision:
     def test_identity_inputs(self):
@@ -226,8 +235,7 @@ def _parent_route(data, a_n, radius):
     fits, branches = [], []
     for j in range(data.p):
         m = neighborhood_moments(data, j, sigma_hat=S)
-        sel = cs_screen(m.gamma_vec, a_n)
-        fit = post_cls_fit(m, sel.support, ball_opts)
+        fit = post_cls_fit(m, cs_screen(m.gamma_vec, a_n), ball_opts)
         theta, fallback = fit.beta, fit.fallback_used
         branch = "indefinite" if fit.iterations else "pinv" if fallback else "solve"
         if not fallback and np.abs(theta).sum() > radius * (1 + 1e-12):
@@ -235,7 +243,7 @@ def _parent_route(data, a_n, radius):
             sub = CorrectedMoments(gamma_mat=m.gamma_mat[np.ix_(T, T)],
                                    gamma_vec=m.gamma_vec[T], n=m.n, p=len(T))
             theta = np.zeros(m.p)
-            theta[T] = l1_cls_fit(sub, ball_opts).beta
+            theta[T] = l1_cls_fit(sub, 0.0, ball_opts).beta
             fallback, branch = True, "ball"
         fits.append(NeighborhoodFit(theta=theta, support=fit.support_used,
                                     fallback_used=fallback))
