@@ -14,7 +14,7 @@ from .moments import (
     rse_bounds,
     uncorrected_moments,
 )
-from .post import cross_validate, cs_post_fit, lasso_fit, post_cls_fit
+from .post import cross_validate, cs_post_fit, post_cls_fit
 from .precision import (
     PrecisionEstimate,
     assemble_precision,

@@ -97,7 +97,7 @@ def _solver_opts(args):
 
 def _cmd_fit(args):
     data = _load_dataset(args, args.data)
-    fit = fit_method(args.method, method_moments(args.method, data), args.tuning,
+    fit = fit_method(args.method, method_moments(args.method)(data), args.tuning,
                      _solver_opts(args))
     print(f"method={fit.method} tuning={args.tuning:g} objective={fit.objective:.6g} "
           f"iterations={fit.iterations} converged={fit.converged}")
@@ -109,10 +109,11 @@ def _cmd_fit(args):
 
 
 def _cmd_tune(args):
-    data = _load_dataset(args, args.data)
-    test = _load_dataset(args, args.test_data)
-    grid = method_grid(args.method, data.n, data.p)
-    best, losses, _ = cross_validate(data, test, grid, args.method, _solver_opts(args))
+    build = method_moments(args.method)
+    train_m = build(_load_dataset(args, args.data))
+    test_m = build(_load_dataset(args, args.test_data))
+    grid = method_grid(args.method, train_m.n, train_m.p)
+    best, losses, _ = cross_validate(train_m, test_m, grid, args.method, _solver_opts(args))
     lines = ["value,loss"] + [f"{v:.17g},{l:.17g}" for v, l in zip(grid, losses)]
     out = "\n".join(lines) + "\n"
     if args.out:

@@ -16,7 +16,8 @@ import numpy as np
 
 from ._rng import substream
 from .metrics import false_positives, ree, true_positive_rate
-from .post import METHODS as _LABELS, cross_validate, method_grid, with_estimated_missing_rates
+from .post import METHODS as _LABELS, cross_validate, method_grid, method_moments
+from .post import with_estimated_missing_rates
 from .selection import SolverOptions
 from .simulate import SimConfig, gen_regression
 
@@ -105,11 +106,16 @@ def _run_cell(spec: GridSpec, n, p, s, rep, keep_beta):
                          radius=radius)
     scenario = f"n{n}_p{p}_s{s}_r{rep}"
     records = []
-    for method in spec.methods:
+    builds = [method_moments(_FIT_RULES[method]) for method in spec.methods]
+    pairs = {}  # builder -> (train, test) moments, kept while a method left to run needs them
+    for k, (method, build) in enumerate(zip(spec.methods, builds)):
+        pairs = {b: pair for b, pair in pairs.items() if b in builds[k:]}
         t0 = time.perf_counter()
         try:
             rule = _FIT_RULES[method]
-            best, _, fit = cross_validate(train, test, method_grid(rule, n, p), rule, opts)
+            if build not in pairs:
+                pairs[build] = (build(train), build(test))
+            best, _, fit = cross_validate(*pairs[build], method_grid(rule, n, p), rule, opts)
             if fit is None:
                 raise ArithmeticError("cross-validation failed at every grid point")
             tuning = float(best)

@@ -33,7 +33,6 @@ __all__ = [
     "fit_method",
     "post_cls_fit",
     "cs_post_fit",
-    "lasso_fit",
     "cross_validate",
     "with_estimated_missing_rates",
     "default_an_grid",
@@ -99,11 +98,6 @@ def cs_post_fit(m: CorrectedMoments, a_n, opts: SolverOptions) -> FitResult:
     return post_cls_fit(m, cs_screen(m.gamma_vec, a_n), opts)
 
 
-def lasso_fit(data: SurrogateDataset, lam, opts: SolverOptions) -> FitResult:
-    """Ordinary Lasso baseline: same solver, raw uncorrected moments."""
-    return fit_method("lasso", uncorrected_moments(data), lam, opts)
-
-
 def with_estimated_missing_rates(data: SurrogateDataset) -> SurrogateDataset:
     """Replace the dataset's missing rates by the empirical per-column rates."""
     if not isinstance(data.noise, MissingNoise):
@@ -128,10 +122,12 @@ def _check_method(method):
         raise ValueError(f"unknown fit rule {method!r}; expected one of {list(METHODS)}")
 
 
-def method_moments(method, data: SurrogateDataset) -> CorrectedMoments:
-    """The moments a method fits on: raw for the Lasso, corrected otherwise."""
+def method_moments(method):
+    """The builder (dataset -> moments) a method fits on: `uncorrected_moments`
+    for the Lasso, else `corrected_moments`, read from this module's globals
+    so that a wrapper patched in here (tracer, test counter) is what runs."""
     _check_method(method)
-    return uncorrected_moments(data) if method == "lasso" else corrected_moments(data)
+    return uncorrected_moments if method == "lasso" else corrected_moments
 
 
 def method_grid(method, n, p):
@@ -144,38 +140,37 @@ def fit_method(method, m: CorrectedMoments, value, opts: SolverOptions) -> FitRe
     """Fit a method on moments ``m`` at one tuning value (a_n or lambda)."""
     _check_method(method)
     if method == "cs_post":
-        return cs_post_fit(m, int(value), opts)
+        return cs_post_fit(m, value, opts)
     return replace(l1_cls_fit(m, float(value), opts), method=METHODS[method])
 
 
-def cross_validate(train: SurrogateDataset, test: SurrogateDataset, grid,
+def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
                    fit_rule, opts: SolverOptions):
     """Pick the tuning value minimizing the held-out loss.
 
     ``fit_rule`` is a name in `METHODS` (ValueError otherwise).  Fits use
-    the training moments; the loss is evaluated with the test set's own
-    moments (the test split self-corrects with its own estimated missing
-    rates).  The Lasso route uses uncorrected moments on both sides.  A
-    failed fit records an infinite loss for that grid point.  Ties break
-    toward the smaller value.
+    the training moments ``train_m``; the loss is evaluated with the test
+    moments ``test_m``.  Both must be of the kind `method_moments(fit_rule)`
+    builds (the test split self-corrects with its own estimated missing
+    rates).  A failed fit records an infinite loss for that grid point.
+    Ties break toward the smaller value.
 
     Returns (best_value, losses, fit): losses aligned to the grid, and the
     training fit at best_value, or None if that fit raised.
     """
+    _check_method(fit_rule)
     grid = list(grid)
     if not grid:
         raise ValueError("empty tuning grid")
-    if train.p != test.p:
+    if train_m.p != test_m.p:
         raise ValueError("train and test dimension mismatch")
-    eval_m = method_moments(fit_rule, test)
-    train_m = method_moments(fit_rule, train)
     losses = []
     best = None  # (loss, value, fit) of the first grid point with the least key
     for v in grid:
         fit = None
         try:
             fit = fit_method(fit_rule, train_m, v, opts)
-            loss = float(corrected_loss(fit.beta, eval_m))
+            loss = float(corrected_loss(fit.beta, test_m))
             if not np.isfinite(loss):
                 loss = np.inf
         except (ValueError, ArithmeticError, np.linalg.LinAlgError):

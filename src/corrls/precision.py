@@ -58,51 +58,50 @@ def corrected_covariance(data: SurrogateDataset) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def neighborhood_moments(data: SurrogateDataset, j, sigma_hat=None) -> CorrectedMoments:
-    """Corrected moments for regressing column j on the remaining columns.
-
-    The quadratic part is the corrected covariance with row/column j
-    deleted; the linear part is column j of the same matrix, i.e. the
-    cross-moments divided by (1-rho_k)(1-rho_j).  `fit_neighborhood` reads
-    the same entries of S without building this (p-1)-dimensional pair.
-    """
-    if data.p < 2:
+def _column(S, j):
+    """The dimension p of S and the column index j, both checked."""
+    p = S.shape[0]
+    if p < 2:
         raise ValueError("need at least two columns")
     j = int(j)
-    if j < 0 or j >= data.p:
+    if j < 0 or j >= p:
         raise ValueError("column index out of range")
-    S = corrected_covariance(data) if sigma_hat is None else sigma_hat
-    keep = [k for k in range(data.p) if k != j]
-    return CorrectedMoments(
-        gamma_mat=S[np.ix_(keep, keep)], gamma_vec=S[keep, j], n=data.n, p=data.p - 1
-    )
+    return p, j
 
 
-def fit_neighborhood(data: SurrogateDataset, j, a_n, radius,
-                     sigma_hat=None) -> NeighborhoodFit:
-    """Screen column j of S, then refit on the a_n x a_n block it selects.
+def neighborhood_moments(S, j, n) -> CorrectedMoments:
+    """Corrected moments for regressing column j of S on the remaining columns.
+
+    ``S`` is the corrected covariance of a dataset with ``n`` rows.  The
+    quadratic part is S with row/column j deleted; the linear part is
+    column j of S, i.e. the cross-moments divided by (1-rho_k)(1-rho_j).
+    `fit_neighborhood` reads the same entries of S without building this
+    (p-1)-dimensional pair.
+    """
+    p, j = _column(S, j)
+    keep = np.delete(np.arange(p), j)
+    return CorrectedMoments(gamma_mat=S[np.ix_(keep, keep)], gamma_vec=S[keep, j], n=n, p=p - 1)
+
+
+def fit_neighborhood(S, j, a_n, radius, n) -> NeighborhoodFit:
+    """Screen column j of the corrected covariance S (of a dataset with
+    ``n`` rows), then refit on the a_n x a_n block it selects.
 
     A linear-solve or pseudo-inverse refit is accepted only if it lands
     inside the l1 ball of the given radius; otherwise the restricted
     problem is re-solved as projected gradient under the constraint.
     """
-    if data.p < 2:
-        raise ValueError("need at least two columns")
-    j = int(j)
-    if j < 0 or j >= data.p:
-        raise ValueError("column index out of range")
-    if not 1 <= a_n <= data.p - 1:
-        raise ValueError(f"a_n must lie in [1, {data.p - 1}]")
-    S = corrected_covariance(data) if sigma_hat is None else sigma_hat
-    keep = np.delete(np.arange(data.p), j)
+    p, j = _column(S, j)
+    if not 1 <= a_n <= p - 1:
+        raise ValueError(f"a_n must lie in [1, {p - 1}]")
+    keep = np.delete(np.arange(p), j)
     g = S[keep, j]
     T = list(cs_screen(g, a_n))
     cols = keep[T]
-    sub = CorrectedMoments(gamma_mat=S[np.ix_(cols, cols)], gamma_vec=g[T],
-                           n=data.n, p=len(T))
+    sub = CorrectedMoments(gamma_mat=S[np.ix_(cols, cols)], gamma_vec=g[T], n=n, p=len(T))
     ball_opts = SolverOptions(radius=radius)
     fit = post_cls_fit(sub, range(len(T)), ball_opts)
-    theta = np.zeros(data.p - 1)
+    theta = np.zeros(p - 1)
     theta[T] = fit.beta
     fallback = fit.fallback_used
     if fit.iterations == 0 and np.abs(theta).sum() > radius * (1 + 1e-12):
@@ -111,14 +110,14 @@ def fit_neighborhood(data: SurrogateDataset, j, a_n, radius,
     return NeighborhoodFit(theta=theta, support=tuple(T), fallback_used=fallback)
 
 
-def assemble_precision(fits, sigma_hat) -> PrecisionEstimate:
+def assemble_precision(fits, S) -> PrecisionEstimate:
     """Column-wise reconstruction from the p neighborhood fits.
 
     Column j gets d_j = 1/(S_jj - S_{j,-j} theta^j) on the diagonal and
     -d_j * theta^j elsewhere.  A denominator at zero is rejected; a
     negative one is legal but recorded.
     """
-    S = np.asarray(sigma_hat, dtype=float)
+    S = np.asarray(S, dtype=float)
     p = S.shape[0]
     if len(fits) != p:
         raise ValueError(f"need {p} neighborhood fits, got {len(fits)}")
@@ -164,7 +163,7 @@ def estimate_precision(data: SurrogateDataset, a_n, radius) -> PrecisionEstimate
     fits = []
     for j in range(data.p):
         try:
-            fits.append(fit_neighborhood(data, j, a_n, radius, sigma_hat=S))
+            fits.append(fit_neighborhood(S, j, a_n, radius, data.n))
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             raise RuntimeError(f"neighborhood fit failed at column {j}: {exc}") from exc
     return assemble_precision(fits, S)

@@ -12,7 +12,6 @@ iterates bounded either way.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,20 +61,21 @@ class FitResult:
     objective: float
     converged: bool
     fallback_used: bool = False
-    wall_time: float = 0.0
 
 
 def cs_screen(gamma_vec, a_n) -> tuple:
     """Sorted indices of the a_n largest |gamma_vec| (0-based; reports print
-    1-based), ties to the smaller index.  a_n >= p selects everything."""
+    1-based), ties to the smaller index.  a_n >= p selects everything; an
+    a_n that is not a whole number is rejected."""
     g = np.asarray(gamma_vec, dtype=float).ravel()
     if not np.all(np.isfinite(g)):
         raise ValueError("screening scores must be finite")
-    a_n = int(a_n)
-    if a_n < 1:
+    k = int(a_n)
+    if k != a_n:
+        raise ValueError(f"a_n must be a whole number, got {a_n!r}")
+    if k < 1:
         raise ValueError("empty selection not allowed")
-    p = g.size
-    k = min(a_n, p)
+    k = min(k, g.size)
     # stable sort on (-|g|, index) gives magnitude order with index tie-break
     order = np.argsort(-np.abs(g), kind="stable")
     return tuple(sorted(int(j) for j in order[:k]))
@@ -120,7 +120,6 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
     """
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    t0 = time.perf_counter()
     G, g, p = m.gamma_mat, m.gamma_vec, m.p
     R = opts.radius
     beta = np.zeros(p) if beta0 is None else project_l1_ball(np.asarray(beta0, float), R)
@@ -151,7 +150,6 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
         iterations=iters,
         objective=float(best_f),
         converged=converged,
-        wall_time=time.perf_counter() - t0,
     )
 
 

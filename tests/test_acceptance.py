@@ -211,10 +211,11 @@ def _comparative_run(base_seed, reps=50):
         test = with_estimated_missing_rates(test)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum(), max_iters=5000)
 
-        a_n, _, _ = cross_validate(train, test, default_an_grid(n, p), "cs_post", opts)
-        fit_cs = cs_post_fit(corrected_moments(train), int(a_n), opts)
-        lam, _, _ = cross_validate(train, test, default_lambda_grid(), "l1cls", opts)
-        fit_l1 = l1_cls_fit(corrected_moments(train), float(lam), opts)
+        train_m, test_m = corrected_moments(train), corrected_moments(test)
+        a_n, _, _ = cross_validate(train_m, test_m, default_an_grid(n, p), "cs_post", opts)
+        fit_cs = cs_post_fit(train_m, int(a_n), opts)
+        lam, _, _ = cross_validate(train_m, test_m, default_lambda_grid(), "l1cls", opts)
+        fit_l1 = l1_cls_fit(train_m, float(lam), opts)
 
         Tset = set(T)
         S_l1 = set(support(fit_l1.beta))

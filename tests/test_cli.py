@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from corrls import MissingNoise, SolverOptions, corrected_moments, l1_cls_fit, lasso_fit, support
+from corrls import (MissingNoise, SolverOptions, corrected_moments, l1_cls_fit, support,
+                    uncorrected_moments)
 from corrls.cli import main
 from corrls.data import read_dataset_csv, read_matrix_csv
-from corrls.post import with_estimated_missing_rates
+from corrls.post import fit_method, with_estimated_missing_rates
 
 
 @pytest.fixture
@@ -45,11 +46,19 @@ def test_fit_penalized_matches_direct_fit(tmp_path, sim_config, capsys, method):
     data = with_estimated_missing_rates(read_dataset_csv(data_csv, MissingNoise(np.zeros(12))))
     opts = SolverOptions(radius=15.0)
     ref = l1_cls_fit(corrected_moments(data), 0.05, opts) if method == "l1cls" \
-        else lasso_fit(data, 0.05, opts)
+        else fit_method("lasso", uncorrected_moments(data), 0.05, opts)
     assert np.array_equal(read_matrix_csv(coef_csv).ravel(), ref.beta)
     printed = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("support (1-based):")]
     assert printed == ["support (1-based): " + " ".join(str(j + 1) for j in support(ref.beta))]
+
+
+def test_fit_rejects_fractional_an(tmp_path, sim_config):
+    data_csv = tmp_path / "data.csv"
+    main(["simulate", "--config", str(sim_config), "--out", str(data_csv)])
+    with pytest.raises(ValueError, match="whole number"):
+        main(["fit", "--data", str(data_csv), "--noise", "missing", "--method", "cs_post",
+              "--tuning", "3.9", "--radius", "15"])
 
 
 def test_fit_additive_with_ar1_sigma(tmp_path, capsys):

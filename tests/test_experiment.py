@@ -1,5 +1,8 @@
+import weakref
+
 import pytest
 
+import corrls.post
 from corrls import GridSpec, emit_results, run_grid
 from corrls.experiment import CSV_HEADER, grid_cells
 from corrls.metrics import ree
@@ -58,6 +61,45 @@ class TestRunGrid:
                             seed=rec.seed, rho_range=spec.rho_range)
             _, beta0, _ = gen_regression(cfg)
             assert abs(ree(rec.beta, beta0) - rec.ree) <= 1e-12
+
+    @pytest.mark.parametrize("methods", [("CS+post", "L1CLS", "Lasso"),
+                                         ("L1CLS", "Lasso", "CS+post")])
+    def test_one_moments_pair_per_kind_per_cell(self, monkeypatch, methods):
+        # CS+post and L1CLS share the corrected train/test pair, the Lasso
+        # gets the raw pair; the counters sit on post's module globals,
+        # where the benchmark tracer wraps the builders too
+        calls = {"corrected_moments": 0, "uncorrected_moments": 0}
+        for name in calls:
+            def counting(data, name=name, original=getattr(corrls.post, name)):
+                calls[name] += 1
+                return original(data)
+
+            monkeypatch.setattr(corrls.post, name, counting)
+        records = run_grid(_tiny_spec(methods=methods))
+        assert [r.method for r in records] == list(methods)
+        assert all(r.error is None for r in records)
+        assert calls == {"corrected_moments": 2, "uncorrected_moments": 2}
+
+    def test_pair_released_when_no_method_left_needs_it(self, monkeypatch):
+        # in the default order the corrected pair is freed before the raw
+        # pair is built, so a cell holds one pair at a time
+        corrected, live_at_raw = [], []
+        original_c = corrls.post.corrected_moments
+        original_u = corrls.post.uncorrected_moments
+
+        def tracking(data):
+            m = original_c(data)
+            corrected.append(weakref.ref(m))
+            return m
+
+        def checking(data):
+            live_at_raw.append(sum(ref() is not None for ref in corrected))
+            return original_u(data)
+
+        monkeypatch.setattr(corrls.post, "corrected_moments", tracking)
+        monkeypatch.setattr(corrls.post, "uncorrected_moments", checking)
+        run_grid(_tiny_spec())
+        assert len(corrected) == 2 and live_at_raw == [0, 0]
 
     def test_no_timing_zeroes_wall_time(self):
         records = run_grid(_tiny_spec(), no_timing=True)

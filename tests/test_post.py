@@ -15,14 +15,16 @@ from corrls import (
     corrected_moments,
     cross_validate,
     cs_post_fit,
-    lasso_fit,
     l1_cls_fit,
     post_cls_fit,
+    uncorrected_moments,
 )
 from corrls.post import (
     METHODS,
     default_an_grid,
     default_lambda_grid,
+    fit_method,
+    method_moments,
     with_estimated_missing_rates,
 )
 from corrls.simulate import SimConfig, gen_regression
@@ -122,7 +124,7 @@ class TestLassoFit:
         y = rng.standard_normal(30)
         data = SurrogateDataset(Z=Z, y=y, noise=AdditiveNoise(np.zeros((5, 5))))
         opts = SolverOptions(radius=5.0)
-        a = lasso_fit(data, 0.2, opts)
+        a = fit_method("lasso", uncorrected_moments(data), 0.2, opts)
         b = l1_cls_fit(corrected_moments(data), 0.2, opts)
         assert np.allclose(a.beta, b.beta, atol=1e-10)
 
@@ -132,7 +134,8 @@ class TestLassoFit:
         y = rng.standard_normal(60)
         data = SurrogateDataset(Z=Z, y=y, noise=AdditiveNoise(np.zeros((4, 4))))
         target, *_ = np.linalg.lstsq(Z, y, rcond=None)
-        fit = lasso_fit(data, 0.0, SolverOptions(radius=50.0, rel_tol=1e-12))
+        fit = fit_method("lasso", uncorrected_moments(data), 0.0,
+                         SolverOptions(radius=50.0, rel_tol=1e-12))
         assert np.linalg.norm(fit.beta - target) < 1e-4
 
     def test_huge_lambda_kills_everything(self):
@@ -141,8 +144,19 @@ class TestLassoFit:
         y = rng.standard_normal(30)
         data = SurrogateDataset(Z=Z, y=y, noise=AdditiveNoise(np.zeros((4, 4))))
         g = Z.T @ y / 30
-        fit = lasso_fit(data, float(np.abs(g).max()) + 1.0, SolverOptions(radius=5.0))
+        fit = fit_method("lasso", uncorrected_moments(data), float(np.abs(g).max()) + 1.0,
+                         SolverOptions(radius=5.0))
         assert np.array_equal(fit.beta, np.zeros(4))
+
+
+class TestFitMethod:
+    def test_fractional_an_rejected(self):
+        rng = np.random.default_rng(8)
+        m = _m(np.eye(6), rng.standard_normal(6))
+        with pytest.raises(ValueError, match="whole number"):
+            fit_method("cs_post", m, 3.9, OPTS)
+        assert fit_method("cs_post", m, 3.0, OPTS).support_used == \
+            fit_method("cs_post", m, 3, OPTS).support_used
 
 
 def _split_pair(seed, n=400, p=30, s=3):
@@ -156,41 +170,53 @@ def _split_pair(seed, n=400, p=30, s=3):
             with_estimated_missing_rates(test), beta0, T)
 
 
+def _cv(train, test, grid, rule, opts):
+    """Cross-validate on the moments of the kind that ``rule`` fits on."""
+    build = method_moments(rule)
+    return cross_validate(build(train), build(test), grid, rule, opts)
+
+
 class TestCrossValidate:
     def test_single_value_grid(self):
         train, test, beta0, _ = _split_pair(1)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        best, losses, _ = cross_validate(train, test, [4], "cs_post", opts)
+        best, losses, _ = _cv(train, test, [4], "cs_post", opts)
         assert best == 4 and len(losses) == 1
 
     def test_an_within_grid_bounds(self):
         train, test, beta0, _ = _split_pair(2)
         grid = default_an_grid(train.n, train.p)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        best, _, _ = cross_validate(train, test, grid, "cs_post", opts)
+        best, _, _ = _cv(train, test, grid, "cs_post", opts)
         assert grid[0] <= best <= grid[-1]
 
     def test_deterministic_and_tie_to_smaller(self):
         train, test, beta0, _ = _split_pair(3)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        b1, l1, _ = cross_validate(train, test, [2, 3, 4, 5], "cs_post", opts)
-        b2, l2, _ = cross_validate(train, test, [2, 3, 4, 5], "cs_post", opts)
+        b1, l1, _ = _cv(train, test, [2, 3, 4, 5], "cs_post", opts)
+        b2, l2, _ = _cv(train, test, [2, 3, 4, 5], "cs_post", opts)
         assert b1 == b2 and l1 == l2
         # duplicated grid value: tie must resolve to the smaller entry
-        b3, _, _ = cross_validate(train, test, [b1, b1 + 0], "cs_post", opts)
+        b3, _, _ = _cv(train, test, [b1, b1 + 0], "cs_post", opts)
         assert b3 == b1
 
     def test_failed_fit_records_infinite_loss(self):
         train, test, beta0, _ = _split_pair(4)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        best, losses, _ = cross_validate(train, test, [0, 4], "cs_post", opts)
+        best, losses, _ = _cv(train, test, [0, 4], "cs_post", opts)
         assert losses[0] == np.inf and best == 4
 
     def test_negative_lambda_records_infinite_loss(self):
         train, test, beta0, _ = _split_pair(4)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        best, losses, _ = cross_validate(train, test, [-0.1, 0.1], "l1cls", opts)
+        best, losses, _ = _cv(train, test, [-0.1, 0.1], "l1cls", opts)
         assert losses[0] == np.inf and np.isfinite(losses[1]) and best == 0.1
+
+    def test_fractional_an_records_infinite_loss(self):
+        train, test, beta0, _ = _split_pair(4)
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        best, losses, _ = _cv(train, test, [3.9, 4], "cs_post", opts)
+        assert losses[0] == np.inf and np.isfinite(losses[1]) and best == 4
 
     def test_lambda_grid_shape(self):
         grid = default_lambda_grid()
@@ -204,7 +230,7 @@ class TestCrossValidate:
             train, test, beta0, T = _split_pair(100 + r, n=500, p=100, s=4)
             opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
             grid = default_an_grid(train.n, train.p)
-            best, _, _ = cross_validate(train, test, grid, "cs_post", opts)
+            best, _, _ = _cv(train, test, grid, "cs_post", opts)
             if 4 <= best <= 12:
                 hits += 1
         assert hits >= runs * 0.8
@@ -215,11 +241,11 @@ class TestCrossValidate:
         fresh = {
             "cs_post": lambda v: cs_post_fit(corrected_moments(train), v, opts),
             "l1cls": lambda v: l1_cls_fit(corrected_moments(train), v, opts),
-            "lasso": lambda v: lasso_fit(train, v, opts),
+            "lasso": lambda v: fit_method("lasso", uncorrected_moments(train), v, opts),
         }
         for rule, refit in fresh.items():
             grid = [2, 4, 8] if rule == "cs_post" else default_lambda_grid()
-            best, losses, fit = cross_validate(train, test, grid, rule, opts)
+            best, losses, fit = _cv(train, test, grid, rule, opts)
             assert np.array_equal(fit.beta, refit(best).beta), rule
             assert fit.method == refit(best).method
 
@@ -227,7 +253,8 @@ class TestCrossValidate:
         train, test, beta0, _ = _split_pair(7)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
         with pytest.raises(ValueError, match="unknown fit rule 'cs-post'"):
-            cross_validate(train, test, [1, 2, 3], "cs-post", opts)
+            cross_validate(corrected_moments(train), corrected_moments(test), [1, 2, 3],
+                           "cs-post", opts)
 
     @pytest.mark.parametrize("rule", ["l1cls", "lasso"])
     def test_one_lipschitz_bound_per_moments(self, monkeypatch, rule):
@@ -241,7 +268,7 @@ class TestCrossValidate:
         monkeypatch.setattr(corrls.selection, "lipschitz_estimate", counting)
         train, test, beta0, _ = _split_pair(6)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        cross_validate(train, test, default_lambda_grid(), rule, opts)
+        _cv(train, test, default_lambda_grid(), rule, opts)
         assert len(calls) == 1
 
 

@@ -39,7 +39,7 @@ class TestNeighborhoodMoments:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((30, 4))
         data = _missing_dataset(X, np.zeros(4), seed=1)
-        m = neighborhood_moments(data, 1)
+        m = neighborhood_moments(corrected_covariance(data), 1, data.n)
         raw = X.T @ X / 30
         raw = 0.5 * (raw + raw.T)
         keep = [0, 2, 3]
@@ -51,7 +51,7 @@ class TestNeighborhoodMoments:
         X = rng.standard_normal((50, 2))
         rho = np.array([0.2, 0.3])
         data = _missing_dataset(X, rho, seed=2)
-        m = neighborhood_moments(data, 0)
+        m = neighborhood_moments(corrected_covariance(data), 0, data.n)
         Z = data.Z
         expected_vec = (Z[:, 1] @ Z[:, 0] / 50) / ((1 - 0.3) * (1 - 0.2))
         expected_mat = (Z[:, 1] @ Z[:, 1] / 50) / (1 - 0.3)
@@ -67,7 +67,7 @@ class TestNeighborhoodMoments:
         for r in range(reps):
             X = sample_gaussian(2000, sigma, seed=50 + r)
             data = _missing_dataset(X, np.full(2, 0.3), seed=500 + r)
-            acc += neighborhood_moments(data, 0).gamma_vec[0]
+            acc += neighborhood_moments(corrected_covariance(data), 0, data.n).gamma_vec[0]
         assert abs(acc / reps - 0.5) < 0.05
 
 
@@ -75,28 +75,28 @@ class TestFitNeighborhood:
     def test_independent_coordinates_give_near_zero(self):
         X = sample_gaussian(2000, np.eye(10), seed=7)
         data = _missing_dataset(X, np.full(10, 0.1), seed=8)
-        fit = fit_neighborhood(data, 0, a_n=4, radius=3.0)
+        fit = fit_neighborhood(corrected_covariance(data), 0, a_n=4, radius=3.0, n=data.n)
         assert np.max(np.abs(fit.theta)) <= 0.1
 
     def test_p2_recovers_half(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
         X = sample_gaussian(4000, sigma, seed=9)
         data = _missing_dataset(X, np.full(2, 0.2), seed=10)
-        fit = fit_neighborhood(data, 0, a_n=1, radius=3.0)
+        fit = fit_neighborhood(corrected_covariance(data), 0, a_n=1, radius=3.0, n=data.n)
         assert abs(fit.theta[0] - 0.5) < 0.1
 
     def test_full_support_reduces_to_restricted_ls(self):
         sigma = ar1_covariance(5, 0.4)
         X = sample_gaussian(1500, sigma, seed=11)
         data = _missing_dataset(X, np.full(5, 0.1), seed=12)
-        fit = fit_neighborhood(data, 2, a_n=4, radius=10.0)
+        fit = fit_neighborhood(corrected_covariance(data), 2, a_n=4, radius=10.0, n=data.n)
         assert fit.support == (0, 1, 2, 3)
 
     def test_radius_enforced_by_fallback(self):
         sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
         X = sample_gaussian(3000, sigma, seed=13)
         data = _missing_dataset(X, np.zeros(2), seed=14)
-        fit = fit_neighborhood(data, 0, a_n=1, radius=0.1)
+        fit = fit_neighborhood(corrected_covariance(data), 0, a_n=1, radius=0.1, n=data.n)
         assert fit.fallback_used
         assert np.abs(fit.theta).sum() <= 0.1 + 1e-10
 
@@ -104,8 +104,7 @@ class TestFitNeighborhood:
         # the selected 2x2 block [[1, 1], [1, 1]] is singular, so the refit
         # takes the pseudo-inverse, whose solution (2.5, 2.5) leaves the ball
         S = np.array([[10.0, 5.0, 5.0], [5.0, 1.0, 1.0], [5.0, 1.0, 1.0]])
-        data = _missing_dataset(np.ones((4, 3)), np.zeros(3), seed=0)
-        fit = fit_neighborhood(data, 0, a_n=2, radius=1.0, sigma_hat=S)
+        fit = fit_neighborhood(S, 0, a_n=2, radius=1.0, n=4)
         assert fit.fallback_used
         assert np.abs(fit.theta).sum() <= 1.0 + 1e-10
 
@@ -234,7 +233,7 @@ def _parent_route(data, a_n, radius):
     ball_opts = SolverOptions(radius=radius)
     fits, branches = [], []
     for j in range(data.p):
-        m = neighborhood_moments(data, j, sigma_hat=S)
+        m = neighborhood_moments(S, j, data.n)
         fit = post_cls_fit(m, cs_screen(m.gamma_vec, a_n), ball_opts)
         theta, fallback = fit.beta, fit.fallback_used
         branch = "indefinite" if fit.iterations else "pinv" if fallback else "solve"
