@@ -1,0 +1,69 @@
+"""Regenerate the reference snapshot ``reference.json`` next to this file.
+
+    PYTHONPATH=src python3 tests/data/make_reference.py
+
+The snapshot holds the estimates of a few replicates of the paper cell
+(n=500, p=100, s=4) under both noise kinds, one record per (cell, method):
+the chosen tuning value, the support (0-based, by `corrls.support`), REE,
+false positives and the coefficients printed with ``%.17g``.  It also holds
+one precision estimate at p=30.  ``tests/test_reference.py`` recomputes
+every record and compares it with the file.  A change that moves estimates
+on purpose reruns this script and lists every record that moved.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+from corrls import GridSpec, estimate_precision, run_grid, support
+from corrls.simulate import gen_graph_data, generate_band_precision
+
+PATH = Path(__file__).resolve().parent / "reference.json"
+
+#: (noise kind, base seed, replicates) of the regression cells
+CELLS = [("missing", 0, 3), ("additive", 0, 3)]
+#: p, n, a_n and data seed of the precision estimate
+PRECISION = {"p": 30, "n": 600, "a_n": 4, "seed": 5}
+
+
+def _floats(values):
+    return ",".join(f"{x:.17g}" for x in np.ravel(values))
+
+
+def regression_records():
+    """One dict per (cell, method) of the paper-cell replicates in `CELLS`."""
+    records = []
+    for noise, base_seed, replicates in CELLS:
+        spec = GridSpec(n_values=(500,), p_values=(100,), s_values=(4,), noise_kind=noise,
+                        replicates=replicates, base_seed=base_seed)
+        for r in run_grid(spec, keep_beta=True, no_timing=True):
+            if r.error is not None:
+                raise RuntimeError(f"{noise} {r.scenario} {r.method}: {r.error}")
+            records.append({
+                "noise": noise, "scenario": r.scenario, "method": r.method,
+                "tuning": r.tuning, "support": support(r.beta), "ree": r.ree,
+                "fp": r.false_positives, "beta": _floats(r.beta)})
+    return records
+
+
+def precision_record():
+    """The band-precision estimate at `PRECISION`."""
+    theta, sigma = generate_band_precision(PRECISION["p"])
+    data = gen_graph_data(sigma, PRECISION["n"], 1.0, (0.05, 0.75), PRECISION["seed"])
+    radius = 1.1 * float(np.abs(theta).sum(axis=1).max())
+    est = estimate_precision(data, PRECISION["a_n"], radius)
+    return {**PRECISION, "radius": radius,
+            "supports": [list(s) for s in est.neighborhood_supports],
+            "negative_d": est.negative_d, "d": _floats(est.d), "theta": _floats(est.theta)}
+
+
+def snapshot():
+    return {"regression": regression_records(), "precision": precision_record()}
+
+
+if __name__ == "__main__":
+    PATH.write_text(json.dumps(snapshot(), indent=1) + "\n")
+    print(f"wrote {PATH}")
