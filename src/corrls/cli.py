@@ -8,8 +8,8 @@ Subcommands:
   tune        dump the cross-validation curve for one method
 
 Config files are flat JSON documents mirroring the SimConfig / GridSpec
-fields.  Exit code is 0 on success; with --strict, any error row in an
-experiment makes it 1.
+fields.  Exit code is 0 on success and 2 on an invalid argument or input
+value; with --strict, any error row in an experiment makes it 1.
 """
 
 from __future__ import annotations
@@ -101,6 +101,11 @@ def _cmd_fit(args):
                      _solver_opts(args))
     print(f"method={fit.method} tuning={args.tuning:g} objective={fit.objective:.6g} "
           f"iterations={fit.iterations} converged={fit.converged}")
+    if fit.fallback_used:
+        branch = "projected gradient" if fit.iterations else "pseudo-inverse"
+        print(f"corrls: warning: the refit matrix on the {len(fit.support_used)} selected "
+              f"columns is not positive definite; refit by {branch}, not a linear solve",
+              file=sys.stderr)
     print("support (1-based):", " ".join(str(j + 1) for j in fit.support_used))
     if args.out:
         write_matrix_csv(fit.beta.reshape(-1, 1), args.out)
@@ -122,6 +127,8 @@ def _cmd_tune(args):
     else:
         sys.stdout.write(out)
     print(f"best value: {best:g}")
+    n_inf = sum(1 for loss in losses if loss == np.inf)
+    print(f"grid points with infinite loss: {n_inf} of {len(grid)}")
     return 0
 
 
@@ -232,8 +239,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; an invalid input value prints ``corrls: error: ...``
+    to stderr and returns 2, as argparse does for a bad argument."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"corrls: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

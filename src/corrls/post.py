@@ -24,7 +24,7 @@ from .moments import (
     estimate_missing_rates,
     uncorrected_moments,
 )
-from .selection import FitResult, SolverOptions, cs_screen, l1_cls_fit
+from .selection import FitResult, SolverOptions, cs_screen, l1_cls_fit, screen_order, screen_size
 
 __all__ = [
     "METHODS",
@@ -34,6 +34,7 @@ __all__ = [
     "post_cls_fit",
     "cs_post_fit",
     "cross_validate",
+    "pd_prefix_length",
     "with_estimated_missing_rates",
     "default_an_grid",
     "default_lambda_grid",
@@ -144,6 +145,76 @@ def fit_method(method, m: CorrectedMoments, value, opts: SolverOptions) -> FitRe
     return replace(l1_cls_fit(m, float(value), opts), method=METHODS[method])
 
 
+def pd_prefix_length(B):
+    """Largest k such that the leading k x k block of the symmetric B has its
+    least eigenvalue above `_PD_EPS`, the bound under which `post_cls_fit`
+    solves directly (0 if none).
+
+    A block passes when the Cholesky factorization of B - _PD_EPS*I accepts
+    it.  Leading blocks are nested, so by eigenvalue interlacing their least
+    eigenvalues do not increase with k, and a bisection over k finds the end.
+    """
+    shifted = np.asarray(B, dtype=float) - _PD_EPS * np.eye(len(B))
+    good, bad = 0, len(B) + 1  # prefix `good` passes, prefix `bad` does not
+    while bad - good > 1:
+        k = (good + bad) // 2
+        try:
+            np.linalg.cholesky(shifted[:k, :k])
+            good = k
+        except np.linalg.LinAlgError:
+            bad = k
+    return good
+
+
+def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid):
+    """Held-out loss of CS+post at each a_n of the grid, from one Cholesky factor.
+
+    The screened supports are prefixes of one |gamma| ordering, so the refit
+    at a_n = k solves the leading k x k block B_k of the ordered training
+    Gram.  With B = L L' on the positive-definite prefix (`pd_prefix_length`)
+    and w = L^-1 g, the refit is beta_k = L_k'^-1 w[:k].  Points past that
+    prefix, and a_n that `screen_size` rejects, record inf without a fit.
+    """
+    order = screen_order(train_m.gamma_vec)
+    sizes = []
+    for v in grid:
+        try:
+            sizes.append(screen_size(v, train_m.p))
+        except (ValueError, ArithmeticError):
+            sizes.append(0)
+    idx = order[:max(sizes)]
+    k_star = pd_prefix_length(train_m.gamma_mat[np.ix_(idx, idx)])
+    prefix = np.full(k_star + 1, np.inf)  # prefix[k]: held-out loss at a_n = k
+    if k_star:
+        idx = idx[:k_star]
+        L = np.linalg.cholesky(train_m.gamma_mat[np.ix_(idx, idx)])
+        w = np.linalg.solve(L, train_m.gamma_vec[idx])
+        # column k-1 holds beta_k padded with zeros: L' x = (w[:k], 0) is
+        # solved by x = (beta_k, 0) as L' is upper triangular
+        betas = np.linalg.solve(L.T, np.triu(np.tile(w[:, None], k_star)))
+        H, h = test_m.gamma_mat[np.ix_(idx, idx)], test_m.gamma_vec[idx]
+        loss = 0.5 * np.einsum("ik,ik->k", betas, H @ betas) - h @ betas
+        prefix[1:] = np.where(np.isfinite(loss), loss, np.inf)
+    return [float(prefix[k]) if 0 < k <= k_star else np.inf for k in sizes]
+
+
+def _penalized_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
+                      fit_rule, opts: SolverOptions):
+    """Held-out loss of a fit at each grid point (inf where the fit or its
+    loss failed), and the fits (None where the fit raised)."""
+    losses, fits = [], []
+    for v in grid:
+        fit = None
+        try:
+            fit = fit_method(fit_rule, train_m, v, opts)
+            loss = float(corrected_loss(fit.beta, test_m))
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError):
+            loss = np.inf
+        losses.append(loss if np.isfinite(loss) else np.inf)
+        fits.append(fit)
+    return losses, fits
+
+
 def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
                    fit_rule, opts: SolverOptions):
     """Pick the tuning value minimizing the held-out loss.
@@ -153,7 +224,9 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     moments ``test_m``.  Both must be of the kind `method_moments(fit_rule)`
     builds (the test split self-corrects with its own estimated missing
     rates).  A failed fit records an infinite loss for that grid point.
-    Ties break toward the smaller value.
+    CS+post records an infinite loss past the positive-definite prefix of
+    its screening order (`pd_prefix_length`) without fitting there.  Ties
+    break toward the smaller value.
 
     Returns (best_value, losses, fit): losses aligned to the grid, and the
     training fit at best_value, or None if that fit raised.
@@ -164,18 +237,14 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
         raise ValueError("empty tuning grid")
     if train_m.p != test_m.p:
         raise ValueError("train and test dimension mismatch")
-    losses = []
-    best = None  # (loss, value, fit) of the first grid point with the least key
-    for v in grid:
-        fit = None
-        try:
-            fit = fit_method(fit_rule, train_m, v, opts)
-            loss = float(corrected_loss(fit.beta, test_m))
-            if not np.isfinite(loss):
-                loss = np.inf
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError):
-            loss = np.inf
-        losses.append(loss)
-        if best is None or (loss, v) < best[:2]:
-            best = (loss, v, fit)
-    return best[1], losses, best[2]
+    if fit_rule == "cs_post":
+        losses, fits = _cs_post_losses(train_m, test_m, grid), None
+    else:
+        losses, fits = _penalized_losses(train_m, test_m, grid, fit_rule, opts)
+    i = min(range(len(grid)), key=lambda i: (losses[i], grid[i]))
+    if fits is not None:
+        return grid[i], losses, fits[i]
+    try:
+        return grid[i], losses, fit_method(fit_rule, train_m, grid[i], opts)
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError):
+        return grid[i], losses, None

@@ -21,6 +21,8 @@ from .moments import CorrectedMoments
 __all__ = [
     "SolverOptions",
     "FitResult",
+    "screen_order",
+    "screen_size",
     "cs_screen",
     "project_l1_ball",
     "soft_threshold",
@@ -63,22 +65,32 @@ class FitResult:
     fallback_used: bool = False
 
 
-def cs_screen(gamma_vec, a_n) -> tuple:
-    """Sorted indices of the a_n largest |gamma_vec| (0-based; reports print
-    1-based), ties to the smaller index.  a_n >= p selects everything; an
-    a_n that is not a whole number is rejected."""
+def screen_order(gamma_vec):
+    """Indices by decreasing |gamma_vec|, ties to the smaller index: the
+    order in which correlation screening admits coordinates."""
     g = np.asarray(gamma_vec, dtype=float).ravel()
     if not np.all(np.isfinite(g)):
         raise ValueError("screening scores must be finite")
+    # stable sort on (-|g|, index) gives magnitude order with index tie-break
+    return np.argsort(-np.abs(g), kind="stable")
+
+
+def screen_size(a_n, p):
+    """How many of p coordinates a screening size a_n keeps: min(a_n, p).
+    An a_n that is not a whole number, or is below 1, is rejected."""
     k = int(a_n)
     if k != a_n:
         raise ValueError(f"a_n must be a whole number, got {a_n!r}")
     if k < 1:
         raise ValueError("empty selection not allowed")
-    k = min(k, g.size)
-    # stable sort on (-|g|, index) gives magnitude order with index tie-break
-    order = np.argsort(-np.abs(g), kind="stable")
-    return tuple(sorted(int(j) for j in order[:k]))
+    return min(k, p)
+
+
+def cs_screen(gamma_vec, a_n) -> tuple:
+    """Sorted indices of the a_n largest |gamma_vec| (0-based; reports print
+    1-based), the first `screen_size` of `screen_order`."""
+    order = screen_order(gamma_vec)
+    return tuple(sorted(int(j) for j in order[:screen_size(a_n, order.size)]))
 
 
 def soft_threshold(v, t):

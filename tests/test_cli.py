@@ -53,12 +53,33 @@ def test_fit_penalized_matches_direct_fit(tmp_path, sim_config, capsys, method):
     assert printed == ["support (1-based): " + " ".join(str(j + 1) for j in support(ref.beta))]
 
 
-def test_fit_rejects_fractional_an(tmp_path, sim_config):
+def test_fit_rejects_fractional_an(tmp_path, sim_config, capsys):
     data_csv = tmp_path / "data.csv"
     main(["simulate", "--config", str(sim_config), "--out", str(data_csv)])
-    with pytest.raises(ValueError, match="whole number"):
-        main(["fit", "--data", str(data_csv), "--noise", "missing", "--method", "cs_post",
-              "--tuning", "3.9", "--radius", "15"])
+    for tuning, message in [("3.9", "a_n must be a whole number, got 3.9"),
+                            ("0", "empty selection not allowed")]:
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data_csv), "--noise", "missing",
+                     "--method", "cs_post", "--tuning", tuning, "--radius", "15"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"corrls: error: {message}\n" and captured.out == ""
+
+
+def test_fit_warns_when_the_refit_is_not_a_linear_solve(tmp_path, capsys):
+    cfg = {"n": 150, "p": 10, "s": 2, "noise_kind": "additive", "seed": 8}
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(cfg))
+    data_csv = tmp_path / "data.csv"
+    main(["simulate", "--config", str(cfg_path), "--out", str(data_csv)])
+    fit = ["fit", "--data", str(data_csv), "--noise", "additive", "--method", "cs_post",
+           "--tuning", "10", "--radius", "20", "--sigma-w-ar1", "0.5"]
+    capsys.readouterr()
+    assert main(fit + ["0.25"]) == 0
+    assert capsys.readouterr().err == ""
+    # overstating the noise leaves an indefinite corrected Gram
+    assert main(fit + ["5"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("corrls: warning:") and "projected gradient" in err
 
 
 def test_fit_additive_with_ar1_sigma(tmp_path, capsys):
@@ -72,7 +93,7 @@ def test_fit_additive_with_ar1_sigma(tmp_path, capsys):
                  "--tuning", "4", "--radius", "20"]) == 0
 
 
-def test_tune_writes_curve(tmp_path, sim_config):
+def test_tune_writes_curve(tmp_path, sim_config, capsys):
     train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
     main(["simulate", "--config", str(sim_config), "--out", str(train_csv)])
     main(["simulate", "--config", str(sim_config), "--seed", "6",
@@ -83,6 +104,9 @@ def test_tune_writes_curve(tmp_path, sim_config):
                  "--radius", "15", "--out", str(curve)]) == 0
     lines = curve.read_text().splitlines()
     assert lines[0] == "value,loss" and len(lines) > 2
+    n_inf = sum(1 for line in lines[1:] if line.endswith(",inf"))
+    assert f"grid points with infinite loss: {n_inf} of {len(lines) - 1}\n" in \
+        capsys.readouterr().out
 
 
 def test_precision_command(tmp_path):

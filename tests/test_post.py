@@ -5,6 +5,7 @@ import pytest
 
 import corrls.cli
 import corrls.experiment
+import corrls.post
 import corrls.selection
 from corrls import (
     AdditiveNoise,
@@ -270,6 +271,103 @@ class TestCrossValidate:
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
         _cv(train, test, default_lambda_grid(), rule, opts)
         assert len(calls) == 1
+
+
+def _paper_cell(seed):
+    """Corrected train/test moments of a missing-data paper cell (n=500,
+    p=100, s=4) and the radius the grid would use."""
+    cfg = SimConfig(n=500, p=100, s=4, noise_kind="missing", seed=seed)
+    train, beta0, _ = gen_regression(cfg)
+    test, _, _ = gen_regression(SimConfig(n=500, p=100, s=4, noise_kind="missing",
+                                          seed=seed + 10_000), beta0=beta0, rho=train.noise.rho)
+    return (corrected_moments(with_estimated_missing_rates(train)),
+            corrected_moments(with_estimated_missing_rates(test)),
+            1.1 * float(np.abs(beta0).sum()))
+
+
+def _ordered_block(m):
+    """The Gram of m in screening order: decreasing |gamma|, ties to the smaller index."""
+    order = np.argsort(-np.abs(m.gamma_vec), kind="stable")
+    return m.gamma_mat[np.ix_(order, order)]
+
+
+def _linear_scan(B, eps=1e-8):
+    """k* by eigvalsh of every leading block, stopping at the first that fails."""
+    k = 0
+    while k < len(B) and np.linalg.eigvalsh(B[:k + 1, :k + 1])[0] > eps:
+        k += 1
+    return k
+
+
+class TestPositiveDefinitePrefix:
+    """CS+post cross-validates only on the leading blocks of the screening
+    order whose least eigenvalue exceeds the refit's 1e-8 bound."""
+
+    def test_prefix_ends_below_the_solve_bound(self):
+        # the 2x2 leading block has least eigenvalue ~5e-9: plain Cholesky
+        # accepts it, but post_cls_fit would not solve on it directly
+        B = np.eye(4)
+        B[:2, :2] = [[1.0, 1.0], [1.0, 1.0 + 1e-8]]
+        least = np.linalg.eigvalsh(B[:2, :2])[0]
+        assert 0.0 < least < 1e-8
+        np.linalg.cholesky(B[:2, :2])
+        m = _m(B, [4.0, 3.0, 2.0, 1.0])
+        best, losses, fit = cross_validate(m, m, [1, 2, 3, 4], "cs_post", OPTS)
+        assert np.isfinite(losses[0]) and losses[1:] == [np.inf] * 3
+        assert best == 1 and fit.support_used == (0,)
+        assert corrls.post.pd_prefix_length(B) == 1
+
+    def test_bisection_matches_linear_scan(self):
+        rng = np.random.default_rng(11)
+        blocks = [np.eye(5), -np.eye(5), np.zeros((0, 0))]
+        for _ in range(40):
+            p = int(rng.integers(1, 30))
+            A = rng.standard_normal((p, p + int(rng.integers(-p + 1, 5))))
+            blocks.append(A @ A.T / A.shape[1] - rng.uniform(0, 0.5) * np.diag(rng.random(p)))
+        blocks += [_ordered_block(_paper_cell(seed)[0]) for seed in range(3)]
+        found = {corrls.post.pd_prefix_length(B) for B in blocks}
+        for B in blocks:
+            assert corrls.post.pd_prefix_length(B) == _linear_scan(B)
+        assert 0 in found and len(found) > 5
+
+    def test_prefix_losses_match_refit_reference(self):
+        train_m, test_m, radius = _paper_cell(0)
+        opts = SolverOptions(radius=radius)
+        k_star = _linear_scan(_ordered_block(train_m))
+        grid = list(range(1, k_star + 1))
+        _, losses, _ = cross_validate(train_m, test_m, grid, "cs_post", opts)
+        for k, loss in zip(grid, losses):
+            fit = post_cls_fit(train_m, corrls.selection.cs_screen(train_m.gamma_vec, k), opts)
+            assert not fit.fallback_used
+            ref = float(corrected_loss(fit.beta, test_m))
+            assert abs(loss - ref) <= 1e-9 * abs(ref), k
+
+    def test_tail_is_infinite_and_the_pick_inside_the_prefix(self):
+        train_m, test_m, radius = _paper_cell(0)
+        opts = SolverOptions(radius=radius)
+        k_star = _linear_scan(_ordered_block(train_m))
+        grid = default_an_grid(500, 100)
+        assert 0 < k_star < grid[-1]
+        best, losses, fit = cross_validate(train_m, test_m, grid, "cs_post", opts)
+        assert all(np.isfinite(losses[:k_star]))
+        assert losses[k_star:] == [np.inf] * (len(grid) - k_star)
+        assert best <= k_star
+        assert np.array_equal(fit.beta, cs_post_fit(train_m, best, opts).beta)
+
+    def test_missing_data_cv_makes_no_projected_gradient_fit(self, monkeypatch):
+        calls = []
+        original = corrls.post.l1_cls_fit
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(corrls.post, "l1_cls_fit", counting)
+        train_m, test_m, radius = _paper_cell(0)
+        assert _linear_scan(_ordered_block(train_m)) < 100
+        cross_validate(train_m, test_m, default_an_grid(500, 100), "cs_post",
+                       SolverOptions(radius=radius))
+        assert calls == []
 
 
 class TestDefaultGrids:
