@@ -39,7 +39,7 @@ from .post import (
     with_estimated_missing_rates,
 )
 from .precision import estimate_precision
-from .selection import SolverOptions
+from .selection import SolverOptions, screen_size
 from .simulate import SimConfig, ar1_covariance, gen_regression
 
 
@@ -103,7 +103,8 @@ def _cmd_fit(args):
           f"iterations={fit.iterations} converged={fit.converged}")
     if fit.fallback_used:
         branch = "projected gradient" if fit.iterations else "pseudo-inverse"
-        print(f"corrls: warning: the refit matrix on the {len(fit.support_used)} selected "
+        size = screen_size(args.tuning, fit.beta.size)
+        print(f"corrls: warning: the refit matrix on the {size} selected "
               f"columns is not positive definite; refit by {branch}, not a linear solve",
               file=sys.stderr)
     print("support (1-based):", " ".join(str(j + 1) for j in fit.support_used))

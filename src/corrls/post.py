@@ -33,6 +33,7 @@ __all__ = [
     "fit_method",
     "post_cls_fit",
     "cs_post_fit",
+    "best_grid_index",
     "cross_validate",
     "pd_prefix_length",
     "with_estimated_missing_rates",
@@ -51,8 +52,10 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
 
     Positive-definite restricted matrix: direct linear solve.  Singular but
     PSD: eigen-pseudoinverse, flagged.  Indefinite: projected gradient over
-    the restricted l1 ball of radius opts.radius, flagged.  Coordinates off
-    T_hat are exact zeros by assignment.
+    the restricted l1 ball of radius opts.radius, flagged; its
+    ``support_used`` keeps only the coordinates of T_hat that `support`
+    finds non-zero, as in `l1_cls_fit`.  Coordinates off T_hat are exact
+    zeros by assignment.
     """
     T = sorted(set(int(j) for j in T_hat))
     if not T:
@@ -67,6 +70,7 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
     fallback = False
     iters = 0
     converged = True
+    used = tuple(T)
     if vals[0] >= _PD_EPS:
         b_T = np.linalg.solve(G_TT, g_T)
     elif vals[0] >= 0.0:
@@ -78,6 +82,7 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
         sub = CorrectedMoments(gamma_mat=G_TT, gamma_vec=g_T, n=m.n, p=len(T))
         fit = l1_cls_fit(sub, 0.0, opts)
         b_T = fit.beta
+        used = tuple(T[j] for j in fit.support_used)
         iters = fit.iterations
         converged = fit.converged
         fallback = True
@@ -85,7 +90,7 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
     beta[T] = b_T
     return FitResult(
         beta=beta,
-        support_used=tuple(T),
+        support_used=used,
         method="CS+post",
         iterations=iters,
         objective=float(corrected_loss(beta, m)),
@@ -215,6 +220,18 @@ def _penalized_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     return losses, fits
 
 
+def best_grid_index(losses, grid):
+    """Index of the smallest grid value among those whose loss is within
+    1e-12 * max(1, |best|) of the best loss.
+
+    Fits on the l1-ball boundary at two penalties differ only in rounding,
+    so an exact comparison of their losses would let the last bits pick.
+    """
+    best = min(losses)
+    tol = 1e-12 * max(1.0, abs(best))
+    return min((i for i, loss in enumerate(losses) if loss <= best + tol), key=grid.__getitem__)
+
+
 def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
                    fit_rule, opts: SolverOptions):
     """Pick the tuning value minimizing the held-out loss.
@@ -226,7 +243,7 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     rates).  A failed fit records an infinite loss for that grid point.
     CS+post records an infinite loss past the positive-definite prefix of
     its screening order (`pd_prefix_length`) without fitting there.  Ties
-    break toward the smaller value.
+    (`best_grid_index`) break toward the smaller value.
 
     Returns (best_value, losses, fit): losses aligned to the grid, and the
     training fit at best_value, or None if that fit raised.
@@ -241,7 +258,7 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
         losses, fits = _cs_post_losses(train_m, test_m, grid), None
     else:
         losses, fits = _penalized_losses(train_m, test_m, grid, fit_rule, opts)
-    i = min(range(len(grid)), key=lambda i: (losses[i], grid[i]))
+    i = best_grid_index(losses, grid)
     if fits is not None:
         return grid[i], losses, fits[i]
     try:

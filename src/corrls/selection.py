@@ -13,6 +13,7 @@ iterates bounded either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "project_l1_ball",
     "soft_threshold",
     "lipschitz_estimate",
+    "active_rows_matvec",
     "l1_cls_fit",
     "support",
 ]
@@ -121,14 +123,27 @@ def lipschitz_estimate(G):
     return float(np.max(np.abs(vals), initial=0.0))
 
 
+def active_rows_matvec(G, b):
+    """G @ b for a symmetric G.  When b has at most one non-zero in 16, the
+    product is summed from the rows of G at those non-zeros, which reads
+    O(p * nnz) entries instead of p^2; otherwise it is the dense product."""
+    nz = np.flatnonzero(b)
+    if 16 * nz.size > b.size:
+        return G @ b
+    return b[nz] @ G.take(nz, axis=0)
+
+
 def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> FitResult:
     """Minimize 0.5 b'Gb - g'b + lam*||b||_1 subject to ||b||_1 <= radius.
 
     Composite projected gradient with the fixed step 1/L (L cached on the
     moments): gradient step, soft-threshold by lam/L, project onto the ball.
     G @ b is formed once per iterate and serves both its objective and the
-    next gradient.  Returns the best-objective iterate, which for an
-    indefinite G may precede the last one.
+    next gradient.  From 256 columns on it is `active_rows_matvec`, which
+    reads only the rows of G at a sparse iterate's non-zeros; a smaller G
+    takes the dense product every step, as a gather does not pay there.
+    Returns the best-objective iterate, which for an indefinite G may
+    precede the last one.
     """
     if lam < 0:
         raise ValueError("lambda must be non-negative")
@@ -137,14 +152,15 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
     beta = np.zeros(p) if beta0 is None else project_l1_ball(np.asarray(beta0, float), R)
     L = m.lipschitz
     eta = 1.0 / L if L > 0 else 1.0
-    Gb = G @ beta
+    matvec = partial(np.matmul, G) if p < 256 else partial(active_rows_matvec, G)
+    Gb = matvec(beta)
     f = 0.5 * beta @ Gb - g @ beta + lam * np.abs(beta).sum()
     best_beta, best_f = beta.copy(), f
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
         cand = project_l1_ball(soft_threshold(beta - eta * (Gb - g), eta * lam), R)
-        Gc = G @ cand
+        Gc = matvec(cand)
         f_cand = 0.5 * cand @ Gc - g @ cand + lam * np.abs(cand).sum()
         if not np.isfinite(f_cand):
             raise ArithmeticError("diverged: non-finite objective in solver")

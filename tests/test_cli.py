@@ -80,6 +80,7 @@ def test_fit_warns_when_the_refit_is_not_a_linear_solve(tmp_path, capsys):
     assert main(fit + ["5"]) == 0
     err = capsys.readouterr().err
     assert err.startswith("corrls: warning:") and "projected gradient" in err
+    assert "on the 10 selected columns" in err
 
 
 def test_fit_additive_with_ar1_sigma(tmp_path, capsys):

@@ -18,10 +18,12 @@ from corrls import (
     cs_post_fit,
     l1_cls_fit,
     post_cls_fit,
+    support,
     uncorrected_moments,
 )
 from corrls.post import (
     METHODS,
+    best_grid_index,
     default_an_grid,
     default_lambda_grid,
     fit_method,
@@ -107,6 +109,19 @@ class TestPostClsFit:
         fit = post_cls_fit(_m(G, [0.5, 0.2]), [0, 1], SolverOptions(radius=2.0))
         assert fit.fallback_used
         assert np.abs(fit.beta).sum() <= 2.0 + 1e-10
+
+    def test_projected_gradient_support_lists_only_nonzeros(self):
+        # the reference snapshot's missing r2 cell at a_n = 47: the refit
+        # block is indefinite and its projected-gradient fit zeroes 32 of
+        # the 47 screened columns
+        seed = corrls.experiment._cell_seed(0, 500, 100, 4, 2)
+        train, beta0, _ = gen_regression(SimConfig(n=500, p=100, s=4, noise_kind="missing",
+                                                   seed=seed))
+        m = corrected_moments(with_estimated_missing_rates(train))
+        fit = cs_post_fit(m, 47, SolverOptions(radius=1.1 * np.abs(beta0).sum()))
+        assert fit.fallback_used and fit.iterations > 0
+        assert fit.support_used == tuple(support(fit.beta))
+        assert len(fit.support_used) == 15
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError, match="empty support"):
@@ -200,6 +215,13 @@ class TestCrossValidate:
         # duplicated grid value: tie must resolve to the smaller entry
         b3, _, _ = _cv(train, test, [b1, b1 + 0], "cs_post", opts)
         assert b3 == b1
+
+    def test_losses_equal_but_for_rounding_tie_to_the_smaller_value(self):
+        assert best_grid_index([-1.0, -1.0 - 4e-16, -0.5], [0.0, 0.05, 0.1]) == 0
+        assert best_grid_index([-1.0, -1.0 - 4e-16, -0.5], [0.1, 0.05, 0.0]) == 1
+        # a gap well above rounding still decides
+        assert best_grid_index([-1.0, -1.0 - 1e-9, -0.5], [0.0, 0.05, 0.1]) == 1
+        assert best_grid_index([np.inf, np.inf], [0.1, 0.0]) == 1
 
     def test_failed_fit_records_infinite_loss(self):
         train, test, beta0, _ = _split_pair(4)

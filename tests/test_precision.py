@@ -234,17 +234,18 @@ def _parent_route(data, a_n, radius):
     fits, branches = [], []
     for j in range(data.p):
         m = neighborhood_moments(S, j, data.n)
-        fit = post_cls_fit(m, cs_screen(m.gamma_vec, a_n), ball_opts)
+        T_hat = cs_screen(m.gamma_vec, a_n)
+        fit = post_cls_fit(m, T_hat, ball_opts)
         theta, fallback = fit.beta, fit.fallback_used
         branch = "indefinite" if fit.iterations else "pinv" if fallback else "solve"
         if not fallback and np.abs(theta).sum() > radius * (1 + 1e-12):
-            T = list(fit.support_used)
+            T = list(T_hat)
             sub = CorrectedMoments(gamma_mat=m.gamma_mat[np.ix_(T, T)],
                                    gamma_vec=m.gamma_vec[T], n=m.n, p=len(T))
             theta = np.zeros(m.p)
             theta[T] = l1_cls_fit(sub, 0.0, ball_opts).beta
             fallback, branch = True, "ball"
-        fits.append(NeighborhoodFit(theta=theta, support=fit.support_used,
+        fits.append(NeighborhoodFit(theta=theta, support=T_hat,
                                     fallback_used=fallback))
         branches.append(branch)
     p = data.p

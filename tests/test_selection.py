@@ -13,7 +13,7 @@ from corrls import (
     support,
 )
 from corrls.moments import corrected_loss, corrected_moments
-from corrls.selection import lipschitz_estimate, soft_threshold
+from corrls.selection import active_rows_matvec, lipschitz_estimate, soft_threshold
 from corrls.simulate import SimConfig, ar1_covariance, gen_regression
 
 finite_vecs = hnp.arrays(
@@ -162,7 +162,7 @@ def _two_matvec_fit(m, lam, opts):
     beta = np.zeros(m.p)
     f = objective(beta)
     best_beta, best_f = beta.copy(), f
-    for _ in range(opts.max_iters):
+    for iters in range(1, opts.max_iters + 1):
         grad = G @ beta - g
         cand = project_l1_ball(soft_threshold(beta - eta * grad, eta * lam), R)
         f_cand = objective(cand)
@@ -172,7 +172,28 @@ def _two_matvec_fit(m, lam, opts):
             best_f, best_beta = f, beta.copy()
         if abs(df) < opts.rel_tol * max(1.0, abs(f)):
             break
-    return best_beta, best_f
+    return best_beta, best_f, iters
+
+
+def _dense_loop_fit(m, lam, opts):
+    """The one-matvec solver loop with the dense product G @ b every step."""
+    G, g, R = m.gamma_mat, m.gamma_vec, opts.radius
+    eta = 1.0 / m.lipschitz
+    beta = np.zeros(m.p)
+    Gb = G @ beta
+    f = 0.5 * beta @ Gb - g @ beta + lam * np.abs(beta).sum()
+    best_beta, best_f = beta.copy(), f
+    for iters in range(1, opts.max_iters + 1):
+        cand = project_l1_ball(soft_threshold(beta - eta * (Gb - g), eta * lam), R)
+        Gc = G @ cand
+        f_cand = 0.5 * cand @ Gc - g @ cand + lam * np.abs(cand).sum()
+        df = f - f_cand
+        beta, Gb, f = cand, Gc, f_cand
+        if f < best_f:
+            best_f, best_beta = f, beta.copy()
+        if abs(df) < opts.rel_tol * max(1.0, abs(f)):
+            break
+    return best_beta, best_f, iters
 
 
 def _sim_moments(noise_kind, n, p, seed):
@@ -183,16 +204,51 @@ def _sim_moments(noise_kind, n, p, seed):
 
 class TestOneMatvecSolver:
     @pytest.mark.parametrize("noise_kind, n, p", [("additive", 30, 50),
-                                                  ("missing", 200, 40)])
+                                                  ("missing", 200, 40),
+                                                  ("missing", 200, 300)])
     def test_matches_two_matvec_loop(self, noise_kind, n, p):
+        # p = 300 runs the active-row product, the others the dense one
         m, radius = _sim_moments(noise_kind, n, p, seed=17)
         if noise_kind == "additive":
             assert np.linalg.eigvalsh(m.gamma_mat)[0] < 0  # indefinite on purpose
         opts = SolverOptions(radius=radius, max_iters=2000)
-        ref_beta, ref_f = _two_matvec_fit(m, 0.05, opts)
+        ref_beta, ref_f, ref_iters = _two_matvec_fit(m, 0.05, opts)
         fit = l1_cls_fit(m, 0.05, opts)
         assert np.max(np.abs(fit.beta - ref_beta)) <= 1e-12
         assert abs(fit.objective - ref_f) <= 1e-12 * max(1.0, abs(ref_f))
+        assert fit.iterations == ref_iters
+
+    def test_small_gamma_runs_the_dense_loop_exactly(self):
+        m, radius = _sim_moments("missing", 200, 100, seed=17)
+        opts = SolverOptions(radius=radius, max_iters=2000)
+        ref_beta, ref_f, ref_iters = _dense_loop_fit(m, 0.05, opts)
+        fit = l1_cls_fit(m, 0.05, opts)
+        assert np.array_equal(fit.beta, ref_beta)
+        assert fit.objective == ref_f and fit.iterations == ref_iters
+
+
+class TestActiveRowsMatvec:
+    P = 320  # p / 16 = 20
+
+    def _case(self, nnz, seed=3):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((self.P, self.P))
+        b = np.zeros(self.P)
+        b[rng.choice(self.P, nnz, replace=False)] = rng.standard_normal(nnz)
+        return A, b
+
+    @pytest.mark.parametrize("nnz", [0, 1, P // 16, P])
+    def test_matches_dense_product(self, nnz):
+        A, b = self._case(nnz)
+        G = 0.5 * (A + A.T)
+        err = np.max(np.abs(active_rows_matvec(G, b) - G @ b), initial=0.0)
+        assert err <= 1e-15 * np.linalg.norm(G) * np.linalg.norm(b)
+
+    def test_gathers_up_to_one_nonzero_in_sixteen(self):
+        # on a non-symmetric matrix the row gather forms A' b, not A b
+        for nnz, transposed in [(self.P // 16, True), (self.P // 16 + 1, False)]:
+            A, b = self._case(nnz)
+            assert np.allclose(active_rows_matvec(A, b), (A.T if transposed else A) @ b)
 
 
 @pytest.mark.parametrize("build", [
