@@ -204,20 +204,20 @@ def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid):
 
 
 def _penalized_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
-                      fit_rule, opts: SolverOptions):
-    """Held-out loss of a fit at each grid point (inf where the fit or its
-    loss failed), and the fits (None where the fit raised)."""
-    losses, fits = [], []
-    for v in grid:
-        fit = None
+                      opts: SolverOptions):
+    """Held-out loss of `l1_cls_fit` at each penalty, aligned to the grid (inf
+    where the fit or its loss failed), fitted in ascending order as one path:
+    each fit starts from the beta of the last that succeeded, the first at 0."""
+    losses = [np.inf] * len(grid)
+    beta0 = None
+    for i in sorted(range(len(grid)), key=grid.__getitem__):
         try:
-            fit = fit_method(fit_rule, train_m, v, opts)
-            loss = float(corrected_loss(fit.beta, test_m))
+            beta0 = l1_cls_fit(train_m, float(grid[i]), opts, beta0=beta0).beta
+            loss = float(corrected_loss(beta0, test_m))
         except (ValueError, ArithmeticError, np.linalg.LinAlgError):
-            loss = np.inf
-        losses.append(loss if np.isfinite(loss) else np.inf)
-        fits.append(fit)
-    return losses, fits
+            continue
+        losses[i] = loss if np.isfinite(loss) else np.inf
+    return losses
 
 
 def best_grid_index(losses, grid):
@@ -241,12 +241,14 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     moments ``test_m``.  Both must be of the kind `method_moments(fit_rule)`
     builds (the test split self-corrects with its own estimated missing
     rates).  A failed fit records an infinite loss for that grid point.
-    CS+post records an infinite loss past the positive-definite prefix of
-    its screening order (`pd_prefix_length`) without fitting there.  Ties
-    (`best_grid_index`) break toward the smaller value.
+    L1CLS and the Lasso fit the grid as one warm-started path
+    (`_penalized_losses`).  CS+post records an infinite loss past the
+    positive-definite prefix of its screening order (`pd_prefix_length`)
+    without fitting there.  Ties (`best_grid_index`) break toward the
+    smaller value.
 
-    Returns (best_value, losses, fit): losses aligned to the grid, and the
-    training fit at best_value, or None if that fit raised.
+    Returns (best_value, losses, fit): losses aligned to the grid, and a
+    fresh `fit_method` fit from zero at best_value, or None if it raised.
     """
     _check_method(fit_rule)
     grid = list(grid)
@@ -255,12 +257,10 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     if train_m.p != test_m.p:
         raise ValueError("train and test dimension mismatch")
     if fit_rule == "cs_post":
-        losses, fits = _cs_post_losses(train_m, test_m, grid), None
+        losses = _cs_post_losses(train_m, test_m, grid)
     else:
-        losses, fits = _penalized_losses(train_m, test_m, grid, fit_rule, opts)
+        losses = _penalized_losses(train_m, test_m, grid, opts)
     i = best_grid_index(losses, grid)
-    if fits is not None:
-        return grid[i], losses, fits[i]
     try:
         return grid[i], losses, fit_method(fit_rule, train_m, grid[i], opts)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError):

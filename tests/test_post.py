@@ -295,6 +295,89 @@ class TestCrossValidate:
         assert len(calls) == 1
 
 
+def _recording_fit(monkeypatch, fail_at=()):
+    """Patch `corrls.post.l1_cls_fit` to record each call as [lam, beta0,
+    beta], beta None when the fit raised; a lam in ``fail_at`` raises
+    ArithmeticError, as a diverged fit would."""
+    original = corrls.post.l1_cls_fit
+    calls = []
+
+    def recording(m, lam, opts, beta0=None):
+        calls.append([lam, beta0, None])
+        if lam in fail_at:
+            raise ArithmeticError("diverged")
+        fit = original(m, lam, opts, beta0=beta0)
+        calls[-1][2] = fit.beta
+        return fit
+
+    monkeypatch.setattr(corrls.post, "l1_cls_fit", recording)
+    return calls
+
+
+class TestWarmStartedPath:
+    @pytest.mark.parametrize("rule", ["l1cls", "lasso"])
+    def test_ascending_path_then_one_cold_refit(self, monkeypatch, rule):
+        calls = _recording_fit(monkeypatch)
+        train, test, beta0, _ = _split_pair(5)
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        grid = default_lambda_grid()[::-1]
+        best, _, fit = _cv(train, test, grid, rule, opts)
+        *path, refit = calls
+        assert [lam for lam, _, _ in path] == sorted(grid)
+        assert path[0][1] is None
+        for prev, cur in zip(path, path[1:]):
+            assert np.array_equal(cur[1], prev[2])
+        assert refit[0] == best and refit[1] is None
+        assert np.array_equal(fit.beta, refit[2])
+
+    def test_a_failed_fit_records_inf_and_seeds_nothing(self, monkeypatch):
+        calls = _recording_fit(monkeypatch, fail_at=(0.05,))
+        train, test, beta0, _ = _split_pair(4)
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        grid = [0.1, -0.1, 0.05, 0.0]
+        _, losses, _ = _cv(train, test, grid, "l1cls", opts)
+        assert losses[1] == np.inf and losses[2] == np.inf
+        assert np.isfinite(losses[0]) and np.isfinite(losses[3])
+        (neg, _, neg_beta), (zero, zero_start, zero_beta), (_, mid_start, _), \
+            (last, last_start, _) = calls[:4]
+        assert (neg, zero, last) == (-0.1, 0.0, 0.1) and neg_beta is None
+        # the negative penalty raised, so the fit at 0 starts cold; 0.05
+        # raised, so 0.1 starts from the fit at 0
+        assert zero_start is None
+        assert np.array_equal(mid_start, zero_beta)
+        assert np.array_equal(last_start, zero_beta)
+
+    def test_shuffled_grid_gives_the_same_loss_at_each_value(self):
+        train, test, beta0, _ = _split_pair(5)
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        grid = default_lambda_grid()
+        shuffled = [grid[i] for i in np.random.default_rng(0).permutation(len(grid))]
+        assert shuffled != grid
+        _, losses, _ = _cv(train, test, grid, "l1cls", opts)
+        _, shuffled_losses, _ = _cv(train, test, shuffled, "l1cls", opts)
+        assert dict(zip(shuffled, shuffled_losses)) == dict(zip(grid, losses))
+
+    def test_path_takes_at_most_half_the_iterations_of_cold_fits(self, monkeypatch):
+        train, test, beta0, _ = _split_pair(9, n=200, p=300, s=4)
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        train_m, test_m = corrected_moments(train), corrected_moments(test)
+        grid = default_lambda_grid()
+        cold = sum(l1_cls_fit(train_m, lam, opts).iterations for lam in grid)
+        original = corrls.post.l1_cls_fit
+        iters = []
+
+        def counting(m, lam, opts, beta0=None):
+            fit = original(m, lam, opts, beta0=beta0)
+            iters.append(fit.iterations)
+            return fit
+
+        monkeypatch.setattr(corrls.post, "l1_cls_fit", counting)
+        cross_validate(train_m, test_m, grid, "l1cls", opts)
+        path = iters[:len(grid)]  # the last call is the winner's refit
+        assert len(iters) == len(grid) + 1
+        assert 2 * sum(path) <= cold
+
+
 def _paper_cell(seed):
     """Corrected train/test moments of a missing-data paper cell (n=500,
     p=100, s=4) and the radius the grid would use."""
