@@ -297,7 +297,7 @@ class TestCrossValidate:
 
 def _recording_fit(monkeypatch, fail_at=()):
     """Patch `corrls.post.l1_cls_fit` to record each call as [lam, beta0,
-    beta], beta None when the fit raised; a lam in ``fail_at`` raises
+    fit], fit None when it raised; a lam in ``fail_at`` raises
     ArithmeticError, as a diverged fit would."""
     original = corrls.post.l1_cls_fit
     calls = []
@@ -306,9 +306,8 @@ def _recording_fit(monkeypatch, fail_at=()):
         calls.append([lam, beta0, None])
         if lam in fail_at:
             raise ArithmeticError("diverged")
-        fit = original(m, lam, opts, beta0=beta0)
-        calls[-1][2] = fit.beta
-        return fit
+        calls[-1][2] = original(m, lam, opts, beta0=beta0)
+        return calls[-1][2]
 
     monkeypatch.setattr(corrls.post, "l1_cls_fit", recording)
     return calls
@@ -326,9 +325,9 @@ class TestWarmStartedPath:
         assert [lam for lam, _, _ in path] == sorted(grid)
         assert path[0][1] is None
         for prev, cur in zip(path, path[1:]):
-            assert np.array_equal(cur[1], prev[2])
+            assert np.array_equal(cur[1], prev[2].beta)
         assert refit[0] == best and refit[1] is None
-        assert np.array_equal(fit.beta, refit[2])
+        assert np.array_equal(fit.beta, refit[2].beta)
 
     def test_a_failed_fit_records_inf_and_seeds_nothing(self, monkeypatch):
         calls = _recording_fit(monkeypatch, fail_at=(0.05,))
@@ -338,14 +337,14 @@ class TestWarmStartedPath:
         _, losses, _ = _cv(train, test, grid, "l1cls", opts)
         assert losses[1] == np.inf and losses[2] == np.inf
         assert np.isfinite(losses[0]) and np.isfinite(losses[3])
-        (neg, _, neg_beta), (zero, zero_start, zero_beta), (_, mid_start, _), \
+        (neg, _, neg_fit), (zero, zero_start, zero_fit), (_, mid_start, _), \
             (last, last_start, _) = calls[:4]
-        assert (neg, zero, last) == (-0.1, 0.0, 0.1) and neg_beta is None
+        assert (neg, zero, last) == (-0.1, 0.0, 0.1) and neg_fit is None
         # the negative penalty raised, so the fit at 0 starts cold; 0.05
         # raised, so 0.1 starts from the fit at 0
         assert zero_start is None
-        assert np.array_equal(mid_start, zero_beta)
-        assert np.array_equal(last_start, zero_beta)
+        assert np.array_equal(mid_start, zero_fit.beta)
+        assert np.array_equal(last_start, zero_fit.beta)
 
     def test_shuffled_grid_gives_the_same_loss_at_each_value(self):
         train, test, beta0, _ = _split_pair(5)
@@ -363,19 +362,11 @@ class TestWarmStartedPath:
         train_m, test_m = corrected_moments(train), corrected_moments(test)
         grid = default_lambda_grid()
         cold = sum(l1_cls_fit(train_m, lam, opts).iterations for lam in grid)
-        original = corrls.post.l1_cls_fit
-        iters = []
-
-        def counting(m, lam, opts, beta0=None):
-            fit = original(m, lam, opts, beta0=beta0)
-            iters.append(fit.iterations)
-            return fit
-
-        monkeypatch.setattr(corrls.post, "l1_cls_fit", counting)
+        calls = _recording_fit(monkeypatch)
         cross_validate(train_m, test_m, grid, "l1cls", opts)
-        path = iters[:len(grid)]  # the last call is the winner's refit
-        assert len(iters) == len(grid) + 1
-        assert 2 * sum(path) <= cold
+        *path, _ = calls  # the last call is the winner's refit
+        assert len(path) == len(grid)
+        assert 2 * sum(fit.iterations for _, _, fit in path) <= cold
 
 
 def _paper_cell(seed):
