@@ -127,6 +127,8 @@ def _cmd_tune(args):
             fh.write(out)
     else:
         sys.stdout.write(out)
+    if min(losses) == np.inf:
+        raise ValueError("no grid point has a finite held-out loss")
     print(f"best value: {best:g}")
     n_inf = sum(1 for loss in losses if loss == np.inf)
     print(f"grid points with infinite loss: {n_inf} of {len(grid)}")

@@ -247,8 +247,8 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     without fitting there.  Ties (`best_grid_index`) break toward the
     smaller value.
 
-    Returns (best_value, losses, fit): losses aligned to the grid, and a
-    fresh `fit_method` fit from zero at best_value, or None if it raised.
+    Returns (best_value, losses, fit): losses aligned to the grid, and a fresh
+    `fit_method` fit from zero at best_value, or None if no loss is finite or it raised.
     """
     _check_method(fit_rule)
     grid = list(grid)
@@ -261,6 +261,8 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     else:
         losses = _penalized_losses(train_m, test_m, grid, opts)
     i = best_grid_index(losses, grid)
+    if losses[i] == np.inf:
+        return grid[i], losses, None
     try:
         return grid[i], losses, fit_method(fit_rule, train_m, grid[i], opts)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError):

@@ -12,6 +12,7 @@ iterates bounded either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -26,7 +27,6 @@ __all__ = [
     "screen_size",
     "cs_screen",
     "project_l1_ball",
-    "soft_threshold",
     "lipschitz_estimate",
     "active_rows_matvec",
     "l1_cls_fit",
@@ -95,26 +95,30 @@ def cs_screen(gamma_vec, a_n) -> tuple:
     return tuple(sorted(int(j) for j in order[:screen_size(a_n, order.size)]))
 
 
-def soft_threshold(v, t):
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def project_l1_ball(v, R):
-    """Euclidean projection onto the l1 ball of radius R (Duchi et al.)."""
+def project_l1_ball(v, R, shrink=0.0):
+    """Euclidean projection onto the l1 ball of radius R (Duchi et al.) of
+    sign(v) * max(|v| - shrink, 0), v soft-thresholded, in one pass over |v|
+    that sums it once and sorts it only outside the ball.  With shrink 0, v
+    is projected as given, negative zeros kept."""
     v = np.asarray(v, dtype=float).ravel()
     if R <= 0:
         raise ValueError("radius must be positive")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("cannot project a non-finite vector")
     a = np.abs(v)
-    if a.sum() <= R:
-        return v.copy()
+    if shrink:
+        a -= shrink
+        np.maximum(a, 0.0, out=a)
+        v = np.sign(v) * a
+    total = a.sum()
+    if not math.isfinite(total) and not np.all(np.isfinite(a)):  # the sum may overflow
+        raise ValueError("cannot project a non-finite vector")
+    if total <= R:
+        return v if shrink else v.copy()
     u = np.sort(a)[::-1]
     cum = np.cumsum(u)
     ks = np.arange(1, v.size + 1)
     rho = np.max(np.nonzero(u - (cum - R) / ks > 0)[0])
     tau = (cum[rho] - R) / (rho + 1)
-    return soft_threshold(v, tau)
+    return np.sign(v) * np.maximum(a - tau, 0.0)
 
 
 def lipschitz_estimate(G):
@@ -137,37 +141,39 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
     """Minimize 0.5 b'Gb - g'b + lam*||b||_1 subject to ||b||_1 <= radius.
 
     Composite projected gradient with the fixed step 1/L (L cached on the
-    moments): gradient step, soft-threshold by lam/L, project onto the ball.
-    G @ b is formed once per iterate and serves both its objective and the
-    next gradient.  From 256 columns on it is `active_rows_matvec`, which
-    reads only the rows of G at a sparse iterate's non-zeros; a smaller G
-    takes the dense product every step, as a gather does not pay there.
-    Returns the best-objective iterate, which for an indefinite G may
-    precede the last one.
+    moments): a gradient step, then one `project_l1_ball` pass that
+    soft-thresholds by lam/L and projects onto the ball.  G @ b is formed
+    once per iterate and serves both its objective and the next gradient.
+    From 256 columns on it is `active_rows_matvec`, which reads only the
+    rows of G at a sparse iterate's non-zeros; a smaller G takes the dense
+    product every step, as a gather does not pay there.  Returns the
+    best-objective iterate, which for an indefinite G may precede the last one.
     """
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     G, g, p = m.gamma_mat, m.gamma_vec, m.p
     R = opts.radius
-    beta = np.zeros(p) if beta0 is None else project_l1_ball(np.asarray(beta0, float), R)
+    beta = np.zeros(p) if beta0 is None else project_l1_ball(beta0, R)
+    if beta.size != p:
+        raise ValueError(f"beta0 has length {beta.size}, expected {p}")
     L = m.lipschitz
     eta = 1.0 / L if L > 0 else 1.0
     matvec = partial(np.matmul, G) if p < 256 else partial(active_rows_matvec, G)
     Gb = matvec(beta)
-    f = 0.5 * beta @ Gb - g @ beta + lam * np.abs(beta).sum()
-    best_beta, best_f = beta.copy(), f
+    f = 0.5 * (beta @ Gb) - g @ beta + lam * np.abs(beta).sum()
+    best_beta, best_f = beta, f  # every iterate is a fresh array
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
-        cand = project_l1_ball(soft_threshold(beta - eta * (Gb - g), eta * lam), R)
+        cand = project_l1_ball(beta - eta * (Gb - g), R, eta * lam)
         Gc = matvec(cand)
-        f_cand = 0.5 * cand @ Gc - g @ cand + lam * np.abs(cand).sum()
-        if not np.isfinite(f_cand):
+        f_cand = 0.5 * (cand @ Gc) - g @ cand + lam * np.abs(cand).sum()
+        if not math.isfinite(f_cand):
             raise ArithmeticError("diverged: non-finite objective in solver")
         df = f - f_cand
         beta, Gb, f = cand, Gc, f_cand
         if f < best_f:
-            best_f, best_beta = f, beta.copy()
+            best_f, best_beta = f, beta
         if abs(df) < opts.rel_tol * max(1.0, abs(f)):
             converged = True
             break
@@ -189,4 +195,4 @@ def support(beta, tol=None):
         tol = 1e-6 * max(1.0, float(np.max(np.abs(beta), initial=0.0)))
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
-    return [int(j) for j in np.flatnonzero(np.abs(beta) > tol)]
+    return np.flatnonzero(np.abs(beta) > tol).tolist()

@@ -110,6 +110,25 @@ def test_tune_writes_curve(tmp_path, sim_config, capsys):
         capsys.readouterr().out
 
 
+def test_tune_without_a_finite_loss_writes_the_curve_then_fails(tmp_path, capsys):
+    # column 0 carries y, but the stated noise variance exceeds its second
+    # moment, so the corrected Gram has a negative leading diagonal entry
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((40, 3))
+    data_csv, sigma_csv = tmp_path / "data.csv", tmp_path / "sigma.csv"
+    rows = ["z1,z2,z3,y"] + [",".join(f"{x:.17g}" for x in (*row, 2 * row[0])) for row in z]
+    data_csv.write_text("\n".join(rows) + "\n")
+    sigma_csv.write_text("10,0,0\n0,0,0\n0,0,0\n")
+    curve = tmp_path / "curve.csv"
+    assert main(["tune", "--data", str(data_csv), "--test-data", str(data_csv),
+                 "--noise", "additive", "--sigma-w", str(sigma_csv), "--method", "cs_post",
+                 "--radius", "15", "--out", str(curve)]) == 2
+    assert curve.read_text() == "value,loss\n1,inf\n2,inf\n3,inf\n"
+    captured = capsys.readouterr()
+    assert captured.err == "corrls: error: no grid point has a finite held-out loss\n"
+    assert captured.out == ""
+
+
 def test_precision_command(tmp_path):
     from corrls.data import write_dataset_csv
     from corrls.simulate import gen_graph_data, generate_band_precision

@@ -1,9 +1,10 @@
 import weakref
 
+import numpy as np
 import pytest
 
 import corrls.post
-from corrls import GridSpec, emit_results, run_grid
+from corrls import CorrectedMoments, GridSpec, emit_results, run_grid
 from corrls.experiment import CSV_HEADER, grid_cells
 from corrls.metrics import ree
 
@@ -100,6 +101,15 @@ class TestRunGrid:
         monkeypatch.setattr(corrls.post, "uncorrected_moments", checking)
         run_grid(_tiny_spec())
         assert len(corrected) == 2 and live_at_raw == [0, 0]
+
+    def test_cross_validation_without_a_finite_loss_is_an_error_row(self, monkeypatch):
+        degenerate = CorrectedMoments(gamma_mat=np.diag([0.0, 1.0, 1.0]),
+                                      gamma_vec=np.array([5.0, 0.1, 0.1]), n=50, p=3)
+        monkeypatch.setattr(corrls.post, "corrected_moments", lambda data: degenerate)
+        spec = _tiny_spec(n_values=(50,), p_values=(3,), s_values=(1,), methods=("CS+post",))
+        (record,) = run_grid(spec)
+        assert record.error == "cross-validation failed at every grid point"
+        assert np.isnan(record.tuning) and record.false_positives == -1
 
     def test_no_timing_zeroes_wall_time(self):
         records = run_grid(_tiny_spec(), no_timing=True)

@@ -241,6 +241,13 @@ class TestCrossValidate:
         best, losses, _ = _cv(train, test, [3.9, 4], "cs_post", opts)
         assert losses[0] == np.inf and np.isfinite(losses[1]) and best == 4
 
+    def test_no_finite_loss_returns_no_fit(self):
+        # the first screened column has a zero diagonal, so no prefix of
+        # the screening order is positive definite and every a_n is inf
+        m = _m(np.diag([0.0, 1.0, 1.0]), [5.0, 0.1, 0.1])
+        best, losses, fit = cross_validate(m, m, [1, 2, 3], "cs_post", OPTS)
+        assert losses == [np.inf] * 3 and best == 1 and fit is None
+
     def test_lambda_grid_shape(self):
         grid = default_lambda_grid()
         assert grid[0] == 0.0 and grid[-1] == 1.0 and len(grid) == 21

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from corrls import (
     support,
 )
 from corrls.moments import corrected_loss, corrected_moments
-from corrls.selection import active_rows_matvec, lipschitz_estimate, soft_threshold
+from corrls.post import default_lambda_grid
+from corrls.selection import active_rows_matvec, lipschitz_estimate
 from corrls.simulate import SimConfig, ar1_covariance, gen_regression
 
 finite_vecs = hnp.arrays(
@@ -59,6 +62,29 @@ def _grid_search_ball(v, R, steps=400):
     return best
 
 
+def soft_threshold(v, t):
+    """The shrink the solver applied before its ball projection."""
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def _reference_project(v, R):
+    """The l1-ball projection as it was before it took the shrink."""
+    v = np.asarray(v, dtype=float).ravel()
+    if R <= 0:
+        raise ValueError("radius must be positive")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("cannot project a non-finite vector")
+    a = np.abs(v)
+    if a.sum() <= R:
+        return v.copy()
+    u = np.sort(a)[::-1]
+    cum = np.cumsum(u)
+    ks = np.arange(1, v.size + 1)
+    rho = np.max(np.nonzero(u - (cum - R) / ks > 0)[0])
+    tau = (cum[rho] - R) / (rho + 1)
+    return soft_threshold(v, tau)
+
+
 class TestProjectL1Ball:
     def test_inside_ball_unchanged(self):
         v = np.array([0.3, -0.2])
@@ -87,6 +113,56 @@ class TestProjectL1Ball:
         assert np.linalg.norm(project_l1_ball(out, R) - out) <= 1e-12
         if np.abs(v).sum() > R:
             assert abs(np.abs(out).sum() - R) <= 1e-10
+
+
+class TestShrinkAndProject:
+    """`project_l1_ball(v, R, shrink)` is the soft-threshold followed by the
+    projection, to the bit: negative zeros are where the two can part."""
+
+    @pytest.mark.parametrize("v, R, shrink", [
+        ([0.3, -0.2, 0.05], 1.0, 0.1),                # inside the ball
+        ([0.75, -0.5, 0.25, -0.125], 0.75, 0.25),     # exactly on the boundary
+        ([2.0, -1.5, 0.3, 0.0], 1.0, 0.0),            # no shrink, projected
+        ([0.3, -0.2, 0.0], 1.0, 0.0),                 # no shrink, inside
+        ([0.09, -0.1, 0.0, -0.05], 1.0, 0.1),         # every entry below the shrink
+        ([1.5, -1.5, 1.5, -0.5], 1.0, 0.25),          # tied magnitudes, projected
+        ([2.0, -2.0], 1.0, 0.5),                      # tied magnitudes, on the boundary
+        ([-3.0], 1.0, 0.5),                           # p = 1, projected
+        ([0.2], 1.0, 0.5),                            # p = 1, shrunk to zero
+        ([-0.0, 0.0, -0.3, 0.2], 1.0, 0.1),           # negative zeros, inside
+        ([-0.0, 3.0, -0.05, -0.0], 1.0, 0.1),         # negative zeros, projected
+    ])
+    def test_matches_shrink_then_project(self, v, R, shrink):
+        v = np.array(v)
+        out = project_l1_ball(v, R, shrink)
+        assert out.tobytes() == _reference_project(soft_threshold(v, shrink), R).tobytes()
+
+    def test_without_shrink_negative_zeros_are_kept(self):
+        # how the solver projects its start: a warm start's -0.0 survives
+        v = np.array([-0.0, 0.25, -0.0, -0.5])
+        out = project_l1_ball(v, 1.0)
+        assert out.tobytes() == _reference_project(v, 1.0).tobytes() == v.tobytes()
+        assert out is not v
+
+    @given(hnp.arrays(dtype=float, shape=st.integers(1, 12),
+                      elements=st.sampled_from([-2.0, -0.5, -0.25, -0.0, 0.0, 0.25, 1.0, 3.0])
+                      | st.floats(-5, 5, allow_nan=False)),
+           st.sampled_from([0.25, 1.0, 2.5]), st.sampled_from([0.0, 0.25, 0.5, 1e-3]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_shrink_then_project_on_random_vectors(self, v, R, shrink):
+        ref = _reference_project(soft_threshold(v, shrink) if shrink else v, R)
+        assert project_l1_ball(v, R, shrink).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("v, message", [([1.0, np.nan], "non-finite"),
+                                            ([np.inf, 0.0], "non-finite")])
+    def test_rejects_non_finite_input(self, v, message):
+        for shrink in (0.0, 0.1):
+            with pytest.raises(ValueError, match=message):
+                project_l1_ball(np.array(v), 1.0, shrink)
+
+    def test_rejects_non_positive_radius(self):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            project_l1_ball(np.array([0.1]), 0.0, 0.1)
 
 
 def _m(G, g):
@@ -164,7 +240,7 @@ def _two_matvec_fit(m, lam, opts):
     best_beta, best_f = beta.copy(), f
     for iters in range(1, opts.max_iters + 1):
         grad = G @ beta - g
-        cand = project_l1_ball(soft_threshold(beta - eta * grad, eta * lam), R)
+        cand = _reference_project(soft_threshold(beta - eta * grad, eta * lam), R)
         f_cand = objective(cand)
         df = f - f_cand
         beta, f = cand, f_cand
@@ -175,17 +251,20 @@ def _two_matvec_fit(m, lam, opts):
     return best_beta, best_f, iters
 
 
-def _dense_loop_fit(m, lam, opts):
-    """The one-matvec solver loop with the dense product G @ b every step."""
-    G, g, R = m.gamma_mat, m.gamma_vec, opts.radius
+def _dense_loop_fit(m, lam, opts, beta0=None):
+    """The one-matvec solver loop with a separate shrink and projection per
+    step: the dense product G @ b below 256 columns, the active-row product
+    from there on."""
+    G, g, R, p = m.gamma_mat, m.gamma_vec, opts.radius, m.p
     eta = 1.0 / m.lipschitz
-    beta = np.zeros(m.p)
-    Gb = G @ beta
+    matvec = partial(np.matmul, G) if p < 256 else partial(active_rows_matvec, G)
+    beta = np.zeros(p) if beta0 is None else _reference_project(np.asarray(beta0, float), R)
+    Gb = matvec(beta)
     f = 0.5 * beta @ Gb - g @ beta + lam * np.abs(beta).sum()
     best_beta, best_f = beta.copy(), f
     for iters in range(1, opts.max_iters + 1):
-        cand = project_l1_ball(soft_threshold(beta - eta * (Gb - g), eta * lam), R)
-        Gc = G @ cand
+        cand = _reference_project(soft_threshold(beta - eta * (Gb - g), eta * lam), R)
+        Gc = matvec(cand)
         f_cand = 0.5 * cand @ Gc - g @ cand + lam * np.abs(cand).sum()
         df = f - f_cand
         beta, Gb, f = cand, Gc, f_cand
@@ -225,6 +304,27 @@ class TestOneMatvecSolver:
         fit = l1_cls_fit(m, 0.05, opts)
         assert np.array_equal(fit.beta, ref_beta)
         assert fit.objective == ref_f and fit.iterations == ref_iters
+
+    @pytest.mark.parametrize("noise_kind, n, p", [("additive", 30, 50),
+                                                  ("missing", 200, 100),
+                                                  ("missing", 200, 300)])
+    def test_warm_started_path_matches_the_separate_shrink_loop_to_the_bit(
+            self, noise_kind, n, p):
+        m, radius = _sim_moments(noise_kind, n, p, seed=17)
+        opts = SolverOptions(radius=radius, max_iters=2000)
+        beta0 = None
+        for lam in default_lambda_grid():
+            ref_beta, ref_f, ref_iters = _dense_loop_fit(m, lam, opts, beta0)
+            fit = l1_cls_fit(m, lam, opts, beta0=beta0)
+            assert fit.beta.tobytes() == ref_beta.tobytes(), lam
+            assert np.float64(fit.objective).tobytes() == np.float64(ref_f).tobytes(), lam
+            assert fit.iterations == ref_iters, lam
+            beta0 = fit.beta
+
+    @pytest.mark.parametrize("p", [3, 300])  # the dense and the active-row product
+    def test_start_of_the_wrong_length_rejected(self, p):
+        with pytest.raises(ValueError, match=f"beta0 has length {p - 1}, expected {p}"):
+            l1_cls_fit(_m(np.eye(p), np.ones(p)), 0.1, SolverOptions(), beta0=np.zeros(p - 1))
 
 
 class TestActiveRowsMatvec:
