@@ -126,7 +126,7 @@ class TestShrinkAndProject:
         ([0.3, -0.2, 0.0], 1.0, 0.0),                 # no shrink, inside
         ([0.09, -0.1, 0.0, -0.05], 1.0, 0.1),         # every entry below the shrink
         ([1.5, -1.5, 1.5, -0.5], 1.0, 0.25),          # tied magnitudes, projected
-        ([2.0, -2.0], 1.0, 0.5),                      # tied magnitudes, on the boundary
+        ([0.75, -0.75], 1.0, 0.25),                   # tied magnitudes, on the boundary
         ([-3.0], 1.0, 0.5),                           # p = 1, projected
         ([0.2], 1.0, 0.5),                            # p = 1, shrunk to zero
         ([-0.0, 0.0, -0.3, 0.2], 1.0, 0.1),           # negative zeros, inside
