@@ -7,9 +7,9 @@ Subcommands:
   experiment  run a (n, p, s) grid from a config file
   tune        dump the cross-validation curve for one method
 
-Config files are flat JSON documents mirroring the SimConfig / GridSpec
-fields.  Exit code is 0 on success and 2 on an invalid argument or input
-value; with --strict, any error row in an experiment makes it 1.
+Config files are flat JSON objects of SimConfig / GridSpec fields.  Exit
+code is 0 on success and 2 on an invalid argument, input value, config field
+or file; with --strict, any error row in an experiment makes it 1.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+import typing
 
 import numpy as np
 
@@ -43,9 +44,24 @@ from .selection import SolverOptions, screen_size
 from .simulate import SimConfig, ar1_covariance, gen_regression
 
 
-def _load_config(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _load_config(cls, path, **overrides):
+    """The dataclass ``cls`` built from the flat JSON object in ``path``, with
+    the overrides that are not None applied and lists turned into tuples.  A
+    field that is unknown, missing or of the wrong type is a ValueError that
+    names the file."""
+    types = {k: (int, float) if t is float else t for k, t in typing.get_type_hints(cls).items()}
+    try:
+        with open(path) as fh:
+            cfg = {**json.load(fh), **{k: v for k, v in overrides.items() if v is not None}}
+        cfg = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()}
+        for name, value in cfg.items():
+            if name not in types:
+                raise ValueError(f"unknown field {name!r}")
+            if isinstance(value, bool) or not isinstance(value, types[name]):
+                raise ValueError(f"field {name!r} has the wrong type: {value!r}")
+        return cls(**cfg)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _z_width(path):
@@ -70,18 +86,12 @@ def _load_dataset(args, path):
     elif args.sigma_w_ar1:
         noise = AdditiveNoise(ar1_covariance(_z_width(path), *args.sigma_w_ar1))
     else:
-        raise SystemExit("additive noise needs --sigma-w FILE or --sigma-w-ar1 PHI SCALE")
+        raise ValueError("additive noise needs --sigma-w FILE or --sigma-w-ar1 PHI SCALE")
     return read_dataset_csv(path, noise)
 
 
 def _cmd_simulate(args):
-    cfg_dict = _load_config(args.config) if args.config else {}
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    cfg_dict.setdefault("seed", 0)
-    if "rho_range" in cfg_dict:
-        cfg_dict["rho_range"] = tuple(cfg_dict["rho_range"])
-    cfg = SimConfig(**cfg_dict)
+    cfg = _load_config(SimConfig, args.config, seed=args.seed)
     data, beta0, T = gen_regression(cfg)
     write_dataset_csv(data, args.out)
     print(f"wrote {data.n}x{data.p} {cfg.noise_kind} dataset to {args.out}")
@@ -90,15 +100,10 @@ def _cmd_simulate(args):
     return 0
 
 
-def _solver_opts(args):
-    return SolverOptions(max_iters=args.max_iters, rel_tol=args.rel_tol,
-                         radius=args.radius)
-
-
 def _cmd_fit(args):
     data = _load_dataset(args, args.data)
     fit = fit_method(args.method, method_moments(args.method)(data), args.tuning,
-                     _solver_opts(args))
+                     SolverOptions(radius=args.radius))
     print(f"method={fit.method} tuning={args.tuning:g} objective={fit.objective:.6g} "
           f"iterations={fit.iterations} converged={fit.converged}")
     if fit.fallback_used:
@@ -119,7 +124,8 @@ def _cmd_tune(args):
     train_m = build(_load_dataset(args, args.data))
     test_m = build(_load_dataset(args, args.test_data))
     grid = method_grid(args.method, train_m.n, train_m.p)
-    best, losses, _ = cross_validate(train_m, test_m, grid, args.method, _solver_opts(args))
+    best, losses, _ = cross_validate(train_m, test_m, grid, args.method,
+                                    SolverOptions(radius=args.radius))
     lines = ["value,loss"] + [f"{v:.17g},{l:.17g}" for v, l in zip(grid, losses)]
     out = "\n".join(lines) + "\n"
     if args.out:
@@ -153,12 +159,7 @@ def _cmd_precision(args):
 
 
 def _cmd_experiment(args):
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["base_seed"] = args.seed
-    if "rho_range" in cfg:
-        cfg["rho_range"] = tuple(cfg["rho_range"])
-    spec = GridSpec(**cfg)
+    spec = _load_config(GridSpec, args.config, base_seed=args.seed)
     records = run_grid(spec, workers=args.workers, keep_beta=args.save_coefs,
                        no_timing=args.no_timing)
     emit_results(records, args.out)
@@ -186,18 +187,12 @@ def _add_dataset_args(sp):
                     help="AR(1) covariate-noise covariance (additive)")
 
 
-def _add_solver_args(sp):
-    sp.add_argument("--radius", type=float, required=True, help="l1-ball radius")
-    sp.add_argument("--max-iters", type=int, default=10000)
-    sp.add_argument("--rel-tol", type=float, default=1e-6)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="corrls")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="generate a dataset")
-    sp.add_argument("--config", help="JSON scenario config")
+    sp.add_argument("--config", required=True, help="JSON scenario config")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out", required=True)
     sp.add_argument("--truth", help="optional path for the true coefficients")
@@ -208,7 +203,7 @@ def build_parser():
     sp.add_argument("--method", choices=list(METHODS), required=True)
     sp.add_argument("--tuning", type=float, required=True,
                     help="a_n for cs_post, lambda otherwise")
-    _add_solver_args(sp)
+    sp.add_argument("--radius", type=float, required=True, help="l1-ball radius")
     sp.add_argument("--out", help="write coefficients here")
     sp.set_defaults(func=_cmd_fit)
 
@@ -216,7 +211,7 @@ def build_parser():
     _add_dataset_args(sp)
     sp.add_argument("--test-data", required=True, help="held-out dataset CSV")
     sp.add_argument("--method", choices=list(METHODS), required=True)
-    _add_solver_args(sp)
+    sp.add_argument("--radius", type=float, required=True, help="l1-ball radius")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_tune)
 
@@ -242,12 +237,12 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one subcommand; an invalid input value prints ``corrls: error: ...``
-    to stderr and returns 2, as argparse does for a bad argument."""
+    """Run one subcommand; an invalid input value or an unusable file prints
+    ``corrls: error: ...`` to stderr and returns 2, as argparse does for a bad argument."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"corrls: error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,7 +43,6 @@ class GridSpec:
     c_w: float = 0.25
     rho_range: tuple = (0.05, 0.75)
     solver_max_iters: int = 5000
-    solver_rel_tol: float = 1e-6
 
     def __post_init__(self):
         for name in ("n_values", "p_values", "s_values", "methods"):
@@ -51,8 +50,9 @@ class GridSpec:
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
             object.__setattr__(self, name, vals)
-        if any(v <= 0 for v in self.n_values + self.p_values + self.s_values):
-            raise ValueError("grid values must be positive")
+        for name in ("n_values", "p_values", "s_values"):
+            if any(v <= 0 or int(v) != v for v in getattr(self, name)):
+                raise ValueError(f"{name} must hold positive whole numbers")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         bad = set(self.methods) - set(METHODS)
@@ -102,8 +102,7 @@ def _run_cell(spec: GridSpec, n, p, s, rep, keep_beta):
     train = with_estimated_missing_rates(train)
     test = with_estimated_missing_rates(test)
     radius = 1.1 * float(np.abs(beta0).sum())
-    opts = SolverOptions(max_iters=spec.solver_max_iters, rel_tol=spec.solver_rel_tol,
-                         radius=radius)
+    opts = SolverOptions(max_iters=spec.solver_max_iters, radius=radius)
     scenario = f"n{n}_p{p}_s{s}_r{rep}"
     records = []
     builds = [method_moments(_FIT_RULES[method]) for method in spec.methods]

@@ -188,11 +188,12 @@ def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid):
         except (ValueError, ArithmeticError):
             sizes.append(0)
     idx = order[:max(sizes)]
-    k_star = pd_prefix_length(train_m.gamma_mat[np.ix_(idx, idx)])
+    B = train_m.gamma_mat[np.ix_(idx, idx)]
+    k_star = pd_prefix_length(B)
     prefix = np.full(k_star + 1, np.inf)  # prefix[k]: held-out loss at a_n = k
     if k_star:
         idx = idx[:k_star]
-        L = np.linalg.cholesky(train_m.gamma_mat[np.ix_(idx, idx)])
+        L = np.linalg.cholesky(B[:k_star, :k_star])
         w = np.linalg.solve(L, train_m.gamma_vec[idx])
         # column k-1 holds beta_k padded with zeros: L' x = (w[:k], 0) is
         # solved by x = (beta_k, 0) as L' is upper triangular

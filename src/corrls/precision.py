@@ -154,11 +154,16 @@ def symmetrize(theta_raw):
 
 def estimate_precision(data: SurrogateDataset, a_n, radius) -> PrecisionEstimate:
     """Full pipeline: corrected covariance, p neighborhood fits, assembly,
-    symmetrization.  A failing column aborts with its index named."""
+    symmetrization.  a_n and the radius are checked before any column is fitted;
+    a failing column aborts with its index named."""
     if not isinstance(data.noise, MissingNoise):
         raise ValueError("precision estimation requires a missing-data noise model")
     if data.p < 2:
         raise ValueError("need at least two columns")
+    if not 1 <= a_n <= data.p - 1:
+        raise ValueError(f"a_n must lie in [1, {data.p - 1}]")
+    if not radius > 0:
+        raise ValueError("radius must be positive")
     S = corrected_covariance(data)
     fits = []
     for j in range(data.p):

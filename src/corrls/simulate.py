@@ -35,12 +35,11 @@ class SimConfig:
     p: int
     s: int
     noise_kind: str  # "additive" | "missing"
-    seed: int
+    seed: int = 0
     sigma_eps: float = 0.25
     ar_phi: float = 0.5
     c_w: float = 0.25
     rho_range: tuple = (0.05, 0.75)
-    c_x: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.s <= self.p:

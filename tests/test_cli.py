@@ -1,21 +1,28 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from corrls import (MissingNoise, SolverOptions, corrected_moments, l1_cls_fit, support,
                     uncorrected_moments)
-from corrls.cli import main
+from corrls.cli import _load_config, main
 from corrls.data import read_dataset_csv, read_matrix_csv
+from corrls.experiment import GridSpec
 from corrls.post import fit_method, with_estimated_missing_rates
+from corrls.simulate import SimConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SIM = {"n": 120, "p": 12, "s": 3, "noise_kind": "missing", "rho_range": [0.1, 0.3], "seed": 5}
+GRID = {"n_values": [70], "p_values": [10], "s_values": [2], "noise_kind": "missing",
+        "replicates": 1, "base_seed": 3, "rho_range": [0.1, 0.3], "solver_max_iters": 1500}
 
 
 @pytest.fixture
 def sim_config(tmp_path):
-    cfg = {"n": 120, "p": 12, "s": 3, "noise_kind": "missing",
-           "rho_range": [0.1, 0.3], "seed": 5}
     path = tmp_path / "sim.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(SIM))
     return path
 
 
@@ -163,11 +170,8 @@ def test_experiment_determinism_across_workers(tmp_path):
 
 
 def test_experiment_save_coefs_sidecar(tmp_path):
-    grid = {"n_values": [70], "p_values": [10], "s_values": [2],
-            "noise_kind": "missing", "replicates": 1, "base_seed": 3,
-            "rho_range": [0.1, 0.3], "solver_max_iters": 1500}
     cfg = tmp_path / "grid.json"
-    cfg.write_text(json.dumps(grid))
+    cfg.write_text(json.dumps(GRID))
     out = tmp_path / "res.csv"
     assert main(["experiment", "--config", str(cfg), "--out", str(out),
                  "--save-coefs", "--no-timing"]) == 0
@@ -191,3 +195,89 @@ def test_precision_reports_negative_d(tmp_path, capsys):
     assert negative
     summary = capsys.readouterr().out
     assert (f"{len(negative)} columns with d_j <= 0 (1-based): " + " ".join(negative)) in summary
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    ("experiment", {**{k: v for k, v in GRID.items() if k != "replicates"}, "replicate": 3},
+     "'replicate'"),
+    ("experiment", {k: v for k, v in GRID.items() if k != "noise_kind"}, "'noise_kind'"),
+    ("simulate", {**SIM, "c_x": 5.0}, "'c_x'"),
+    ("simulate", {**SIM, "n": "120"}, "'n'"),
+    ("simulate", {**SIM, "s": True}, "'s'"),
+    ("experiment", {**GRID, "n_values": [60.5]}, "n_values"),
+], ids=["unknown", "missing", "c_x", "string", "bool", "fractional"])
+def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, command, cfg, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"corrls: error: {path}: ") and field in captured.err
+    assert captured.out == "" and not (tmp_path / "out.csv").exists()
+
+
+def test_simulate_requires_a_config(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--out", str(tmp_path / "data.csv")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name, cls", [("sim", SimConfig), ("grid", GridSpec)])
+def test_readme_configs_load_with_lists_as_tuples(tmp_path, name, cls):
+    text = re.search(rf"cat > {name}\.json <<'JSON'\n(.*?)\nJSON\n", README.read_text(), re.S)[1]
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    cfg = _load_config(cls, path)
+    for key, value in json.loads(text).items():
+        assert getattr(cfg, key) == (tuple(value) if isinstance(value, list) else value)
+
+
+def test_seed_override(sim_config, tmp_path):
+    assert _load_config(SimConfig, sim_config, seed=None).seed == 5
+    assert _load_config(SimConfig, sim_config, seed=7).seed == 7
+    path = tmp_path / "noseed.json"
+    path.write_text(json.dumps({k: v for k, v in SIM.items() if k != "seed"}))
+    assert _load_config(SimConfig, path).seed == 0
+
+
+@pytest.mark.parametrize("an, radius, message", [
+    ("0", "6", "a_n must lie in [1, 11]"),
+    ("12", "6", "a_n must lie in [1, 11]"),
+    ("4", "-1", "radius must be positive"),
+])
+def test_precision_rejects_bad_an_or_radius(tmp_path, capsys, an, radius, message):
+    from corrls.data import write_dataset_csv
+    from corrls.simulate import gen_graph_data, generate_band_precision
+
+    _, sigma = generate_band_precision(12, 1)
+    data_csv = tmp_path / "graph.csv"
+    write_dataset_csv(gen_graph_data(sigma, 100, 1.0, (0.05, 0.3), seed=9), data_csv)
+    assert main(["precision", "--data", str(data_csv), "--an", an, "--radius", radius,
+                 "--out", str(tmp_path / "theta.csv")]) == 2
+    assert capsys.readouterr().err == f"corrls: error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "tune"])
+def test_additive_noise_without_sigma_exits_2(tmp_path, sim_config, capsys, command):
+    data_csv = tmp_path / "data.csv"
+    main(["simulate", "--config", str(sim_config), "--out", str(data_csv)])
+    capsys.readouterr()
+    args = ["--tuning", "3"] if command == "fit" else ["--test-data", str(data_csv)]
+    assert main([command, "--data", str(data_csv), "--noise", "additive",
+                 "--method", "cs_post", "--radius", "15", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("corrls: error: additive noise needs --sigma-w FILE "
+                            "or --sigma-w-ar1 PHI SCALE\n") and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "{missing}", "--noise", "missing", "--method", "cs_post",
+     "--tuning", "3", "--radius", "15"],
+    ["experiment", "--config", "{missing}", "--out", "{out}"],
+    ["simulate", "--config", "{missing}", "--out", "{out}"],
+], ids=["fit-data", "experiment-config", "simulate-config"])
+def test_missing_file_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "absent"
+    argv = [a.format(missing=missing, out=tmp_path / "out.csv") for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("corrls: error: ") and str(missing) in err

@@ -39,6 +39,8 @@ class TestGridSpec:
             _tiny_spec(n_values=())
         with pytest.raises(ValueError):
             _tiny_spec(replicates=0)
+        with pytest.raises(ValueError, match="n_values must hold positive whole numbers"):
+            _tiny_spec(n_values=(60.5,))
         with pytest.raises(ValueError):
             _tiny_spec(methods=("Ridge",))
 
