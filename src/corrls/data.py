@@ -100,7 +100,7 @@ class SurrogateDataset:
             mask = np.asarray(self.mask, dtype=bool)
             if mask.shape != Z.shape:
                 raise ValueError("mask shape must match Z")
-            if np.any(Z[~mask] != 0.0):
+            if np.any(np.logical_and(Z, ~mask)):
                 raise ValueError("Z must be zero-filled where the mask is False")
             if self.noise.p != Z.shape[1]:
                 raise ValueError("rho length must equal the number of columns of Z")

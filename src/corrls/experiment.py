@@ -53,6 +53,8 @@ class GridSpec:
         for name in ("n_values", "p_values", "s_values"):
             if any(v <= 0 or int(v) != v for v in getattr(self, name)):
                 raise ValueError(f"{name} must hold positive whole numbers")
+        if max(self.s_values) > min(self.p_values):
+            raise ValueError(f"s value {max(self.s_values)} exceeds p value {min(self.p_values)}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         bad = set(self.methods) - set(METHODS)

@@ -10,7 +10,7 @@ inside an ordinary least-squares quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -37,13 +37,17 @@ class CorrectedMoments:
 
     ``gamma_mat`` is symmetrized on construction.  It is *not* guaranteed
     positive semidefinite: the additive correction subtracts sigma_w and can
-    leave an indefinite matrix.
+    leave an indefinite matrix.  ``factor`` is (Z, q) when gamma_mat is
+    A'A/n - diag(d) for A = Z / q and d = diag(A'A/n) * (1 - q) >= 0, the
+    missing-data Gram (q = 1 - rho) and the raw Gram (q = 1, d = 0); every
+    eigenvalue of gamma_mat then lies in [-max d, lambda_max(A'A/n)].
     """
 
     gamma_mat: np.ndarray
     gamma_vec: np.ndarray
     n: int
     p: int
+    factor: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         G = np.asarray(self.gamma_mat, dtype=float)
@@ -58,10 +62,17 @@ class CorrectedMoments:
 
     @cached_property
     def lipschitz(self) -> float:
-        """Lipschitz constant of the loss gradient, computed once per instance."""
+        """Lipschitz constant of the loss gradient, computed once per instance.
+        With a factor and p > n it is max(lambda_max(AA'/n), max d), from the
+        n x n side: exact for the raw Gram, an upper bound for missing data."""
         from .selection import lipschitz_estimate  # selection imports this module
 
-        return lipschitz_estimate(self.gamma_mat)
+        if self.factor is None or self.p <= self.n:
+            return lipschitz_estimate(self.gamma_mat)
+        Z, q = self.factor
+        A = Z / q
+        d = np.diagonal(self.gamma_mat) * (1.0 / q - 1.0)
+        return max(lipschitz_estimate(A @ A.T / self.n), float(np.max(d)))
 
 
 def estimate_missing_rates(mask):
@@ -110,9 +121,12 @@ def corrected_moments(data: SurrogateDataset) -> CorrectedMoments:
     if data.y is None:
         raise ValueError("dataset has no response; corrected_moments needs y")
     g = (data.Z.T @ data.y) / data.n
+    factor = None
     if isinstance(data.noise, MissingNoise):
-        g = g / (1.0 - data.noise.rho)
-    return CorrectedMoments(gamma_mat=corrected_gram(data), gamma_vec=g, n=data.n, p=data.p)
+        factor = (data.Z, 1.0 - data.noise.rho)
+        g = g / factor[1]
+    return CorrectedMoments(gamma_mat=corrected_gram(data), gamma_vec=g, n=data.n, p=data.p,
+                            factor=factor)
 
 
 def uncorrected_moments(data: SurrogateDataset) -> CorrectedMoments:
@@ -121,7 +135,7 @@ def uncorrected_moments(data: SurrogateDataset) -> CorrectedMoments:
         raise ValueError("dataset has no response")
     Z, n = data.Z, data.n
     return CorrectedMoments(
-        gamma_mat=(Z.T @ Z) / n, gamma_vec=(Z.T @ data.y) / n, n=n, p=data.p
+        gamma_mat=(Z.T @ Z) / n, gamma_vec=(Z.T @ data.y) / n, n=n, p=data.p, factor=(Z, 1.0)
     )
 
 

@@ -205,7 +205,8 @@ def test_precision_reports_negative_d(tmp_path, capsys):
     ("simulate", {**SIM, "n": "120"}, "'n'"),
     ("simulate", {**SIM, "s": True}, "'s'"),
     ("experiment", {**GRID, "n_values": [60.5]}, "n_values"),
-], ids=["unknown", "missing", "c_x", "string", "bool", "fractional"])
+    ("experiment", {**GRID, "p_values": [10, 3], "s_values": [4]}, "s value 4 exceeds p value 3"),
+], ids=["unknown", "missing", "c_x", "string", "bool", "fractional", "s_above_p"])
 def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, command, cfg, field):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

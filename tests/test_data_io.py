@@ -24,6 +24,22 @@ class TestNoiseModels:
             SurrogateDataset(Z=Z, y=np.array([1.0]), noise=MissingNoise([0.1, 0.5]),
                              mask=mask)
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e-300, -0.5])
+    def test_nan_or_non_zero_at_a_masked_cell_rejected(self, value):
+        Z = np.array([[1.0, 0.0], [0.0, 2.0]])
+        mask = np.array([[True, False], [False, True]])
+        noise = MissingNoise([0.5, 0.5])
+        SurrogateDataset(Z=Z, y=np.zeros(2), noise=noise, mask=mask)
+        Z[1, 0] = value
+        with pytest.raises(ValueError, match="zero-filled"):
+            SurrogateDataset(Z=Z, y=np.zeros(2), noise=noise, mask=mask)
+
+    def test_negative_zero_at_a_masked_cell_accepted(self):
+        Z = np.array([[1.0, -0.0], [-0.0, 2.0]])
+        mask = np.array([[True, False], [False, True]])
+        data = SurrogateDataset(Z=Z, y=np.zeros(2), noise=MissingNoise([0.5, 0.5]), mask=mask)
+        assert np.array_equal(data.mask, mask)
+
     def test_additive_forbids_mask(self):
         with pytest.raises(ValueError, match="no mask"):
             SurrogateDataset(Z=np.eye(2), y=np.zeros(2),

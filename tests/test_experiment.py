@@ -44,6 +44,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             _tiny_spec(methods=("Ridge",))
 
+    def test_s_above_the_smallest_p_rejected_before_fitting(self):
+        with pytest.raises(ValueError, match="s value 4 exceeds p value 3"):
+            _tiny_spec(p_values=(10, 3), s_values=(4,))
+        with pytest.raises(ValueError, match="s value 21 exceeds p value 20"):
+            _tiny_spec(s_values=(2, 21))
+        assert _tiny_spec(p_values=(20, 4), s_values=(4,)).s_values == (4,)
+
 
 class TestRunGrid:
     def test_worker_count_invariance(self):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrls.selection
 from corrls import (
     AdditiveNoise,
     CorrectedMoments,
@@ -13,8 +14,10 @@ from corrls import (
     corrected_moments,
     estimate_missing_rates,
     rse_bounds,
+    uncorrected_moments,
 )
-from corrls.simulate import ar1_covariance, gen_beta0, sample_gaussian
+from corrls.selection import lipschitz_estimate
+from corrls.simulate import SimConfig, ar1_covariance, gen_beta0, gen_regression, sample_gaussian
 from corrls._rng import substream
 
 
@@ -187,3 +190,70 @@ class TestMomentsSymmetry:
                                 noise=MissingNoise(rho), mask=mask)
         m = corrected_moments(data)
         assert np.max(np.abs(m.gamma_mat - m.gamma_mat.T)) <= 1e-10
+
+
+def _wide(noise_kind, seed, n=100, p=300):
+    data, _, _ = gen_regression(SimConfig(n=n, p=p, s=4, noise_kind=noise_kind, seed=seed))
+    return data
+
+
+def _exact_lipschitz(m):
+    return np.max(np.abs(np.linalg.eigvalsh(m.gamma_mat)))
+
+
+def _bounded_on(monkeypatch, m):
+    """The shapes of the matrices `lipschitz_estimate` sees while `m.lipschitz`
+    is computed."""
+    original = corrls.selection.lipschitz_estimate
+    shapes = []
+
+    def recording(G):
+        shapes.append(np.shape(G))
+        return original(G)
+
+    monkeypatch.setattr(corrls.selection, "lipschitz_estimate", recording)
+    m.lipschitz
+    return shapes
+
+
+class TestLipschitzBound:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_missing_factor_reproduces_gamma_mat(self, seed):
+        m = corrected_moments(_wide("missing", seed))
+        Z, q = m.factor
+        A = Z / q
+        AtA = A.T @ A / m.n
+        G = AtA - np.diag(np.diagonal(AtA) * (1.0 - q))
+        assert np.max(np.abs(G - m.gamma_mat)) <= 1e-12 * np.max(np.abs(m.gamma_mat))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_missing_bound_certified_and_within_1_5x(self, seed):
+        m = corrected_moments(_wide("missing", seed))
+        exact = _exact_lipschitz(m)
+        assert exact <= m.lipschitz <= 1.5 * exact
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_raw_gram_bound_is_exact(self, seed):
+        m = uncorrected_moments(_wide("missing", seed))
+        exact = _exact_lipschitz(m)
+        assert abs(m.lipschitz - exact) <= 1e-10 * exact
+
+    @pytest.mark.parametrize("build", [corrected_moments, uncorrected_moments])
+    def test_one_n_by_n_estimate_when_p_exceeds_n(self, monkeypatch, build):
+        assert _bounded_on(monkeypatch, build(_wide("missing", 5))) == [(100, 100)]
+
+    @pytest.mark.parametrize("noise_kind", ["missing", "additive"])
+    @pytest.mark.parametrize("build", [corrected_moments, uncorrected_moments])
+    def test_p_at_most_n_keeps_the_p_by_p_estimate_exactly(self, noise_kind, build):
+        for n, p in [(200, 100), (100, 100)]:
+            m = build(_wide(noise_kind, 6, n=n, p=p))
+            assert m.lipschitz == lipschitz_estimate(m.gamma_mat)
+
+    def test_additive_and_plain_moments_keep_the_p_by_p_estimate(self, monkeypatch):
+        additive = corrected_moments(_wide("additive", 7))
+        assert additive.factor is None
+        assert _bounded_on(monkeypatch, additive) == [(300, 300)]
+        m = corrected_moments(_wide("missing", 7))
+        plain = CorrectedMoments(gamma_mat=m.gamma_mat, gamma_vec=m.gamma_vec, n=m.n, p=m.p)
+        assert _bounded_on(monkeypatch, plain) == [(300, 300)]
+        assert plain.lipschitz == _exact_lipschitz(m)

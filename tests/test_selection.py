@@ -233,8 +233,7 @@ def _two_matvec_fit(m, lam, opts):
     def objective(b):
         return 0.5 * b @ G @ b - g @ b + lam * np.abs(b).sum()
 
-    L = lipschitz_estimate(G)
-    eta = 1.0 / L if L > 0 else 1.0
+    eta = 1.0 / m.lipschitz
     beta = np.zeros(m.p)
     f = objective(beta)
     best_beta, best_f = beta.copy(), f
