@@ -43,8 +43,6 @@ class TestGridSpec:
             _tiny_spec(n_values=(60.5,))
         with pytest.raises(ValueError):
             _tiny_spec(methods=("Ridge",))
-
-    def test_s_above_the_smallest_p_rejected_before_fitting(self):
         with pytest.raises(ValueError, match="s value 4 exceeds p value 3"):
             _tiny_spec(p_values=(10, 3), s_values=(4,))
         with pytest.raises(ValueError, match="s value 21 exceeds p value 20"):
