@@ -13,6 +13,7 @@ import csv
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class AdditiveNoise:
             raise ValueError("sigma_w has non-finite entries")
         if np.max(np.abs(sw - sw.T)) > 1e-12:
             raise ValueError("sigma_w must be symmetric within 1e-12")
-        object.__setattr__(self, "sigma_w", sw)
+        object.__setattr__(self, "sigma_w", 0.5 * (sw + sw.T))  # exactly symmetric
 
     @property
     def p(self):
@@ -118,6 +119,13 @@ class SurrogateDataset:
     @property
     def p(self):
         return self.Z.shape[1]
+
+    @cached_property
+    def gram(self):
+        """Z'Z/n, formed once for every moments of this dataset; read-only."""
+        S = (self.Z.T @ self.Z) / self.n
+        S.flags.writeable = False
+        return S
 
 
 def _data_lines(fh, width, linenos):

@@ -10,7 +10,6 @@ inside an ordinary least-squares quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -31,43 +30,80 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CorrectedMoments:
-    """Corrected quadratic-loss coefficients.
+def _finite(a):
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite corrected moments")
+    return a
 
-    ``gamma_mat`` is symmetrized on construction.  It is *not* guaranteed
-    positive semidefinite: the additive correction subtracts sigma_w and can
-    leave an indefinite matrix.  ``factor`` is (Z, q) when gamma_mat is
-    A'A/n - diag(d) for A = Z / q and d = diag(A'A/n) * (1 - q) >= 0, the
-    missing-data Gram (q = 1 - rho) and the raw Gram (q = 1, d = 0); every
-    eigenvalue of gamma_mat then lies in [-max d, lambda_max(A'A/n)].
+
+def _corrected(S, noise, idx=None):
+    """Gram S of the columns idx (all if None) less sigma_w (additive noise),
+    over M componentwise (missing data) or as it is (noise None)."""
+    if isinstance(noise, AdditiveNoise):
+        return S - (noise.sigma_w if idx is None else noise.sigma_w[np.ix_(idx, idx)])
+    if isinstance(noise, MissingNoise):
+        return S / build_mask_matrix(noise.rho if idx is None else noise.rho[idx])
+    return S
+
+
+class CorrectedMoments:
+    """Corrected quadratic-loss coefficients of a dataset with n rows and p
+    columns.  gamma_mat is *not* guaranteed positive semidefinite: the
+    additive correction subtracts sigma_w and can leave it indefinite.
+
+    From a dense pair, gamma_mat is symmetrized on construction.  From a
+    dataset, ``source`` is (data, noise), noise None for raw moments, and
+    gamma_mat is formed on first read from the shared `SurrogateDataset.gram`,
+    exactly symmetric.  Such moments with p > n are `wide`: `block`,
+    `corrected_loss` and `lipschitz` then work from the columns of Z.
     """
 
-    gamma_mat: np.ndarray
-    gamma_vec: np.ndarray
-    n: int
-    p: int
-    factor: tuple | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        G = np.asarray(self.gamma_mat, dtype=float)
-        g = np.asarray(self.gamma_vec, dtype=float).ravel()
-        if G.shape != (self.p, self.p) or g.size != self.p:
+    def __init__(self, gamma_mat, gamma_vec, n, p, source=None):
+        g = np.asarray(gamma_vec, dtype=float).ravel()
+        G = None if source else np.asarray(gamma_mat, dtype=float)
+        if g.size != p or (G is not None and G.shape != (p, p)):
             raise ValueError("moment dimensions disagree with p")
-        if not (np.all(np.isfinite(G)) and np.all(np.isfinite(g))):
-            raise ValueError("non-finite corrected moments")
-        G = 0.5 * (G + G.T)
-        object.__setattr__(self, "gamma_mat", G)
-        object.__setattr__(self, "gamma_vec", g)
+        if G is not None:
+            self.gamma_mat = 0.5 * (_finite(G) + G.T)
+        self.gamma_vec, self.n, self.p, self.source = _finite(g), n, p, source
+
+    @cached_property
+    def gamma_mat(self) -> np.ndarray:
+        data, noise = self.source
+        return _finite(_corrected(data.gram, noise))
+
+    @property
+    def wide(self) -> bool:
+        return self.source is not None and self.p > self.n
+
+    @property
+    def factor(self):
+        """(Z, q) when gamma_mat is A'A/n - diag(d) for A = Z / q and
+        d = diag(A'A/n) * (1 - q) >= 0: missing-data moments (q = 1 - rho)
+        and raw ones (q = 1); None otherwise."""
+        data, noise = self.source or (None, None)
+        if data is None or isinstance(noise, AdditiveNoise):
+            return None
+        return data.Z, (1.0 if noise is None else 1.0 - noise.rho)
+
+    def block(self, idx) -> np.ndarray:
+        """gamma_mat[np.ix_(idx, idx)], formed from Z[:, idx] when `wide`."""
+        idx = np.asarray(idx, dtype=np.intp)
+        if not self.wide:
+            return self.gamma_mat[np.ix_(idx, idx)]
+        data, noise = self.source
+        Z = data.Z[:, idx]
+        return _finite(_corrected((Z.T @ Z) / self.n, noise, idx))
 
     @cached_property
     def lipschitz(self) -> float:
         """Lipschitz constant of the loss gradient, computed once per instance.
-        With a factor and p > n it is max(lambda_max(AA'/n), max d), from the
-        n x n side: exact for the raw Gram, an upper bound for missing data."""
+        When `wide` with a factor, every eigenvalue of gamma_mat lies in
+        [-max d, lambda_max(A'A/n)], so it is max(lambda_max(AA'/n), max d)
+        from the n x n side: exact for the raw Gram, a bound for missing data."""
         from .selection import lipschitz_estimate  # selection imports this module
 
-        if self.factor is None or self.p <= self.n:
+        if self.factor is None or not self.wide:
             return lipschitz_estimate(self.gamma_mat)
         Z, q = self.factor
         A = Z / q
@@ -105,47 +141,51 @@ def build_mask_matrix(rho):
 
 def corrected_gram(data: SurrogateDataset) -> np.ndarray:
     """Corrected Gram matrix: Z'Z/n - sigma_w (additive noise) or (Z'Z/n) / M
-    componentwise (missing data); not symmetrized."""
-    raw = (data.Z.T @ data.Z) / data.n
-    if isinstance(data.noise, AdditiveNoise):
-        return raw - data.noise.sigma_w
-    return raw / build_mask_matrix(data.noise.rho)
+    componentwise (missing data), from the dataset's shared Gram."""
+    return _corrected(data.gram, data.noise)
+
+
+def _dataset_moments(data: SurrogateDataset, noise) -> CorrectedMoments:
+    """Moments of ``data`` corrected for ``noise``; a non-finite Z or y is
+    rejected here, without waiting for gamma_mat."""
+    if data.y is None:
+        raise ValueError("dataset has no response; moments need y")
+    _finite(data.Z)
+    _finite(data.y)
+    g = (data.Z.T @ data.y) / data.n
+    if isinstance(noise, MissingNoise):
+        g = g / (1.0 - noise.rho)
+    return CorrectedMoments(None, g, data.n, data.p, source=(data, noise))
 
 
 def corrected_moments(data: SurrogateDataset) -> CorrectedMoments:
     """Build (gamma_mat, gamma_vec) for the dataset's noise mechanism.
 
-    gamma_mat is `corrected_gram(data)`; gamma_vec is Z'y/n under additive
-    noise and (Z'y/n) / (1 - rho) componentwise under missing data.
+    gamma_mat is `corrected_gram(data)`, formed on first read; gamma_vec is
+    Z'y/n under additive noise and (Z'y/n) / (1 - rho) componentwise under
+    missing data.
     """
-    if data.y is None:
-        raise ValueError("dataset has no response; corrected_moments needs y")
-    g = (data.Z.T @ data.y) / data.n
-    factor = None
-    if isinstance(data.noise, MissingNoise):
-        factor = (data.Z, 1.0 - data.noise.rho)
-        g = g / factor[1]
-    return CorrectedMoments(gamma_mat=corrected_gram(data), gamma_vec=g, n=data.n, p=data.p,
-                            factor=factor)
+    return _dataset_moments(data, data.noise)
 
 
 def uncorrected_moments(data: SurrogateDataset) -> CorrectedMoments:
-    """Raw moments Z'Z/n, Z'y/n with no bias correction (Lasso baseline)."""
-    if data.y is None:
-        raise ValueError("dataset has no response")
-    Z, n = data.Z, data.n
-    return CorrectedMoments(
-        gamma_mat=(Z.T @ Z) / n, gamma_vec=(Z.T @ data.y) / n, n=n, p=data.p, factor=(Z, 1.0)
-    )
+    """Raw moments Z'Z/n (the dataset's shared Gram), Z'y/n with no bias
+    correction (Lasso baseline)."""
+    return _dataset_moments(data, None)
 
 
 def corrected_loss(beta, m: CorrectedMoments):
     """Quadratic loss 0.5 b'Gb - g'b; may be negative and unbounded below
-    when gamma_mat is indefinite."""
+    when gamma_mat is indefinite.  For `wide` moments it is taken on the
+    support of beta, from `CorrectedMoments.block`."""
     beta = np.asarray(beta, dtype=float).ravel()
     if beta.size != m.p:
         raise ValueError(f"beta has length {beta.size}, expected {m.p}")
-    return 0.5 * beta @ m.gamma_mat @ beta - m.gamma_vec @ beta
+    if not m.wide:
+        return 0.5 * beta @ m.gamma_mat @ beta - m.gamma_vec @ beta
+    idx = np.flatnonzero(beta)
+    b = beta[idx]
+    return 0.5 * b @ m.block(idx) @ b - m.gamma_vec[idx] @ b
 
 
 def rse_bounds(m: CorrectedMoments, T, max_extra, support_cap=10**6):

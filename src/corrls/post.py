@@ -64,7 +64,7 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
         raise ValueError("support index out of range")
     if len(T) > m.n:
         warnings.warn(f"support size {len(T)} exceeds sample size {m.n}", stacklevel=2)
-    G_TT = m.gamma_mat[np.ix_(T, T)]
+    G_TT = m.block(T)
     g_T = m.gamma_vec[T]
     vals, vecs = np.linalg.eigh(G_TT)
     fallback = False
@@ -188,7 +188,7 @@ def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid):
         except (ValueError, ArithmeticError):
             sizes.append(0)
     idx = order[:max(sizes)]
-    B = train_m.gamma_mat[np.ix_(idx, idx)]
+    B = train_m.block(idx)
     k_star = pd_prefix_length(B)
     prefix = np.full(k_star + 1, np.inf)  # prefix[k]: held-out loss at a_n = k
     if k_star:
@@ -198,7 +198,7 @@ def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid):
         # column k-1 holds beta_k padded with zeros: L' x = (w[:k], 0) is
         # solved by x = (beta_k, 0) as L' is upper triangular
         betas = np.linalg.solve(L.T, np.triu(np.tile(w[:, None], k_star)))
-        H, h = test_m.gamma_mat[np.ix_(idx, idx)], test_m.gamma_vec[idx]
+        H, h = test_m.block(idx), test_m.gamma_vec[idx]
         loss = 0.5 * np.einsum("ik,ik->k", betas, H @ betas) - h @ betas
         prefix[1:] = np.where(np.isfinite(loss), loss, np.inf)
     return [float(prefix[k]) if 0 < k <= k_star else np.inf for k in sizes]

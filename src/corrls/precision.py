@@ -51,11 +51,10 @@ class PrecisionEstimate:
 
 
 def corrected_covariance(data: SurrogateDataset) -> np.ndarray:
-    """Missingness-corrected covariance (Z'Z/n) / M, symmetrized."""
+    """Missingness-corrected covariance (Z'Z/n) / M, exactly symmetric."""
     if not isinstance(data.noise, MissingNoise):
         raise ValueError("corrected covariance requires a missing-data noise model")
-    S = corrected_gram(data)
-    return 0.5 * (S + S.T)
+    return corrected_gram(data)
 
 
 def _column(S, j):

@@ -100,6 +100,11 @@ def project_l1_ball(v, R, shrink=0.0):
     sign(v) * max(|v| - shrink, 0), v soft-thresholded, in one pass over |v|
     that sums it once and sorts it only outside the ball.  With shrink 0, v
     is projected as given, negative zeros kept."""
+    return _project_l1_ball(v, R, shrink)[0]
+
+
+def _project_l1_ball(v, R, shrink=0.0):
+    """`project_l1_ball` and the l1 norm of its result, bit-equal to np.abs(x).sum()."""
     v = np.asarray(v, dtype=float).ravel()
     if R <= 0:
         raise ValueError("radius must be positive")
@@ -112,13 +117,14 @@ def project_l1_ball(v, R, shrink=0.0):
     if not math.isfinite(total) and not np.all(np.isfinite(a)):  # the sum may overflow
         raise ValueError("cannot project a non-finite vector")
     if total <= R:
-        return v if shrink else v.copy()
+        return (v if shrink else v.copy()), total
     u = np.sort(a)[::-1]
     cum = np.cumsum(u)
     ks = np.arange(1, v.size + 1)
     rho = np.max(np.nonzero(u - (cum - R) / ks > 0)[0])
     tau = (cum[rho] - R) / (rho + 1)
-    return np.sign(v) * np.maximum(a - tau, 0.0)
+    a = np.maximum(a - tau, 0.0)
+    return np.sign(v) * a, a.sum()
 
 
 def lipschitz_estimate(G):
@@ -142,7 +148,8 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
 
     Composite projected gradient with the fixed step 1/L (L cached on the
     moments): a gradient step, then one `project_l1_ball` pass that
-    soft-thresholds by lam/L and projects onto the ball.  G @ b is formed
+    soft-thresholds by lam/L, projects onto the ball and gives the l1 norm
+    of the candidate for its objective.  G @ b is formed
     once per iterate and serves both its objective and the next gradient.
     From 256 columns on it is `active_rows_matvec`, which reads only the
     rows of G at a sparse iterate's non-zeros; a smaller G takes the dense
@@ -165,9 +172,9 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
-        cand = project_l1_ball(beta - eta * (Gb - g), R, eta * lam)
+        cand, norm = _project_l1_ball(beta - eta * (Gb - g), R, eta * lam)
         Gc = matvec(cand)
-        f_cand = 0.5 * (cand @ Gc) - g @ cand + lam * np.abs(cand).sum()
+        f_cand = 0.5 * (cand @ Gc) - g @ cand + lam * norm
         if not math.isfinite(f_cand):
             raise ArithmeticError("diverged: non-finite objective in solver")
         df = f - f_cand

@@ -1,11 +1,12 @@
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import corrls.post
-from corrls import CorrectedMoments, GridSpec, emit_results, run_grid
-from corrls.experiment import CSV_HEADER, grid_cells
+from corrls import CorrectedMoments, GridSpec, SurrogateDataset, emit_results, run_grid
+from corrls.experiment import CSV_HEADER, _run_cell, grid_cells
 from corrls.metrics import ree
 
 
@@ -108,6 +109,33 @@ class TestRunGrid:
         monkeypatch.setattr(corrls.post, "uncorrected_moments", checking)
         run_grid(_tiny_spec())
         assert len(corrected) == 2 and live_at_raw == [0, 0]
+
+    def test_wide_missing_cell_forms_one_gram(self, monkeypatch):
+        # p > n: the train split's Z'Z/n serves L1CLS and the Lasso, and the
+        # held-out losses come from blocks, so the test split forms none
+        grams = []
+
+        def counting(data, original=SurrogateDataset.gram.func):
+            grams.append(data)
+            return original(data)
+
+        gram = cached_property(counting)
+        gram.__set_name__(SurrogateDataset, "gram")
+        monkeypatch.setattr(SurrogateDataset, "gram", gram)
+        built = []
+        for name in ("corrected_moments", "uncorrected_moments"):
+            def recording(data, original=getattr(corrls.post, name)):
+                built.append(original(data))
+                return built[-1]
+
+            monkeypatch.setattr(corrls.post, name, recording)
+        spec = _tiny_spec(n_values=(100,), p_values=(1000,), s_values=(4,))
+        records = _run_cell(spec, 100, 1000, 4, 0, False)
+        assert all(r.error is None for r in records)
+        train, test = (m.source[0] for m in built[:2])
+        assert grams == [train]
+        assert all(m.source[0] is test and "gamma_mat" not in vars(m) for m in built[1::2])
+        assert built[2].gamma_mat is train.gram  # the Lasso's raw moments
 
     def test_cross_validation_without_a_finite_loss_is_an_error_row(self, monkeypatch):
         degenerate = CorrectedMoments(gamma_mat=np.diag([0.0, 1.0, 1.0]),

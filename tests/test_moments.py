@@ -257,3 +257,98 @@ class TestLipschitzBound:
         plain = CorrectedMoments(gamma_mat=m.gamma_mat, gamma_vec=m.gamma_vec, n=m.n, p=m.p)
         assert _bounded_on(monkeypatch, plain) == [(300, 300)]
         assert plain.lipschitz == _exact_lipschitz(m)
+
+
+#: (builder, noise kind) of the three kinds of dataset moments
+BUILT = [(corrected_moments, "missing"), (corrected_moments, "additive"),
+         (uncorrected_moments, "missing")]
+
+
+class TestWideRoute:
+    @pytest.mark.parametrize("build, noise_kind", BUILT)
+    def test_block_matches_a_slice_of_gamma_mat(self, build, noise_kind):
+        m = build(_wide(noise_kind, 8))
+        assert m.wide
+        idx = np.random.default_rng(0).choice(m.p, 25, replace=False)
+        block = m.block(idx)
+        assert "gamma_mat" not in vars(m)  # formed from the columns of Z
+        ref = m.gamma_mat[np.ix_(idx, idx)]
+        assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("build, noise_kind", BUILT)
+    def test_narrow_block_is_a_slice_of_gamma_mat(self, build, noise_kind):
+        m = build(_wide(noise_kind, 8, n=200, p=100))
+        assert not m.wide
+        idx = [7, 3, 50]
+        assert np.array_equal(m.block(idx), m.gamma_mat[np.ix_(idx, idx)])
+
+    @pytest.mark.parametrize("build, noise_kind", BUILT)
+    def test_loss_on_the_support_matches_the_dense_form(self, build, noise_kind):
+        m = build(_wide(noise_kind, 8))
+        rng = np.random.default_rng(1)
+        betas = [np.zeros(m.p)]
+        for k in (1, 4, 30):
+            beta = np.zeros(m.p)
+            beta[rng.choice(m.p, k, replace=False)] = rng.standard_normal(k)
+            betas.append(beta)
+        losses = [corrected_loss(beta, m) for beta in betas]
+        assert "gamma_mat" not in vars(m)
+        assert losses[0] == 0.0
+        for beta, loss in zip(betas[1:], losses[1:]):
+            dense = 0.5 * beta @ m.gamma_mat @ beta - m.gamma_vec @ beta
+            assert abs(loss - dense) <= 1e-12 * abs(dense)
+
+    @pytest.mark.parametrize("n, p", [(200, 100), (100, 300)])
+    @pytest.mark.parametrize("build, noise_kind", BUILT)
+    def test_gamma_mat_and_blocks_exactly_symmetric(self, build, noise_kind, n, p):
+        # the dataset route does not symmetrize; it needs no transpose-average
+        m = build(_wide(noise_kind, 2, n=n, p=p))
+        G = m.gamma_mat
+        B = m.block(np.arange(0, p, 3))
+        assert np.array_equal(G, G.T) and np.array_equal(B, B.T)
+
+    def test_the_gram_is_shared_by_both_kinds_of_moments(self):
+        data = _wide("missing", 3, n=200, p=100)
+        corrected, raw = corrected_moments(data), uncorrected_moments(data)
+        assert "gram" not in vars(data)
+        corrected.gamma_mat
+        S = vars(data)["gram"]
+        assert raw.gamma_mat is S and not S.flags.writeable
+        assert np.array_equal(corrected.gamma_mat, S / build_mask_matrix(data.noise.rho))
+
+
+def _spoiled(noise_kind, n, p, where):
+    """A simulated dataset with one non-finite observed entry of Z or y."""
+    data = _wide(noise_kind, 4, n=n, p=p)
+    Z, y = data.Z.copy(), data.y.copy()
+    if where == "Z":
+        i, j = np.argwhere(data.mask)[0] if data.mask is not None else (0, 0)
+        Z[i, j] = np.nan
+    else:
+        y[0] = np.inf
+    return SurrogateDataset(Z=Z, y=y, noise=data.noise, mask=data.mask)
+
+
+class TestNonFiniteMoments:
+    @pytest.mark.parametrize("where", ["Z", "y"])
+    @pytest.mark.parametrize("n, p", [(200, 100), (100, 300)])
+    @pytest.mark.parametrize("build, noise_kind", BUILT)
+    def test_non_finite_data_rejected_when_the_moments_are_built(
+            self, build, noise_kind, n, p, where):
+        data = _spoiled(noise_kind, n, p, where)
+        with pytest.raises(ValueError, match="non-finite corrected moments"):
+            build(data)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("n, p", [(4, 3), (3, 6)])
+    @pytest.mark.parametrize("build", [corrected_moments, uncorrected_moments])
+    def test_overflowing_gram_rejected_when_formed(self, build, n, p):
+        # finite data whose Z'Z overflows; y = 0 keeps gamma_vec finite
+        Z = 1e160 * np.random.default_rng(5).standard_normal((n, p))
+        data = SurrogateDataset(Z=Z, y=np.zeros(n), noise=MissingNoise(np.zeros(p)),
+                                mask=np.ones((n, p), dtype=bool))
+        m = build(data)
+        with pytest.raises(ValueError, match="non-finite corrected moments"):
+            m.block([0, 1])
+        with pytest.raises(ValueError, match="non-finite corrected moments"):
+            m.gamma_mat

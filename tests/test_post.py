@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,44 @@ class TestWarmStartedPath:
         *path, _ = calls  # the last call is the winner's refit
         assert len(path) == len(grid)
         assert 2 * sum(fit.iterations for _, _, fit in path) <= cold
+
+
+class TestWideCsPost:
+    def test_cross_validation_and_fit_form_no_p_by_p_matrix(self):
+        # p > n: every block comes from the columns of Z, so neither split
+        # forms its Gram or gamma_mat, and nothing near p x p is allocated
+        n, p = 100, 2000
+        train, test, beta0, _ = _split_pair(3, n=n, p=p, s=4)
+        train_m, test_m = corrected_moments(train), corrected_moments(test)
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        tracemalloc.start()
+        try:
+            best, losses, fit = cross_validate(train_m, test_m, default_an_grid(n, p),
+                                               "cs_post", opts)
+            fit_method("cs_post", train_m, best, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit is not None and np.isfinite(min(losses))
+        for m, data in [(train_m, train), (test_m, test)]:
+            assert m.wide and "gamma_mat" not in vars(m) and "gram" not in vars(data)
+        assert peak < train.Z.nbytes  # a p x p matrix is 20 times that
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_wide_losses_and_fit_match_the_dense_gamma(self, seed):
+        # the same CV on moments that slice a dense gamma_mat
+        train, test, beta0, _ = _split_pair(seed, n=100, p=300, s=4)
+        train_m, test_m = corrected_moments(train), corrected_moments(test)
+        dense = [_m(m.gamma_mat, m.gamma_vec, n=m.n) for m in (train_m, test_m)]
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        grid = default_an_grid(100, 300)
+        best, losses, fit = cross_validate(train_m, test_m, grid, "cs_post", opts)
+        ref_best, ref_losses, ref_fit = cross_validate(*dense, grid, "cs_post", opts)
+        assert best == ref_best and np.array_equal(np.isinf(losses), np.isinf(ref_losses))
+        finite = np.isfinite(ref_losses)
+        assert np.allclose(np.array(losses)[finite], np.array(ref_losses)[finite],
+                           rtol=1e-12, atol=0)
+        assert np.max(np.abs(fit.beta - ref_fit.beta)) <= 1e-12 * np.max(np.abs(ref_fit.beta))
 
 
 def _paper_cell(seed):

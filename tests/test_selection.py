@@ -16,7 +16,7 @@ from corrls import (
 )
 from corrls.moments import corrected_loss, corrected_moments
 from corrls.post import default_lambda_grid
-from corrls.selection import active_rows_matvec, lipschitz_estimate
+from corrls.selection import _project_l1_ball, active_rows_matvec, lipschitz_estimate
 from corrls.simulate import SimConfig, ar1_covariance, gen_regression
 
 finite_vecs = hnp.arrays(
@@ -152,6 +152,18 @@ class TestShrinkAndProject:
     def test_matches_shrink_then_project_on_random_vectors(self, v, R, shrink):
         ref = _reference_project(soft_threshold(v, shrink) if shrink else v, R)
         assert project_l1_ball(v, R, shrink).tobytes() == ref.tobytes()
+
+    @given(hnp.arrays(dtype=float, shape=st.integers(1, 12),
+                      elements=st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.25, 3.0])
+                      | st.floats(-5, 5, allow_nan=False)),
+           st.sampled_from([0.25, 1.0, 2.5]), st.sampled_from([0.0, 0.25, 1e-3]))
+    @settings(max_examples=200, deadline=None)
+    def test_norm_read_off_the_projection_to_the_bit(self, v, R, shrink):
+        # the solver's objective takes ||x||_1 from the kernel, inside the
+        # ball and outside it
+        x, norm = _project_l1_ball(v, R, shrink)
+        assert x.tobytes() == project_l1_ball(v, R, shrink).tobytes()
+        assert np.float64(norm).tobytes() == np.abs(x).sum().tobytes()
 
     @pytest.mark.parametrize("v, message", [([1.0, np.nan], "non-finite"),
                                             ([np.inf, 0.0], "non-finite")])
