@@ -259,7 +259,7 @@ class TestLipschitzBound:
         assert plain.lipschitz == _exact_lipschitz(m)
 
 
-#: (builder, noise kind) of the three kinds of dataset moments
+#: (moments function, noise kind) of the three kinds of dataset moments
 BUILT = [(corrected_moments, "missing"), (corrected_moments, "additive"),
          (uncorrected_moments, "missing")]
 
