@@ -204,9 +204,9 @@ def write_dataset_csv(data: SurrogateDataset, path):
 
 
 def read_matrix_csv(path):
-    """Read a plain numeric matrix (no header) from a delimited file."""
-    mat = np.loadtxt(path, delimiter=",", ndmin=2)
-    return mat
+    """Read a plain numeric matrix (no header) from a delimited file; as in
+    `read_dataset_csv`, '#' is part of a cell, not a comment."""
+    return np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
 
 
 def write_matrix_csv(mat, path):

@@ -1,15 +1,16 @@
 """Experiment grids: run the three estimators over (n, p, s) cells,
 collect per-replicate records, and persist them deterministically.
 
-Each grid cell draws its own seed from the base seed so that cells are
-independent and the output is byte-identical regardless of how many
-workers execute them.
+Each grid cell draws its own seed from the base seed.  A grid of fewer than
+`_POOL_MIN_CELLS` cells runs serially in-process, a larger one in a pool of
+``workers`` processes at one BLAS thread.  The thread count moves the last
+bits of the estimates, so the output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -137,16 +138,49 @@ def _run_cell(spec: GridSpec, n, p, s, rep, keep_beta):
     return records
 
 
+#: Grids of fewer cells run in-process: on 2 cores a pool of 2 lost to serial
+#: at 8 and 16 paper cells, tied at 32 and won at 64 (see ROADMAP item 3).
+_POOL_MIN_CELLS = 64
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
+def _run_in_pool(spec, cells, workers, keep_beta):
+    """Run the cells in a pool of ``workers`` processes forked from this
+    process's forkserver, which starts once, with corrls imported at one
+    BLAS thread; the caller's environment is restored after its start."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import forkserver
+
+    saved = {name: os.environ.get(name) for name in _ONE_BLAS_THREAD}
+    os.environ.update(_ONE_BLAS_THREAD)
+    try:
+        forkserver.set_forkserver_preload(["corrls.experiment"])
+        forkserver.ensure_running()
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+    context = multiprocessing.get_context("forkserver")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        futures = [pool.submit(_run_cell, spec, *cell, keep_beta) for cell in cells]
+        return [f.result() for f in futures]
+
+
 def run_grid(spec: GridSpec, workers=1, keep_beta=False, no_timing=False):
     """Run every (n, p, s, replicate) cell; output order is lexicographic
-    in the cell tuple regardless of execution order or worker count."""
+    in the cell tuple regardless of execution order or worker count.
+    ``workers`` sizes the process pool of a grid of at least
+    `_POOL_MIN_CELLS` cells; smaller grids run serially in-process."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cells = grid_cells(spec)
-    if workers <= 1:
+    if len(cells) < _POOL_MIN_CELLS:
         per_cell = [_run_cell(spec, *cell, keep_beta) for cell in cells]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, spec, *cell, keep_beta) for cell in cells]
-            per_cell = [f.result() for f in futures]
+        per_cell = _run_in_pool(spec, cells, workers, keep_beta)
     records = [rec for group in per_cell for rec in group]
     if no_timing:
         records = [replace(rec, wall_time_s=0.0) for rec in records]

@@ -1,10 +1,15 @@
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corrls.experiment
 from corrls import (MissingNoise, SolverOptions, corrected_moments, l1_cls_fit, support,
                     uncorrected_moments)
 from corrls.cli import _load_config, main
@@ -14,6 +19,7 @@ from corrls.post import fit_method, with_estimated_missing_rates
 from corrls.simulate import SimConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(corrls.experiment.__file__).resolve().parent.parent
 SIM = {"n": 120, "p": 12, "s": 3, "noise_kind": "missing", "rho_range": [0.1, 0.3], "seed": 5}
 GRID = {"n_values": [70], "p_values": [10], "s_values": [2], "noise_kind": "missing",
         "replicates": 1, "base_seed": 3, "rho_range": [0.1, 0.3], "solver_max_iters": 1500}
@@ -167,6 +173,59 @@ def test_experiment_determinism_across_workers(tmp_path):
     assert main(["experiment", "--config", str(cfg), "--out", str(out2),
                  "--workers", "4", "--no-timing"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_pool_grid_output_is_the_one_blas_thread_serial_output(tmp_path, monkeypatch):
+    # at the paper cell the BLAS thread count changes the last bits of beta
+    # (1 against 2 threads: 29 of 48 records on a 16-cell grid), so a pool
+    # grid gives the same files for every worker count only if its workers
+    # run at one thread, as a serial run started at one thread does
+    monkeypatch.setattr(corrls.experiment, "_POOL_MIN_CELLS", 4)
+    grid = {"n_values": [500], "p_values": [100], "s_values": [4],
+            "noise_kind": "missing", "replicates": 4, "base_seed": 7}
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(grid))
+
+    def files(out):
+        return out.read_bytes(), Path(f"{out}.coefs.csv").read_bytes()
+
+    args = ["experiment", "--config", str(cfg), "--no-timing", "--save-coefs"]
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}.csv"
+        assert main([*args, "--out", str(out), "--workers", str(workers)]) == 0
+        assert multiprocessing.active_children() == []
+        outs.append(files(out))
+    out = tmp_path / "serial.csv"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "corrls.cli", *args, "--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    assert outs[0] == outs[1] == files(out)
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_experiment_worker_count_below_one_exits_2(tmp_path, capsys, workers):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(GRID))
+    out = tmp_path / "res.csv"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                 "--workers", workers]) == 2
+    assert capsys.readouterr().err == (
+        f"corrls: error: workers must be at least 1, got {workers}\n")
+    assert not out.exists()
+
+
+def test_sigma_w_hash_is_a_cell_not_a_comment(tmp_path, capsys):
+    z = np.random.default_rng(4).standard_normal((30, 2))
+    data_csv, sigma_csv = tmp_path / "data.csv", tmp_path / "sigma.csv"
+    rows = ["z1,z2,y"] + [f"{a:.17g},{b:.17g},{a:.17g}" for a, b in z]
+    data_csv.write_text("\n".join(rows) + "\n")
+    sigma_csv.write_text("1,0#x\n0,1\n")
+    assert main(["fit", "--data", str(data_csv), "--noise", "additive",
+                 "--sigma-w", str(sigma_csv), "--method", "cs_post",
+                 "--tuning", "1", "--radius", "5"]) == 2
+    assert "'0#x'" in capsys.readouterr().err
 
 
 def test_experiment_save_coefs_sidecar(tmp_path):

@@ -97,6 +97,12 @@ class TestCsvRoundTrip:
         write_matrix_csv(M, path)
         assert np.array_equal(read_matrix_csv(path), M)
 
+    def test_matrix_hash_is_a_cell_not_a_comment(self, tmp_path):
+        path = tmp_path / "sigma.csv"
+        path.write_text("1,0#x\n0,1\n")
+        with pytest.raises(ValueError, match="0#x"):
+            read_matrix_csv(path)
+
 
 def _old_writer(data, path):
     """Reference writer: one csv.writer row per sample, one f-string per cell."""

@@ -1,12 +1,19 @@
+import math
+import os
+import pickle
+import threading
 import weakref
+from dataclasses import fields
 from functools import cached_property
 
 import numpy as np
 import pytest
 
+import corrls.experiment
 import corrls.post
-from corrls import CorrectedMoments, GridSpec, SurrogateDataset, emit_results, run_grid
-from corrls.experiment import CSV_HEADER, _run_cell, grid_cells
+from corrls import (CorrectedMoments, ExperimentRecord, GridSpec, SurrogateDataset,
+                    emit_results, run_grid)
+from corrls.experiment import _POOL_MIN_CELLS, CSV_HEADER, _run_cell, grid_cells
 from corrls.metrics import ree
 
 
@@ -149,6 +156,58 @@ class TestRunGrid:
     def test_no_timing_zeroes_wall_time(self):
         records = run_grid(_tiny_spec(), no_timing=True)
         assert all(r.wall_time_s == 0.0 for r in records)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            run_grid(_tiny_spec(), workers=workers)
+
+    def test_small_grid_runs_every_cell_in_the_calling_thread(self, monkeypatch):
+        # the benchmark tracer records spans in its own process only
+        callers = []
+
+        def counting(*args, original=_run_cell):
+            callers.append((os.getpid(), threading.get_ident()))
+            return original(*args)
+
+        monkeypatch.setattr(corrls.experiment, "_run_cell", counting)
+        spec = _tiny_spec(n_values=(60, 80), replicates=3)
+        assert len(grid_cells(spec)) == 6 < _POOL_MIN_CELLS
+        records = run_grid(spec, workers=2)
+        assert callers == [(os.getpid(), threading.get_ident())] * 6 and len(records) == 18
+
+
+def _same_record(a, b):
+    for f in fields(ExperimentRecord):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        elif isinstance(x, float) and math.isnan(x):
+            assert math.isnan(y)
+        else:
+            assert x == y, f.name
+
+
+class TestPickle:
+    """Specs go to pool workers and records come back, both pickled."""
+
+    def test_grid_spec_round_trip(self):
+        spec = _tiny_spec(methods=("Lasso", "CS+post"), rho_range=(0.2, 0.4))
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_record_with_beta_round_trip(self):
+        (record,) = run_grid(_tiny_spec(methods=("L1CLS",)), keep_beta=True)
+        assert record.error is None and record.beta is not None
+        _same_record(pickle.loads(pickle.dumps(record)), record)
+
+    def test_error_row_round_trip(self, monkeypatch):
+        degenerate = CorrectedMoments(gamma_mat=np.diag([0.0, 1.0, 1.0]),
+                                      gamma_vec=np.array([5.0, 0.1, 0.1]), n=50, p=3)
+        monkeypatch.setattr(corrls.post, "corrected_moments", lambda data: degenerate)
+        spec = _tiny_spec(n_values=(50,), p_values=(3,), s_values=(1,), methods=("CS+post",))
+        (record,) = run_grid(spec, keep_beta=True)
+        assert record.error is not None and record.beta is None
+        _same_record(pickle.loads(pickle.dumps(record)), record)
 
 
 class TestEmitResults:
