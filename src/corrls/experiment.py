@@ -139,7 +139,7 @@ def _run_cell(spec: GridSpec, n, p, s, rep, keep_beta):
 
 
 #: Grids of fewer cells run in-process: on 2 cores a pool of 2 lost to serial
-#: at 8 and 16 paper cells, tied at 32 and won at 64 (see ROADMAP item 3).
+#: at 8 and 16 paper cells, tied at 32 and won at 64 (BENCH_14.json).
 _POOL_MIN_CELLS = 64
 _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
@@ -148,15 +148,14 @@ def _run_in_pool(spec, cells, workers, keep_beta):
     """Run the cells in a pool of ``workers`` processes forked from this
     process's forkserver, which starts once, with corrls imported at one
     BLAS thread; the caller's environment is restored after its start."""
-    import multiprocessing
+    import multiprocessing.forkserver
     from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import forkserver
 
     saved = {name: os.environ.get(name) for name in _ONE_BLAS_THREAD}
     os.environ.update(_ONE_BLAS_THREAD)
     try:
-        forkserver.set_forkserver_preload(["corrls.experiment"])
-        forkserver.ensure_running()
+        multiprocessing.forkserver.set_forkserver_preload(["corrls.experiment"])
+        multiprocessing.forkserver.ensure_running()
     finally:
         for name, value in saved.items():
             if value is None:

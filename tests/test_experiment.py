@@ -58,6 +58,17 @@ class TestGridSpec:
         assert _tiny_spec(p_values=(20, 4), s_values=(4,)).s_values == (4,)
 
 
+def _error_row(monkeypatch):
+    """The one record of a CS+post cell whose corrected moments give no
+    finite held-out loss at any a_n."""
+    degenerate = CorrectedMoments(gamma_mat=np.diag([0.0, 1.0, 1.0]),
+                                  gamma_vec=np.array([5.0, 0.1, 0.1]), n=50, p=3)
+    monkeypatch.setattr(corrls.post, "corrected_moments", lambda data: degenerate)
+    spec = _tiny_spec(n_values=(50,), p_values=(3,), s_values=(1,), methods=("CS+post",))
+    (record,) = run_grid(spec, keep_beta=True)
+    return record
+
+
 class TestRunGrid:
     def test_worker_count_invariance(self):
         spec = _tiny_spec(replicates=2)
@@ -145,11 +156,7 @@ class TestRunGrid:
         assert built[2].gamma_mat is train.gram  # the Lasso's raw moments
 
     def test_cross_validation_without_a_finite_loss_is_an_error_row(self, monkeypatch):
-        degenerate = CorrectedMoments(gamma_mat=np.diag([0.0, 1.0, 1.0]),
-                                      gamma_vec=np.array([5.0, 0.1, 0.1]), n=50, p=3)
-        monkeypatch.setattr(corrls.post, "corrected_moments", lambda data: degenerate)
-        spec = _tiny_spec(n_values=(50,), p_values=(3,), s_values=(1,), methods=("CS+post",))
-        (record,) = run_grid(spec)
+        record = _error_row(monkeypatch)
         assert record.error == "cross-validation failed at every grid point"
         assert np.isnan(record.tuning) and record.false_positives == -1
 
@@ -201,11 +208,7 @@ class TestPickle:
         _same_record(pickle.loads(pickle.dumps(record)), record)
 
     def test_error_row_round_trip(self, monkeypatch):
-        degenerate = CorrectedMoments(gamma_mat=np.diag([0.0, 1.0, 1.0]),
-                                      gamma_vec=np.array([5.0, 0.1, 0.1]), n=50, p=3)
-        monkeypatch.setattr(corrls.post, "corrected_moments", lambda data: degenerate)
-        spec = _tiny_spec(n_values=(50,), p_values=(3,), s_values=(1,), methods=("CS+post",))
-        (record,) = run_grid(spec, keep_beta=True)
+        record = _error_row(monkeypatch)
         assert record.error is not None and record.beta is None
         _same_record(pickle.loads(pickle.dumps(record)), record)
 
