@@ -128,23 +128,42 @@ class SurrogateDataset:
         return S
 
 
-def _data_lines(fh, width, linenos):
-    """The data lines of a dataset file as ``np.loadtxt`` input, NA as nan.
-
-    Appends the file line number of each line it yields to ``linenos``.  A
-    literal nan or inf cell is rejected here, since after the NA
-    substitution it could not be told from a missing one.
-    """
-    for lineno, line in enumerate(fh, start=2):
+def _rows(fh, start, linenos, width=None):
+    """The non-blank lines of ``fh`` (from file line ``start``), each of ``width``
+    fields (None: as many as the first), their line numbers appended to ``linenos``."""
+    for lineno, line in enumerate(fh, start=start):
         if not line.strip():
             continue
-        if line.count(",") != width - 1:
-            raise ValueError(f"row {lineno} has {line.count(',') + 1} fields, expected {width}")
+        fields = line.count(",") + 1
+        width = fields if width is None else width
+        if fields != width:
+            raise ValueError(f"row {lineno} has {fields} fields, expected {width}")
+        linenos.append(lineno)
+        yield line
+
+
+def _data_lines(fh, width, linenos):
+    """`_rows` of a dataset file, NA as nan.  A literal nan or inf cell is rejected,
+    since after the NA substitution it could not be told from a missing one."""
+    for line in _rows(fh, 2, linenos, width):
         low = line.lower()
         if "nan" in low or "inf" in low:
-            raise ValueError(f"row {lineno} has a non-finite cell")
-        linenos.append(lineno)
+            raise ValueError(f"row {linenos[-1]} has a non-finite cell")
         yield line.replace(NA_TOKEN, "nan")
+
+
+def _load_rows(path, lines, linenos):
+    """``np.loadtxt`` of `_rows` ``lines``; an error names ``path`` and the file
+    line (loadtxt counts rows from 0 among the lines it was given)."""
+    try:
+        first = next(lines, None)
+        if first is None:
+            raise ValueError("no data rows")
+        return np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2,
+                          comments=None)
+    except ValueError as exc:
+        msg = re.sub(r"at row (\d+)", lambda r: f"at row {linenos[int(r[1])]}", str(exc))
+        raise ValueError(f"{path}: {msg}") from exc
 
 
 def read_dataset_csv(path, noise):
@@ -159,17 +178,7 @@ def read_dataset_csv(path, noise):
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])
         linenos = []
-        lines = _data_lines(fh, len(header), linenos)
-        try:
-            first = next(lines, None)
-            if first is None:
-                raise ValueError("no data rows")
-            cells = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2,
-                               comments=None)
-        except ValueError as exc:
-            # loadtxt counts rows from 0 among the lines it was given
-            msg = re.sub(r"at row (\d+)", lambda r: f"at row {linenos[int(r[1])]}", str(exc))
-            raise ValueError(f"{path}: {msg}") from exc
+        cells = _load_rows(path, _data_lines(fh, len(header), linenos), linenos)
     if np.isinf(cells).any():
         raise ValueError(f"{path}: a cell overflows to infinity")
     y = None
@@ -205,8 +214,11 @@ def write_dataset_csv(data: SurrogateDataset, path):
 
 def read_matrix_csv(path):
     """Read a plain numeric matrix (no header) from a delimited file; as in
-    `read_dataset_csv`, '#' is part of a cell, not a comment."""
-    return np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
+    `read_dataset_csv`, '#' is part of a cell, not a comment, and an error
+    names the file and its 1-based line."""
+    with open(path, newline="") as fh:
+        linenos = []
+        return _load_rows(path, _rows(fh, 1, linenos), linenos)
 
 
 def write_matrix_csv(mat, path):

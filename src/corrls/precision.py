@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MissingNoise, SurrogateDataset
-from .moments import CorrectedMoments, corrected_gram
-from .selection import SolverOptions, cs_screen, l1_cls_fit
-from .post import post_cls_fit
+from .moments import CorrectedMoments, _finite, corrected_gram
+from .post import _PD_EPS, post_cls_fit
+from .selection import SolverOptions, l1_cls_fit, screen_order, screen_size
 
 __all__ = [
     "PrecisionEstimate",
@@ -74,39 +74,70 @@ def neighborhood_moments(S, j, n) -> CorrectedMoments:
     ``S`` is the corrected covariance of a dataset with ``n`` rows.  The
     quadratic part is S with row/column j deleted; the linear part is
     column j of S, i.e. the cross-moments divided by (1-rho_k)(1-rho_j).
-    `fit_neighborhood` reads the same entries of S without building this
-    (p-1)-dimensional pair.
+    The neighborhood fits read only the screened entries of S and never
+    build this (p-1)-dimensional pair.
     """
     p, j = _column(S, j)
     keep = np.delete(np.arange(p), j)
     return CorrectedMoments(gamma_mat=S[np.ix_(keep, keep)], gamma_vec=S[keep, j], n=n, p=p - 1)
 
 
+def _off_diagonal(A):
+    """The off-diagonal entries of the square C-ordered A, in row-major order, as a
+    (p-1) x p view; reshaped to p x (p-1), its row j is A[j, keep_j]."""
+    p = A.shape[0]
+    return A.reshape(-1)[1:].reshape(p - 1, p + 1)[:, :-1]
+
+
+def _outside_ball(theta, radius):
+    """Whether each row of theta has l1 norm above the radius, up to rounding."""
+    return np.abs(theta).sum(axis=-1) > radius * (1 + 1e-12)
+
+
+def _fit_columns(S, cols, a_n, radius, n):
+    """`fit_neighborhood` for each column in ``cols``, as one batch: one screen,
+    one ``eigh`` for `post_cls_fit`'s positive-definite test of the a_n x a_n
+    blocks and one ``solve`` of those that pass.  A column whose block fails,
+    or whose solution leaves the ball, is refit alone as `fit_neighborhood` says."""
+    p = S.shape[0]
+    if not 1 <= a_n <= p - 1:
+        raise ValueError(f"a_n must lie in [1, {p - 1}]")
+    ball_opts = SolverOptions(radius=radius)
+    cols = np.asarray(cols, dtype=np.intp)
+    off = _off_diagonal(_finite(S)).reshape(p, p - 1)[cols]
+    k = screen_size(a_n, p - 1)
+    T = np.sort(screen_order(off)[:, :k], axis=1)  # as cs_screen, into each row of off
+    idx = T + (T >= cols[:, None])  # the same columns, indexed in S
+    blocks = S[idx[:, :, None], idx[:, None, :]]
+    g = np.take_along_axis(off, T, axis=1)
+    pd = np.flatnonzero(np.linalg.eigh(blocks)[0][:, 0] >= _PD_EPS)
+    thetas = np.zeros(off.shape)
+    thetas[pd[:, None], T[pd]] = np.linalg.solve(blocks[pd], g[pd, :, None])[..., 0]
+    alone = np.ones(len(cols), dtype=bool)  # each of these falls back
+    alone[pd] = _outside_ball(thetas[pd], radius)
+    for i in np.flatnonzero(alone):
+        try:
+            sub = CorrectedMoments(gamma_mat=blocks[i], gamma_vec=g[i], n=n, p=k)
+            fit = post_cls_fit(sub, range(k), ball_opts)
+            thetas[i, T[i]] = fit.beta
+            if fit.iterations == 0 and _outside_ball(thetas[i], radius):
+                thetas[i, T[i]] = l1_cls_fit(sub, 0.0, ball_opts).beta
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            raise RuntimeError(f"neighborhood fit failed at column {cols[i]}: {exc}") from exc
+    return [NeighborhoodFit(theta=theta, support=tuple(t), fallback_used=bool(r))
+            for theta, t, r in zip(thetas, T.tolist(), alone)]
+
+
 def fit_neighborhood(S, j, a_n, radius, n) -> NeighborhoodFit:
-    """Screen column j of the corrected covariance S (of a dataset with
-    ``n`` rows), then refit on the a_n x a_n block it selects.
+    """Screen column j of the symmetric corrected covariance S (of a dataset
+    with ``n`` rows), then refit on the a_n x a_n block it selects: the
+    one-column case of the batch `estimate_precision` fits.
 
     A linear-solve or pseudo-inverse refit is accepted only if it lands
     inside the l1 ball of the given radius; otherwise the restricted
     problem is re-solved as projected gradient under the constraint.
     """
-    p, j = _column(S, j)
-    if not 1 <= a_n <= p - 1:
-        raise ValueError(f"a_n must lie in [1, {p - 1}]")
-    keep = np.delete(np.arange(p), j)
-    g = S[keep, j]
-    T = list(cs_screen(g, a_n))
-    cols = keep[T]
-    sub = CorrectedMoments(gamma_mat=S[np.ix_(cols, cols)], gamma_vec=g[T], n=n, p=len(T))
-    ball_opts = SolverOptions(radius=radius)
-    fit = post_cls_fit(sub, range(len(T)), ball_opts)
-    theta = np.zeros(p - 1)
-    theta[T] = fit.beta
-    fallback = fit.fallback_used
-    if fit.iterations == 0 and np.abs(theta).sum() > radius * (1 + 1e-12):
-        theta[T] = l1_cls_fit(sub, 0.0, ball_opts).beta
-        fallback = True
-    return NeighborhoodFit(theta=theta, support=tuple(T), fallback_used=fallback)
+    return _fit_columns(S, [_column(S, j)[1]], a_n, radius, n)[0]
 
 
 def assemble_precision(fits, S) -> PrecisionEstimate:
@@ -120,19 +151,17 @@ def assemble_precision(fits, S) -> PrecisionEstimate:
     p = S.shape[0]
     if len(fits) != p:
         raise ValueError(f"need {p} neighborhood fits, got {len(fits)}")
-    theta_raw = np.zeros((p, p))
-    d = np.zeros(p)
-    negative_d = []
-    for j, fit in enumerate(fits):
-        keep = np.delete(np.arange(p), j)
-        denom = S[j, j] - S[j, keep] @ fit.theta
-        if abs(denom) < 1e-10:
-            raise ValueError(f"residual variance degenerate at column {j}")
-        if denom <= 0:
-            negative_d.append(j)
-        d[j] = 1.0 / denom
-        theta_raw[j, j] = d[j]
-        theta_raw[keep, j] = -d[j] * fit.theta
+    thetas = np.array([fit.theta for fit in fits])
+    denom = np.diagonal(S) - [s @ t for s, t in zip(_off_diagonal(S).reshape(p, p - 1), thetas)]
+    degenerate = np.flatnonzero(np.abs(denom) < 1e-10)
+    if degenerate.size:
+        raise ValueError(f"residual variance degenerate at column {degenerate[0]}")
+    d = 1.0 / denom
+    columns = np.zeros((p, p))  # row j is column j of theta_raw
+    _off_diagonal(columns)[:] = (-d[:, None] * thetas).reshape(p - 1, p)
+    np.fill_diagonal(columns, d)
+    theta_raw = columns.T
+    negative_d = np.flatnonzero(denom <= 0).tolist()
     return PrecisionEstimate(
         theta=symmetrize(theta_raw),
         theta_raw=theta_raw,
@@ -152,22 +181,14 @@ def symmetrize(theta_raw):
 
 
 def estimate_precision(data: SurrogateDataset, a_n, radius) -> PrecisionEstimate:
-    """Full pipeline: corrected covariance, p neighborhood fits, assembly,
-    symmetrization.  a_n and the radius are checked before any column is fitted;
-    a failing column aborts with its index named."""
+    """Full pipeline: corrected covariance, the p neighborhood fits as one batch
+    (`fit_neighborhood` is its one-column case), assembly, symmetrization.  A
+    ValueError rejects an a_n that is not a whole number in [1, p-1], a radius
+    that is not positive and a non-finite corrected covariance before any
+    column is fitted; a failing column aborts with its index named."""
     if not isinstance(data.noise, MissingNoise):
         raise ValueError("precision estimation requires a missing-data noise model")
     if data.p < 2:
         raise ValueError("need at least two columns")
-    if not 1 <= a_n <= data.p - 1:
-        raise ValueError(f"a_n must lie in [1, {data.p - 1}]")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
     S = corrected_covariance(data)
-    fits = []
-    for j in range(data.p):
-        try:
-            fits.append(fit_neighborhood(S, j, a_n, radius, data.n))
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-            raise RuntimeError(f"neighborhood fit failed at column {j}: {exc}") from exc
-    return assemble_precision(fits, S)
+    return assemble_precision(_fit_columns(S, range(data.p), a_n, radius, data.n), S)

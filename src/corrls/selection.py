@@ -69,12 +69,14 @@ class FitResult:
 
 def screen_order(gamma_vec):
     """Indices by decreasing |gamma_vec|, ties to the smaller index: the
-    order in which correlation screening admits coordinates."""
-    g = np.asarray(gamma_vec, dtype=float).ravel()
+    order in which correlation screening admits coordinates.  A 2-D array
+    is ordered row by row."""
+    g = np.asarray(gamma_vec, dtype=float)
+    g = g if g.ndim == 2 else g.ravel()
     if not np.all(np.isfinite(g)):
         raise ValueError("screening scores must be finite")
     # stable sort on (-|g|, index) gives magnitude order with index tie-break
-    return np.argsort(-np.abs(g), kind="stable")
+    return np.argsort(-np.abs(g), axis=-1, kind="stable")
 
 
 def screen_size(a_n, p):

@@ -228,6 +228,19 @@ def test_sigma_w_hash_is_a_cell_not_a_comment(tmp_path, capsys):
     assert "'0#x'" in capsys.readouterr().err
 
 
+def test_sigma_w_error_names_the_file_and_its_line(tmp_path, capsys):
+    z = np.random.default_rng(4).standard_normal((30, 2))
+    data_csv, sigma_csv = tmp_path / "data.csv", tmp_path / "sigma.csv"
+    data_csv.write_text("\n".join(["z1,z2,y"] + [f"{a:.17g},{b:.17g},{a:.17g}" for a, b in z]))
+    sigma_csv.write_text("1,0\n\n0,1#x\n")
+    assert main(["fit", "--data", str(data_csv), "--noise", "additive",
+                 "--sigma-w", str(sigma_csv), "--method", "cs_post",
+                 "--tuning", "1", "--radius", "5"]) == 2
+    assert capsys.readouterr().err == (
+        f"corrls: error: {sigma_csv}: could not convert string '1#x' to float64 "
+        "at row 3, column 2.\n")
+
+
 def test_experiment_save_coefs_sidecar(tmp_path):
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(GRID))
@@ -254,6 +267,20 @@ def test_precision_reports_negative_d(tmp_path, capsys):
     assert negative
     summary = capsys.readouterr().out
     assert (f"{len(negative)} columns with d_j <= 0 (1-based): " + " ".join(negative)) in summary
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_precision_non_finite_corrected_covariance_exits_2(tmp_path, capsys):
+    rows = ["z1,z2,z3"] + [f"{a:.17g},{b:.17g},{c:.17g}"
+                           for a, b, c in np.random.default_rng(6).standard_normal((30, 3))]
+    rows[5] = "1e200,NA,0.5"  # its square overflows the Gram
+    data_csv, out = tmp_path / "graph.csv", tmp_path / "theta.csv"
+    data_csv.write_text("\n".join(rows) + "\n")
+    assert main(["precision", "--data", str(data_csv), "--an", "1", "--radius", "5",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "corrls: error: non-finite corrected moments\n"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command, cfg, field", [

@@ -103,6 +103,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="0#x"):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1,0#x\n0,1\n", "could not convert string '0#x' to float64 at row 1, column 2."),
+        ("1,0\n\n \n0,x\n", "could not convert string 'x' to float64 at row 4, column 2."),
+        ("1,0\n0,1\n\n1\n", "row 4 has 1 fields, expected 2"),
+        ("\n\n", "no data rows"),
+    ], ids=["cell", "after-blank-lines", "width", "empty"])
+    def test_matrix_error_names_the_file_and_its_line(self, tmp_path, text, message):
+        path = tmp_path / "sigma.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_matrix_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
 
 def _old_writer(data, path):
     """Reference writer: one csv.writer row per sample, one f-string per cell."""

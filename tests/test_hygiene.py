@@ -1,6 +1,9 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and every
+function the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,16 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_traced_functions_exist():
+    """Each function `perfbench/tracer.py` lists in TRACED is a function of
+    its corrls module, so a rename under src fails here and not only in a
+    traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"corrls.{module}.{name}" for module, names in tracer.TRACED.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"corrls.{module}"), name, None))]
+    assert tracer.TRACED and missing == []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrls import (
     MissingNoise,
@@ -279,3 +281,128 @@ class TestPipelineReadsSDirectly:
         assert est.neighborhood_supports == ref.neighborhood_supports
         assert est.fallback_flags == ref.fallback_flags
         assert est.negative_d == ref.negative_d and est.negative_d
+
+
+def _reference_fit(S, j, a_n, radius, n):
+    """Column j fitted alone, as the pipeline fitted every column before the
+    batch: screen by `cs_screen`, refit by `post_cls_fit`, and re-solve a
+    direct refit that leaves the ball."""
+    from corrls.moments import CorrectedMoments
+    from corrls.post import post_cls_fit
+    from corrls.selection import SolverOptions, cs_screen, l1_cls_fit
+
+    keep = np.delete(np.arange(S.shape[0]), j)
+    g = S[keep, j]
+    T = list(cs_screen(g, a_n))
+    sub = CorrectedMoments(gamma_mat=S[np.ix_(keep[T], keep[T])], gamma_vec=g[T], n=n,
+                           p=len(T))
+    opts = SolverOptions(radius=radius)
+    fit = post_cls_fit(sub, range(len(T)), opts)
+    theta = np.zeros(keep.size)
+    theta[T] = fit.beta
+    fallback = fit.fallback_used
+    if fit.iterations == 0 and np.abs(theta).sum() > radius * (1 + 1e-12):
+        theta[T] = l1_cls_fit(sub, 0.0, opts).beta
+        fallback = True
+    return NeighborhoodFit(theta=theta, support=tuple(T), fallback_used=fallback)
+
+
+def _assert_same_estimate(est, ref):
+    assert np.array_equal(est.theta, ref.theta)
+    assert np.array_equal(est.theta_raw, ref.theta_raw)
+    assert np.array_equal(est.d, ref.d)
+    assert est.neighborhood_supports == ref.neighborhood_supports
+    assert est.fallback_flags == ref.fallback_flags
+    assert est.negative_d == ref.negative_d
+
+
+def _graph_data(n, rho, seed, generator="band"):
+    from corrls.simulate import generate_band_precision, generate_cluster_precision
+
+    if generator == "band":
+        _, sigma = generate_band_precision(30, 2)
+    else:
+        _, sigma = generate_cluster_precision(30, 5)
+    return gen_graph_data(sigma, n, 1.0, rho, seed=seed)
+
+
+class TestBatchedNeighborhoods:
+    """`estimate_precision` fits every column in one batch; each estimate must
+    equal the column-by-column fits byte for byte."""
+
+    @given(p=st.integers(2, 12), a_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["pd", "above", "below", "singular_psd", "indefinite"]),
+           coarse=st.booleans(),
+           radius=st.sampled_from([0.05, 0.5, 2.0, 50.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_column_by_column(self, p, a_frac, seed, kind, coarse, radius):
+        from unittest import mock
+
+        from corrls import precision
+
+        a_n = 1 + round(a_frac * (p - 2))
+        rng = np.random.default_rng(seed)
+        # the least eigenvalues of "above" and "below" blocks larger than 1 x 1
+        # lie just above and just below the positive-definite threshold 1e-8
+        rank, shift = {"pd": (p + 2, 0.1), "above": (1, 3e-8), "below": (1, 5e-9),
+                       "singular_psd": (max(1, p // 3), 0.0), "indefinite": (p, -0.5)}[kind]
+        A = rng.standard_normal((p, rank))
+        B = A @ A.T / rank + shift * np.eye(p)
+        if coarse:  # ties in the screening scores, zeros of both signs
+            B = np.round(4 * B) / 4
+        S = 0.5 * (B + B.T)
+        n = 50
+        data = SurrogateDataset(Z=np.zeros((n, p)), y=None, noise=MissingNoise(np.zeros(p)),
+                                mask=np.ones((n, p), dtype=bool))
+        ref_fits = [_reference_fit(S, j, a_n, radius, n) for j in range(p)]
+        fits = [fit_neighborhood(S, j, a_n, radius, n) for j in range(p)]
+        for fit, ref in zip(fits, ref_fits):
+            assert np.array_equal(fit.theta, ref.theta)
+            assert (fit.support, fit.fallback_used) == (ref.support, ref.fallback_used)
+        with mock.patch.object(precision, "corrected_covariance", return_value=S):
+            try:
+                ref = assemble_precision(ref_fits, S)
+            except ValueError as exc:  # a degenerate residual variance
+                with pytest.raises(ValueError, match=str(exc)):
+                    estimate_precision(data, a_n, radius)
+                return
+            _assert_same_estimate(estimate_precision(data, a_n, radius), ref)
+            _assert_same_estimate(assemble_precision(fits, S), ref)
+
+    @pytest.mark.parametrize("generator", ["band", "cluster"])
+    @pytest.mark.parametrize("n, rho, a_n, radius", [
+        (150, (0.2, 0.7), 6, 2.5), (80, (0.3, 0.6), 12, 1.5), (400, (0.05, 0.4), 8, 4.0),
+    ])
+    def test_graphs_equal_the_column_by_column_route(self, generator, n, rho, a_n, radius):
+        data = _graph_data(n, rho, seed=n, generator=generator)
+        ref, _ = _parent_route(data, a_n, radius)
+        _assert_same_estimate(estimate_precision(data, a_n, radius), ref)
+
+    def test_columns_pd_inside_the_ball_are_not_refit_alone(self, monkeypatch):
+        from corrls import precision
+        from corrls.post import post_cls_fit
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return post_cls_fit(*args, **kwargs)
+
+        monkeypatch.setattr(precision, "post_cls_fit", counting)
+        est = estimate_precision(_graph_data(2000, (0.05, 0.3), seed=3), a_n=4, radius=50.0)
+        assert not any(est.fallback_flags) and calls == []
+        est = estimate_precision(_graph_data(150, (0.2, 0.7), seed=1), a_n=6, radius=2.5)
+        assert len(calls) == sum(est.fallback_flags) > 0
+
+    def test_fractional_an_rejected_before_any_fit(self):
+        data = _graph_data(100, (0.05, 0.3), seed=4)
+        with pytest.raises(ValueError, match="a_n must be a whole number, got 2.5"):
+            estimate_precision(data, 2.5, 5.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_corrected_covariance_rejected(self):
+        X = np.random.default_rng(5).standard_normal((40, 4))
+        X[7, 2] = 1e200  # its square overflows the Gram
+        data = _missing_dataset(X, np.zeros(4), seed=6)
+        with pytest.raises(ValueError, match="non-finite corrected moments"):
+            estimate_precision(data, 2, 5.0)

@@ -16,7 +16,12 @@ from corrls import (
 )
 from corrls.moments import corrected_loss, corrected_moments
 from corrls.post import default_lambda_grid
-from corrls.selection import _project_l1_ball, active_rows_matvec, lipschitz_estimate
+from corrls.selection import (
+    _project_l1_ball,
+    active_rows_matvec,
+    lipschitz_estimate,
+    screen_order,
+)
 from corrls.simulate import SimConfig, ar1_covariance, gen_regression
 
 finite_vecs = hnp.arrays(
@@ -48,6 +53,31 @@ class TestCsScreen:
         sel = cs_screen(g, a_n)
         assert len(sel) == min(a_n, g.size)
         assert cs_screen(scale * g, a_n) == sel
+
+
+class TestScreenOrder2D:
+    # few distinct values, so rows hold ties, both zeros and opposite signs
+    tied_rows = hnp.arrays(
+        dtype=float,
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 10)),
+        elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300]),
+    )
+
+    @given(tied_rows)
+    @settings(max_examples=100, deadline=None)
+    def test_rows_ordered_as_row_wise_calls(self, G):
+        order = screen_order(G)
+        assert order.shape == G.shape
+        for row, got in zip(G, order):
+            assert np.array_equal(got, screen_order(row))
+
+    def test_ties_and_negative_zero_go_to_the_smaller_index(self):
+        G = np.array([[-0.0, 0.0, 1.0, -1.0], [2.0, -0.0, -2.0, 0.0]])
+        assert screen_order(G).tolist() == [[2, 3, 0, 1], [0, 2, 1, 3]]
+
+    def test_non_finite_row_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            screen_order(np.array([[1.0, 2.0], [np.inf, 0.0]]))
 
 
 def _grid_search_ball(v, R, steps=400):
