@@ -46,8 +46,18 @@ class TestCsScreen:
         with pytest.raises(ValueError, match="empty selection"):
             cs_screen(np.array([1.0, 2.0]), 0)
 
-    @given(finite_vecs, st.integers(min_value=1, max_value=20),
-           st.floats(0.01, 100.0))
+    # Scaling keeps the order of |g| only where the product is exact: a
+    # power of two on magnitudes that stay normal.  Other scales can round
+    # two nearby magnitudes together (0.5 * 5e-324 is 0.0), making a tie.
+    exact_vecs = hnp.arrays(
+        dtype=float,
+        shape=st.integers(min_value=1, max_value=12),
+        elements=st.one_of(st.just(0.0), st.floats(1e-300, 50),
+                           st.floats(-50, -1e-300)),
+    )
+
+    @given(exact_vecs, st.integers(min_value=1, max_value=20),
+           st.integers(-7, 7).map(lambda k: 2.0 ** k))
     @settings(max_examples=50, deadline=None)
     def test_size_and_scale_invariance(self, g, a_n, scale):
         sel = cs_screen(g, a_n)
