@@ -47,7 +47,7 @@ _PD_EPS = 1e-8
 METHODS = {"cs_post": "CS+post", "l1cls": "L1CLS", "lasso": "Lasso"}
 
 
-def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
+def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions, *, eig=None) -> FitResult:
     """Minimize the corrected loss over the coordinates in T_hat only.
 
     Positive-definite restricted matrix: direct linear solve.  Singular but
@@ -55,7 +55,8 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
     the restricted l1 ball of radius opts.radius, flagged; its
     ``support_used`` keeps only the coordinates of T_hat that `support`
     finds non-zero, as in `l1_cls_fit`.  Coordinates off T_hat are exact
-    zeros by assignment.
+    zeros by assignment.  ``eig``, if given, is ``np.linalg.eigh`` of the
+    restricted matrix, already computed.
     """
     T = sorted(set(int(j) for j in T_hat))
     if not T:
@@ -66,7 +67,7 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
         warnings.warn(f"support size {len(T)} exceeds sample size {m.n}", stacklevel=2)
     G_TT = m.block(T)
     g_T = m.gamma_vec[T]
-    vals, vecs = np.linalg.eigh(G_TT)
+    vals, vecs = np.linalg.eigh(G_TT) if eig is None else eig
     fallback = False
     iters = 0
     converged = True

@@ -94,33 +94,51 @@ def _outside_ball(theta, radius):
     return np.abs(theta).sum(axis=-1) > radius * (1 + 1e-12)
 
 
+_BATCH_FLOATS = 1 << 18  # block entries fitted in one batch, 2 MiB a copy
+
+
 def _fit_columns(S, cols, a_n, radius, n):
-    """`fit_neighborhood` for each column in ``cols``, as one batch: one screen,
-    one ``eigh`` for `post_cls_fit`'s positive-definite test of the a_n x a_n
-    blocks and one ``solve`` of those that pass.  A column whose block fails,
-    or whose solution leaves the ball, is refit alone as `fit_neighborhood` says."""
+    """`fit_neighborhood` for each column in ``cols``, in batches of at most
+    ``_BATCH_FLOATS`` block entries, so that memory stays bounded at any a_n."""
     p = S.shape[0]
     if not 1 <= a_n <= p - 1:
         raise ValueError(f"a_n must lie in [1, {p - 1}]")
-    ball_opts = SolverOptions(radius=radius)
-    cols = np.asarray(cols, dtype=np.intp)
-    off = _off_diagonal(_finite(S)).reshape(p, p - 1)[cols]
+    ball_opts = SolverOptions(radius=radius)  # rejects a radius that is not positive
+    off = _off_diagonal(_finite(S)).reshape(p, p - 1)
     k = screen_size(a_n, p - 1)
+    cols = np.asarray(cols, dtype=np.intp)
+    step = max(1, _BATCH_FLOATS // (k * k))
+    return [fit for start in range(0, cols.size, step)
+            for fit in _fit_batch(S, off, cols[start:start + step], k, ball_opts, n)]
+
+
+def _fit_batch(S, off, cols, k, ball_opts, n):
+    """One screen of the rows ``cols`` of ``off``, one ``eigh`` for `post_cls_fit`'s
+    positive-definite test of their k x k blocks and one ``solve`` of those that
+    pass.  A column whose solution leaves the ball is re-solved alone under the
+    constraint; one whose block fails the test is refit alone by `post_cls_fit`,
+    from the batch's eigendecomposition."""
+    off = off[cols]
     T = np.sort(screen_order(off)[:, :k], axis=1)  # as cs_screen, into each row of off
     idx = T + (T >= cols[:, None])  # the same columns, indexed in S
     blocks = S[idx[:, :, None], idx[:, None, :]]
     g = np.take_along_axis(off, T, axis=1)
-    pd = np.flatnonzero(np.linalg.eigh(blocks)[0][:, 0] >= _PD_EPS)
+    vals, vecs = np.linalg.eigh(blocks)
+    is_pd = vals[:, 0] >= _PD_EPS
+    pd = np.flatnonzero(is_pd)
     thetas = np.zeros(off.shape)
     thetas[pd[:, None], T[pd]] = np.linalg.solve(blocks[pd], g[pd, :, None])[..., 0]
-    alone = np.ones(len(cols), dtype=bool)  # each of these falls back
-    alone[pd] = _outside_ball(thetas[pd], radius)
+    alone = ~is_pd  # each of these falls back
+    alone[pd] = _outside_ball(thetas[pd], ball_opts.radius)
     for i in np.flatnonzero(alone):
         try:
             sub = CorrectedMoments(gamma_mat=blocks[i], gamma_vec=g[i], n=n, p=k)
-            fit = post_cls_fit(sub, range(k), ball_opts)
-            thetas[i, T[i]] = fit.beta
-            if fit.iterations == 0 and _outside_ball(thetas[i], radius):
+            resolve = is_pd[i]  # the batch's solve left the ball
+            if not resolve:
+                fit = post_cls_fit(sub, range(k), ball_opts, eig=(vals[i], vecs[i]))
+                thetas[i, T[i]] = fit.beta
+                resolve = fit.iterations == 0 and _outside_ball(thetas[i], ball_opts.radius)
+            if resolve:
                 thetas[i, T[i]] = l1_cls_fit(sub, 0.0, ball_opts).beta
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             raise RuntimeError(f"neighborhood fit failed at column {cols[i]}: {exc}") from exc

@@ -45,7 +45,7 @@ class SolverOptions:
             raise ValueError("max_iters must be >= 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
 
 

@@ -330,6 +330,7 @@ def test_seed_override(sim_config, tmp_path):
     ("0", "6", "a_n must lie in [1, 11]"),
     ("12", "6", "a_n must lie in [1, 11]"),
     ("4", "-1", "radius must be positive"),
+    ("4", "nan", "radius must be positive"),
 ])
 def test_precision_rejects_bad_an_or_radius(tmp_path, capsys, an, radius, message):
     from corrls.data import write_dataset_csv

@@ -414,8 +414,24 @@ class TestBatchedNeighborhoods:
         monkeypatch.setattr(precision, "post_cls_fit", counting)
         est = estimate_precision(_graph_data(2000, (0.05, 0.3), seed=3), a_n=4, radius=50.0)
         assert not any(est.fallback_flags) and calls == []
-        est = estimate_precision(_graph_data(150, (0.2, 0.7), seed=1), a_n=6, radius=2.5)
-        assert len(calls) == sum(est.fallback_flags) > 0
+        # a column with a PD block outside the ball is re-solved without post_cls_fit
+        data = _graph_data(150, (0.2, 0.7), seed=1)
+        est = estimate_precision(data, a_n=6, radius=2.5)
+        _, branches = _parent_route(data, a_n=6, radius=2.5)
+        assert branches.count("ball") > 0
+        assert len(calls) == sum(b in ("pinv", "indefinite") for b in branches) > 0
+        assert sum(est.fallback_flags) == len(calls) + branches.count("ball")
+
+    @pytest.mark.parametrize("batch_floats", [1, 36 * 7])
+    def test_batches_equal_one_batch(self, monkeypatch, batch_floats):
+        # a_n 6 gives 6 x 6 blocks: batches of one column, then of seven
+        from corrls import precision
+
+        data = _graph_data(150, (0.2, 0.7), seed=1)
+        one = estimate_precision(data, a_n=6, radius=2.5)
+        monkeypatch.setattr(precision, "_BATCH_FLOATS", batch_floats)
+        _assert_same_estimate(estimate_precision(data, a_n=6, radius=2.5), one)
+        assert 0 < sum(one.fallback_flags) < data.p
 
     def test_fractional_an_rejected_before_any_fit(self):
         data = _graph_data(100, (0.05, 0.3), seed=4)
