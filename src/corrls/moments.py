@@ -20,6 +20,7 @@ from .data import AdditiveNoise, MissingNoise, SurrogateDataset
 
 __all__ = [
     "CorrectedMoments",
+    "active_rows_matvec",
     "estimate_missing_rates",
     "build_mask_matrix",
     "corrected_gram",
@@ -95,6 +96,14 @@ class CorrectedMoments:
         Z = data.Z[:, idx]
         return _finite(_corrected((Z.T @ Z) / self.n, noise, idx))
 
+    def matvec(self, b) -> np.ndarray:
+        """gamma_mat @ b.  From 256 columns on it is `active_rows_matvec`,
+        which reads only the rows at a sparse b's non-zeros; a smaller
+        gamma_mat takes the dense product, as a gather does not pay there."""
+        if self.p < 256:
+            return self.gamma_mat @ b
+        return active_rows_matvec(self.gamma_mat, b)
+
     @cached_property
     def lipschitz(self) -> float:
         """Lipschitz constant of the loss gradient, computed once per instance.
@@ -109,6 +118,16 @@ class CorrectedMoments:
         A = Z / q
         d = np.diagonal(self.gamma_mat) * (1.0 / q - 1.0)
         return max(lipschitz_estimate(A @ A.T / self.n), float(np.max(d)))
+
+
+def active_rows_matvec(G, b):
+    """G @ b for a symmetric G.  When b has at most one non-zero in 16, the
+    product is summed from the rows of G at those non-zeros, which reads
+    O(p * nnz) entries instead of p^2; otherwise it is the dense product."""
+    nz = np.flatnonzero(b)
+    if 16 * nz.size > b.size:
+        return G @ b
+    return b[nz] @ G.take(nz, axis=0)
 
 
 def estimate_missing_rates(mask):

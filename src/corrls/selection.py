@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .moments import CorrectedMoments
+from .moments import CorrectedMoments, active_rows_matvec
 
 __all__ = [
     "SolverOptions",
@@ -135,47 +134,34 @@ def lipschitz_estimate(G):
     return float(np.max(np.abs(vals), initial=0.0))
 
 
-def active_rows_matvec(G, b):
-    """G @ b for a symmetric G.  When b has at most one non-zero in 16, the
-    product is summed from the rows of G at those non-zeros, which reads
-    O(p * nnz) entries instead of p^2; otherwise it is the dense product."""
-    nz = np.flatnonzero(b)
-    if 16 * nz.size > b.size:
-        return G @ b
-    return b[nz] @ G.take(nz, axis=0)
-
-
 def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> FitResult:
     """Minimize 0.5 b'Gb - g'b + lam*||b||_1 subject to ||b||_1 <= radius.
 
     Composite projected gradient with the fixed step 1/L (L cached on the
     moments): a gradient step, then one `project_l1_ball` pass that
     soft-thresholds by lam/L, projects onto the ball and gives the l1 norm
-    of the candidate for its objective.  G @ b is formed
-    once per iterate and serves both its objective and the next gradient.
-    From 256 columns on it is `active_rows_matvec`, which reads only the
-    rows of G at a sparse iterate's non-zeros; a smaller G takes the dense
-    product every step, as a gather does not pay there.  Returns the
-    best-objective iterate, which for an indefinite G may precede the last one.
+    of the candidate for its objective.  G @ b (`CorrectedMoments.matvec`)
+    is formed once per iterate and serves both its objective and the next
+    gradient.  Returns the best-objective iterate, which for an indefinite G
+    may precede the last one.
     """
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    G, g, p = m.gamma_mat, m.gamma_vec, m.p
+    g, p = m.gamma_vec, m.p
     R = opts.radius
     beta = np.zeros(p) if beta0 is None else project_l1_ball(beta0, R)
     if beta.size != p:
         raise ValueError(f"beta0 has length {beta.size}, expected {p}")
     L = m.lipschitz
     eta = 1.0 / L if L > 0 else 1.0
-    matvec = partial(np.matmul, G) if p < 256 else partial(active_rows_matvec, G)
-    Gb = matvec(beta)
+    Gb = m.matvec(beta)
     f = 0.5 * (beta @ Gb) - g @ beta + lam * np.abs(beta).sum()
     best_beta, best_f = beta, f  # every iterate is a fresh array
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
         cand, norm = _project_l1_ball(beta - eta * (Gb - g), R, eta * lam)
-        Gc = matvec(cand)
+        Gc = m.matvec(cand)
         f_cand = 0.5 * (cand @ Gc) - g @ cand + lam * norm
         if not math.isfinite(f_cand):
             raise ArithmeticError("diverged: non-finite objective in solver")
