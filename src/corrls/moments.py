@@ -97,9 +97,8 @@ class CorrectedMoments:
         return _finite(_corrected((Z.T @ Z) / self.n, noise, idx))
 
     def matvec(self, b) -> np.ndarray:
-        """gamma_mat @ b.  From 256 columns on it is `active_rows_matvec`,
-        which reads only the rows at a sparse b's non-zeros; a smaller
-        gamma_mat takes the dense product, as a gather does not pay there."""
+        """gamma_mat @ b: from 256 columns on by `active_rows_matvec`, below
+        that by the dense product, as a row gather does not pay there."""
         if self.p < 256:
             return self.gamma_mat @ b
         return active_rows_matvec(self.gamma_mat, b)

@@ -4,10 +4,10 @@ corrected least squares, plus the shared projected-gradient machinery.
 Correlation screening keeps the a_n coordinates whose corrected
 cross-moments are largest in magnitude; it needs no correction matrix at
 all.  The penalized route minimizes the corrected quadratic plus an l1
-penalty over an l1 ball, by composite projected gradient descent.  The
-corrected quadratic can be indefinite under additive noise, so the solver
-tracks and returns its best-objective iterate; the ball constraint keeps
-iterates bounded either way.
+penalty over an l1 ball, by accelerated composite projected gradient.  The
+corrected quadratic can be indefinite, under additive noise and under
+missing data once p > n, so the solver tracks and returns its
+best-objective iterate; the ball constraint keeps iterates bounded either way.
 """
 
 from __future__ import annotations
@@ -137,13 +137,17 @@ def lipschitz_estimate(G):
 def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> FitResult:
     """Minimize 0.5 b'Gb - g'b + lam*||b||_1 subject to ||b||_1 <= radius.
 
-    Composite projected gradient with the fixed step 1/L (L cached on the
-    moments): a gradient step, then one `project_l1_ball` pass that
+    Accelerated projected gradient (FISTA, Beck & Teboulle 2009) with the
+    fixed step 1/L (L cached on the moments): a gradient step from the
+    extrapolated point y, then one `project_l1_ball` pass that
     soft-thresholds by lam/L, projects onto the ball and gives the l1 norm
-    of the candidate for its objective.  G @ b (`CorrectedMoments.matvec`)
-    is formed once per iterate and serves both its objective and the next
-    gradient.  Returns the best-objective iterate, which for an indefinite G
-    may precede the last one.
+    of the candidate for its objective.  y runs on past the candidate along
+    its step, unless the momentum points uphill, (y - cand) . step > 0, which
+    restarts it (O'Donoghue & Candes 2015).  G @ b (`CorrectedMoments.matvec`)
+    is formed once per iterate, and G @ y follows by linearity.  Stops when
+    f of consecutive iterates changes by less than rel_tol * max(1, |f|);
+    returns the best-objective iterate, which for an indefinite G may
+    precede the last one.
     """
     if lam < 0:
         raise ValueError("lambda must be non-negative")
@@ -157,14 +161,22 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
     Gb = m.matvec(beta)
     f = 0.5 * (beta @ Gb) - g @ beta + lam * np.abs(beta).sum()
     best_beta, best_f = beta, f  # every iterate is a fresh array
+    y, Gy, t, mu = beta, Gb, 1.0, 0.0  # the point the step is taken from, and G @ y
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
-        cand, norm = _project_l1_ball(beta - eta * (Gb - g), R, eta * lam)
+        cand, norm = _project_l1_ball(y - eta * (Gy - g), R, eta * lam)
         Gc = m.matvec(cand)
         f_cand = 0.5 * (cand @ Gc) - g @ cand + lam * norm
         if not math.isfinite(f_cand):
             raise ArithmeticError("diverged: non-finite objective in solver")
+        step = cand - beta
+        if mu and (y - cand) @ step > 0:  # the momentum points uphill: restart
+            t, mu = 1.0, 0.0
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            t, mu = t_next, (t - 1.0) / t_next
+        y, Gy = (cand + mu * step, Gc + mu * (Gc - Gb)) if mu else (cand, Gc)
         df = f - f_cand
         beta, Gb, f = cand, Gc, f_cand
         if f < best_f:

@@ -1,6 +1,7 @@
 """Regenerate the reference snapshot ``reference.json`` next to this file.
 
     PYTHONPATH=src python3 tests/data/make_reference.py
+    PYTHONPATH=src python3 tests/data/make_reference.py --diff
 
 The snapshot holds the estimates of a few replicates of the paper cell
 (n=500, p=100, s=4) under both noise kinds, one record per (cell, method):
@@ -8,11 +9,13 @@ the chosen tuning value, the support (0-based, by `corrls.support`), REE,
 false positives and the coefficients printed with ``%.17g``.  It also holds
 one precision estimate at p=30.  ``tests/test_reference.py`` recomputes
 every record and compares it with the file.  A change that moves estimates
-on purpose reruns this script and lists every record that moved.
+on purpose reruns this script and lists every record that moved, which
+``--diff`` prints against the committed file without writing it.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -64,6 +67,45 @@ def snapshot():
     return {"regression": regression_records(), "precision": precision_record()}
 
 
+def moved(old, new):
+    """One line per record of snapshot ``new`` that differs from ``old``:
+    noise, scenario, method, tuning before -> after, the support indices
+    dropped (-) and added (+), and the largest |change| of a coefficient."""
+    before = {(r["noise"], r["scenario"], r["method"]): r for r in old["regression"]}
+    lines = []
+    for r in new["regression"]:
+        key = (r["noise"], r["scenario"], r["method"])
+        was = before.get(key)
+        if was == r:
+            continue
+        if was is None:
+            lines.append(" ".join(key) + ": new record")
+            continue
+        step = np.max(np.abs(_parse(r["beta"]) - _parse(was["beta"])))
+        dropped = sorted(set(was["support"]) - set(r["support"]))
+        added = sorted(set(r["support"]) - set(was["support"]))
+        change = f"-{dropped} +{added}" if dropped or added else "unchanged"
+        lines.append(f"{' '.join(key)}: tuning {was['tuning']} -> {r['tuning']}, "
+                     f"support {change}, max |dbeta| {step:.3g}")
+    if new["precision"] != old["precision"]:
+        step = np.max(np.abs(_parse(new["precision"]["theta"]) - _parse(old["precision"]["theta"])))
+        same = new["precision"]["supports"] == old["precision"]["supports"]
+        lines.append(f"precision: supports {'unchanged' if same else 'changed'}, "
+                     f"max |dtheta| {step:.3g}")
+    return lines
+
+
+def _parse(text):
+    return np.array([float(x) for x in text.split(",")])
+
+
 if __name__ == "__main__":
-    PATH.write_text(json.dumps(snapshot(), indent=1) + "\n")
-    print(f"wrote {PATH}")
+    parser = argparse.ArgumentParser(description="Regenerate reference.json.")
+    parser.add_argument("--diff", action="store_true",
+                        help="print the records that moved against the committed "
+                             "reference.json instead of writing it")
+    if parser.parse_args().diff:
+        print("\n".join(moved(json.loads(PATH.read_text()), snapshot())) or "no record moved")
+    else:
+        PATH.write_text(json.dumps(snapshot(), indent=1) + "\n")
+        print(f"wrote {PATH}")

@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import numpy as np
@@ -283,22 +284,35 @@ class TestL1ClsFit:
         assert np.isfinite(fit.objective)
 
 
+def _restart_or_momentum(t, mu, y, cand, step):
+    """(t, mu) after a step: t back to 1 and no momentum when it points
+    uphill, (y - cand) . step > 0; otherwise the accelerated t and mu."""
+    if mu and (y - cand) @ step > 0:
+        return 1.0, 0.0
+    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+    return t_next, (t - 1.0) / t_next
+
+
 def _two_matvec_fit(m, lam, opts):
-    """The solver loop as it was with two G products per step: one for the
-    gradient, one inside the objective of every candidate."""
+    """The accelerated solver loop with two G products per step: one for the
+    gradient at the extrapolated point y, one inside the objective of every
+    candidate."""
     G, g, R = m.gamma_mat, m.gamma_vec, opts.radius
 
     def objective(b):
         return 0.5 * b @ G @ b - g @ b + lam * np.abs(b).sum()
 
     eta = 1.0 / m.lipschitz
-    beta = np.zeros(m.p)
+    beta = y = np.zeros(m.p)
+    t, mu = 1.0, 0.0
     f = objective(beta)
     best_beta, best_f = beta.copy(), f
     for iters in range(1, opts.max_iters + 1):
-        grad = G @ beta - g
-        cand = _reference_project(soft_threshold(beta - eta * grad, eta * lam), R)
+        grad = G @ y - g
+        cand = _reference_project(soft_threshold(y - eta * grad, eta * lam), R)
         f_cand = objective(cand)
+        t, mu = _restart_or_momentum(t, mu, y, cand, cand - beta)
+        y = cand + mu * (cand - beta)
         df = f - f_cand
         beta, f = cand, f_cand
         if f < best_f:
@@ -308,21 +322,28 @@ def _two_matvec_fit(m, lam, opts):
     return best_beta, best_f, iters
 
 
-def _dense_loop_fit(m, lam, opts, beta0=None):
+def _dense_loop_fit(m, lam, opts, beta0=None, accelerated=True):
     """The one-matvec solver loop with a separate shrink and projection per
     step: the dense product G @ b below 256 columns, the active-row product
-    from there on."""
+    from there on, and G @ y extrapolated by linearity.  With
+    ``accelerated`` False the momentum stays 0: the fixed-step projected
+    gradient loop."""
     G, g, R, p = m.gamma_mat, m.gamma_vec, opts.radius, m.p
     eta = 1.0 / m.lipschitz
     matvec = partial(np.matmul, G) if p < 256 else partial(active_rows_matvec, G)
     beta = np.zeros(p) if beta0 is None else _reference_project(np.asarray(beta0, float), R)
     Gb = matvec(beta)
+    y, Gy, t, mu = beta, Gb, 1.0, 0.0
     f = 0.5 * beta @ Gb - g @ beta + lam * np.abs(beta).sum()
     best_beta, best_f = beta.copy(), f
     for iters in range(1, opts.max_iters + 1):
-        cand = _reference_project(soft_threshold(beta - eta * (Gb - g), eta * lam), R)
+        cand = _reference_project(soft_threshold(y - eta * (Gy - g), eta * lam), R)
         Gc = matvec(cand)
         f_cand = 0.5 * cand @ Gc - g @ cand + lam * np.abs(cand).sum()
+        step = cand - beta
+        if accelerated:
+            t, mu = _restart_or_momentum(t, mu, y, cand, step)
+        y, Gy = (cand + mu * step, Gc + mu * (Gc - Gb)) if mu else (cand, Gc)
         df = f - f_cand
         beta, Gb, f = cand, Gc, f_cand
         if f < best_f:
@@ -377,6 +398,21 @@ class TestOneMatvecSolver:
             assert np.float64(fit.objective).tobytes() == np.float64(ref_f).tobytes(), lam
             assert fit.iterations == ref_iters, lam
             beta0 = fit.beta
+
+    @pytest.mark.parametrize("noise_kind, n, p", [("missing", 200, 300),  # p > n
+                                                  ("additive", 30, 50)])
+    def test_acceleration_halves_the_fixed_step_iterations(self, noise_kind, n, p):
+        m, radius = _sim_moments(noise_kind, n, p, seed=17)
+        assert np.linalg.eigvalsh(m.gamma_mat)[0] < 0  # indefinite either way
+        opts = SolverOptions(radius=radius, max_iters=2000)
+        plain_beta, _, plain_iters = _dense_loop_fit(m, 0.0, opts, accelerated=False)
+        tight, _, _ = _dense_loop_fit(m, 0.0, SolverOptions(radius=radius, rel_tol=1e-15,
+                                                            max_iters=100_000),
+                                      accelerated=False)
+        fit = l1_cls_fit(m, 0.0, opts)
+        assert fit.iterations <= plain_iters / 2
+        assert np.linalg.norm(fit.beta - tight) <= np.linalg.norm(plain_beta - tight)
+        assert np.abs(fit.beta).sum() <= radius * (1 + 1e-12)
 
     @pytest.mark.parametrize("p", [3, 300])  # the dense and the active-row product
     def test_start_of_the_wrong_length_rejected(self, p):
