@@ -75,11 +75,8 @@ def moved(old, new):
     lines = []
     for r in new["regression"]:
         key = (r["noise"], r["scenario"], r["method"])
-        was = before.get(key)
+        was = before[key]
         if was == r:
-            continue
-        if was is None:
-            lines.append(" ".join(key) + ": new record")
             continue
         step = np.max(np.abs(_parse(r["beta"]) - _parse(was["beta"])))
         dropped = sorted(set(was["support"]) - set(r["support"]))
