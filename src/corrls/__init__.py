@@ -4,14 +4,13 @@ partially observed Gaussian data."""
 
 from .data import AdditiveNoise, MissingNoise, SurrogateDataset
 from .experiment import ExperimentRecord, GridSpec, emit_results, run_grid
-from .metrics import column_norm_error, false_positives, rate_bound_en, ree
+from .metrics import column_norm_error, false_positives, ree
 from .moments import (
     CorrectedMoments,
     build_mask_matrix,
     corrected_loss,
     corrected_moments,
     estimate_missing_rates,
-    rse_bounds,
     uncorrected_moments,
 )
 from .post import cross_validate, cs_post_fit, post_cls_fit
@@ -19,7 +18,6 @@ from .precision import (
     PrecisionEstimate,
     assemble_precision,
     estimate_precision,
-    fit_neighborhood,
     neighborhood_moments,
     symmetrize,
 )

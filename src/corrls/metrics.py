@@ -1,15 +1,10 @@
-"""Performance measures and the deviation-rate curve used for scaling checks."""
+"""Performance measures for estimated coefficients, supports and matrices."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["ree", "false_positives", "true_positive_rate", "column_norm_error", "rate_bound_en"]
-
-#: covering-number base for the middle term of the rate curve
-RATE_D = 100.0
+__all__ = ["ree", "false_positives", "true_positive_rate", "column_norm_error"]
 
 
 def ree(beta_hat, beta0):
@@ -42,19 +37,3 @@ def column_norm_error(A, B):
         raise ValueError("shape mismatch")
     return float(np.max(np.sqrt(np.sum((A - B) ** 2, axis=0))))
 
-
-def rate_bound_en(m, s, p, n, c3):
-    """Deviation-rate curve sqrt(m log p / n) + sqrt((m+s) log D / n)
-    + sqrt((m + s + log(1/c3)) / n), with D = 100.
-
-    Diagnostic only; never used inside the estimators.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 < c3 < 1:
-        raise ValueError("c3 must lie in (0, 1)")
-    return (
-        math.sqrt(m * math.log(p) / n)
-        + math.sqrt((m + s) * math.log(RATE_D) / n)
-        + math.sqrt((m + s + math.log(1.0 / c3)) / n)
-    )

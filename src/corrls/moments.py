@@ -11,8 +11,6 @@ inside an ordinary least-squares quadratic.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -27,7 +25,6 @@ __all__ = [
     "corrected_moments",
     "uncorrected_moments",
     "corrected_loss",
-    "rse_bounds",
 ]
 
 
@@ -205,31 +202,3 @@ def corrected_loss(beta, m: CorrectedMoments):
     b = beta[idx]
     return 0.5 * b @ m.block(idx) @ b - m.gamma_vec[idx] @ b
 
-
-def rse_bounds(m: CorrectedMoments, T, max_extra, support_cap=10**6):
-    """Exact restricted sparse eigenvalue bounds by support enumeration.
-
-    Minimum / maximum eigenvalue of gamma_mat restricted to supports
-    T union E over all extra sets E outside T with |E| <= max_extra.
-    Diagnostic for small instances only; the candidate count is capped.
-    """
-    T = sorted(set(int(j) for j in T))
-    if any(j < 0 or j >= m.p for j in T):
-        raise ValueError("support index out of range")
-    rest = [j for j in range(m.p) if j not in T]
-    max_extra = int(max_extra)
-    n_cand = sum(comb(len(rest), k) for k in range(max_extra + 1))
-    if n_cand > support_cap:
-        raise ValueError(f"diagnostic too large: {n_cand} candidate supports")
-    kappa, phi = np.inf, -np.inf
-    for k in range(max_extra + 1):
-        for extra in combinations(rest, k):
-            U = T + list(extra)
-            if not U:
-                continue
-            vals = np.linalg.eigvalsh(m.gamma_mat[np.ix_(U, U)])
-            kappa = min(kappa, vals[0])
-            phi = max(phi, vals[-1])
-    if not np.isfinite(kappa):
-        raise ValueError("no non-empty support in the enumeration family")
-    return float(kappa), float(phi)

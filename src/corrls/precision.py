@@ -21,23 +21,12 @@ from .selection import SolverOptions, l1_cls_fit, screen_order, screen_size
 
 __all__ = [
     "PrecisionEstimate",
-    "NeighborhoodFit",
     "corrected_covariance",
     "neighborhood_moments",
-    "fit_neighborhood",
     "assemble_precision",
     "symmetrize",
     "estimate_precision",
 ]
-
-
-@dataclass(frozen=True)
-class NeighborhoodFit:
-    """One column's regression on the rest: slopes over the p-1 others."""
-
-    theta: np.ndarray
-    support: tuple  # indices into the reduced (p-1)-vector
-    fallback_used: bool
 
 
 @dataclass(frozen=True)
@@ -57,17 +46,6 @@ def corrected_covariance(data: SurrogateDataset) -> np.ndarray:
     return corrected_gram(data)
 
 
-def _column(S, j):
-    """The dimension p of S and the column index j, both checked."""
-    p = S.shape[0]
-    if p < 2:
-        raise ValueError("need at least two columns")
-    j = int(j)
-    if j < 0 or j >= p:
-        raise ValueError("column index out of range")
-    return p, j
-
-
 def neighborhood_moments(S, j, n) -> CorrectedMoments:
     """Corrected moments for regressing column j of S on the remaining columns.
 
@@ -77,7 +55,12 @@ def neighborhood_moments(S, j, n) -> CorrectedMoments:
     The neighborhood fits read only the screened entries of S and never
     build this (p-1)-dimensional pair.
     """
-    p, j = _column(S, j)
+    p = S.shape[0]
+    if p < 2:
+        raise ValueError("need at least two columns")
+    j = int(j)
+    if j < 0 or j >= p:
+        raise ValueError("column index out of range")
     keep = np.delete(np.arange(p), j)
     return CorrectedMoments(gamma_mat=S[np.ix_(keep, keep)], gamma_vec=S[keep, j], n=n, p=p - 1)
 
@@ -98,8 +81,17 @@ _BATCH_FLOATS = 1 << 18  # block entries fitted in one batch, 2 MiB a copy
 
 
 def _fit_columns(S, cols, a_n, radius, n):
-    """`fit_neighborhood` for each column in ``cols``, in batches of at most
-    ``_BATCH_FLOATS`` block entries, so that memory stays bounded at any a_n."""
+    """Screen each column j in ``cols`` of the symmetric corrected covariance S
+    (of a dataset with ``n`` rows), then refit on the a_n x a_n block it
+    selects, in batches of at most ``_BATCH_FLOATS`` block entries, so that
+    memory stays bounded at any a_n.
+
+    A linear-solve or pseudo-inverse refit is accepted only if it lands
+    inside the l1 ball of the given radius; otherwise the restricted
+    problem is re-solved as projected gradient under the constraint.
+    Returns three arrays, one row per column: the slopes over the p-1 other
+    columns, the sorted screened supports (indices into those p-1) and
+    whether the refit fell back."""
     p = S.shape[0]
     if not 1 <= a_n <= p - 1:
         raise ValueError(f"a_n must lie in [1, {p - 1}]")
@@ -108,8 +100,9 @@ def _fit_columns(S, cols, a_n, radius, n):
     k = screen_size(a_n, p - 1)
     cols = np.asarray(cols, dtype=np.intp)
     step = max(1, _BATCH_FLOATS // (k * k))
-    return [fit for start in range(0, cols.size, step)
-            for fit in _fit_batch(S, off, cols[start:start + step], k, ball_opts, n)]
+    batches = [_fit_batch(S, off, cols[start:start + step], k, ball_opts, n)
+               for start in range(0, cols.size, step)]
+    return tuple(np.concatenate(parts) for parts in zip(*batches))
 
 
 def _fit_batch(S, off, cols, k, ball_opts, n):
@@ -142,34 +135,22 @@ def _fit_batch(S, off, cols, k, ball_opts, n):
                 thetas[i, T[i]] = l1_cls_fit(sub, 0.0, ball_opts).beta
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             raise RuntimeError(f"neighborhood fit failed at column {cols[i]}: {exc}") from exc
-    return [NeighborhoodFit(theta=theta, support=tuple(t), fallback_used=bool(r))
-            for theta, t, r in zip(thetas, T.tolist(), alone)]
-
-
-def fit_neighborhood(S, j, a_n, radius, n) -> NeighborhoodFit:
-    """Screen column j of the symmetric corrected covariance S (of a dataset
-    with ``n`` rows), then refit on the a_n x a_n block it selects: the
-    one-column case of the batch `estimate_precision` fits.
-
-    A linear-solve or pseudo-inverse refit is accepted only if it lands
-    inside the l1 ball of the given radius; otherwise the restricted
-    problem is re-solved as projected gradient under the constraint.
-    """
-    return _fit_columns(S, [_column(S, j)[1]], a_n, radius, n)[0]
+    return thetas, T, alone
 
 
 def assemble_precision(fits, S) -> PrecisionEstimate:
-    """Column-wise reconstruction from the p neighborhood fits.
+    """Column-wise reconstruction from the p neighborhood fits, the triple of
+    arrays (slopes, supports, fallback flags) that `_fit_columns` returns.
 
     Column j gets d_j = 1/(S_jj - S_{j,-j} theta^j) on the diagonal and
     -d_j * theta^j elsewhere.  A denominator at zero is rejected; a
     negative one is legal but recorded.
     """
+    thetas, supports, fallback = fits
     S = np.asarray(S, dtype=float)
     p = S.shape[0]
-    if len(fits) != p:
-        raise ValueError(f"need {p} neighborhood fits, got {len(fits)}")
-    thetas = np.array([fit.theta for fit in fits])
+    if len(thetas) != p:
+        raise ValueError(f"need {p} neighborhood fits, got {len(thetas)}")
     denom = np.diagonal(S) - [s @ t for s, t in zip(_off_diagonal(S).reshape(p, p - 1), thetas)]
     degenerate = np.flatnonzero(np.abs(denom) < 1e-10)
     if degenerate.size:
@@ -184,8 +165,8 @@ def assemble_precision(fits, S) -> PrecisionEstimate:
         theta=symmetrize(theta_raw),
         theta_raw=theta_raw,
         d=d,
-        neighborhood_supports=[fit.support for fit in fits],
-        fallback_flags=[fit.fallback_used for fit in fits],
+        neighborhood_supports=list(map(tuple, supports.tolist())),
+        fallback_flags=fallback.tolist(),
         negative_d=negative_d,
     )
 
@@ -200,12 +181,10 @@ def symmetrize(theta_raw):
 
 def estimate_precision(data: SurrogateDataset, a_n, radius) -> PrecisionEstimate:
     """Full pipeline: corrected covariance, the p neighborhood fits as one batch
-    (`fit_neighborhood` is its one-column case), assembly, symmetrization.  A
-    ValueError rejects an a_n that is not a whole number in [1, p-1], a radius
-    that is not positive and a non-finite corrected covariance before any
-    column is fitted; a failing column aborts with its index named."""
-    if not isinstance(data.noise, MissingNoise):
-        raise ValueError("precision estimation requires a missing-data noise model")
+    (`_fit_columns`), assembly, symmetrization.  A ValueError rejects a dataset
+    without missing-data noise, an a_n that is not a whole number in [1, p-1],
+    a radius that is not positive and a non-finite corrected covariance before
+    any column is fitted; a failing column aborts with its index named."""
     if data.p < 2:
         raise ValueError("need at least two columns")
     S = corrected_covariance(data)

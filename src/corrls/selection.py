@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import CorrectedMoments, active_rows_matvec
+from .moments import CorrectedMoments
 
 __all__ = [
     "SolverOptions",
@@ -27,7 +27,6 @@ __all__ = [
     "cs_screen",
     "project_l1_ball",
     "lipschitz_estimate",
-    "active_rows_matvec",
     "l1_cls_fit",
     "support",
 ]

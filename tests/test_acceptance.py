@@ -41,7 +41,7 @@ from corrls.post import (
     default_lambda_grid,
     with_estimated_missing_rates,
 )
-from corrls.precision import NeighborhoodFit, assemble_precision, estimate_precision
+from corrls.precision import assemble_precision, estimate_precision
 
 
 def _verdict(num, name, ok):
@@ -254,8 +254,7 @@ def test_c7_selected_model_size(comparative_results):
 
 def test_c8_precision_pipeline():
     sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
-    fits = [NeighborhoodFit(theta=np.array([0.5]), support=(0,), fallback_used=False)
-            for _ in range(2)]
+    fits = (np.full((2, 1), 0.5), np.zeros((2, 1), dtype=np.intp), np.zeros(2, dtype=bool))
     hand = assemble_precision(fits, sigma)
     expected = np.array([[4 / 3, -2 / 3], [-2 / 3, 4 / 3]])
     hand_ok = np.max(np.abs(hand.theta - expected)) <= 1e-10

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and every
-function the benchmark's tracer wraps exists."""
+"""Source hygiene: no module imports a name it never uses, every name a
+module exports exists, and every function the benchmark's tracer wraps
+exists."""
 
 import ast
 import importlib
@@ -42,6 +43,18 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+EXPORTING = [f"corrls.{p.stem}" for p in MODULES
+             if p.parent.name == "corrls" and "\n__all__ = " in p.read_text()]
+
+
+@pytest.mark.parametrize("module", EXPORTING)
+def test_exported_names_exist(module):
+    """Each name in a module's ``__all__`` is an attribute of that module, so a
+    deletion that leaves its export behind fails here."""
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_traced_functions_exist():

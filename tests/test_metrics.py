@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from corrls import column_norm_error, false_positives, rate_bound_en, ree
+from corrls import column_norm_error, false_positives, ree
 from corrls.metrics import true_positive_rate
 
 
@@ -57,22 +55,3 @@ class TestColumnNormError:
         with pytest.raises(ValueError):
             column_norm_error(np.eye(2), np.eye(3))
 
-
-class TestRateBound:
-    def test_direct_arithmetic(self):
-        expected = (math.sqrt(4 * math.log(100) / 400)
-                    + math.sqrt(8 * math.log(100) / 400)
-                    + math.sqrt(9 / 400))
-        assert rate_bound_en(4, 4, 100, 400, math.exp(-1)) == pytest.approx(expected)
-
-    def test_sqrt_homogeneity_in_n(self):
-        v1 = rate_bound_en(3, 2, 50, 100, 0.5)
-        v2 = rate_bound_en(3, 2, 50, 200, 0.5)
-        assert v1 / v2 == pytest.approx(math.sqrt(2))
-
-    def test_vanishes_for_trivial_inputs(self):
-        assert rate_bound_en(0, 0, 10, 10**12, 0.999999) < 1e-3
-
-    def test_invalid_c3(self):
-        with pytest.raises(ValueError):
-            rate_bound_en(1, 1, 10, 10, 1.5)

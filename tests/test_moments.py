@@ -13,7 +13,6 @@ from corrls import (
     corrected_loss,
     corrected_moments,
     estimate_missing_rates,
-    rse_bounds,
     uncorrected_moments,
 )
 from corrls.selection import lipschitz_estimate
@@ -146,37 +145,6 @@ class TestCorrectedLoss:
                 ref += 0.5 * beta[i] * G[i, j] * beta[j]
             ref -= g[i] * beta[i]
         assert abs(corrected_loss(beta, m) - ref) < 1e-12
-
-
-class TestRseBounds:
-    def _m(self, G):
-        return CorrectedMoments(gamma_mat=G, gamma_vec=np.zeros(G.shape[0]),
-                                n=1, p=G.shape[0])
-
-    def test_identity(self):
-        kappa, phi = rse_bounds(self._m(np.eye(4)), [0, 2], 1)
-        assert kappa == pytest.approx(1.0)
-        assert phi == pytest.approx(1.0)
-
-    def test_diagonal_enumeration(self):
-        # supports {0}, {0,1}, {0,2} of diag(2, 0.5, 1)
-        kappa, phi = rse_bounds(self._m(np.diag([2.0, 0.5, 1.0])), [0], 1)
-        assert kappa == pytest.approx(0.5)
-        assert phi == pytest.approx(2.0)
-
-    def test_negative_kappa_allowed(self):
-        kappa, _ = rse_bounds(self._m(np.diag([1.0, -0.5])), [0], 1)
-        assert kappa == pytest.approx(-0.5)
-
-    def test_budget_exceeded(self):
-        m = self._m(np.eye(40))
-        with pytest.raises(ValueError, match="diagnostic too large"):
-            rse_bounds(m, [0], 15, support_cap=100)
-
-    def test_psd_input_positive_and_ordered(self):
-        sigma = ar1_covariance(6, 0.6)
-        kappa, phi = rse_bounds(self._m(sigma), [0, 1], 2)
-        assert 0 < kappa <= phi
 
 
 class TestMomentsSymmetry:

@@ -11,11 +11,10 @@ from corrls import (
     assemble_precision,
     column_norm_error,
     estimate_precision,
-    fit_neighborhood,
     neighborhood_moments,
     symmetrize,
 )
-from corrls.precision import NeighborhoodFit, PrecisionEstimate, corrected_covariance
+from corrls.precision import PrecisionEstimate, _fit_columns, corrected_covariance
 from corrls.simulate import ar1_covariance, gen_graph_data, sample_gaussian
 from corrls._rng import substream
 
@@ -27,15 +26,21 @@ def _missing_dataset(X, rho, seed):
                             noise=MissingNoise(rho), mask=mask)
 
 
+def _hand_fits(thetas, support):
+    """Fits as `assemble_precision` takes them: the given slopes, one support
+    for every column, no fallback."""
+    thetas = np.asarray(thetas, dtype=float)
+    p = len(thetas)
+    return thetas, np.tile(np.asarray(support, dtype=np.intp), (p, 1)), np.zeros(p, dtype=bool)
+
+
 def _exact_fits(sigma):
     p = sigma.shape[0]
-    fits = []
+    thetas = []
     for j in range(p):
         keep = [k for k in range(p) if k != j]
-        theta = np.linalg.solve(sigma[np.ix_(keep, keep)], sigma[keep, j])
-        fits.append(NeighborhoodFit(theta=theta, support=tuple(range(p - 1)),
-                                    fallback_used=False))
-    return fits
+        thetas.append(np.linalg.solve(sigma[np.ix_(keep, keep)], sigma[keep, j]))
+    return _hand_fits(thetas, range(p - 1))
 
 
 class TestNeighborhoodMoments:
@@ -79,53 +84,53 @@ class TestFitNeighborhood:
     def test_independent_coordinates_give_near_zero(self):
         X = sample_gaussian(2000, np.eye(10), seed=7)
         data = _missing_dataset(X, np.full(10, 0.1), seed=8)
-        fit = fit_neighborhood(corrected_covariance(data), 0, a_n=4, radius=3.0, n=data.n)
-        assert np.max(np.abs(fit.theta)) <= 0.1
+        (theta,), _, _ = _fit_columns(corrected_covariance(data), [0], a_n=4, radius=3.0,
+                                      n=data.n)
+        assert np.max(np.abs(theta)) <= 0.1
 
     def test_p2_recovers_half(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
         X = sample_gaussian(4000, sigma, seed=9)
         data = _missing_dataset(X, np.full(2, 0.2), seed=10)
-        fit = fit_neighborhood(corrected_covariance(data), 0, a_n=1, radius=3.0, n=data.n)
-        assert abs(fit.theta[0] - 0.5) < 0.1
+        (theta,), _, _ = _fit_columns(corrected_covariance(data), [0], a_n=1, radius=3.0,
+                                      n=data.n)
+        assert abs(theta[0] - 0.5) < 0.1
 
     def test_full_support_reduces_to_restricted_ls(self):
         sigma = ar1_covariance(5, 0.4)
         X = sample_gaussian(1500, sigma, seed=11)
         data = _missing_dataset(X, np.full(5, 0.1), seed=12)
-        fit = fit_neighborhood(corrected_covariance(data), 2, a_n=4, radius=10.0, n=data.n)
-        assert fit.support == (0, 1, 2, 3)
+        _, (support,), _ = _fit_columns(corrected_covariance(data), [2], a_n=4, radius=10.0,
+                                        n=data.n)
+        assert tuple(support.tolist()) == (0, 1, 2, 3)
 
     def test_radius_enforced_by_fallback(self):
         sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
         X = sample_gaussian(3000, sigma, seed=13)
         data = _missing_dataset(X, np.zeros(2), seed=14)
-        fit = fit_neighborhood(corrected_covariance(data), 0, a_n=1, radius=0.1, n=data.n)
-        assert fit.fallback_used
-        assert np.abs(fit.theta).sum() <= 0.1 + 1e-10
+        (theta,), _, (fallback,) = _fit_columns(corrected_covariance(data), [0], a_n=1,
+                                                radius=0.1, n=data.n)
+        assert fallback
+        assert np.abs(theta).sum() <= 0.1 + 1e-10
 
     def test_radius_enforced_on_singular_block(self):
         # the selected 2x2 block [[1, 1], [1, 1]] is singular, so the refit
         # takes the pseudo-inverse, whose solution (2.5, 2.5) leaves the ball
         S = np.array([[10.0, 5.0, 5.0], [5.0, 1.0, 1.0], [5.0, 1.0, 1.0]])
-        fit = fit_neighborhood(S, 0, a_n=2, radius=1.0, n=4)
-        assert fit.fallback_used
-        assert np.abs(fit.theta).sum() <= 1.0 + 1e-10
+        (theta,), _, (fallback,) = _fit_columns(S, [0], a_n=2, radius=1.0, n=4)
+        assert fallback
+        assert np.abs(theta).sum() <= 1.0 + 1e-10
 
 
 class TestAssemblePrecision:
     def test_identity_inputs(self):
-        fits = [NeighborhoodFit(theta=np.zeros(2), support=(), fallback_used=False)
-                for _ in range(3)]
-        est = assemble_precision(fits, np.eye(3))
+        est = assemble_precision(_hand_fits(np.zeros((3, 2)), ()), np.eye(3))
         assert np.array_equal(est.theta_raw, np.eye(3))
         assert np.array_equal(est.theta, np.eye(3))
 
     def test_hand_computed_2x2(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
-        fits = [NeighborhoodFit(theta=np.array([0.5]), support=(0,), fallback_used=False)
-                for _ in range(2)]
-        est = assemble_precision(fits, sigma)
+        est = assemble_precision(_hand_fits([[0.5], [0.5]], (0,)), sigma)
         expected = np.array([[4 / 3, -2 / 3], [-2 / 3, 4 / 3]])
         assert np.max(np.abs(est.theta_raw - expected)) <= 1e-10
         assert np.max(np.abs(est.theta - expected)) <= 1e-10
@@ -140,23 +145,20 @@ class TestAssemblePrecision:
         sigma = ar1_covariance(7, 0.5)
         vals = np.linalg.eigvalsh(sigma)
         lam_min, lam_max = vals[0], vals[-1]
-        est = assemble_precision(_exact_fits(sigma), sigma)
-        for j, fit in enumerate(_exact_fits(sigma)):
+        fits = _exact_fits(sigma)
+        est = assemble_precision(fits, sigma)
+        for j, theta in enumerate(fits[0]):
             assert 1 / lam_max <= abs(est.d[j]) <= 1 / lam_min + 1e-12
-            assert np.linalg.norm(fit.theta) <= lam_max / lam_min + 1e-12
+            assert np.linalg.norm(theta) <= lam_max / lam_min + 1e-12
 
     def test_degenerate_denominator_rejected(self):
         sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
-        fits = [NeighborhoodFit(theta=np.array([1.0]), support=(0,), fallback_used=False)
-                for _ in range(2)]
         with pytest.raises(ValueError, match="residual variance degenerate"):
-            assemble_precision(fits, sigma)
+            assemble_precision(_hand_fits([[1.0], [1.0]], (0,)), sigma)
 
     def test_negative_denominator_flagged_not_fatal(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
-        fits = [NeighborhoodFit(theta=np.array([3.0]), support=(0,), fallback_used=False)
-                for _ in range(2)]
-        est = assemble_precision(fits, sigma)
+        est = assemble_precision(_hand_fits([[3.0], [3.0]], (0,)), sigma)
         assert est.negative_d == [0, 1]
 
 
@@ -235,7 +237,7 @@ def _parent_route(data, a_n, radius):
     S = (data.Z.T @ data.Z) / data.n / build_mask_matrix(data.noise.rho)
     S = 0.5 * (S + S.T)
     ball_opts = SolverOptions(radius=radius)
-    fits, branches = [], []
+    fits, branches = [], []  # fits: (theta, support, fallback) per column
     for j in range(data.p):
         m = neighborhood_moments(S, j, data.n)
         T_hat = cs_screen(m.gamma_vec, a_n)
@@ -249,23 +251,22 @@ def _parent_route(data, a_n, radius):
             theta = np.zeros(m.p)
             theta[T] = l1_cls_fit(sub, 0.0, ball_opts).beta
             fallback, branch = True, "ball"
-        fits.append(NeighborhoodFit(theta=theta, support=T_hat,
-                                    fallback_used=fallback))
+        fits.append((theta, T_hat, fallback))
         branches.append(branch)
     p = data.p
     theta_raw, d, negative_d = np.zeros((p, p)), np.zeros(p), []
-    for j, fit in enumerate(fits):
+    for j, (theta, _, _) in enumerate(fits):
         keep = [k for k in range(p) if k != j]
-        denom = S[j, j] - S[j, keep] @ fit.theta
+        denom = S[j, j] - S[j, keep] @ theta
         if denom <= 0:
             negative_d.append(j)
         d[j] = 1.0 / denom
         theta_raw[j, j] = d[j]
-        theta_raw[keep, j] = -d[j] * fit.theta
+        theta_raw[keep, j] = -d[j] * theta
     return PrecisionEstimate(
         theta=0.5 * (theta_raw + theta_raw.T), theta_raw=theta_raw, d=d,
-        neighborhood_supports=[fit.support for fit in fits],
-        fallback_flags=[fit.fallback_used for fit in fits], negative_d=negative_d), branches
+        neighborhood_supports=[support for _, support, _ in fits],
+        fallback_flags=[fallback for _, _, fallback in fits], negative_d=negative_d), branches
 
 
 class TestPipelineReadsSDirectly:
@@ -288,7 +289,7 @@ class TestPipelineReadsSDirectly:
 def _reference_fit(S, j, a_n, radius, n):
     """Column j fitted alone, as the pipeline fitted every column before the
     batch: screen by `cs_screen`, refit by `post_cls_fit`, and re-solve a
-    direct refit that leaves the ball."""
+    direct refit that leaves the ball.  Returns (theta, support, fallback)."""
     from corrls.moments import CorrectedMoments
     from corrls.post import post_cls_fit
     from corrls.selection import SolverOptions, cs_screen, l1_cls_fit
@@ -306,28 +307,28 @@ def _reference_fit(S, j, a_n, radius, n):
     if fit.iterations == 0 and np.abs(theta).sum() > radius * (1 + 1e-12):
         theta[T] = l1_cls_fit(sub, 0.0, opts).beta
         fallback = True
-    return NeighborhoodFit(theta=theta, support=tuple(T), fallback_used=fallback)
+    return theta, tuple(T), fallback
 
 
 def _reference_assemble(fits, S):
     """`assemble_precision` as it was before it wrote all columns at once:
-    one column at a time, through a keep-list."""
+    one column at a time, through a keep-list, from `_reference_fit`'s triples."""
     p = S.shape[0]
     theta_raw, d, negative_d = np.zeros((p, p)), np.zeros(p), []
-    for j, fit in enumerate(fits):
+    for j, (theta, _, _) in enumerate(fits):
         keep = np.delete(np.arange(p), j)
-        denom = S[j, j] - S[j, keep] @ fit.theta
+        denom = S[j, j] - S[j, keep] @ theta
         if abs(denom) < 1e-10:
             raise ValueError(f"residual variance degenerate at column {j}")
         if denom <= 0:
             negative_d.append(j)
         d[j] = 1.0 / denom
         theta_raw[j, j] = d[j]
-        theta_raw[keep, j] = -d[j] * fit.theta
+        theta_raw[keep, j] = -d[j] * theta
     return PrecisionEstimate(
         theta=symmetrize(theta_raw), theta_raw=theta_raw, d=d,
-        neighborhood_supports=[fit.support for fit in fits],
-        fallback_flags=[fit.fallback_used for fit in fits], negative_d=negative_d)
+        neighborhood_supports=[support for _, support, _ in fits],
+        fallback_flags=[fallback for _, _, fallback in fits], negative_d=negative_d)
 
 
 def _assert_same_estimate(est, ref):
@@ -378,10 +379,11 @@ class TestBatchedNeighborhoods:
         data = SurrogateDataset(Z=np.zeros((n, p)), y=None, noise=MissingNoise(np.zeros(p)),
                                 mask=np.ones((n, p), dtype=bool))
         ref_fits = [_reference_fit(S, j, a_n, radius, n) for j in range(p)]
-        fits = [fit_neighborhood(S, j, a_n, radius, n) for j in range(p)]
-        for fit, ref in zip(fits, ref_fits):
-            assert np.array_equal(fit.theta, ref.theta)
-            assert (fit.support, fit.fallback_used) == (ref.support, ref.fallback_used)
+        columns = [_fit_columns(S, [j], a_n, radius, n) for j in range(p)]
+        for (theta, support, fallback), ref in zip(columns, ref_fits):
+            assert np.array_equal(theta[0], ref[0])
+            assert (tuple(support[0].tolist()), bool(fallback[0])) == ref[1:]
+        fits = tuple(np.concatenate(parts) for parts in zip(*columns))
         with mock.patch.object(precision, "corrected_covariance", return_value=S):
             try:
                 ref = _reference_assemble(ref_fits, S)

@@ -15,11 +15,10 @@ from corrls import (
     project_l1_ball,
     support,
 )
-from corrls.moments import corrected_loss, corrected_moments
+from corrls.moments import active_rows_matvec, corrected_loss, corrected_moments
 from corrls.post import default_lambda_grid
 from corrls.selection import (
     _project_l1_ball,
-    active_rows_matvec,
     lipschitz_estimate,
     screen_order,
 )
