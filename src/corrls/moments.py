@@ -40,7 +40,8 @@ def _corrected(S, noise, idx=None):
     if isinstance(noise, AdditiveNoise):
         return S - (noise.sigma_w if idx is None else noise.sigma_w[np.ix_(idx, idx)])
     if isinstance(noise, MissingNoise):
-        return S / build_mask_matrix(noise.rho if idx is None else noise.rho[idx])
+        M = build_mask_matrix(noise.rho if idx is None else noise.rho[idx])
+        return np.divide(S, M, out=M)
     return S
 
 
@@ -52,8 +53,8 @@ class CorrectedMoments:
     From a dense pair, gamma_mat is symmetrized on construction.  From a
     dataset, ``source`` is (data, noise), noise None for raw moments, and
     gamma_mat is formed on first read from the shared `SurrogateDataset.gram`,
-    exactly symmetric.  Such moments with p > n are `wide`: `block`,
-    `corrected_loss` and `lipschitz` then work from the columns of Z.
+    exactly symmetric.  Such moments with p > n are `wide`: `block`, `lipschitz`,
+    `corrected_loss` and, with a `factor`, `matvec` then never form gamma_mat.
     """
 
     def __init__(self, gamma_mat, gamma_vec, n, p, source=None):
@@ -74,7 +75,7 @@ class CorrectedMoments:
     def wide(self) -> bool:
         return self.source is not None and self.p > self.n
 
-    @property
+    @cached_property
     def factor(self):
         """(Z, q) when gamma_mat is A'A/n - diag(d) for A = Z / q and
         d = diag(A'A/n) * (1 - q) >= 0: missing-data moments (q = 1 - rho)
@@ -94,26 +95,40 @@ class CorrectedMoments:
         return _finite(_corrected((Z.T @ Z) / self.n, noise, idx))
 
     def matvec(self, b) -> np.ndarray:
-        """gamma_mat @ b: from 256 columns on by `active_rows_matvec`, below
-        that by the dense product, as a row gather does not pay there."""
+        """gamma_mat @ b: when `wide` with a `factor`, S b or (S (b/q)) / q - d b,
+        d = diag(S) rho / q^2, from the rows of the shared Gram S at the non-zeros
+        of b; else `active_rows_matvec`, dense below 256 columns (no gain there)."""
+        if self.wide and self.factor is not None:
+            S, q, d = self._gram_terms
+            if q is None:
+                return active_rows_matvec(S, b)
+            return active_rows_matvec(S, b / q) / q - d * b
         if self.p < 256:
             return self.gamma_mat @ b
         return active_rows_matvec(self.gamma_mat, b)
 
     @cached_property
+    def _gram_terms(self):
+        """(S, q, d) of the wide `matvec`, S checked finite once; q, d None if raw."""
+        data, noise = self.source
+        if noise is None:
+            return _finite(data.gram), None, None
+        q = 1.0 - noise.rho
+        return _finite(data.gram), q, np.diagonal(data.gram) * noise.rho / q**2
+
+    @cached_property
     def lipschitz(self) -> float:
         """Lipschitz constant of the loss gradient, computed once per instance.
-        When `wide` with a factor, every eigenvalue of gamma_mat lies in
-        [-max d, lambda_max(A'A/n)], so it is max(lambda_max(AA'/n), max d)
-        from the n x n side: exact for the raw Gram, a bound for missing data."""
+        When `wide` with a `factor`, the eigenvalues of gamma_mat lie in
+        [-max d, lambda_max(A'A/n)], d_j = rho_j (A'A/n)_jj < lambda_max: it is
+        lambda_max(AA'/n) (A = Z if raw), exact for the raw Gram, else a bound."""
         from .selection import lipschitz_estimate  # selection imports this module
 
         if self.factor is None or not self.wide:
             return lipschitz_estimate(self.gamma_mat)
         Z, q = self.factor
-        A = Z / q
-        d = np.diagonal(self.gamma_mat) * (1.0 / q - 1.0)
-        return max(lipschitz_estimate(A @ A.T / self.n), float(np.max(d)))
+        A = Z if self.source[1] is None else Z / q
+        return lipschitz_estimate(_finite(A @ A.T / self.n))
 
 
 def active_rows_matvec(G, b):
@@ -192,7 +207,7 @@ def uncorrected_moments(data: SurrogateDataset) -> CorrectedMoments:
 def corrected_loss(beta, m: CorrectedMoments):
     """Quadratic loss 0.5 b'Gb - g'b; may be negative and unbounded below
     when gamma_mat is indefinite.  For `wide` moments it is taken on the
-    support of beta, from `CorrectedMoments.block`."""
+    support T of beta, from Z[:, T] and d_T (`factor`) or `CorrectedMoments.block`."""
     beta = np.asarray(beta, dtype=float).ravel()
     if beta.size != m.p:
         raise ValueError(f"beta has length {beta.size}, expected {m.p}")
@@ -200,5 +215,10 @@ def corrected_loss(beta, m: CorrectedMoments):
         return 0.5 * beta @ m.gamma_mat @ beta - m.gamma_vec @ beta
     idx = np.flatnonzero(beta)
     b = beta[idx]
-    return 0.5 * b @ m.block(idx) @ b - m.gamma_vec[idx] @ b
+    if m.factor is None:
+        return 0.5 * b @ m.block(idx) @ b - m.gamma_vec[idx] @ b
+    Z, q = m.factor
+    Z, q = Z[:, idx], np.broadcast_to(q, m.p)[idx]
+    u, nd = Z @ (b / q), np.einsum("ij,ij->j", Z, Z) * (1.0 - q) / q**2  # nd = n d_T
+    return 0.5 * (u @ u - nd @ (b * b)) / m.n - m.gamma_vec[idx] @ b
 

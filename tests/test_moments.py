@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from corrls import (
     estimate_missing_rates,
     uncorrected_moments,
 )
-from corrls.selection import lipschitz_estimate
+from corrls.moments import active_rows_matvec
+from corrls.post import cross_validate, default_lambda_grid
+from corrls.selection import SolverOptions, l1_cls_fit, lipschitz_estimate
 from corrls.simulate import SimConfig, ar1_covariance, gen_beta0, gen_regression, sample_gaussian
 from corrls._rng import substream
 
@@ -275,6 +279,60 @@ class TestWideRoute:
         B = m.block(np.arange(0, p, 3))
         assert np.array_equal(G, G.T) and np.array_equal(B, B.T)
 
+    @pytest.mark.parametrize("nnz", [0, 1, 20, 320])  # 0, 1, p/16 and p non-zeros
+    @pytest.mark.parametrize("build", [corrected_moments, uncorrected_moments])
+    def test_product_matches_gamma_mat(self, build, nnz):
+        m = build(_wide("missing", 9, n=100, p=320))
+        b = np.zeros(m.p)
+        rng = np.random.default_rng(nnz)
+        b[rng.choice(m.p, nnz, replace=False)] = rng.standard_normal(nnz)
+        product = m.matvec(b)
+        assert "gamma_mat" not in vars(m)  # taken from the shared Gram
+        G = m.gamma_mat
+        assert np.max(np.abs(product - G @ b)) <= (
+            1e-14 * np.linalg.norm(G) * np.linalg.norm(b))
+
+    @pytest.mark.parametrize("nnz", [0, 1, 20, 320])
+    def test_raw_product_is_the_gram_product_to_the_bit(self, nnz):
+        data = _wide("missing", 10, n=100, p=320)
+        m = uncorrected_moments(data)
+        b = np.zeros(m.p)
+        b[:nnz] = np.random.default_rng(nnz).standard_normal(nnz)
+        assert m.matvec(b).tobytes() == active_rows_matvec(data.gram, b).tobytes()
+
+    @staticmethod
+    def _cell(n, p, seed=11):
+        """Train and test datasets of one missing-data cell, and its radius."""
+        cfg = SimConfig(n=n, p=p, s=4, noise_kind="missing", seed=seed)
+        train, beta0, _ = gen_regression(cfg)
+        test, _, _ = gen_regression(SimConfig(n=n, p=p, s=4, noise_kind="missing",
+                                              seed=seed + 1), beta0=beta0, rho=train.noise.rho)
+        return train, test, 1.1 * np.abs(beta0).sum()
+
+    @pytest.mark.parametrize("build", [corrected_moments, uncorrected_moments])
+    def test_penalized_cross_validation_never_forms_gamma_mat(self, build):
+        train, test, radius = self._cell(100, 300)
+        train_m, test_m = build(train), build(test)
+        _, losses, fit = cross_validate(train_m, test_m, default_lambda_grid(), "l1cls",
+                                        SolverOptions(radius=radius))
+        assert fit is not None and np.all(np.isfinite(losses))
+        assert "gamma_mat" not in vars(train_m) and "gamma_mat" not in vars(test_m)
+        assert "gram" not in vars(test)  # held-out losses work from the columns of Z
+
+    def test_one_gram_footprint(self):
+        # the parent held the Gram, the mask matrix and gamma_mat at once: 3 p^2 doubles
+        n, p = 100, 1200
+        train, test, radius = self._cell(n, p)
+        train_m, test_m = corrected_moments(train), corrected_moments(test)
+        tracemalloc.start()
+        try:
+            cross_validate(train_m, test_m, default_lambda_grid(), "l1cls",
+                           SolverOptions(radius=radius))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p * p * 8 < peak < 2 * p * p * 8
+
     def test_the_gram_is_shared_by_both_kinds_of_moments(self):
         data = _wide("missing", 3, n=200, p=100)
         corrected, raw = corrected_moments(data), uncorrected_moments(data)
@@ -318,5 +376,11 @@ class TestNonFiniteMoments:
         m = build(data)
         with pytest.raises(ValueError, match="non-finite corrected moments"):
             m.block([0, 1])
+        with pytest.raises(ValueError, match="non-finite corrected moments"):
+            m.lipschitz
+        with pytest.raises(ValueError, match="non-finite corrected moments"):
+            m.matvec(np.zeros(p))  # the first product, before any Lipschitz bound
+        with pytest.raises(ValueError, match="non-finite corrected moments"):
+            l1_cls_fit(m, 0.1, SolverOptions())
         with pytest.raises(ValueError, match="non-finite corrected moments"):
             m.gamma_mat

@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -323,13 +322,11 @@ def _two_matvec_fit(m, lam, opts):
 
 def _dense_loop_fit(m, lam, opts, beta0=None, accelerated=True):
     """The one-matvec solver loop with a separate shrink and projection per
-    step: the dense product G @ b below 256 columns, the active-row product
-    from there on, and G @ y extrapolated by linearity.  With
-    ``accelerated`` False the momentum stays 0: the fixed-step projected
-    gradient loop."""
-    G, g, R, p = m.gamma_mat, m.gamma_vec, opts.radius, m.p
+    step: the product G @ b from `m.matvec`, the one the solver uses, and
+    G @ y extrapolated by linearity.  With ``accelerated`` False the
+    momentum stays 0: the fixed-step projected gradient loop."""
+    g, R, p, matvec = m.gamma_vec, opts.radius, m.p, m.matvec
     eta = 1.0 / m.lipschitz
-    matvec = partial(np.matmul, G) if p < 256 else partial(active_rows_matvec, G)
     beta = np.zeros(p) if beta0 is None else _reference_project(np.asarray(beta0, float), R)
     Gb = matvec(beta)
     y, Gy, t, mu = beta, Gb, 1.0, 0.0
