@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,8 +306,7 @@ class TestWideRoute:
         """Train and test datasets of one missing-data cell, and its radius."""
         cfg = SimConfig(n=n, p=p, s=4, noise_kind="missing", seed=seed)
         train, beta0, _ = gen_regression(cfg)
-        test, _, _ = gen_regression(SimConfig(n=n, p=p, s=4, noise_kind="missing",
-                                              seed=seed + 1), beta0=beta0, rho=train.noise.rho)
+        test, _, _ = gen_regression(replace(cfg, seed=seed + 1), beta0=beta0, rho=train.noise.rho)
         return train, test, 1.1 * np.abs(beta0).sum()
 
     @pytest.mark.parametrize("build", [corrected_moments, uncorrected_moments])
@@ -320,7 +320,7 @@ class TestWideRoute:
         assert "gram" not in vars(test)  # held-out losses work from the columns of Z
 
     def test_one_gram_footprint(self):
-        # the parent held the Gram, the mask matrix and gamma_mat at once: 3 p^2 doubles
+        # forming gamma_mat would hold the Gram, the mask matrix and gamma_mat: 3 p^2 doubles
         n, p = 100, 1200
         train, test, radius = self._cell(n, p)
         train_m, test_m = corrected_moments(train), corrected_moments(test)
