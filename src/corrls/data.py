@@ -28,6 +28,17 @@ __all__ = [
 ]
 
 NA_TOKEN = "NA"
+_FINITE_BLOCK = 1 << 16  # entries one finiteness scan of `_finite` reads at a time
+
+
+def _finite(a):
+    """``a``, after checking that every entry is finite, in blocks of leading-axis
+    slices, so that no boolean array of its size is made."""
+    step = max(1, _FINITE_BLOCK * len(a) // max(1, a.size))
+    for i in range(0, len(a), step):
+        if not np.isfinite(a[i:i + step]).all():
+            raise ValueError("non-finite corrected moments")
+    return a
 
 
 @dataclass(frozen=True)
@@ -122,8 +133,9 @@ class SurrogateDataset:
 
     @cached_property
     def gram(self):
-        """Z'Z/n, formed once for every moments of this dataset; read-only."""
-        S = (self.Z.T @ self.Z) / self.n
+        """Z'Z/n, formed once for every moments of this dataset; read-only and
+        checked finite when formed (`_finite`), so no moments scan it again."""
+        S = _finite((self.Z.T @ self.Z) / self.n)
         S.flags.writeable = False
         return S
 

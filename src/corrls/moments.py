@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import AdditiveNoise, MissingNoise, SurrogateDataset
+from .data import AdditiveNoise, MissingNoise, SurrogateDataset, _finite
 
 __all__ = [
     "CorrectedMoments",
@@ -26,12 +26,6 @@ __all__ = [
     "uncorrected_moments",
     "corrected_loss",
 ]
-
-
-def _finite(a):
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite corrected moments")
-    return a
 
 
 def _corrected(S, noise, idx=None):
@@ -54,7 +48,7 @@ class CorrectedMoments:
     dataset, ``source`` is (data, noise), noise None for raw moments, and
     gamma_mat is formed on first read from the shared `SurrogateDataset.gram`,
     exactly symmetric.  Such moments with p > n are `wide`: `block`, `lipschitz`,
-    `corrected_loss` and, with a `factor`, `matvec` then never form gamma_mat.
+    `corrected_loss` and, with a `factor`, `product` then never form gamma_mat.
     """
 
     def __init__(self, gamma_mat, gamma_vec, n, p, source=None):
@@ -69,6 +63,8 @@ class CorrectedMoments:
     @cached_property
     def gamma_mat(self) -> np.ndarray:
         data, noise = self.source
+        if noise is None:
+            return data.gram  # checked finite when formed
         return _finite(_corrected(data.gram, noise))
 
     @property
@@ -94,27 +90,28 @@ class CorrectedMoments:
         Z = data.Z[:, idx]
         return _finite(_corrected((Z.T @ Z) / self.n, noise, idx))
 
-    def matvec(self, b) -> np.ndarray:
-        """gamma_mat @ b: when `wide` with a `factor`, S b or (S (b/q)) / q - d b,
-        d = diag(S) rho / q^2, from the rows of the shared Gram S at the non-zeros
-        of b; else `active_rows_matvec`, dense below 256 columns (no gain there)."""
+    def product(self):
+        """The function b -> gamma_mat @ b, chosen here and nowhere else: when
+        `wide` with a `factor`, S b or (S (b/q)) / q - d b, d = diag(S) rho / q^2,
+        from the rows of the shared Gram S at the non-zeros of b; else
+        `active_rows_matvec`, dense below 256 columns (no gain there).  A solver
+        takes it once per fit; it holds arrays only, never these moments."""
         if self.wide and self.factor is not None:
-            S, q, d = self._gram_terms
-            if q is None:
-                return active_rows_matvec(S, b)
-            return active_rows_matvec(S, b / q) / q - d * b
+            data, noise = self.source
+            S = data.gram
+            if noise is None:
+                return lambda b: active_rows_matvec(S, b)
+            q = 1.0 - noise.rho
+            d = np.diagonal(S) * noise.rho / q**2
+            return lambda b: active_rows_matvec(S, b / q) / q - d * b
+        G = self.gamma_mat
         if self.p < 256:
-            return self.gamma_mat @ b
-        return active_rows_matvec(self.gamma_mat, b)
+            return G.__matmul__
+        return lambda b: active_rows_matvec(G, b)
 
-    @cached_property
-    def _gram_terms(self):
-        """(S, q, d) of the wide `matvec`, S checked finite once; q, d None if raw."""
-        data, noise = self.source
-        if noise is None:
-            return _finite(data.gram), None, None
-        q = 1.0 - noise.rho
-        return _finite(data.gram), q, np.diagonal(data.gram) * noise.rho / q**2
+    def matvec(self, b) -> np.ndarray:
+        """gamma_mat @ b by `product`."""
+        return self.product()(b)
 
     @cached_property
     def lipschitz(self) -> float:

@@ -158,17 +158,19 @@ def pd_prefix_length(B):
 
     A block passes when the Cholesky factorization of B - _PD_EPS*I accepts
     it.  Leading blocks are nested, so by eigenvalue interlacing their least
-    eigenvalues do not increase with k, and a bisection over k finds the end.
+    eigenvalues do not increase with k: the whole of B is tried first, and
+    only if it fails does a bisection over k find the end.
     """
     shifted = np.asarray(B, dtype=float) - _PD_EPS * np.eye(len(B))
     good, bad = 0, len(B) + 1  # prefix `good` passes, prefix `bad` does not
+    k = len(B)
     while bad - good > 1:
-        k = (good + bad) // 2
         try:
             np.linalg.cholesky(shifted[:k, :k])
             good = k
         except np.linalg.LinAlgError:
             bad = k
+        k = (good + bad) // 2
     return good
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .data import MissingNoise, SurrogateDataset
 from .moments import CorrectedMoments, _finite, corrected_gram
 from .post import _PD_EPS, post_cls_fit
-from .selection import SolverOptions, l1_cls_fit, screen_order, screen_size
+from .selection import SolverOptions, l1_cls_fit, screen_size
 
 __all__ = [
     "PrecisionEstimate",
@@ -105,6 +105,18 @@ def _fit_columns(S, cols, a_n, radius, n):
     return tuple(np.concatenate(parts) for parts in zip(*batches))
 
 
+def _top_k(scores, k):
+    """Sorted indices of the k largest |scores| in each row, ties to the smaller
+    index: the sorted first k of `screen_order`, by a partition, not a sort."""
+    a = np.abs(scores)
+    kth = np.partition(a, a.shape[1] - k, axis=1)[:, -k, None]  # k-th largest of each row
+    keep = a >= kth
+    surplus = keep.sum(axis=1) - k  # ties at the k-th largest beyond the k kept
+    for i in np.flatnonzero(surplus):
+        keep[i, np.flatnonzero(a[i] == kth[i])[-surplus[i]:]] = False
+    return np.nonzero(keep)[1].reshape(-1, k)
+
+
 def _fit_batch(S, off, cols, k, ball_opts, n):
     """One screen of the rows ``cols`` of ``off``, one ``eigh`` for `post_cls_fit`'s
     positive-definite test of their k x k blocks and one ``solve`` of those that
@@ -112,7 +124,7 @@ def _fit_batch(S, off, cols, k, ball_opts, n):
     constraint; one whose block fails the test is refit alone by `post_cls_fit`,
     from the batch's eigendecomposition."""
     off = off[cols]
-    T = np.sort(screen_order(off)[:, :k], axis=1)  # as cs_screen, into each row of off
+    T = _top_k(off, k)  # as cs_screen, into each row of off
     idx = T + (T >= cols[:, None])  # the same columns, indexed in S
     blocks = S[idx[:, :, None], idx[:, None, :]]
     g = np.take_along_axis(off, T, axis=1)

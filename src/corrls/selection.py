@@ -100,14 +100,16 @@ def project_l1_ball(v, R, shrink=0.0):
     sign(v) * max(|v| - shrink, 0), v soft-thresholded, in one pass over |v|
     that sums it once and sorts it only outside the ball.  With shrink 0, v
     is projected as given, negative zeros kept."""
-    return _project_l1_ball(v, R, shrink)[0]
-
-
-def _project_l1_ball(v, R, shrink=0.0):
-    """`project_l1_ball` and the l1 norm of its result, bit-equal to np.abs(x).sum()."""
     v = np.asarray(v, dtype=float).ravel()
     if R <= 0:
         raise ValueError("radius must be positive")
+    x = _project_l1_ball(v, R, shrink)[0]
+    return x.copy() if x is v else x
+
+
+def _project_l1_ball(v, R, shrink):
+    """`project_l1_ball` of a 1-D float v and a radius R > 0, unchecked, and the
+    l1 norm of its result, bit-equal to np.abs(x).sum(); v itself if it is kept."""
     a = np.abs(v)
     if shrink:
         a -= shrink
@@ -117,7 +119,7 @@ def _project_l1_ball(v, R, shrink=0.0):
     if not math.isfinite(total) and not np.all(np.isfinite(a)):  # the sum may overflow
         raise ValueError("cannot project a non-finite vector")
     if total <= R:
-        return (v if shrink else v.copy()), total
+        return v, total
     u = np.sort(a)[::-1]
     cum = np.cumsum(u)
     ks = np.arange(1, v.size + 1)
@@ -142,8 +144,9 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
     soft-thresholds by lam/L, projects onto the ball and gives the l1 norm
     of the candidate for its objective.  y runs on past the candidate along
     its step, unless the momentum points uphill, (y - cand) . step > 0, which
-    restarts it (O'Donoghue & Candes 2015).  G @ b (`CorrectedMoments.matvec`)
-    is formed once per iterate, and G @ y follows by linearity.  Stops when
+    restarts it (O'Donoghue & Candes 2015).  G @ b, by the product
+    `CorrectedMoments.product` gives once per fit, is formed once per iterate,
+    and G @ y follows by linearity.  Stops when
     f of consecutive iterates changes by less than rel_tol * max(1, |f|);
     returns the best-objective iterate, which for an indefinite G may
     precede the last one.
@@ -157,7 +160,8 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
         raise ValueError(f"beta0 has length {beta.size}, expected {p}")
     L = m.lipschitz
     eta = 1.0 / L if L > 0 else 1.0
-    Gb = m.matvec(beta)
+    matvec = m.product()  # chosen once per fit
+    Gb = matvec(beta)
     f = 0.5 * (beta @ Gb) - g @ beta + lam * np.abs(beta).sum()
     best_beta, best_f = beta, f  # every iterate is a fresh array
     y, Gy, t, mu = beta, Gb, 1.0, 0.0  # the point the step is taken from, and G @ y
@@ -165,7 +169,7 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
     iters = 0
     for iters in range(1, opts.max_iters + 1):
         cand, norm = _project_l1_ball(y - eta * (Gy - g), R, eta * lam)
-        Gc = m.matvec(cand)
+        Gc = matvec(cand)
         f_cand = 0.5 * (cand @ Gc) - g @ cand + lam * norm
         if not math.isfinite(f_cand):
             raise ArithmeticError("diverged: non-finite objective in solver")

@@ -9,6 +9,7 @@ parameters never perturbs another's draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,13 +82,31 @@ def ar1_covariance(p, phi, scale=1.0):
 
 def sample_gaussian(n, Sigma, seed, label="gauss"):
     """n i.i.d. mean-zero Gaussian rows with the given covariance."""
-    Sigma = np.asarray(Sigma, dtype=float)
+    return _draw_gaussian(n, _cholesky(Sigma), seed, label)
+
+
+def _cholesky(Sigma):
     try:
-        chol = np.linalg.cholesky(Sigma)
+        return np.linalg.cholesky(np.asarray(Sigma, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance not PD") from exc
-    rng = substream(seed, label, n, Sigma.shape[0])
-    return rng.standard_normal((n, Sigma.shape[0])) @ chol.T
+
+
+def _draw_gaussian(n, chol, seed, label):
+    """n i.i.d. mean-zero Gaussian rows with covariance chol @ chol.T."""
+    rng = substream(seed, label, n, chol.shape[0])
+    return rng.standard_normal((n, chol.shape[0])) @ chol.T
+
+
+@lru_cache(maxsize=4)
+def _ar1_noise(p, phi, c_w):
+    """The validated `AdditiveNoise` of Sigma_w = `ar1_covariance(p, phi, c_w)` and
+    the Cholesky factor of Sigma_w, both read-only: built once for every train and
+    test set of a grid, not once per dataset."""
+    sigma_w = ar1_covariance(p, phi, c_w)
+    noise, chol = AdditiveNoise(sigma_w), _cholesky(sigma_w)
+    noise.sigma_w.flags.writeable = chol.flags.writeable = False
+    return noise, chol
 
 
 def _apply_missingness(X, rho, seed):
@@ -112,6 +131,8 @@ def gen_regression(config: SimConfig, beta0=None, rho=None):
 
     ``beta0`` and ``rho`` may be supplied to hold the model fixed while a
     fresh sample is drawn (independent test sets for cross-validation).
+    Additive datasets of the same (p, ar_phi, c_w) share one read-only
+    `AdditiveNoise`.
 
     Returns (dataset, beta0, true_support).
     """
@@ -125,9 +146,9 @@ def gen_regression(config: SimConfig, beta0=None, rho=None):
     eps = config.sigma_eps * substream(seed, "eps", n).standard_normal(n)
     y = X @ beta0 + eps
     if config.noise_kind == "additive":
-        sigma_w = ar1_covariance(p, config.ar_phi, config.c_w)
-        W = sample_gaussian(n, sigma_w, seed, label="w")
-        data = SurrogateDataset(Z=X + W, y=y, noise=AdditiveNoise(sigma_w))
+        noise, chol = _ar1_noise(p, config.ar_phi, config.c_w)
+        W = _draw_gaussian(n, chol, seed, "w")
+        data = SurrogateDataset(Z=X + W, y=y, noise=noise)
     else:
         if rho is None:
             rho = _draw_rho(p, config.rho_range, seed)

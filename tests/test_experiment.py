@@ -128,6 +128,27 @@ class TestRunGrid:
         run_grid(_tiny_spec())
         assert len(corrected) == 2 and live_at_raw == [0, 0]
 
+    def test_additive_grid_builds_the_noise_model_once(self, monkeypatch):
+        # 4 cells, a train and a test set each: one Sigma_w and one factor of it
+        import corrls.simulate
+
+        built, factored = [], []
+
+        def building(*args, original=corrls.simulate.ar1_covariance):
+            built.append(original(*args))
+            return built[-1]
+
+        def factoring(a, original=np.linalg.cholesky):
+            factored.extend(1 for sigma_w in built if a is sigma_w)
+            return original(a)
+
+        monkeypatch.setattr(corrls.simulate, "ar1_covariance", building)
+        monkeypatch.setattr(np.linalg, "cholesky", factoring)
+        corrls.simulate._ar1_noise.cache_clear()
+        records = run_grid(_tiny_spec(noise_kind="additive", replicates=4))
+        assert len(records) == 12 and all(r.error is None for r in records)
+        assert (len(built), len(factored)) == (1, 1)
+
     def test_wide_missing_cell_forms_one_gram(self, monkeypatch):
         # p > n: the train split's Z'Z/n serves L1CLS and the Lasso, and the
         # held-out losses come from blocks, so the test split forms none

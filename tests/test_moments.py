@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -332,6 +334,38 @@ class TestWideRoute:
         finally:
             tracemalloc.stop()
         assert p * p * 8 < peak < 2 * p * p * 8
+
+    @pytest.mark.parametrize("n, p", [(200, 100), (300, 260), (100, 300)])
+    @pytest.mark.parametrize("build, noise_kind", BUILT)
+    def test_a_fit_leaves_no_cycle_through_the_moments(self, build, noise_kind, n, p):
+        # dense, active-row and Gram products: the solver holds its product in a
+        # local, so reference counting alone frees the moments and the Gram
+        m = build(_wide(noise_kind, 5, n=n, p=p))
+        l1_cls_fit(m, 0.1, SolverOptions(radius=5.0))
+        refs = [weakref.ref(m), weakref.ref(m.source[0].gram)]
+        gc.disable()
+        try:
+            del m
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_the_gram_is_checked_once_in_row_blocks(self, monkeypatch):
+        # both kinds of wide moments read the Gram; it is scanned when formed,
+        # a block of rows at a time, with no p x p boolean array
+        data = _wide("missing", 6, n=100, p=600)
+        scanned = []
+
+        def recording(a, *args, original=np.isfinite, **kwargs):
+            scanned.append(a)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", recording)
+        for build in (corrected_moments, uncorrected_moments):
+            build(data).matvec(np.ones(600))
+        S = data.gram
+        blocks = [a for a in scanned if a is S or a.base is S]
+        assert sum(map(len, blocks)) == 600 and max(a.size for a in blocks) <= 1 << 16
 
     def test_the_gram_is_shared_by_both_kinds_of_moments(self):
         data = _wide("missing", 3, n=200, p=100)

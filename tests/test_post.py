@@ -459,6 +459,19 @@ class TestPositiveDefinitePrefix:
         assert best == 1 and fit.support_used == (0,)
         assert corrls.post.pd_prefix_length(B) == 1
 
+    def test_a_positive_definite_block_takes_one_cholesky(self, monkeypatch):
+        # as on an additive paper cell, whose whole screened block passes
+        A = np.random.default_rng(3).standard_normal((100, 500))
+        factored = []
+
+        def counting(a, original=np.linalg.cholesky):
+            factored.append(len(a))
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        assert corrls.post.pd_prefix_length(A @ A.T / 500) == 100
+        assert factored == [100]
+
     def test_bisection_matches_linear_scan(self):
         rng = np.random.default_rng(11)
         blocks = [np.eye(5), -np.eye(5), np.zeros((0, 0))]

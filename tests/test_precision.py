@@ -14,7 +14,8 @@ from corrls import (
     neighborhood_moments,
     symmetrize,
 )
-from corrls.precision import PrecisionEstimate, _fit_columns, corrected_covariance
+from corrls.precision import PrecisionEstimate, _fit_columns, _top_k, corrected_covariance
+from corrls.selection import screen_order
 from corrls.simulate import ar1_covariance, gen_graph_data, sample_gaussian
 from corrls._rng import substream
 
@@ -447,3 +448,22 @@ class TestBatchedNeighborhoods:
         data = _missing_dataset(X, np.zeros(4), seed=6)
         with pytest.raises(ValueError, match="non-finite corrected moments"):
             estimate_precision(data, 2, 5.0)
+
+
+class TestTopK:
+    """The batch screen keeps the k largest |scores| of each row by a partition:
+    the same indices as the sorted stable-argsort prefix, ties to the smaller index."""
+
+    @pytest.mark.parametrize("k", [1, 8, 38, 39])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_stable_argsort_prefix(self, k, seed):
+        rng = np.random.default_rng(seed)
+        scores = np.round(2 * rng.standard_normal((25, 39))) / 2  # ties at every magnitude
+        scores[0] = 0.0  # an all-zero row
+        scores[1] = -0.0
+        scores[2, ::2] = -0.0  # zeros of both signs
+        scores[3] = rng.standard_normal(39)  # no ties
+        scores[4, :k + 1] = 3.0  # a tie straddling the k-th place
+        ref = np.sort(screen_order(scores)[:, :k], axis=1)
+        top = _top_k(scores, k)
+        assert top.dtype == ref.dtype and np.array_equal(top, ref)

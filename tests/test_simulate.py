@@ -10,7 +10,9 @@ from corrls import (
     generate_band_precision,
     generate_cluster_precision,
     sample_gaussian,
+    simulate,
 )
+from corrls._rng import substream
 
 
 class TestGenBeta0:
@@ -90,8 +92,6 @@ class TestGenRegression:
         cfg = SimConfig(n=10_000, p=5, s=2, noise_kind="additive", seed=6)
         data, beta0, _ = gen_regression(cfg)
         # W = Z - X; regenerate X from the same stream labels
-        from corrls._rng import substream
-
         X = substream(cfg.seed, "x", cfg.n, cfg.p).standard_normal((cfg.n, cfg.p))
         W = data.Z - X
         emp = W.T @ W / cfg.n
@@ -121,6 +121,46 @@ class TestGenRegression:
             beta0=beta0, rho=np.full(5, 0.2))
         assert np.array_equal(beta2, beta0)
         assert np.array_equal(data2.noise.rho, np.full(5, 0.2))
+
+
+def _additive_reference(cfg):
+    """gen_regression's additive draw with Sigma_w built and factored in the call."""
+    n, p = cfg.n, cfg.p
+    beta0 = gen_beta0(p, cfg.s, cfg.seed)
+    X = substream(cfg.seed, "x", n, p).standard_normal((n, p))
+    y = X @ beta0 + cfg.sigma_eps * substream(cfg.seed, "eps", n).standard_normal(n)
+    sigma_w = ar1_covariance(p, cfg.ar_phi, cfg.c_w)
+    W = substream(cfg.seed, "w", n, p).standard_normal((n, p)) @ np.linalg.cholesky(sigma_w).T
+    return X + W, y, sigma_w
+
+
+class TestSharedNoiseModel:
+    """Every additive dataset of a (p, phi, c_w) reads one cached, read-only
+    Sigma_w and Cholesky factor."""
+
+    def test_bytes_equal_a_factor_per_call(self):
+        simulate._ar1_noise.cache_clear()
+        configs = [(12, 0.5, 0.25), (7, 0.3, 1.0), (12, 0.5, 0.25), (5, 0.0, 0.5),
+                   (9, 0.9, 0.25), (6, 0.5, 2.0), (7, 0.3, 1.0), (12, 0.5, 0.25),
+                   (12, 0.6, 0.25), (12, 0.5, 0.3)]
+        for seed, (p, phi, c_w) in enumerate(configs * 2):
+            cfg = SimConfig(n=40, p=p, s=2, noise_kind="additive", seed=seed,
+                            ar_phi=phi, c_w=c_w)
+            data, _, _ = gen_regression(cfg)
+            Z, y, sigma_w = _additive_reference(cfg)
+            assert data.Z.tobytes() == Z.tobytes() and data.y.tobytes() == y.tobytes()
+            assert data.noise.sigma_w.tobytes() == sigma_w.tobytes()
+        info = simulate._ar1_noise.cache_info()
+        assert info.currsize == info.maxsize < len(set(configs)) < info.misses
+
+    def test_cached_arrays_reject_writes(self):
+        cfg = SimConfig(n=20, p=5, s=2, noise_kind="additive", seed=1)
+        data, _, _ = gen_regression(cfg)
+        noise, chol = simulate._ar1_noise(cfg.p, cfg.ar_phi, cfg.c_w)
+        assert data.noise is noise
+        for arr in (noise.sigma_w, chol):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
 
 
 class TestPrecisionGenerators:
