@@ -160,7 +160,7 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
         raise ValueError(f"beta0 has length {beta.size}, expected {p}")
     L = m.lipschitz
     eta = 1.0 / L if L > 0 else 1.0
-    matvec = m.product()  # chosen once per fit
+    matvec = m.product()
     Gb = matvec(beta)
     f = 0.5 * (beta @ Gb) - g @ beta + lam * np.abs(beta).sum()
     best_beta, best_f = beta, f  # every iterate is a fresh array

@@ -92,6 +92,8 @@ class TestGenRegression:
         cfg = SimConfig(n=10_000, p=5, s=2, noise_kind="additive", seed=6)
         data, beta0, _ = gen_regression(cfg)
         # W = Z - X; regenerate X from the same stream labels
+        from corrls._rng import substream
+
         X = substream(cfg.seed, "x", cfg.n, cfg.p).standard_normal((cfg.n, cfg.p))
         W = data.Z - X
         emp = W.T @ W / cfg.n
