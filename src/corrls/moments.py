@@ -106,7 +106,7 @@ class CorrectedMoments:
             return lambda b: active_rows_matvec(S, b / q) / q - d * b
         G = self.gamma_mat
         if self.p < 256:
-            return G.__matmul__
+            return G.dot
         return lambda b: active_rows_matvec(G, b)
 
     def matvec(self, b) -> np.ndarray:
@@ -132,10 +132,10 @@ def active_rows_matvec(G, b):
     """G @ b for a symmetric G.  When b has at most one non-zero in 16, the
     product is summed from the rows of G at those non-zeros, which reads
     O(p * nnz) entries instead of p^2; otherwise it is the dense product."""
-    nz = np.flatnonzero(b)
+    nz = b.nonzero()[0]
     if 16 * nz.size > b.size:
-        return G @ b
-    return b[nz] @ G.take(nz, axis=0)
+        return G.dot(b)
+    return b[nz].dot(G.take(nz, axis=0))
 
 
 def estimate_missing_rates(mask):
@@ -209,7 +209,7 @@ def corrected_loss(beta, m: CorrectedMoments):
     if beta.size != m.p:
         raise ValueError(f"beta has length {beta.size}, expected {m.p}")
     if not m.wide:
-        return 0.5 * beta @ m.gamma_mat @ beta - m.gamma_vec @ beta
+        return (0.5 * beta).dot(m.gamma_mat).dot(beta) - m.gamma_vec.dot(beta)
     idx = np.flatnonzero(beta)
     b = beta[idx]
     if m.factor is None:

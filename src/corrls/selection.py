@@ -109,24 +109,25 @@ def project_l1_ball(v, R, shrink=0.0):
 
 def _project_l1_ball(v, R, shrink):
     """`project_l1_ball` of a 1-D float v and a radius R > 0, unchecked, and the
-    l1 norm of its result, bit-equal to np.abs(x).sum(); v itself if it is kept."""
+    l1 norm of its result as a Python float, bit-equal to np.abs(x).sum(); v
+    itself if it is kept."""
     a = np.abs(v)
     if shrink:
         a -= shrink
         np.maximum(a, 0.0, out=a)
         v = np.sign(v) * a
-    total = a.sum()
+    total = float(np.add.reduce(a))
     if not math.isfinite(total) and not np.all(np.isfinite(a)):  # the sum may overflow
         raise ValueError("cannot project a non-finite vector")
     if total <= R:
         return v, total
     u = np.sort(a)[::-1]
-    cum = np.cumsum(u)
+    cum = u.cumsum()
     ks = np.arange(1, v.size + 1)
-    rho = np.max(np.nonzero(u - (cum - R) / ks > 0)[0])
-    tau = (cum[rho] - R) / (rho + 1)
+    rho = int((u - (cum - R) / ks > 0).nonzero()[0][-1])
+    tau = (cum.item(rho) - R) / (rho + 1)
     a = np.maximum(a - tau, 0.0)
-    return np.sign(v) * a, a.sum()
+    return np.sign(v) * a, float(np.add.reduce(a))
 
 
 def lipschitz_estimate(G):
@@ -149,7 +150,9 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
     and G @ y follows by linearity.  Stops when
     f of consecutive iterates changes by less than rel_tol * max(1, |f|);
     returns the best-objective iterate, which for an indefinite G may
-    precede the last one.
+    precede the last one.  The loop calls BLAS through ndarray.dot and keeps
+    its scalars as Python floats: bit-equal to @, at about half the dispatch
+    cost at p=100.
     """
     if lam < 0:
         raise ValueError("lambda must be non-negative")
@@ -160,9 +163,10 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
         raise ValueError(f"beta0 has length {beta.size}, expected {p}")
     L = m.lipschitz
     eta = 1.0 / L if L > 0 else 1.0
+    lam = float(lam)
     matvec = m.product()
     Gb = matvec(beta)
-    f = 0.5 * (beta @ Gb) - g @ beta + lam * np.abs(beta).sum()
+    f = 0.5 * float(beta.dot(Gb)) - float(g.dot(beta)) + lam * float(np.abs(beta).sum())
     best_beta, best_f = beta, f  # every iterate is a fresh array
     y, Gy, t, mu = beta, Gb, 1.0, 0.0  # the point the step is taken from, and G @ y
     converged = False
@@ -170,11 +174,11 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
     for iters in range(1, opts.max_iters + 1):
         cand, norm = _project_l1_ball(y - eta * (Gy - g), R, eta * lam)
         Gc = matvec(cand)
-        f_cand = 0.5 * (cand @ Gc) - g @ cand + lam * norm
+        f_cand = 0.5 * float(cand.dot(Gc)) - float(g.dot(cand)) + lam * norm
         if not math.isfinite(f_cand):
             raise ArithmeticError("diverged: non-finite objective in solver")
         step = cand - beta
-        if mu and (y - cand) @ step > 0:  # the momentum points uphill: restart
+        if mu and float((y - cand).dot(step)) > 0:  # the momentum points uphill: restart
             t, mu = 1.0, 0.0
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -192,7 +196,7 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
         support_used=tuple(support(best_beta)),
         method="L1CLS",
         iterations=iters,
-        objective=float(best_f),
+        objective=best_f,
         converged=converged,
     )
 
@@ -200,9 +204,9 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
 def support(beta, tol=None):
     """Indices with |beta_j| > tol.  Default tol scales with the iterate's
     magnitude to shed projected-gradient dust."""
-    beta = np.asarray(beta, dtype=float).ravel()
+    a = np.abs(np.asarray(beta, dtype=float).ravel())
     if tol is None:
-        tol = 1e-6 * max(1.0, float(np.max(np.abs(beta), initial=0.0)))
+        tol = 1e-6 * max(1.0, float(np.maximum.reduce(a, initial=0.0)))
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
-    return np.flatnonzero(np.abs(beta) > tol).tolist()
+    return (a > tol).nonzero()[0].tolist()

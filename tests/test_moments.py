@@ -418,3 +418,65 @@ class TestNonFiniteMoments:
             l1_cls_fit(m, 0.1, SolverOptions())
         with pytest.raises(ValueError, match="non-finite corrected moments"):
             m.gamma_mat
+
+
+def _matmul_rows(G, b):
+    """`active_rows_matvec` written with @ and np.flatnonzero."""
+    nz = np.flatnonzero(b)
+    if 16 * nz.size > b.size:
+        return G @ b
+    return b[nz] @ G.take(nz, axis=0)
+
+
+def _matmul_product(m, b):
+    """gamma_mat @ b by the route `CorrectedMoments.product` takes, written with @."""
+    if m.wide and m.factor is not None:
+        data, noise = m.source
+        S = data.gram
+        if noise is None:
+            return _matmul_rows(S, b)
+        q = 1.0 - noise.rho
+        d = np.diagonal(S) * noise.rho / q**2
+        return _matmul_rows(S, b / q) / q - d * b
+    return m.gamma_mat @ b if m.p < 256 else _matmul_rows(m.gamma_mat, b)
+
+
+PRODUCT_ROUTES = {  # route -> (moments, whether they are wide)
+    "dense": (lambda: corrected_moments(_wide("missing", 12, n=300, p=100)), False),
+    "active rows": (lambda: corrected_moments(_wide("missing", 13, n=400, p=300)), False),
+    "wide corrected": (lambda: corrected_moments(_wide("missing", 14, n=100, p=320)), True),
+    "wide raw": (lambda: uncorrected_moments(_wide("missing", 14, n=100, p=320)), True),
+}
+
+
+class TestProductBytes:
+    """The products and the dense loss call BLAS through ndarray.dot; they must
+    be the bytes of the same expressions written with @."""
+
+    @staticmethod
+    def _vectors(p, seed):
+        """For nnz 0, 1, p/16, p/16 + 1 and p: a support, the same support
+        again, another one, none, and the first one again."""
+        rng = np.random.default_rng(seed)
+        for nnz in (0, 1, p // 16, p // 16 + 1, p):
+            first, other = (rng.choice(p, nnz, replace=False) for _ in range(2))
+            for idx in (first, first, other, first[:0], first):
+                b = np.zeros(p)
+                b[idx] = rng.standard_normal(idx.size)
+                yield b
+
+    @pytest.mark.parametrize("route", PRODUCT_ROUTES)
+    def test_each_route_is_the_matmul_product_to_the_byte(self, route):
+        build, wide = PRODUCT_ROUTES[route]
+        m = build()
+        assert m.wide == wide
+        product = m.product()
+        for b in self._vectors(m.p, 21):
+            assert product(b).tobytes() == _matmul_product(m, b).tobytes()
+
+    @pytest.mark.parametrize("route", ["dense", "active rows"])
+    def test_dense_loss_is_the_matmul_loss_to_the_byte(self, route):
+        m = PRODUCT_ROUTES[route][0]()
+        for beta in self._vectors(m.p, 22):
+            ref = 0.5 * beta @ m.gamma_mat @ beta - m.gamma_vec @ beta
+            assert np.float64(corrected_loss(beta, m)).tobytes() == ref.tobytes()

@@ -210,6 +210,22 @@ class TestShrinkAndProject:
         assert x.tobytes() == project_l1_ball(v, R, shrink).tobytes()
         assert np.float64(norm).tobytes() == np.abs(x).sum().tobytes()
 
+    @pytest.mark.parametrize("v, shrink, outside", [
+        ([-0.0, 0.25, -0.5], 0.0, False),  # kept as given, negative zero and all
+        ([-0.0, 0.75, -0.5], 0.2, False),  # shrunk into the ball
+        ([3.0, -1.0, 0.5, -0.0], 0.0, True),  # sorted and thresholded
+        ([-0.0, 0.75, -0.5], 0.1, True),  # shrunk, still outside
+        ([0.0, -0.0], 0.0, False),
+    ])
+    def test_norm_is_a_python_float_equal_to_the_abs_sum(self, v, shrink, outside):
+        v = np.array(v)
+        assert (np.abs(soft_threshold(v, shrink)).sum() > 1.0) == outside
+        x, norm = _project_l1_ball(v, 1.0, shrink)
+        assert type(norm) is float
+        assert np.float64(norm).tobytes() == np.abs(x).sum().tobytes()
+        assert x.tobytes() == _reference_project(soft_threshold(v, shrink) if shrink else v,
+                                                 1.0).tobytes()
+
     @pytest.mark.parametrize("v, message", [([1.0, np.nan], "non-finite"),
                                             ([np.inf, 0.0], "non-finite")])
     def test_rejects_non_finite_input(self, v, message):
@@ -470,7 +486,50 @@ class TestLipschitzEstimate:
         assert "lipschitz" in vars(m)
 
 
+def _reference_support(beta, tol=None):
+    """`support` written with np.flatnonzero and np.max."""
+    beta = np.asarray(beta, dtype=float).ravel()
+    if tol is None:
+        tol = 1e-6 * max(1.0, float(np.max(np.abs(beta), initial=0.0)))
+    if tol < 0:
+        raise ValueError("tolerance must be non-negative")
+    return np.flatnonzero(np.abs(beta) > tol).tolist()
+
+
+AT_DEFAULT_TOL = 1e-6 * 4.0  # the default tolerance of a vector whose largest |entry| is 4
+
+
 class TestSupport:
+    @pytest.mark.parametrize("beta, tol", [
+        ([-0.0, 0.0, -0.0], None),
+        ([-0.0, 0.0, -0.0], 0.0),
+        ([0.0] * 5, None),
+        ([-0.0, 2e-6, -1e-6, 0.5], 0.0),
+        ([1e-6, -1e-6, 2.0, 3e-6], 1e-6),  # entries exactly at tol
+        ([4.0, AT_DEFAULT_TOL, -AT_DEFAULT_TOL, -2 * AT_DEFAULT_TOL], None),
+        ([np.nan, 1.0, -0.5], None),
+        ([np.nan, 1.0, -0.5], 0.75),
+        ([np.inf, 1.0], None),
+        ([-np.inf, np.nan, 2.0], 0.0),
+    ])
+    def test_matches_the_flatnonzero_form(self, beta, tol):
+        got = support(beta, tol)
+        assert got == _reference_support(beta, tol)
+        assert all(type(j) is int for j in got)
+
+    @given(hnp.arrays(dtype=float, shape=st.integers(0, 12),
+                      elements=st.sampled_from([-0.0, 0.0, 1e-6, -1e-6, 4e-6, np.nan, -np.inf])
+                      | st.floats(-5, 5)),
+           st.sampled_from([None, 0.0, 1e-6, 0.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_flatnonzero_form_on_random_vectors(self, beta, tol):
+        assert support(beta, tol) == _reference_support(beta, tol)
+
+    def test_negative_tol_rejected(self):
+        for beta in ([1.0, -0.0], np.zeros(3)):
+            with pytest.raises(ValueError, match="non-negative"):
+                support(beta, tol=-1e-12)
+
     def test_threshold(self):
         assert support([0.0, 1e-12, 0.5], tol=1e-8) == [2]
 
