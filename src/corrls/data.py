@@ -28,13 +28,14 @@ __all__ = [
 ]
 
 NA_TOKEN = "NA"
-_FINITE_BLOCK = 1 << 16  # entries one finiteness scan of `_finite` reads at a time
+#: entries in one blockwise temporary: a `_finite` scan, a precision batch (2 MiB of floats)
+_BLOCK_ENTRIES = 1 << 18
 
 
 def _finite(a):
     """``a``, after checking that every entry is finite, in blocks of leading-axis
     slices, so that no boolean array of its size is made."""
-    step = max(1, _FINITE_BLOCK * len(a) // max(1, a.size))
+    step = max(1, _BLOCK_ENTRIES * len(a) // max(1, a.size))
     for i in range(0, len(a), step):
         if not np.isfinite(a[i:i + step]).all():
             raise ValueError("non-finite corrected moments")

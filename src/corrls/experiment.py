@@ -43,7 +43,6 @@ class GridSpec:
     ar_phi: float = 0.5
     c_w: float = 0.25
     rho_range: tuple = (0.05, 0.75)
-    solver_max_iters: int = 5000
 
     def __post_init__(self):
         for name in ("n_values", "p_values", "s_values", "methods"):
@@ -105,7 +104,7 @@ def _run_cell(spec: GridSpec, n, p, s, rep, keep_beta):
     train = with_estimated_missing_rates(train)
     test = with_estimated_missing_rates(test)
     radius = 1.1 * float(np.abs(beta0).sum())
-    opts = SolverOptions(max_iters=spec.solver_max_iters, radius=radius)
+    opts = SolverOptions(radius=radius)
     scenario = f"n{n}_p{p}_s{s}_r{rep}"
     records = []
     builds = [method_moments(_FIT_RULES[method]) for method in spec.methods]

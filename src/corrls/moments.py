@@ -21,7 +21,6 @@ __all__ = [
     "active_rows_matvec",
     "estimate_missing_rates",
     "build_mask_matrix",
-    "corrected_gram",
     "corrected_moments",
     "uncorrected_moments",
     "corrected_loss",
@@ -109,10 +108,6 @@ class CorrectedMoments:
             return G.dot
         return lambda b: active_rows_matvec(G, b)
 
-    def matvec(self, b) -> np.ndarray:
-        """gamma_mat @ b by `product`."""
-        return self.product()(b)
-
     @cached_property
     def lipschitz(self) -> float:
         """Lipschitz constant of the loss gradient, computed once per instance.
@@ -166,12 +161,6 @@ def build_mask_matrix(rho):
     return M
 
 
-def corrected_gram(data: SurrogateDataset) -> np.ndarray:
-    """Corrected Gram matrix: Z'Z/n - sigma_w (additive noise) or (Z'Z/n) / M
-    componentwise (missing data), from the dataset's shared Gram."""
-    return _corrected(data.gram, data.noise)
-
-
 def _dataset_moments(data: SurrogateDataset, noise) -> CorrectedMoments:
     """Moments of ``data`` corrected for ``noise``; a non-finite Z or y is
     rejected here, without waiting for gamma_mat."""
@@ -188,9 +177,10 @@ def _dataset_moments(data: SurrogateDataset, noise) -> CorrectedMoments:
 def corrected_moments(data: SurrogateDataset) -> CorrectedMoments:
     """Build (gamma_mat, gamma_vec) for the dataset's noise mechanism.
 
-    gamma_mat is `corrected_gram(data)`, formed on first read; gamma_vec is
-    Z'y/n under additive noise and (Z'y/n) / (1 - rho) componentwise under
-    missing data.
+    gamma_mat is Z'Z/n - sigma_w under additive noise and (Z'Z/n) / M
+    componentwise under missing data, formed on first read from the dataset's
+    shared Gram; gamma_vec is Z'y/n under additive noise and (Z'y/n) / (1 - rho)
+    componentwise under missing data.
     """
     return _dataset_moments(data, data.noise)
 

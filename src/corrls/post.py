@@ -183,14 +183,13 @@ def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid):
     and w = L^-1 g, the refit is beta_k = L_k'^-1 w[:k].  Points past that
     prefix, and a_n that `screen_size` rejects, record inf without a fit.
     """
-    order = screen_order(train_m.gamma_vec)
     sizes = []
     for v in grid:
         try:
             sizes.append(screen_size(v, train_m.p))
         except (ValueError, ArithmeticError):
             sizes.append(0)
-    idx = order[:max(sizes)]
+    idx = screen_order(train_m.gamma_vec, max(sizes))
     B = train_m.block(idx)
     k_star = pd_prefix_length(B)
     prefix = np.full(k_star + 1, np.inf)  # prefix[k]: held-out loss at a_n = k

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MissingNoise, SurrogateDataset
-from .moments import CorrectedMoments, _finite, corrected_gram
+from .data import _BLOCK_ENTRIES, MissingNoise, SurrogateDataset
+from .moments import CorrectedMoments, _corrected, _finite
 from .post import _PD_EPS, post_cls_fit
-from .selection import SolverOptions, l1_cls_fit, screen_size
+from .selection import SolverOptions, l1_cls_fit, screen_order, screen_size
 
 __all__ = [
     "PrecisionEstimate",
@@ -43,7 +43,7 @@ def corrected_covariance(data: SurrogateDataset) -> np.ndarray:
     """Missingness-corrected covariance (Z'Z/n) / M, exactly symmetric."""
     if not isinstance(data.noise, MissingNoise):
         raise ValueError("corrected covariance requires a missing-data noise model")
-    return corrected_gram(data)
+    return _corrected(data.gram, data.noise)
 
 
 def neighborhood_moments(S, j, n) -> CorrectedMoments:
@@ -77,14 +77,13 @@ def _outside_ball(theta, radius):
     return np.abs(theta).sum(axis=-1) > radius * (1 + 1e-12)
 
 
-_BATCH_FLOATS = 1 << 18  # block entries fitted in one batch, 2 MiB a copy
-
-
 def _fit_columns(S, cols, a_n, radius, n):
     """Screen each column j in ``cols`` of the symmetric corrected covariance S
     (of a dataset with ``n`` rows), then refit on the a_n x a_n block it
-    selects, in batches of at most ``_BATCH_FLOATS`` block entries, so that
-    memory stays bounded at any a_n.
+    selects, in batches of at most ``_BLOCK_ENTRIES // max(k * k, p)`` columns
+    (k = `screen_size`): a batch's k x k blocks and its rows of p-1 screening
+    scores then each hold at most ``_BLOCK_ENTRIES`` entries, so that memory
+    stays bounded at any a_n and p.
 
     A linear-solve or pseudo-inverse refit is accepted only if it lands
     inside the l1 ball of the given radius; otherwise the restricted
@@ -99,22 +98,10 @@ def _fit_columns(S, cols, a_n, radius, n):
     off = _off_diagonal(_finite(S)).reshape(p, p - 1)
     k = screen_size(a_n, p - 1)
     cols = np.asarray(cols, dtype=np.intp)
-    step = max(1, _BATCH_FLOATS // (k * k))
+    step = max(1, _BLOCK_ENTRIES // max(k * k, p))
     batches = [_fit_batch(S, off, cols[start:start + step], k, ball_opts, n)
                for start in range(0, cols.size, step)]
     return tuple(np.concatenate(parts) for parts in zip(*batches))
-
-
-def _top_k(scores, k):
-    """Sorted indices of the k largest |scores| in each row, ties to the smaller
-    index: the sorted first k of `screen_order`, by a partition, not a sort."""
-    a = np.abs(scores)
-    kth = np.partition(a, a.shape[1] - k, axis=1)[:, -k, None]  # k-th largest of each row
-    keep = a >= kth
-    surplus = keep.sum(axis=1) - k  # ties at the k-th largest beyond the k kept
-    for i in np.flatnonzero(surplus):
-        keep[i, np.flatnonzero(a[i] == kth[i])[-surplus[i]:]] = False
-    return np.nonzero(keep)[1].reshape(-1, k)
 
 
 def _fit_batch(S, off, cols, k, ball_opts, n):
@@ -124,7 +111,7 @@ def _fit_batch(S, off, cols, k, ball_opts, n):
     constraint; one whose block fails the test is refit alone by `post_cls_fit`,
     from the batch's eigendecomposition."""
     off = off[cols]
-    T = _top_k(off, k)  # as cs_screen, into each row of off
+    T = np.sort(screen_order(off, k), axis=1)  # as cs_screen, into each row of off
     idx = T + (T >= cols[:, None])  # the same columns, indexed in S
     blocks = S[idx[:, :, None], idx[:, None, :]]
     g = np.take_along_axis(off, T, axis=1)

@@ -65,16 +65,29 @@ class FitResult:
     fallback_used: bool = False
 
 
-def screen_order(gamma_vec):
-    """Indices by decreasing |gamma_vec|, ties to the smaller index: the
-    order in which correlation screening admits coordinates.  A 2-D array
-    is ordered row by row."""
-    g = np.asarray(gamma_vec, dtype=float)
-    g = g if g.ndim == 2 else g.ravel()
-    if not np.all(np.isfinite(g)):
+def screen_order(scores, k=None):
+    """The first k (all if None) indices of each row of ``scores`` by decreasing
+    |score|, ties to the smaller index: the order in which correlation screening
+    admits coordinates.  A 1-D array is one row.  For k below the row length the
+    k are found by a partition, not a sort of the row, then ordered stably."""
+    g = np.asarray(scores, dtype=float)
+    a = np.abs(g if g.ndim == 2 else g.reshape(1, -1))
+    if not math.isfinite(np.maximum.reduce(a, axis=None, initial=0.0)):
         raise ValueError("screening scores must be finite")
-    # stable sort on (-|g|, index) gives magnitude order with index tie-break
-    return np.argsort(-np.abs(g), axis=-1, kind="stable")
+    m = a.shape[1]
+    if k is None or not 0 < k < m:
+        # stable sort on (-|g|, index) gives magnitude order with index tie-break
+        order = np.argsort(-a, axis=1, kind="stable")[:, :k]
+    else:
+        kth = np.partition(a, m - k, axis=1)[:, m - k, None]  # k-th largest of each row
+        keep = a >= kth
+        surplus = keep.sum(axis=1) - k  # ties at the k-th largest beyond the k kept
+        for i in np.flatnonzero(surplus):
+            keep[i, np.flatnonzero(a[i] == kth[i])[-surplus[i]:]] = False
+        kept = np.nonzero(keep)[1].reshape(-1, k)  # ascending in each row
+        rank = np.argsort(-np.take_along_axis(a, kept, axis=1), axis=1, kind="stable")
+        order = np.take_along_axis(kept, rank, axis=1)
+    return order if g.ndim == 2 else order[0]
 
 
 def screen_size(a_n, p):
@@ -91,8 +104,8 @@ def screen_size(a_n, p):
 def cs_screen(gamma_vec, a_n) -> tuple:
     """Sorted indices of the a_n largest |gamma_vec| (0-based; reports print
     1-based), the first `screen_size` of `screen_order`."""
-    order = screen_order(gamma_vec)
-    return tuple(sorted(int(j) for j in order[:screen_size(a_n, order.size)]))
+    g = np.ravel(gamma_vec)
+    return tuple(sorted(int(j) for j in screen_order(g, screen_size(a_n, g.size))))
 
 
 def project_l1_ball(v, R, shrink=0.0):
@@ -203,10 +216,13 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
 
 def support(beta, tol=None):
     """Indices with |beta_j| > tol.  Default tol scales with the iterate's
-    magnitude to shed projected-gradient dust."""
+    magnitude to shed projected-gradient dust; it rejects a non-finite beta."""
     a = np.abs(np.asarray(beta, dtype=float).ravel())
     if tol is None:
-        tol = 1e-6 * max(1.0, float(np.maximum.reduce(a, initial=0.0)))
+        top = float(np.maximum.reduce(a, initial=0.0))  # nan or inf if any entry is
+        if not math.isfinite(top):
+            raise ValueError("cannot take the support of a non-finite vector")
+        tol = 1e-6 * max(1.0, top)
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
     return (a > tol).nonzero()[0].tolist()

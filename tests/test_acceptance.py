@@ -284,7 +284,7 @@ def test_c9_determinism(tmp_path):
 
     grid = {"n_values": [80], "p_values": [20], "s_values": [2],
             "noise_kind": "missing", "replicates": 2, "base_seed": 99,
-            "rho_range": [0.1, 0.3], "solver_max_iters": 1500}
+            "rho_range": [0.1, 0.3]}
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(grid))
     outs = []

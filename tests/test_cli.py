@@ -22,7 +22,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(corrls.experiment.__file__).resolve().parent.parent
 SIM = {"n": 120, "p": 12, "s": 3, "noise_kind": "missing", "rho_range": [0.1, 0.3], "seed": 5}
 GRID = {"n_values": [70], "p_values": [10], "s_values": [2], "noise_kind": "missing",
-        "replicates": 1, "base_seed": 3, "rho_range": [0.1, 0.3], "solver_max_iters": 1500}
+        "replicates": 1, "base_seed": 3, "rho_range": [0.1, 0.3]}
 
 
 @pytest.fixture
@@ -164,7 +164,7 @@ def test_precision_command(tmp_path):
 def test_experiment_determinism_across_workers(tmp_path):
     grid = {"n_values": [70], "p_values": [15], "s_values": [2],
             "noise_kind": "missing", "replicates": 2, "base_seed": 12,
-            "rho_range": [0.1, 0.3], "solver_max_iters": 1500}
+            "rho_range": [0.1, 0.3]}
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(grid))
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -288,11 +288,13 @@ def test_precision_non_finite_corrected_covariance_exits_2(tmp_path, capsys):
      "'replicate'"),
     ("experiment", {k: v for k, v in GRID.items() if k != "noise_kind"}, "'noise_kind'"),
     ("simulate", {**SIM, "c_x": 5.0}, "'c_x'"),
+    ("experiment", {**GRID, "solver_max_iters": 1500}, "'solver_max_iters'"),
     ("simulate", {**SIM, "n": "120"}, "'n'"),
     ("simulate", {**SIM, "s": True}, "'s'"),
     ("experiment", {**GRID, "n_values": [60.5]}, "n_values"),
     ("experiment", {**GRID, "p_values": [10, 3], "s_values": [4]}, "s value 4 exceeds p value 3"),
-], ids=["unknown", "missing", "c_x", "string", "bool", "fractional", "s_above_p"])
+], ids=["unknown", "missing", "c_x", "solver_max_iters", "string", "bool", "fractional",
+        "s_above_p"])
 def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, command, cfg, field):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -20,7 +20,7 @@ from corrls.metrics import ree
 def _tiny_spec(**over):
     base = dict(n_values=(80,), p_values=(20,), s_values=(2,),
                 noise_kind="missing", replicates=1, base_seed=77,
-                rho_range=(0.1, 0.3), solver_max_iters=1500)
+                rho_range=(0.1, 0.3))
     base.update(over)
     return GridSpec(**base)
 

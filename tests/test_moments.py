@@ -20,6 +20,7 @@ from corrls import (
     estimate_missing_rates,
     uncorrected_moments,
 )
+from corrls.data import _BLOCK_ENTRIES
 from corrls.moments import active_rows_matvec
 from corrls.post import cross_validate, default_lambda_grid
 from corrls.selection import SolverOptions, l1_cls_fit, lipschitz_estimate
@@ -289,7 +290,7 @@ class TestWideRoute:
         b = np.zeros(m.p)
         rng = np.random.default_rng(nnz)
         b[rng.choice(m.p, nnz, replace=False)] = rng.standard_normal(nnz)
-        product = m.matvec(b)
+        product = m.product()(b)
         assert "gamma_mat" not in vars(m)  # taken from the shared Gram
         G = m.gamma_mat
         assert np.max(np.abs(product - G @ b)) <= (
@@ -301,7 +302,7 @@ class TestWideRoute:
         m = uncorrected_moments(data)
         b = np.zeros(m.p)
         b[:nnz] = np.random.default_rng(nnz).standard_normal(nnz)
-        assert m.matvec(b).tobytes() == active_rows_matvec(data.gram, b).tobytes()
+        assert m.product()(b).tobytes() == active_rows_matvec(data.gram, b).tobytes()
 
     @staticmethod
     def _cell(n, p, seed=11):
@@ -362,10 +363,10 @@ class TestWideRoute:
 
         monkeypatch.setattr(np, "isfinite", recording)
         for build in (corrected_moments, uncorrected_moments):
-            build(data).matvec(np.ones(600))
+            build(data).product()(np.ones(600))
         S = data.gram
         blocks = [a for a in scanned if a is S or a.base is S]
-        assert sum(map(len, blocks)) == 600 and max(a.size for a in blocks) <= 1 << 16
+        assert sum(map(len, blocks)) == 600 and max(a.size for a in blocks) <= _BLOCK_ENTRIES
 
     def test_the_gram_is_shared_by_both_kinds_of_moments(self):
         data = _wide("missing", 3, n=200, p=100)
@@ -413,7 +414,7 @@ class TestNonFiniteMoments:
         with pytest.raises(ValueError, match="non-finite corrected moments"):
             m.lipschitz
         with pytest.raises(ValueError, match="non-finite corrected moments"):
-            m.matvec(np.zeros(p))  # the first product, before any Lipschitz bound
+            m.product()(np.zeros(p))  # the first product, before any Lipschitz bound
         with pytest.raises(ValueError, match="non-finite corrected moments"):
             l1_cls_fit(m, 0.1, SolverOptions())
         with pytest.raises(ValueError, match="non-finite corrected moments"):

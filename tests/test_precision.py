@@ -14,7 +14,7 @@ from corrls import (
     neighborhood_moments,
     symmetrize,
 )
-from corrls.precision import PrecisionEstimate, _fit_columns, _top_k, corrected_covariance
+from corrls.precision import PrecisionEstimate, _fit_columns, corrected_covariance
 from corrls.selection import screen_order
 from corrls.simulate import ar1_covariance, gen_graph_data, sample_gaussian
 from corrls._rng import substream
@@ -425,16 +425,27 @@ class TestBatchedNeighborhoods:
         assert len(calls) == sum(b in ("pinv", "indefinite") for b in branches) > 0
         assert sum(est.fallback_flags) == len(calls) + branches.count("ball")
 
-    @pytest.mark.parametrize("batch_floats", [1, 36 * 7])
-    def test_batches_equal_one_batch(self, monkeypatch, batch_floats):
-        # a_n 6 gives 6 x 6 blocks: batches of one column, then of seven
+    @pytest.mark.parametrize("a_n, block_entries", [(6, 1), (6, 36 * 7), (8, 64 * 2), (2, 30 * 3)])
+    def test_batches_equal_one_batch(self, monkeypatch, a_n, block_entries):
+        # a batch holds block_entries // max(a_n^2, p) columns: at p = 30, 6 x 6 and
+        # 8 x 8 blocks outweigh the rows of 29 scores (batches of one, seven and two
+        # columns), 2 x 2 blocks do not (batches of three)
         from corrls import precision
 
+        fit_batch, sizes = precision._fit_batch, []
+
+        def recording(S, off, cols, *args):
+            sizes.append(cols.size)
+            return fit_batch(S, off, cols, *args)
+
         data = _graph_data(150, (0.2, 0.7), seed=1)
-        one = estimate_precision(data, a_n=6, radius=2.5)
-        monkeypatch.setattr(precision, "_BATCH_FLOATS", batch_floats)
-        _assert_same_estimate(estimate_precision(data, a_n=6, radius=2.5), one)
+        one = estimate_precision(data, a_n, radius=2.5)
+        monkeypatch.setattr(precision, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(precision, "_fit_batch", recording)
+        _assert_same_estimate(estimate_precision(data, a_n, radius=2.5), one)
         assert 0 < sum(one.fallback_flags) < data.p
+        assert sum(sizes) == data.p
+        assert max(sizes) == max(1, block_entries // max(a_n * a_n, data.p))
 
     def test_fractional_an_rejected_before_any_fit(self):
         data = _graph_data(100, (0.05, 0.3), seed=4)
@@ -450,11 +461,12 @@ class TestBatchedNeighborhoods:
             estimate_precision(data, 2, 5.0)
 
 
-class TestTopK:
-    """The batch screen keeps the k largest |scores| of each row by a partition:
-    the same indices as the sorted stable-argsort prefix, ties to the smaller index."""
+class TestScreenOrder:
+    """`screen_order` with a k keeps the k largest |scores| of each row by a
+    partition: the stable-argsort prefix, in the same order, ties to the
+    smaller index."""
 
-    @pytest.mark.parametrize("k", [1, 8, 38, 39])
+    @pytest.mark.parametrize("k", [1, 8, 38, 39, 40])
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_the_stable_argsort_prefix(self, k, seed):
         rng = np.random.default_rng(seed)
@@ -464,6 +476,8 @@ class TestTopK:
         scores[2, ::2] = -0.0  # zeros of both signs
         scores[3] = rng.standard_normal(39)  # no ties
         scores[4, :k + 1] = 3.0  # a tie straddling the k-th place
-        ref = np.sort(screen_order(scores)[:, :k], axis=1)
-        top = _top_k(scores, k)
+        ref = screen_order(scores)[:, :k]
+        top = screen_order(scores, k)
         assert top.dtype == ref.dtype and np.array_equal(top, ref)
+        for row, ref_row in zip(scores, ref):  # a 1-D array is one row
+            assert np.array_equal(screen_order(row, k), ref_row)

@@ -338,10 +338,10 @@ def _two_matvec_fit(m, lam, opts):
 
 def _dense_loop_fit(m, lam, opts, beta0=None, accelerated=True):
     """The one-matvec solver loop with a separate shrink and projection per
-    step: the product G @ b from `m.matvec`, the one the solver uses, and
+    step: the product G @ b from `m.product`, the one the solver uses, and
     G @ y extrapolated by linearity.  With ``accelerated`` False the
     momentum stays 0: the fixed-step projected gradient loop."""
-    g, R, p, matvec = m.gamma_vec, opts.radius, m.p, m.matvec
+    g, R, p, matvec = m.gamma_vec, opts.radius, m.p, m.product()
     eta = 1.0 / m.lipschitz
     beta = np.zeros(p) if beta0 is None else _reference_project(np.asarray(beta0, float), R)
     Gb = matvec(beta)
@@ -490,6 +490,8 @@ def _reference_support(beta, tol=None):
     """`support` written with np.flatnonzero and np.max."""
     beta = np.asarray(beta, dtype=float).ravel()
     if tol is None:
+        if not np.all(np.isfinite(beta)):
+            raise ValueError("non-finite vector")
         tol = 1e-6 * max(1.0, float(np.max(np.abs(beta), initial=0.0)))
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
@@ -507,9 +509,7 @@ class TestSupport:
         ([-0.0, 2e-6, -1e-6, 0.5], 0.0),
         ([1e-6, -1e-6, 2.0, 3e-6], 1e-6),  # entries exactly at tol
         ([4.0, AT_DEFAULT_TOL, -AT_DEFAULT_TOL, -2 * AT_DEFAULT_TOL], None),
-        ([np.nan, 1.0, -0.5], None),
         ([np.nan, 1.0, -0.5], 0.75),
-        ([np.inf, 1.0], None),
         ([-np.inf, np.nan, 2.0], 0.0),
     ])
     def test_matches_the_flatnonzero_form(self, beta, tol):
@@ -517,13 +517,26 @@ class TestSupport:
         assert got == _reference_support(beta, tol)
         assert all(type(j) is int for j in got)
 
+    @pytest.mark.parametrize("beta", [[np.nan, 1.0, -0.5], [np.inf, 1.0], [0.0, -np.inf],
+                                      [1.0, np.nan, np.inf]])
+    def test_default_tol_rejects_a_non_finite_vector(self, beta):
+        for check in (support, _reference_support):
+            with pytest.raises(ValueError, match="non-finite vector"):
+                check(beta)
+
     @given(hnp.arrays(dtype=float, shape=st.integers(0, 12),
                       elements=st.sampled_from([-0.0, 0.0, 1e-6, -1e-6, 4e-6, np.nan, -np.inf])
                       | st.floats(-5, 5)),
            st.sampled_from([None, 0.0, 1e-6, 0.5]))
     @settings(max_examples=200, deadline=None)
     def test_matches_the_flatnonzero_form_on_random_vectors(self, beta, tol):
-        assert support(beta, tol) == _reference_support(beta, tol)
+        try:
+            ref = _reference_support(beta, tol)
+        except ValueError:
+            with pytest.raises(ValueError, match="non-finite vector"):
+                support(beta, tol)
+        else:
+            assert support(beta, tol) == ref
 
     def test_negative_tol_rejected(self):
         for beta in ([1.0, -0.0], np.zeros(3)):
