@@ -107,11 +107,10 @@ def _cmd_fit(args):
     print(f"method={fit.method} tuning={args.tuning:g} objective={fit.objective:.6g} "
           f"iterations={fit.iterations} converged={fit.converged}")
     if fit.fallback_used:
-        branch = "projected gradient" if fit.iterations else "pseudo-inverse"
         size = screen_size(args.tuning, fit.beta.size)
-        print(f"corrls: warning: the refit matrix on the {size} selected "
-              f"columns is not positive definite; refit by {branch}, not a linear solve",
-              file=sys.stderr)
+        print(f"corrls: warning: the refit matrix on the {size} selected columns is not "
+              f"positive definite; refit by projected gradient over the l1 ball, not a "
+              f"linear solve", file=sys.stderr)
     print("support (1-based):", " ".join(str(j + 1) for j in fit.support_used))
     if args.out:
         write_matrix_csv(fit.beta.reshape(-1, 1), args.out)

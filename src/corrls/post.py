@@ -2,10 +2,11 @@
 support, plus cross-validated tuning and the ordinary-Lasso baseline.
 
 Restricting the corrected quadratic to the selected coordinates turns the
-problem into a small linear system whenever the restricted matrix is
-positive definite.  Under additive noise the restriction can be indefinite,
-in which case the minimization is run as projected gradient descent over an
-l1 ball, mirroring the constraint used by the penalized stage.
+problem into a small linear system whenever the restricted matrix passes
+one positive-definite test (`_is_pd`).  Otherwise, as under additive noise
+or when the support outgrows the sample, the minimization is run as
+projected gradient descent over an l1 ball, mirroring the constraint used by
+the penalized stage.
 """
 
 from __future__ import annotations
@@ -47,16 +48,25 @@ _PD_EPS = 1e-8
 METHODS = {"cs_post": "CS+post", "l1cls": "L1CLS", "lasso": "Lasso"}
 
 
-def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions, *, eig=None) -> FitResult:
+def _is_pd(B):
+    """Whether the symmetric B has its least eigenvalue above `_PD_EPS`: the
+    Cholesky factorization of B - _PD_EPS*I accepts it."""
+    try:
+        np.linalg.cholesky(B - _PD_EPS * np.eye(len(B)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
     """Minimize the corrected loss over the coordinates in T_hat only.
 
-    Positive-definite restricted matrix: direct linear solve.  Singular but
-    PSD: eigen-pseudoinverse, flagged.  Indefinite: projected gradient over
-    the restricted l1 ball of radius opts.radius, flagged; its
-    ``support_used`` keeps only the coordinates of T_hat that `support`
-    finds non-zero, as in `l1_cls_fit`.  Coordinates off T_hat are exact
-    zeros by assignment.  ``eig``, if given, is ``np.linalg.eigh`` of the
-    restricted matrix, already computed.
+    A restricted matrix that passes `_is_pd` is solved directly.  Any other,
+    singular or indefinite, is minimized by projected gradient over the
+    restricted l1 ball of radius opts.radius (`l1_cls_fit` at penalty 0),
+    flagged as a fallback; its ``support_used`` keeps only the coordinates of
+    T_hat that `support` finds non-zero.  Coordinates off T_hat are exact
+    zeros by assignment.
     """
     T = sorted(set(int(j) for j in T_hat))
     if not T:
@@ -67,28 +77,17 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions, *, eig=None) -
         warnings.warn(f"support size {len(T)} exceeds sample size {m.n}", stacklevel=2)
     G_TT = m.block(T)
     g_T = m.gamma_vec[T]
-    vals, vecs = np.linalg.eigh(G_TT) if eig is None else eig
-    fallback = False
-    iters = 0
-    converged = True
-    used = tuple(T)
-    if vals[0] >= _PD_EPS:
-        b_T = np.linalg.solve(G_TT, g_T)
-    elif vals[0] >= 0.0:
-        # singular but PSD: least-squares solution through the eigenbasis
-        inv = np.where(vals > _PD_EPS, 1.0 / np.where(vals > _PD_EPS, vals, 1.0), 0.0)
-        b_T = vecs @ (inv * (vecs.T @ g_T))
-        fallback = True
-    else:
+    beta = np.zeros(m.p)
+    used, iters, converged = tuple(T), 0, True
+    fallback = not _is_pd(G_TT)
+    if fallback:
         sub = CorrectedMoments(gamma_mat=G_TT, gamma_vec=g_T, n=m.n, p=len(T))
         fit = l1_cls_fit(sub, 0.0, opts)
-        b_T = fit.beta
+        beta[T] = fit.beta
         used = tuple(T[j] for j in fit.support_used)
-        iters = fit.iterations
-        converged = fit.converged
-        fallback = True
-    beta = np.zeros(m.p)
-    beta[T] = b_T
+        iters, converged = fit.iterations, fit.converged
+    else:
+        beta[T] = np.linalg.solve(G_TT, g_T)
     return FitResult(
         beta=beta,
         support_used=used,
@@ -152,23 +151,20 @@ def fit_method(method, m: CorrectedMoments, value, opts: SolverOptions) -> FitRe
 
 
 def pd_prefix_length(B):
-    """Largest k such that the leading k x k block of the symmetric B has its
-    least eigenvalue above `_PD_EPS`, the bound under which `post_cls_fit`
-    solves directly (0 if none).
+    """Largest k such that the leading k x k block of the symmetric B passes
+    `_is_pd`, the test under which `post_cls_fit` solves directly (0 if none).
 
-    A block passes when the Cholesky factorization of B - _PD_EPS*I accepts
-    it.  Leading blocks are nested, so by eigenvalue interlacing their least
+    Leading blocks are nested, so by eigenvalue interlacing their least
     eigenvalues do not increase with k: the whole of B is tried first, and
     only if it fails does a bisection over k find the end.
     """
-    shifted = np.asarray(B, dtype=float) - _PD_EPS * np.eye(len(B))
+    B = np.asarray(B, dtype=float)
     good, bad = 0, len(B) + 1  # prefix `good` passes, prefix `bad` does not
     k = len(B)
     while bad - good > 1:
-        try:
-            np.linalg.cholesky(shifted[:k, :k])
+        if _is_pd(B[:k, :k]):
             good = k
-        except np.linalg.LinAlgError:
+        else:
             bad = k
         k = (good + bad) // 2
     return good

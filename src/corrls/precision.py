@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import _BLOCK_ENTRIES, MissingNoise, SurrogateDataset
 from .moments import CorrectedMoments, _corrected, _finite
-from .post import _PD_EPS, post_cls_fit
+from .post import _PD_EPS
 from .selection import SolverOptions, l1_cls_fit, screen_order, screen_size
 
 __all__ = [
@@ -85,12 +85,12 @@ def _fit_columns(S, cols, a_n, radius, n):
     scores then each hold at most ``_BLOCK_ENTRIES`` entries, so that memory
     stays bounded at any a_n and p.
 
-    A linear-solve or pseudo-inverse refit is accepted only if it lands
-    inside the l1 ball of the given radius; otherwise the restricted
-    problem is re-solved as projected gradient under the constraint.
-    Returns three arrays, one row per column: the slopes over the p-1 other
-    columns, the sorted screened supports (indices into those p-1) and
-    whether the refit fell back."""
+    A column whose block passes the positive-definite test is solved
+    directly, and its solution kept if it lies inside the l1 ball of the
+    given radius.  Any other column is refit alone by projected gradient over
+    that ball.  Returns three arrays, one row per column: the slopes over the
+    p-1 other columns, the sorted screened supports (indices into those p-1)
+    and whether the refit fell back."""
     p = S.shape[0]
     if not 1 <= a_n <= p - 1:
         raise ValueError(f"a_n must lie in [1, {p - 1}]")
@@ -105,18 +105,17 @@ def _fit_columns(S, cols, a_n, radius, n):
 
 
 def _fit_batch(S, off, cols, k, ball_opts, n):
-    """One screen of the rows ``cols`` of ``off``, one ``eigh`` for `post_cls_fit`'s
-    positive-definite test of their k x k blocks and one ``solve`` of those that
-    pass.  A column whose solution leaves the ball is re-solved alone under the
-    constraint; one whose block fails the test is refit alone by `post_cls_fit`,
-    from the batch's eigendecomposition."""
+    """One screen of the rows ``cols`` of ``off``, one ``eigvalsh`` of their k x k
+    blocks as the positive-definite test (least eigenvalue at least `_PD_EPS`)
+    and one ``solve`` of those that pass.  A column whose block fails the test,
+    or whose solution leaves the ball, is refit alone by projected gradient
+    (`l1_cls_fit` at penalty 0 under ``ball_opts``)."""
     off = off[cols]
     T = np.sort(screen_order(off, k), axis=1)  # as cs_screen, into each row of off
     idx = T + (T >= cols[:, None])  # the same columns, indexed in S
     blocks = S[idx[:, :, None], idx[:, None, :]]
     g = np.take_along_axis(off, T, axis=1)
-    vals, vecs = np.linalg.eigh(blocks)
-    is_pd = vals[:, 0] >= _PD_EPS
+    is_pd = np.linalg.eigvalsh(blocks)[:, 0] >= _PD_EPS
     pd = np.flatnonzero(is_pd)
     thetas = np.zeros(off.shape)
     thetas[pd[:, None], T[pd]] = np.linalg.solve(blocks[pd], g[pd, :, None])[..., 0]
@@ -125,13 +124,7 @@ def _fit_batch(S, off, cols, k, ball_opts, n):
     for i in np.flatnonzero(alone):
         try:
             sub = CorrectedMoments(gamma_mat=blocks[i], gamma_vec=g[i], n=n, p=k)
-            resolve = is_pd[i]  # the batch's solve left the ball
-            if not resolve:
-                fit = post_cls_fit(sub, range(k), ball_opts, eig=(vals[i], vecs[i]))
-                thetas[i, T[i]] = fit.beta
-                resolve = fit.iterations == 0 and _outside_ball(thetas[i], ball_opts.radius)
-            if resolve:
-                thetas[i, T[i]] = l1_cls_fit(sub, 0.0, ball_opts).beta
+            thetas[i, T[i]] = l1_cls_fit(sub, 0.0, ball_opts).beta
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             raise RuntimeError(f"neighborhood fit failed at column {cols[i]}: {exc}") from exc
     return thetas, T, alone

@@ -214,15 +214,13 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
     )
 
 
-def support(beta, tol=None):
-    """Indices with |beta_j| > tol.  Default tol scales with the iterate's
-    magnitude to shed projected-gradient dust; it rejects a non-finite beta."""
+def support(beta):
+    """Indices with |beta_j| > 1e-6 * max(1, max_j |beta_j|), a tolerance that
+    scales with the iterate's magnitude to shed projected-gradient dust.  A
+    non-finite beta is rejected."""
     a = np.abs(np.asarray(beta, dtype=float).ravel())
-    if tol is None:
-        top = float(np.maximum.reduce(a, initial=0.0))  # nan or inf if any entry is
-        if not math.isfinite(top):
-            raise ValueError("cannot take the support of a non-finite vector")
-        tol = 1e-6 * max(1.0, top)
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
+    top = float(np.maximum.reduce(a, initial=0.0))  # nan or inf if any entry is
+    if not math.isfinite(top):
+        raise ValueError("cannot take the support of a non-finite vector")
+    tol = 1e-6 * max(1.0, top)
     return (a > tol).nonzero()[0].tolist()

@@ -1,12 +1,13 @@
 """Source hygiene: no module imports a name it never uses, every name a
 module exports exists, and every function the benchmark's tracer wraps
-exists."""
+exists and gives its observer what it reads."""
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,14 +58,61 @@ def test_exported_names_exist(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_traced_functions_exist():
     """Each function `perfbench/tracer.py` lists in TRACED is a function of
     its corrls module, so a rename under src fails here and not only in a
     traced benchmark run."""
-    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_tracer()
     missing = [f"corrls.{module}.{name}" for module, names in tracer.TRACED.items()
                for name in names
                if not callable(getattr(importlib.import_module(f"corrls.{module}"), name, None))]
     assert tracer.TRACED and missing == []
+
+
+def test_tracer_observers_read_real_results(tmp_path):
+    """Each observer in `perfbench/tracer.py` derives its counters from a real
+    call of the function it observes, so removing a field it reads (such as
+    ``FitResult.fallback_used``) or renaming an argument it reads by name
+    fails here and not only in a traced benchmark run."""
+    from corrls import (CorrectedMoments, MissingNoise, SolverOptions, corrected_loss,
+                        corrected_moments, cross_validate, l1_cls_fit, post_cls_fit)
+    from corrls.data import read_dataset_csv, write_dataset_csv
+    from corrls.selection import lipschitz_estimate
+    from corrls.simulate import SimConfig, gen_regression
+
+    data, beta0, _ = gen_regression(SimConfig(n=60, p=6, s=2, noise_kind="missing", seed=1))
+    m = corrected_moments(data)
+    indefinite = CorrectedMoments(gamma_mat=np.diag([1.0, -1.0]), gamma_vec=np.array([0.5, 0.2]),
+                                  n=60, p=2)
+    opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+    path = tmp_path / "data.csv"
+    write_dataset_csv(data, path)
+    size = path.stat().st_size
+    # (function, args, kwargs, the counters its observer must derive from the result)
+    cases = [
+        (post_cls_fit, (m, [0, 1], opts), {}, {"fallback": 0}),
+        (post_cls_fit, (indefinite, [0, 1], opts), {}, {"fallback": 1}),
+        (l1_cls_fit, (m, 0.1, opts), {},
+         {"iters": l1_cls_fit(m, 0.1, opts).iterations, "unconverged": 0}),
+        (cross_validate, (m, m, [0, 1, 2], "cs_post", opts), {}, {"points": 3, "inf": 1}),
+        (lipschitz_estimate, (m.gamma_mat,), {}, {"flop": 2 * 6**3}),
+        (lipschitz_estimate, (), {"G": m.gamma_mat}, {"flop": 2 * 6**3}),
+        (corrected_loss, (beta0, m), {}, {"flop": 2 * 6**2}),
+        (corrected_loss, (), {"beta": beta0, "m": m}, {"flop": 2 * 6**2}),
+        (read_dataset_csv, (path, MissingNoise(np.zeros(6))), {}, {"bytes": size}),
+        (read_dataset_csv, (), {"path": path, "noise": MissingNoise(np.zeros(6))},
+         {"bytes": size}),
+    ]
+    observers = {name: observe for names in _load_tracer().TRACED.values()
+                 for name, observe in names.items() if observe is not None}
+    assert {fn.__name__ for fn, *_ in cases} == set(observers)
+    for fn, args, kwargs, expected in cases:
+        result = fn(*args, **kwargs)
+        assert observers[fn.__name__](args, kwargs, result) == expected, fn.__name__

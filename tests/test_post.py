@@ -98,12 +98,27 @@ class TestPostClsFit:
                 best = min(best, corrected_loss(beta, m))
         assert fit.objective <= best + 1e-3
 
-    def test_singular_psd_uses_pseudoinverse(self):
-        v = np.array([1.0, 1.0])
-        G = np.outer(v, v)  # rank one, PSD
-        fit = post_cls_fit(_m(G, v), [0, 1], OPTS)
-        assert fit.fallback_used
-        assert np.all(np.isfinite(fit.beta))
+    def test_singular_block_is_solved_in_the_ball(self):
+        # G is singular; its minimum-norm least-squares solution (0.5, 0.5) has
+        # l1 norm 1.0, outside the ball of radius 0.5
+        fit = post_cls_fit(_m([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]), [0, 1],
+                           SolverOptions(radius=0.5))
+        assert fit.fallback_used and fit.iterations > 0
+        assert np.abs(fit.beta).sum() <= 0.5 + 1e-10
+
+    @pytest.mark.parametrize("seed, nonnegative", [(0, False), (1, False), (72, True),
+                                                   (82, True)])
+    def test_rank_deficient_block_is_solved_in_the_ball(self, seed, nonnegative):
+        # an 8 x 8 Gram of 5 rows is singular; rounding puts its computed
+        # least eigenvalue on either side of 0, and both take the same branch
+        rng = np.random.default_rng(seed)
+        Z, y = rng.standard_normal((5, 8)), rng.standard_normal(5)
+        G = Z.T @ Z / 5
+        assert (np.linalg.eigvalsh(G)[0] >= 0.0) == nonnegative
+        with pytest.warns(UserWarning, match="exceeds sample size"):
+            fit = post_cls_fit(_m(G, Z.T @ y / 5, n=5), range(8), SolverOptions(radius=0.5))
+        assert fit.fallback_used and fit.iterations > 0
+        assert np.abs(fit.beta).sum() <= 0.5 + 1e-10
 
     def test_indefinite_subblock_falls_back_to_projected_gradient(self):
         G = np.diag([1.0, -1.0])
@@ -123,6 +138,20 @@ class TestPostClsFit:
         assert fit.fallback_used and fit.iterations > 0
         assert fit.support_used == tuple(support(fit.beta))
         assert len(fit.support_used) == 15
+
+    @pytest.mark.parametrize("rep, k_star", [(0, 27), (1, 30), (2, 44)])
+    def test_refit_falls_back_exactly_past_the_positive_definite_prefix(self, rep, k_star):
+        # the missing-data cells of the reference snapshot (base seed 0)
+        seed = corrls.experiment._cell_seed(0, 500, 100, 4, rep)
+        train, beta0, _ = gen_regression(SimConfig(n=500, p=100, s=4, noise_kind="missing",
+                                                   seed=seed))
+        m = corrected_moments(with_estimated_missing_rates(train))
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        grid = default_an_grid(500, 100)
+        order = corrls.selection.screen_order(m.gamma_vec, grid[-1])
+        assert corrls.post.pd_prefix_length(m.block(order)) == k_star < grid[-1]
+        assert [cs_post_fit(m, a, opts).fallback_used for a in grid] == \
+            [a > k_star for a in grid]
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError, match="empty support"):

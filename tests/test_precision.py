@@ -116,7 +116,7 @@ class TestFitNeighborhood:
 
     def test_radius_enforced_on_singular_block(self):
         # the selected 2x2 block [[1, 1], [1, 1]] is singular, so the refit
-        # takes the pseudo-inverse, whose solution (2.5, 2.5) leaves the ball
+        # is solved in the ball; the least-squares solution (2.5, 2.5) is not
         S = np.array([[10.0, 5.0, 5.0], [5.0, 1.0, 1.0], [5.0, 1.0, 1.0]])
         (theta,), _, (fallback,) = _fit_columns(S, [0], a_n=2, radius=1.0, n=4)
         assert fallback
@@ -244,7 +244,7 @@ def _parent_route(data, a_n, radius):
         T_hat = cs_screen(m.gamma_vec, a_n)
         fit = post_cls_fit(m, T_hat, ball_opts)
         theta, fallback = fit.beta, fit.fallback_used
-        branch = "indefinite" if fit.iterations else "pinv" if fallback else "solve"
+        branch = "not_pd" if fallback else "solve"
         if not fallback and np.abs(theta).sum() > radius * (1 + 1e-12):
             T = list(T_hat)
             sub = CorrectedMoments(gamma_mat=m.gamma_mat[np.ix_(T, T)],
@@ -277,7 +277,7 @@ class TestPipelineReadsSDirectly:
         _, sigma = generate_band_precision(30, 2)
         data = gen_graph_data(sigma, 150, 1.0, (0.2, 0.7), seed=1)
         ref, branches = _parent_route(data, a_n=6, radius=2.5)
-        assert {"solve", "ball", "indefinite"} <= set(branches)
+        assert {"solve", "ball", "not_pd"} <= set(branches)
         est = estimate_precision(data, a_n=6, radius=2.5)
         assert np.array_equal(est.theta, ref.theta)
         assert np.array_equal(est.theta_raw, ref.theta_raw)
@@ -305,7 +305,7 @@ def _reference_fit(S, j, a_n, radius, n):
     theta = np.zeros(keep.size)
     theta[T] = fit.beta
     fallback = fit.fallback_used
-    if fit.iterations == 0 and np.abs(theta).sum() > radius * (1 + 1e-12):
+    if not fallback and np.abs(theta).sum() > radius * (1 + 1e-12):
         theta[T] = l1_cls_fit(sub, 0.0, opts).beta
         fallback = True
     return theta, tuple(T), fallback
@@ -406,24 +406,24 @@ class TestBatchedNeighborhoods:
 
     def test_columns_pd_inside_the_ball_are_not_refit_alone(self, monkeypatch):
         from corrls import precision
-        from corrls.post import post_cls_fit
+        from corrls.selection import l1_cls_fit
 
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return post_cls_fit(*args, **kwargs)
+            return l1_cls_fit(*args, **kwargs)
 
-        monkeypatch.setattr(precision, "post_cls_fit", counting)
+        monkeypatch.setattr(precision, "l1_cls_fit", counting)
         est = estimate_precision(_graph_data(2000, (0.05, 0.3), seed=3), a_n=4, radius=50.0)
         assert not any(est.fallback_flags) and calls == []
-        # a column with a PD block outside the ball is re-solved without post_cls_fit
+        # one projected-gradient fit per fallback column, whether its block
+        # failed the positive-definite test or its solution left the ball
         data = _graph_data(150, (0.2, 0.7), seed=1)
         est = estimate_precision(data, a_n=6, radius=2.5)
         _, branches = _parent_route(data, a_n=6, radius=2.5)
-        assert branches.count("ball") > 0
-        assert len(calls) == sum(b in ("pinv", "indefinite") for b in branches) > 0
-        assert sum(est.fallback_flags) == len(calls) + branches.count("ball")
+        assert branches.count("ball") > 0 and branches.count("not_pd") > 0
+        assert sum(est.fallback_flags) == len(calls) == len(branches) - branches.count("solve")
 
     @pytest.mark.parametrize("a_n, block_entries", [(6, 1), (6, 36 * 7), (8, 64 * 2), (2, 30 * 3)])
     def test_batches_equal_one_batch(self, monkeypatch, a_n, block_entries):

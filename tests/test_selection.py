@@ -486,35 +486,27 @@ class TestLipschitzEstimate:
         assert "lipschitz" in vars(m)
 
 
-def _reference_support(beta, tol=None):
+def _reference_support(beta):
     """`support` written with np.flatnonzero and np.max."""
     beta = np.asarray(beta, dtype=float).ravel()
-    if tol is None:
-        if not np.all(np.isfinite(beta)):
-            raise ValueError("non-finite vector")
-        tol = 1e-6 * max(1.0, float(np.max(np.abs(beta), initial=0.0)))
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("non-finite vector")
+    tol = 1e-6 * max(1.0, float(np.max(np.abs(beta), initial=0.0)))
     return np.flatnonzero(np.abs(beta) > tol).tolist()
 
 
-AT_DEFAULT_TOL = 1e-6 * 4.0  # the default tolerance of a vector whose largest |entry| is 4
+AT_DEFAULT_TOL = 1e-6 * 4.0  # the tolerance of a vector whose largest |entry| is 4
 
 
 class TestSupport:
-    @pytest.mark.parametrize("beta, tol", [
-        ([-0.0, 0.0, -0.0], None),
-        ([-0.0, 0.0, -0.0], 0.0),
-        ([0.0] * 5, None),
-        ([-0.0, 2e-6, -1e-6, 0.5], 0.0),
-        ([1e-6, -1e-6, 2.0, 3e-6], 1e-6),  # entries exactly at tol
-        ([4.0, AT_DEFAULT_TOL, -AT_DEFAULT_TOL, -2 * AT_DEFAULT_TOL], None),
-        ([np.nan, 1.0, -0.5], 0.75),
-        ([-np.inf, np.nan, 2.0], 0.0),
+    @pytest.mark.parametrize("beta", [
+        [-0.0, 0.0, -0.0],
+        [0.0] * 5,
+        [4.0, AT_DEFAULT_TOL, -AT_DEFAULT_TOL, -2 * AT_DEFAULT_TOL],
     ])
-    def test_matches_the_flatnonzero_form(self, beta, tol):
-        got = support(beta, tol)
-        assert got == _reference_support(beta, tol)
+    def test_matches_the_flatnonzero_form(self, beta):
+        got = support(beta)
+        assert got == _reference_support(beta)
         assert all(type(j) is int for j in got)
 
     @pytest.mark.parametrize("beta", [[np.nan, 1.0, -0.5], [np.inf, 1.0], [0.0, -np.inf],
@@ -526,28 +518,16 @@ class TestSupport:
 
     @given(hnp.arrays(dtype=float, shape=st.integers(0, 12),
                       elements=st.sampled_from([-0.0, 0.0, 1e-6, -1e-6, 4e-6, np.nan, -np.inf])
-                      | st.floats(-5, 5)),
-           st.sampled_from([None, 0.0, 1e-6, 0.5]))
+                      | st.floats(-5, 5)))
     @settings(max_examples=200, deadline=None)
-    def test_matches_the_flatnonzero_form_on_random_vectors(self, beta, tol):
+    def test_matches_the_flatnonzero_form_on_random_vectors(self, beta):
         try:
-            ref = _reference_support(beta, tol)
+            ref = _reference_support(beta)
         except ValueError:
             with pytest.raises(ValueError, match="non-finite vector"):
-                support(beta, tol)
+                support(beta)
         else:
-            assert support(beta, tol) == ref
-
-    def test_negative_tol_rejected(self):
-        for beta in ([1.0, -0.0], np.zeros(3)):
-            with pytest.raises(ValueError, match="non-negative"):
-                support(beta, tol=-1e-12)
-
-    def test_threshold(self):
-        assert support([0.0, 1e-12, 0.5], tol=1e-8) == [2]
+            assert support(beta) == ref
 
     def test_zero_vector(self):
         assert support(np.zeros(4)) == []
-
-    def test_tol_zero(self):
-        assert support([-2.0, 3.0], tol=0.0) == [0, 1]
