@@ -39,10 +39,10 @@ class GridSpec:
     replicates: int
     base_seed: int
     methods: tuple = METHODS
-    sigma_eps: float = 0.25
-    ar_phi: float = 0.5
-    c_w: float = 0.25
-    rho_range: tuple = (0.05, 0.75)
+    sigma_eps: float = SimConfig.sigma_eps
+    ar_phi: float = SimConfig.ar_phi
+    c_w: float = SimConfig.c_w
+    rho_range: tuple = SimConfig.rho_range
 
     def __post_init__(self):
         for name in ("n_values", "p_values", "s_values", "methods"):
@@ -60,6 +60,10 @@ class GridSpec:
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown methods: {sorted(bad)}")
+        # the model fields, checked by SimConfig at the least n and p and the greatest s
+        SimConfig(n=min(self.n_values), p=min(self.p_values), s=max(self.s_values),
+                  noise_kind=self.noise_kind, sigma_eps=self.sigma_eps, ar_phi=self.ar_phi,
+                  c_w=self.c_w, rho_range=self.rho_range)
 
 
 @dataclass(frozen=True)

@@ -50,12 +50,13 @@ METHODS = {"cs_post": "CS+post", "l1cls": "L1CLS", "lasso": "Lasso"}
 
 def _is_pd(B):
     """Whether the symmetric B has its least eigenvalue above `_PD_EPS`: the
-    Cholesky factorization of B - _PD_EPS*I accepts it."""
+    Cholesky factorization of B - _PD_EPS*I accepts it.  A stack gets one boolean
+    per block from one factorization, retried block by block only if it raises."""
     try:
-        np.linalg.cholesky(B - _PD_EPS * np.eye(len(B)))
+        np.linalg.cholesky(B - _PD_EPS * np.eye(B.shape[-1]))
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return np.array([_is_pd(b) for b in B]) if B.ndim > 2 else False
+    return np.ones(B.shape[:-2], dtype=bool) if B.ndim > 2 else True
 
 
 def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:

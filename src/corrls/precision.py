@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import _BLOCK_ENTRIES, MissingNoise, SurrogateDataset
 from .moments import CorrectedMoments, _corrected, _finite
-from .post import _PD_EPS
+from .post import _is_pd
 from .selection import SolverOptions, l1_cls_fit, screen_order, screen_size
 
 __all__ = [
@@ -85,8 +85,8 @@ def _fit_columns(S, cols, a_n, radius, n):
     scores then each hold at most ``_BLOCK_ENTRIES`` entries, so that memory
     stays bounded at any a_n and p.
 
-    A column whose block passes the positive-definite test is solved
-    directly, and its solution kept if it lies inside the l1 ball of the
+    A column whose block passes `_is_pd`, the refit's positive-definite
+    test, is solved directly, and kept if it lies inside the l1 ball of the
     given radius.  Any other column is refit alone by projected gradient over
     that ball.  Returns three arrays, one row per column: the slopes over the
     p-1 other columns, the sorted screened supports (indices into those p-1)
@@ -105,17 +105,17 @@ def _fit_columns(S, cols, a_n, radius, n):
 
 
 def _fit_batch(S, off, cols, k, ball_opts, n):
-    """One screen of the rows ``cols`` of ``off``, one ``eigvalsh`` of their k x k
-    blocks as the positive-definite test (least eigenvalue at least `_PD_EPS`)
-    and one ``solve`` of those that pass.  A column whose block fails the test,
-    or whose solution leaves the ball, is refit alone by projected gradient
+    """One screen of the rows ``cols`` of ``off``, one `_is_pd` call on their
+    k x k blocks (the test `post_cls_fit` applies to one block) and one
+    ``solve`` of those that pass.  A column whose block fails the test, or
+    whose solution leaves the ball, is refit alone by projected gradient
     (`l1_cls_fit` at penalty 0 under ``ball_opts``)."""
     off = off[cols]
     T = np.sort(screen_order(off, k), axis=1)  # as cs_screen, into each row of off
     idx = T + (T >= cols[:, None])  # the same columns, indexed in S
     blocks = S[idx[:, :, None], idx[:, None, :]]
     g = np.take_along_axis(off, T, axis=1)
-    is_pd = np.linalg.eigvalsh(blocks)[:, 0] >= _PD_EPS
+    is_pd = _is_pd(blocks)
     pd = np.flatnonzero(is_pd)
     thetas = np.zeros(off.shape)
     thetas[pd[:, None], T[pd]] = np.linalg.solve(blocks[pd], g[pd, :, None])[..., 0]

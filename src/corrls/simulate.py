@@ -49,6 +49,8 @@ class SimConfig:
             raise ValueError("sigma_eps must be positive")
         if not 0 <= self.ar_phi < 1:
             raise ValueError("ar_phi must lie in [0, 1)")
+        if self.c_w <= 0:
+            raise ValueError("c_w must be positive")
         lo, hi = self.rho_range
         if not 0 <= lo <= hi < 1:
             raise ValueError("rho_range must satisfy 0 <= lo <= hi < 1")

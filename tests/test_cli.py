@@ -293,8 +293,13 @@ def test_precision_non_finite_corrected_covariance_exits_2(tmp_path, capsys):
     ("simulate", {**SIM, "s": True}, "'s'"),
     ("experiment", {**GRID, "n_values": [60.5]}, "n_values"),
     ("experiment", {**GRID, "p_values": [10, 3], "s_values": [4]}, "s value 4 exceeds p value 3"),
+    ("experiment", {**GRID, "noise_kind": "misssing"}, "unknown noise kind 'misssing'"),
+    ("experiment", {**GRID, "sigma_eps": -1}, "sigma_eps must be positive"),
+    ("experiment", {**GRID, "ar_phi": 1.5}, "ar_phi must lie in [0, 1)"),
+    ("experiment", {**GRID, "rho_range": [0.5, 0.2]}, "rho_range must satisfy"),
+    ("simulate", {**SIM, "noise_kind": "additive", "c_w": -1}, "c_w must be positive"),
 ], ids=["unknown", "missing", "c_x", "solver_max_iters", "string", "bool", "fractional",
-        "s_above_p"])
+        "s_above_p", "noise_kind", "sigma_eps", "ar_phi", "rho_range", "c_w"])
 def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, command, cfg, field):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

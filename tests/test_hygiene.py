@@ -116,3 +116,10 @@ def test_tracer_observers_read_real_results(tmp_path):
     for fn, args, kwargs, expected in cases:
         result = fn(*args, **kwargs)
         assert observers[fn.__name__](args, kwargs, result) == expected, fn.__name__
+
+
+def test_positive_definite_threshold_has_one_home():
+    """Only `post` names `_PD_EPS`: every positive-definite test, of one block
+    or of a stack, is `post._is_pd`."""
+    sources = sorted((ROOT / "src" / "corrls").glob("*.py"))
+    assert [p.name for p in sources if p.name != "post.py" and "_PD_EPS" in p.read_text()] == []

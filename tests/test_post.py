@@ -554,6 +554,47 @@ class TestPositiveDefinitePrefix:
         assert calls == []
 
 
+def _spectral_block(eigenvalues, seed):
+    """A symmetric block with the given eigenvalues in a random basis."""
+    k = len(eigenvalues)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((k, k)))
+    B = (Q * eigenvalues) @ Q.T
+    return 0.5 * (B + B.T)
+
+
+SPECTRA = {"pd": [3.0, 1.0, 0.5, 0.1], "singular_psd": [2.0, 1.0, 0.0, 0.0],
+           "indefinite": [2.0, 1.0, 0.5, -0.5]}
+
+
+class TestIsPdOnStacks:
+    """`_is_pd` on a stack of blocks answers block by block as on each block
+    alone, from one factorization of the stack when every block passes."""
+
+    @pytest.mark.parametrize("kinds, factorizations", [
+        (["pd"] * 5, 1),
+        (["singular_psd", "indefinite", "singular_psd"], 1 + 3),
+        (["pd", "singular_psd", "pd", "indefinite", "pd"], 1 + 5),
+    ], ids=["all_pass", "none_pass", "mixed"])
+    def test_stack_equals_each_block_alone(self, monkeypatch, kinds, factorizations):
+        stack = np.stack([_spectral_block(SPECTRA[kind], seed) for seed, kind in enumerate(kinds)])
+        alone = [corrls.post._is_pd(b) for b in stack]
+        assert alone == [kind == "pd" for kind in kinds]
+        factored = []
+
+        def counting(a, original=np.linalg.cholesky):
+            factored.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        is_pd = corrls.post._is_pd(stack)
+        assert is_pd.dtype == bool and is_pd.tolist() == alone
+        assert len(factored) == factorizations and factored[0] == stack.shape
+
+    def test_one_block_is_a_truth_value(self):
+        pd, indefinite = (_spectral_block(SPECTRA[kind], 0) for kind in ("pd", "indefinite"))
+        assert corrls.post._is_pd(pd) is True and corrls.post._is_pd(indefinite) is False
+
+
 class TestDefaultGrids:
     def test_an_grid_for_one_column(self):
         assert default_an_grid(100, 1) == [1]

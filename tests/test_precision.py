@@ -356,7 +356,7 @@ class TestBatchedNeighborhoods:
     equal the column-by-column fits byte for byte."""
 
     @given(p=st.integers(2, 12), a_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
-           kind=st.sampled_from(["pd", "above", "below", "singular_psd", "indefinite"]),
+           kind=st.sampled_from(["pd", "above", "at", "below", "singular_psd", "indefinite"]),
            coarse=st.booleans(),
            radius=st.sampled_from([0.05, 0.5, 2.0, 50.0]))
     @settings(max_examples=80, deadline=None)
@@ -367,10 +367,12 @@ class TestBatchedNeighborhoods:
 
         a_n = 1 + round(a_frac * (p - 2))
         rng = np.random.default_rng(seed)
-        # the least eigenvalues of "above" and "below" blocks larger than 1 x 1
-        # lie just above and just below the positive-definite threshold 1e-8
-        rank, shift = {"pd": (p + 2, 0.1), "above": (1, 3e-8), "below": (1, 5e-9),
-                       "singular_psd": (max(1, p // 3), 0.0), "indefinite": (p, -0.5)}[kind]
+        # the least eigenvalues of "above", "at" and "below" blocks larger than
+        # 1 x 1 lie just above, within rounding of and just below the
+        # positive-definite threshold 1e-8
+        rank, shift = {"pd": (p + 2, 0.1), "above": (1, 3e-8), "at": (1, 1e-8),
+                       "below": (1, 5e-9), "singular_psd": (max(1, p // 3), 0.0),
+                       "indefinite": (p, -0.5)}[kind]
         A = rng.standard_normal((p, rank))
         B = A @ A.T / rank + shift * np.eye(p)
         if coarse:  # ties in the screening scores, zeros of both signs
@@ -394,6 +396,26 @@ class TestBatchedNeighborhoods:
                 return
             _assert_same_estimate(estimate_precision(data, a_n, radius), ref)
             _assert_same_estimate(assemble_precision(fits, S), ref)
+
+    def test_blocks_at_the_threshold_take_one_branch(self):
+        # S = aa' + (1e-8 + u) I with |u| <= 1e-15: the least eigenvalue of a
+        # screened block of two or more columns lies within rounding of the
+        # positive-definite threshold, so the batch and `post_cls_fit` agree
+        # on its branch only if they run the same test
+        mismatched = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            p = int(rng.integers(3, 13))
+            a_n = int(rng.integers(2, p))
+            a = rng.standard_normal(p)
+            S = np.outer(a, a) + (1e-8 + rng.uniform(-1e-15, 1e-15)) * np.eye(p)
+            for j in range(p):
+                (theta,), (support,), (fallback,) = _fit_columns(S, [j], a_n, 2.0, 50)
+                ref_theta, ref_support, ref_fallback = _reference_fit(S, j, a_n, 2.0, 50)
+                if not (np.array_equal(theta, ref_theta) and fallback == ref_fallback
+                        and tuple(support.tolist()) == ref_support):
+                    mismatched.append((seed, p, a_n, j))
+        assert mismatched == []
 
     @pytest.mark.parametrize("generator", ["band", "cluster"])
     @pytest.mark.parametrize("n, rho, a_n, radius", [
