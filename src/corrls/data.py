@@ -134,11 +134,55 @@ class SurrogateDataset:
 
     @cached_property
     def gram(self):
-        """Z'Z/n, formed once for every moments of this dataset; read-only and
-        checked finite when formed (`_finite`), so no moments scan it again."""
+        """Z'Z/n, formed once for every moments of this dataset that read it whole
+        (not wide missing-data or raw ones: `gram_rows`); read-only and checked
+        finite when formed (`_finite`), so no moments scan it again."""
         S = _finite((self.Z.T @ self.Z) / self.n)
         S.flags.writeable = False
         return S
+
+    @cached_property
+    def gram_rows(self):
+        """The `GramRows` store of Z'Z/n, made once for every moments of this dataset."""
+        return GramRows(self.Z)
+
+
+class GramRows:
+    """Rows of S = Z'Z/n, formed when a product first needs them and kept for
+    every later one, at most n of them, so never more than Z holds.  ``diag``,
+    the diagonal of S from the column norms of Z, is checked finite when the
+    store is made: |S_ij| <= max(S_ii, S_jj) bounds every row formed later.
+    It takes no lock: moments of one dataset are not fitted from two threads at once."""
+
+    def __init__(self, Z):
+        self.Z, (self.n, p) = Z, Z.shape
+        self.diag = _finite(np.einsum("ij,ij->j", Z, Z) / self.n)
+        self.rows, self.count = np.empty((0, p)), 0
+        self.slot = np.full(p, -1)  # slot[j]: the row of `rows` holding row j of S, or -1
+
+    def matvec(self, v):
+        """S @ v: while at most one entry of v in 16 is non-zero and the rows not
+        yet kept fit, from the kept rows at the non-zeros; else Z'(Z v)/n."""
+        nz = v.nonzero()[0]
+        if 16 * nz.size <= v.size and self._keep(nz[self.slot[nz] < 0]):
+            return v[nz].dot(self.rows.take(self.slot[nz], axis=0))
+        return self.Z.T.dot(self.Z.dot(v)) / self.n
+
+    def _keep(self, new):
+        """Form the rows at ``new`` in one block Z[:, new]'Z/n, check it finite and
+        keep it; False, keeping none, if there would be more than n rows."""
+        k, m = self.count, self.count + new.size
+        if m > self.n:
+            return False
+        if m > len(self.rows):  # double the buffer, to at most n rows
+            kept, self.rows = self.rows, np.empty((min(self.n, max(2 * k, m)), self.Z.shape[1]))
+            self.rows[:k] = kept[:k]
+        if m > k:
+            block = self.rows[k:m]
+            np.matmul(self.Z[:, new].T, self.Z, out=block)
+            _finite(np.divide(block, self.n, out=block))
+            self.slot[new], self.count = np.arange(k, m), m
+        return True
 
 
 def _rows(fh, start, linenos, width=None):

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import AdditiveNoise, MissingNoise, SurrogateDataset, _finite
+from .data import _BLOCK_ENTRIES, AdditiveNoise, MissingNoise, SurrogateDataset, _finite
 
 __all__ = [
     "CorrectedMoments",
@@ -47,7 +47,7 @@ class CorrectedMoments:
     dataset, ``source`` is (data, noise), noise None for raw moments, and
     gamma_mat is formed on first read from the shared `SurrogateDataset.gram`,
     exactly symmetric.  Such moments with p > n are `wide`: `block`, `lipschitz`,
-    `corrected_loss` and, with a `factor`, `product` then never form gamma_mat.
+    `corrected_loss` and, with a `factor`, `product` then form no p x p array.
     """
 
     def __init__(self, gamma_mat, gamma_vec, n, p, source=None):
@@ -92,17 +92,18 @@ class CorrectedMoments:
     def product(self):
         """The function b -> gamma_mat @ b, chosen here and nowhere else: when
         `wide` with a `factor`, S b or (S (b/q)) / q - d b, d = diag(S) rho / q^2,
-        from the rows of the shared Gram S at the non-zeros of b; else
-        `active_rows_matvec`, dense below 256 columns (no gain there).  A solver
-        takes it once per fit; it holds arrays only, never these moments."""
+        by `GramRows.matvec` of the dataset's store of S: its rows at the
+        non-zeros of b, or Z'(Z b)/n for a dense b; else `active_rows_matvec`,
+        dense below 256 columns (no gain there).  A solver takes it once per
+        fit; it holds arrays only, never these moments."""
         if self.wide and self.factor is not None:
             data, noise = self.source
-            S = data.gram
+            S = data.gram_rows  # its diagonal is checked finite when it is made
             if noise is None:
-                return lambda b: active_rows_matvec(S, b)
+                return S.matvec
             q = 1.0 - noise.rho
-            d = np.diagonal(S) * noise.rho / q**2
-            return lambda b: active_rows_matvec(S, b / q) / q - d * b
+            d = S.diag * noise.rho / q**2
+            return lambda b: S.matvec(b / q) / q - d * b
         G = self.gamma_mat
         if self.p < 256:
             return G.dot
@@ -113,14 +114,17 @@ class CorrectedMoments:
         """Lipschitz constant of the loss gradient, computed once per instance.
         When `wide` with a `factor`, the eigenvalues of gamma_mat lie in
         [-max d, lambda_max(A'A/n)], d_j = rho_j (A'A/n)_jj < lambda_max: it is
-        lambda_max(AA'/n) (A = Z if raw), exact for the raw Gram, else a bound."""
+        lambda_max(AA'/n) (A = Z if raw), exact for the raw Gram, else a bound.
+        AA' is summed over blocks of columns of A, so Z / q is never copied whole."""
         from .selection import lipschitz_estimate  # selection imports this module
 
         if self.factor is None or not self.wide:
             return lipschitz_estimate(self.gamma_mat)
         Z, q = self.factor
-        A = Z if self.source[1] is None else Z / q
-        return lipschitz_estimate(_finite(A @ A.T / self.n))
+        step = max(1, _BLOCK_ENTRIES // self.n)
+        AA = Z @ Z.T if self.source[1] is None else sum(map(  # one block alive at a time
+            lambda A: A @ A.T, (Z[:, j:j + step] / q[j:j + step] for j in range(0, self.p, step))))
+        return lipschitz_estimate(_finite(AA / self.n))
 
 
 def active_rows_matvec(G, b):

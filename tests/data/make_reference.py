@@ -4,7 +4,8 @@
     PYTHONPATH=src python3 tests/data/make_reference.py --diff
 
 The snapshot holds the estimates of a few replicates of the paper cell
-(n=500, p=100, s=4) under both noise kinds, one record per (cell, method):
+(n=500, p=100, s=4) under both noise kinds and of a wide missing-data cell
+(n=100, p=300, s=4), one record per (cell, method):
 the chosen tuning value, the support (0-based, by `corrls.support`), REE,
 false positives and the coefficients printed with ``%.17g``.  It also holds
 one precision estimate at p=30.  ``tests/test_reference.py`` recomputes
@@ -26,8 +27,8 @@ from corrls.simulate import gen_graph_data, generate_band_precision
 
 PATH = Path(__file__).resolve().parent / "reference.json"
 
-#: (noise kind, base seed, replicates) of the regression cells
-CELLS = [("missing", 0, 3), ("additive", 0, 3)]
+#: (noise kind, base seed, replicates, n, p) of the regression cells
+CELLS = [("missing", 0, 3, 500, 100), ("additive", 0, 3, 500, 100), ("missing", 0, 2, 100, 300)]
 #: p, n, a_n and data seed of the precision estimate
 PRECISION = {"p": 30, "n": 600, "a_n": 4, "seed": 5}
 
@@ -37,10 +38,10 @@ def _floats(values):
 
 
 def regression_records():
-    """One dict per (cell, method) of the paper-cell replicates in `CELLS`."""
+    """One dict per (cell, method) of the replicates in `CELLS`."""
     records = []
-    for noise, base_seed, replicates in CELLS:
-        spec = GridSpec(n_values=(500,), p_values=(100,), s_values=(4,), noise_kind=noise,
+    for noise, base_seed, replicates, n, p in CELLS:
+        spec = GridSpec(n_values=(n,), p_values=(p,), s_values=(4,), noise_kind=noise,
                         replicates=replicates, base_seed=base_seed)
         for r in run_grid(spec, keep_beta=True, no_timing=True):
             if r.error is not None:
@@ -70,12 +71,16 @@ def snapshot():
 def moved(old, new):
     """One line per record of snapshot ``new`` that differs from ``old``:
     noise, scenario, method, tuning before -> after, the support indices
-    dropped (-) and added (+), and the largest |change| of a coefficient."""
+    dropped (-) and added (+), and the largest |change| of a coefficient; or
+    "added" for a record that ``old`` does not have."""
     before = {(r["noise"], r["scenario"], r["method"]): r for r in old["regression"]}
     lines = []
     for r in new["regression"]:
         key = (r["noise"], r["scenario"], r["method"])
-        was = before[key]
+        was = before.get(key)
+        if was is None:
+            lines.append(f"{' '.join(key)}: added")
+            continue
         if was == r:
             continue
         step = np.max(np.abs(_parse(r["beta"]) - _parse(was["beta"])))

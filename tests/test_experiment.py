@@ -1,10 +1,13 @@
 import math
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import weakref
 from dataclasses import fields
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,31 +153,59 @@ class TestRunGrid:
         assert (len(built), len(factored)) == (1, 1)
 
     def test_wide_missing_cell_forms_one_gram(self, monkeypatch):
-        # p > n: the train split's Z'Z/n serves L1CLS and the Lasso, and the
-        # held-out losses come from blocks, so the test split forms none
-        grams = []
+        # p > n: one store of the rows of the train split's Z'Z/n serves L1CLS
+        # and the Lasso, no split forms its p x p Gram, and the held-out losses
+        # come from the columns of Z, so the test split forms no store either
+        formed = {"gram": [], "gram_rows": []}
+        for name, made in formed.items():
+            def counting(data, original=getattr(SurrogateDataset, name).func, made=made):
+                made.append(data)
+                return original(data)
 
-        def counting(data, original=SurrogateDataset.gram.func):
-            grams.append(data)
-            return original(data)
-
-        gram = cached_property(counting)
-        gram.__set_name__(SurrogateDataset, "gram")
-        monkeypatch.setattr(SurrogateDataset, "gram", gram)
-        built = []
+            prop = cached_property(counting)
+            prop.__set_name__(SurrogateDataset, name)
+            monkeypatch.setattr(SurrogateDataset, name, prop)
+        built, products = [], []
         for name in ("corrected_moments", "uncorrected_moments"):
             def recording(data, original=getattr(corrls.post, name)):
                 built.append(original(data))
                 return built[-1]
 
             monkeypatch.setattr(corrls.post, name, recording)
+
+        def product(m, original=CorrectedMoments.product):
+            products.append((m.source[0], m.source[1] is None))
+            return original(m)
+
+        monkeypatch.setattr(CorrectedMoments, "product", product)
         spec = _tiny_spec(n_values=(100,), p_values=(1000,), s_values=(4,))
         records = _run_cell(spec, 100, 1000, 4, 0, False)
         assert all(r.error is None for r in records)
         train, test = (m.source[0] for m in built[:2])
-        assert grams == [train]
+        assert formed == {"gram": [], "gram_rows": [train]}
+        assert all(data is train for data, _ in products)
+        assert {raw for _, raw in products} == {False, True}  # L1CLS and the Lasso
         assert all(m.source[0] is test and "gamma_mat" not in vars(m) for m in built[1::2])
-        assert built[2].gamma_mat is train.gram  # the Lasso's raw moments
+        assert built[2].source == (train, None)  # the Lasso's raw moments
+
+    def test_wide_penalized_cell_holds_no_p_by_p_array(self):
+        # n=500, p=5000: the train Gram alone would be p^2 doubles (191 MiB); the
+        # data, the store of at most n Gram rows and the n x n Lipschitz matrix are not
+        p = 5000
+        script = (
+            "import resource; from corrls import GridSpec, run_grid; "
+            f"spec = GridSpec(n_values=(500,), p_values=({p},), s_values=(4,), "
+            "noise_kind='missing', replicates=1, base_seed=3, methods=('L1CLS', 'Lasso')); "
+            "records = run_grid(spec, no_timing=True); "
+            "assert [r.error for r in records] == [None, None], records; "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        src = Path(corrls.experiment.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        peak_kib = int(out.stdout.split()[-1])  # ru_maxrss is in KiB on Linux
+        assert peak_kib * 1024 < p * p * 8
 
     def test_cross_validation_without_a_finite_loss_is_an_error_row(self, monkeypatch):
         record = _error_row(monkeypatch)

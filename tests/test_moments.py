@@ -21,7 +21,6 @@ from corrls import (
     uncorrected_moments,
 )
 from corrls.data import _BLOCK_ENTRIES
-from corrls.moments import active_rows_matvec
 from corrls.post import cross_validate, default_lambda_grid
 from corrls.selection import SolverOptions, l1_cls_fit, lipschitz_estimate
 from corrls.simulate import SimConfig, ar1_covariance, gen_beta0, gen_regression, sample_gaussian
@@ -218,6 +217,18 @@ class TestLipschitzBound:
     def test_one_n_by_n_estimate_when_p_exceeds_n(self, monkeypatch, build):
         assert _bounded_on(monkeypatch, build(_wide("missing", 5))) == [(100, 100)]
 
+    def test_corrected_wide_bound_copies_z_a_block_of_columns_at_a_time(self):
+        # A = Z / q whole would be as large as Z (16 MB at p=20000); the bound holds
+        # one block of `_BLOCK_ENTRIES` entries (2 MiB) at a time
+        m = corrected_moments(_wide("missing", 8, n=100, p=20000))
+        tracemalloc.start()
+        try:
+            m.lipschitz
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * _BLOCK_ENTRIES < m.source[0].Z.nbytes / 4
+
     @pytest.mark.parametrize("noise_kind", ["missing", "additive"])
     @pytest.mark.parametrize("build", [corrected_moments, uncorrected_moments])
     def test_p_at_most_n_keeps_the_p_by_p_estimate_exactly(self, noise_kind, build):
@@ -291,7 +302,7 @@ class TestWideRoute:
         rng = np.random.default_rng(nnz)
         b[rng.choice(m.p, nnz, replace=False)] = rng.standard_normal(nnz)
         product = m.product()(b)
-        assert "gamma_mat" not in vars(m)  # taken from the shared Gram
+        assert "gamma_mat" not in vars(m)  # taken from the shared rows of the Gram
         G = m.gamma_mat
         assert np.max(np.abs(product - G @ b)) <= (
             1e-14 * np.linalg.norm(G) * np.linalg.norm(b))
@@ -302,7 +313,7 @@ class TestWideRoute:
         m = uncorrected_moments(data)
         b = np.zeros(m.p)
         b[:nnz] = np.random.default_rng(nnz).standard_normal(nnz)
-        assert m.product()(b).tobytes() == active_rows_matvec(data.gram, b).tobytes()
+        assert m.product()(b).tobytes() == _matmul_product(m, b, {}).tobytes()
 
     @staticmethod
     def _cell(n, p, seed=11):
@@ -321,9 +332,11 @@ class TestWideRoute:
         assert fit is not None and np.all(np.isfinite(losses))
         assert "gamma_mat" not in vars(train_m) and "gamma_mat" not in vars(test_m)
         assert "gram" not in vars(test)  # held-out losses work from the columns of Z
+        assert "gram" not in vars(train)  # products read the store of its rows
 
     def test_one_gram_footprint(self):
-        # forming gamma_mat would hold the Gram, the mask matrix and gamma_mat: 3 p^2 doubles
+        # forming gamma_mat would hold the Gram, the mask matrix and gamma_mat: 3 p^2
+        # doubles; the Gram alone is p^2, the store of its rows at most n p
         n, p = 100, 1200
         train, test, radius = self._cell(n, p)
         train_m, test_m = corrected_moments(train), corrected_moments(test)
@@ -334,16 +347,21 @@ class TestWideRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert p * p * 8 < peak < 2 * p * p * 8
+        assert peak < 4 * train.Z.nbytes < p * p * 8
 
     @pytest.mark.parametrize("n, p", [(200, 100), (300, 260), (100, 300)])
     @pytest.mark.parametrize("build, noise_kind", BUILT)
     def test_a_fit_leaves_no_cycle_through_the_moments(self, build, noise_kind, n, p):
-        # dense, active-row and Gram products: the solver holds its product in a
-        # local, so reference counting alone frees the moments and the Gram
+        # dense, active-row and Gram-row products: the solver holds its product in
+        # a local, so reference counting alone frees the moments and the Gram or
+        # the store of its rows
         m = build(_wide(noise_kind, 5, n=n, p=p))
         l1_cls_fit(m, 0.1, SolverOptions(radius=5.0))
-        refs = [weakref.ref(m), weakref.ref(m.source[0].gram)]
+        data = m.source[0]
+        store = vars(data).get("gram_rows")
+        assert (store is not None) == (m.wide and m.factor is not None)
+        refs = [weakref.ref(m), weakref.ref(data.gram if store is None else store)]
+        del data, store
         gc.disable()
         try:
             del m
@@ -352,8 +370,9 @@ class TestWideRoute:
             gc.enable()
 
     def test_the_gram_is_checked_once_in_row_blocks(self, monkeypatch):
-        # both kinds of wide moments read the Gram; it is scanned when formed,
-        # a block of rows at a time, with no p x p boolean array
+        # both kinds of wide moments read one store of Gram rows and never the Gram:
+        # its diagonal is scanned once, when the store is made, and each block of
+        # rows when it is formed, with no boolean array of more than a block
         data = _wide("missing", 6, n=100, p=600)
         scanned = []
 
@@ -362,11 +381,19 @@ class TestWideRoute:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "isfinite", recording)
-        for build in (corrected_moments, uncorrected_moments):
-            build(data).product()(np.ones(600))
-        S = data.gram
-        blocks = [a for a in scanned if a is S or a.base is S]
-        assert sum(map(len, blocks)) == 600 and max(a.size for a in blocks) <= _BLOCK_ENTRIES
+        rng, count = np.random.default_rng(6), 0
+        for build in (corrected_moments, uncorrected_moments, corrected_moments):
+            b = np.zeros(600)
+            b[rng.choice(600, 30, replace=False)] = 1.0
+            start = len(scanned)
+            build(data).product()(b)
+            store = data.gram_rows
+            blocks = [a for a in scanned[start:] if a.base is store.rows]
+            assert 0 < sum(map(len, blocks)) == store.count - count
+            assert max(a.size for a in blocks) <= _BLOCK_ENTRIES
+            count = store.count
+        assert sum(a is store.diag or a.base is store.diag for a in scanned) == 1
+        assert "gram" not in vars(data)
 
     def test_the_gram_is_shared_by_both_kinds_of_moments(self):
         data = _wide("missing", 3, n=200, p=100)
@@ -429,16 +456,29 @@ def _matmul_rows(G, b):
     return b[nz] @ G.take(nz, axis=0)
 
 
-def _matmul_product(m, b):
-    """gamma_mat @ b by the route `CorrectedMoments.product` takes, written with @."""
+def _matmul_gram_rows(Z, v, kept):
+    """`GramRows.matvec` written with @; ``kept`` maps j to the row of S = Z'Z/n
+    formed for it, as the store does, and is updated the same way."""
+    n = len(Z)
+    nz = np.flatnonzero(v)
+    new = [j for j in nz if j not in kept]
+    if 16 * nz.size > v.size or len(kept) + len(new) > n:
+        return Z.T @ (Z @ v) / n
+    kept.update(zip(new, Z[:, new].T @ Z / n))
+    return v[nz] @ np.array([kept[j] for j in nz]).reshape(nz.size, v.size)
+
+
+def _matmul_product(m, b, kept):
+    """gamma_mat @ b by the route `CorrectedMoments.product` takes, written with @;
+    ``kept`` stands for the wide route's store of Gram rows."""
     if m.wide and m.factor is not None:
         data, noise = m.source
-        S = data.gram
+        Z = data.Z
         if noise is None:
-            return _matmul_rows(S, b)
+            return _matmul_gram_rows(Z, b, kept)
         q = 1.0 - noise.rho
-        d = np.diagonal(S) * noise.rho / q**2
-        return _matmul_rows(S, b / q) / q - d * b
+        d = np.einsum("ij,ij->j", Z, Z) / m.n * noise.rho / q**2
+        return _matmul_gram_rows(Z, b / q, kept) / q - d * b
     return m.gamma_mat @ b if m.p < 256 else _matmul_rows(m.gamma_mat, b)
 
 
@@ -447,6 +487,9 @@ PRODUCT_ROUTES = {  # route -> (moments, whether they are wide)
     "active rows": (lambda: corrected_moments(_wide("missing", 13, n=400, p=300)), False),
     "wide corrected": (lambda: corrected_moments(_wide("missing", 14, n=100, p=320)), True),
     "wide raw": (lambda: uncorrected_moments(_wide("missing", 14, n=100, p=320)), True),
+    # n = 2 + p/16: after the two single rows, the first support of p/16 fills
+    # the store, the next one does not fit and takes the factor form
+    "wide, store full": (lambda: corrected_moments(_wide("missing", 15, n=22, p=320)), True),
 }
 
 
@@ -471,9 +514,11 @@ class TestProductBytes:
         build, wide = PRODUCT_ROUTES[route]
         m = build()
         assert m.wide == wide
-        product = m.product()
+        product, kept = m.product(), {}
         for b in self._vectors(m.p, 21):
-            assert product(b).tobytes() == _matmul_product(m, b).tobytes()
+            assert product(b).tobytes() == _matmul_product(m, b, kept).tobytes()
+        if wide:
+            assert vars(m.source[0])["gram_rows"].count == len(kept) <= m.n
 
     @pytest.mark.parametrize("route", ["dense", "active rows"])
     def test_dense_loss_is_the_matmul_loss_to_the_byte(self, route):
