@@ -15,7 +15,6 @@ or file; with --strict, any error row in an experiment makes it 1.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import typing
@@ -26,6 +25,7 @@ from .data import (
     AdditiveNoise,
     MissingNoise,
     read_dataset_csv,
+    read_header,
     read_matrix_csv,
     write_dataset_csv,
     write_matrix_csv,
@@ -67,7 +67,7 @@ def _load_config(cls, path, **overrides):
 def _z_width(path):
     """Number of covariate columns in a dataset file: its header less any y."""
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
+        header = read_header(fh)
     return len(header) - ("y" in header)
 
 

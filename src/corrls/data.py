@@ -21,6 +21,7 @@ __all__ = [
     "AdditiveNoise",
     "MissingNoise",
     "SurrogateDataset",
+    "read_header",
     "read_dataset_csv",
     "write_dataset_csv",
     "read_matrix_csv",
@@ -223,6 +224,56 @@ def _load_rows(path, lines, linenos):
         raise ValueError(f"{path}: {msg}") from exc
 
 
+def read_header(fh):
+    """The column names in the header row of the open file ``fh``, less a leading
+    UTF-8 byte-order mark (which Excel writes), so that a first name "y" is found."""
+    first = fh.readline().removeprefix("\ufeff")
+    return next(csv.reader(itertools.chain([first], fh)), [])
+
+
+def _checked_cells(path):
+    """The cells of a dataset file, NA as nan, each line checked by `_data_lines`
+    before it is parsed: the reader that names the first fault in file order."""
+    with open(path, newline="") as fh:
+        width = len(read_header(fh))
+        linenos = []
+        cells = _load_rows(path, _data_lines(fh, width, linenos), linenos)
+    if np.isinf(cells).any():
+        raise ValueError(f"{path}: a cell overflows to infinity")
+    return cells
+
+
+def _clean_cells(fh, width):
+    """The cells of the data lines of ``fh``, NA as nan, in one pass per line; None
+    unless the parsed numbers prove that `_checked_cells` would accept the file and
+    return the same cells.  Each NA -> nan adds one character, so the lengths count
+    the NA cells: as many NaN cells rule out a literal nan, no infinite cell rules
+    out a literal inf or an overflow, and loadtxt keeps the rows equally wide."""
+    added = 0
+
+    def lines():
+        nonlocal added
+        for line in fh:
+            if not line.isspace():
+                new = line.replace(NA_TOKEN, "nan")
+                added += len(new) - len(line)
+                yield new
+
+    rows = lines()
+    first = next(rows, None)  # none: loadtxt would warn, so leave it to the checked reader
+    if first is None:
+        return None
+    try:
+        cells = np.loadtxt(itertools.chain([first], rows), delimiter=",", ndmin=2,
+                           comments=None)
+    except ValueError:
+        return None
+    if (cells.shape[1] != width or np.count_nonzero(np.isnan(cells)) != added
+            or np.isinf(cells).any()):
+        return None
+    return cells
+
+
 def read_dataset_csv(path, noise):
     """Load a dataset from a delimited file.
 
@@ -230,27 +281,27 @@ def read_dataset_csv(path, noise):
     response, all remaining columns become Z in file order.  Missing cells
     carry the literal token "NA" and are only legal under a missing-data
     noise model, where they zero-fill Z and clear the mask.  Every other
-    cell must be a finite number.
+    cell must be a finite number.  A file that the one-pass `_clean_cells`
+    cannot prove clean is read again by `_checked_cells`, which names its fault.
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
-        linenos = []
-        cells = _load_rows(path, _data_lines(fh, len(header), linenos), linenos)
-    if np.isinf(cells).any():
-        raise ValueError(f"{path}: a cell overflows to infinity")
+        header = read_header(fh)
+        cells = _clean_cells(fh, len(header))
+    if cells is None:
+        cells = _checked_cells(path)
     y = None
     if "y" in header:
         y = cells[:, header.index("y")]
         if np.isnan(y).any():
             raise ValueError(f"{path}: NA in the y column")
         cells = np.delete(cells, header.index("y"), axis=1)
-    mask = ~np.isnan(cells)
-    Z = np.nan_to_num(cells, copy=False)
+    missing = np.isnan(cells)
+    np.copyto(cells, 0.0, where=missing)
     if isinstance(noise, MissingNoise):
-        return SurrogateDataset(Z=Z, y=y, noise=noise, mask=mask)
-    if not mask.all():
+        return SurrogateDataset(Z=cells, y=y, noise=noise, mask=~missing)
+    if missing.any():
         raise ValueError(f"{path}: NA entries present but noise model is additive")
-    return SurrogateDataset(Z=Z, y=y, noise=noise)
+    return SurrogateDataset(Z=cells, y=y, noise=noise)
 
 
 def write_dataset_csv(data: SurrogateDataset, path):
@@ -279,4 +330,19 @@ def read_matrix_csv(path):
 
 
 def write_matrix_csv(mat, path):
-    np.savetxt(path, np.asarray(mat, dtype=float), delimiter=",", fmt="%.17g")
+    """Write the bytes ``np.savetxt(path, mat, delimiter=",", fmt="%.17g")`` writes,
+    formatting only the non-zeros: a zero is the text 0, or -0 if its sign bit is set."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim == 1:
+        mat = mat[:, None]
+    if mat.ndim != 2:
+        raise ValueError(f"Expected 1D or 2D array, got {mat.ndim}D array instead")
+    dense = ",".join(["%.17g"] * mat.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        for row in mat:
+            zero = row == 0
+            if not zero.any():
+                fh.write(dense % tuple(row.tolist()))
+                continue
+            cells = np.where(zero, np.where(np.signbit(row), "-0", "0"), "%.17g")
+            fh.write(",".join(cells.tolist()) % tuple(row[~zero].tolist()) + "\n")

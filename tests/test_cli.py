@@ -49,6 +49,18 @@ def test_simulate_then_fit(tmp_path, sim_config, capsys):
     assert np.linalg.norm(beta_hat - beta0) / np.linalg.norm(beta0) < 0.5
 
 
+def test_fit_reads_y_past_a_byte_order_mark(tmp_path, sim_config, capsys):
+    """A header written as Excel's "CSV UTF-8" starts with EF BB BF; its y is
+    still the response, and the fit is the fit of the same file without it."""
+    data_csv, marked_csv = tmp_path / "data.csv", tmp_path / "bom.csv"
+    main(["simulate", "--config", str(sim_config), "--out", str(data_csv)])
+    marked_csv.write_bytes(b"\xef\xbb\xbf" + data_csv.read_bytes())
+    for path in (data_csv, marked_csv):
+        assert main(["fit", "--data", str(path), "--noise", "missing", "--method", "cs_post",
+                     "--tuning", "3", "--radius", "5", "--out", f"{path}.coef"]) == 0
+    assert Path(f"{marked_csv}.coef").read_bytes() == Path(f"{data_csv}.coef").read_bytes()
+
+
 @pytest.mark.parametrize("method", ["l1cls", "lasso"])
 def test_fit_penalized_matches_direct_fit(tmp_path, sim_config, capsys, method):
     data_csv, coef_csv = tmp_path / "data.csv", tmp_path / "coef.csv"
