@@ -226,7 +226,9 @@ def _load_rows(path, lines, linenos):
 
 def read_header(fh):
     """The column names in the header row of the open file ``fh``, less a leading
-    UTF-8 byte-order mark (which Excel writes), so that a first name "y" is found."""
+    UTF-8 byte-order mark (which Excel writes), so that a first name "y" is found.
+    The mark is U+FEFF only if ``fh`` decodes UTF-8: dataset files are opened in
+    the locale's encoding, and under a non-UTF-8 locale the mark stays in the name."""
     first = fh.readline().removeprefix("\ufeff")
     return next(csv.reader(itertools.chain([first], fh)), [])
 
@@ -337,12 +339,8 @@ def write_matrix_csv(mat, path):
         mat = mat[:, None]
     if mat.ndim != 2:
         raise ValueError(f"Expected 1D or 2D array, got {mat.ndim}D array instead")
-    dense = ",".join(["%.17g"] * mat.shape[1]) + "\n"
     with open(path, "w") as fh:
         for row in mat:
             zero = row == 0
-            if not zero.any():
-                fh.write(dense % tuple(row.tolist()))
-                continue
             cells = np.where(zero, np.where(np.signbit(row), "-0", "0"), "%.17g")
             fh.write(",".join(cells.tolist()) % tuple(row[~zero].tolist()) + "\n")
