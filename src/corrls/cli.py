@@ -8,8 +8,9 @@ Subcommands:
   tune        dump the cross-validation curve for one method
 
 Config files are flat JSON objects of SimConfig / GridSpec fields.  Exit
-code is 0 on success and 2 on an invalid argument, input value, config field
-or file; with --strict, any error row in an experiment makes it 1.
+code is 0 on success, 1 with --strict when an experiment has an error row,
+and 2 on an invalid argument, input value, config field or file, or a failed
+fit such as a diverged solver: one ``corrls: error:`` line, or argparse's usage.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .post import (
     with_estimated_missing_rates,
 )
 from .precision import estimate_precision
-from .selection import SolverOptions, screen_size
+from .selection import FIT_ERRORS, SolverOptions, screen_size
 from .simulate import SimConfig, ar1_covariance, gen_regression
 
 
@@ -236,12 +237,12 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one subcommand; an invalid input value or an unusable file prints
-    ``corrls: error: ...`` to stderr and returns 2, as argparse does for a bad argument."""
+    """Run one subcommand; a bad input value or file, or a failed fit (`FIT_ERRORS`),
+    prints ``corrls: error: ...`` to stderr and returns 2, as argparse does for a bad argument."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (*FIT_ERRORS, OSError) as exc:
         print(f"corrls: error: {exc}", file=sys.stderr)
         return 2
 

@@ -281,7 +281,7 @@ def read_dataset_csv(path, noise):
 
     Expects a header row; a column named "y" (if present) becomes the
     response, all remaining columns become Z in file order.  Missing cells
-    carry the literal token "NA" and are only legal under a missing-data
+    carry the token "NA" (or "-NA", "+NA") and are only legal under a missing-data
     noise model, where they zero-fill Z and clear the mask.  Every other
     cell must be a finite number.  A file that the one-pass `_clean_cells`
     cannot prove clean is read again by `_checked_cells`, which names its fault.

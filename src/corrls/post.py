@@ -25,7 +25,8 @@ from .moments import (
     estimate_missing_rates,
     uncorrected_moments,
 )
-from .selection import FitResult, SolverOptions, cs_screen, l1_cls_fit, screen_order, screen_size
+from .selection import FIT_ERRORS, FitResult, SolverOptions, cs_screen, l1_cls_fit
+from .selection import screen_order, screen_size
 
 __all__ = [
     "METHODS",
@@ -184,7 +185,7 @@ def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid):
     for v in grid:
         try:
             sizes.append(screen_size(v, train_m.p))
-        except (ValueError, ArithmeticError):
+        except FIT_ERRORS:
             sizes.append(0)
     idx = screen_order(train_m.gamma_vec, max(sizes))
     B = train_m.block(idx)
@@ -214,7 +215,7 @@ def _penalized_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
         try:
             beta0 = l1_cls_fit(train_m, float(grid[i]), opts, beta0=beta0).beta
             loss = float(corrected_loss(beta0, test_m))
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError):
+        except FIT_ERRORS:
             continue
         losses[i] = loss if np.isfinite(loss) else np.inf
     return losses
@@ -248,7 +249,8 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     smaller value.
 
     Returns (best_value, losses, fit): losses aligned to the grid, and a fresh
-    `fit_method` fit from zero at best_value, or None if no loss is finite or it raised.
+    `fit_method` fit from zero at best_value, or None if no loss is finite.  A
+    failure of that fit propagates.
     """
     _check_method(fit_rule)
     grid = list(grid)
@@ -263,7 +265,4 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     i = best_grid_index(losses, grid)
     if losses[i] == np.inf:
         return grid[i], losses, None
-    try:
-        return grid[i], losses, fit_method(fit_rule, train_m, grid[i], opts)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError):
-        return grid[i], losses, None
+    return grid[i], losses, fit_method(fit_rule, train_m, grid[i], opts)

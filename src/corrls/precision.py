@@ -17,7 +17,7 @@ import numpy as np
 from .data import _BLOCK_ENTRIES, MissingNoise, SurrogateDataset
 from .moments import CorrectedMoments, _corrected, _finite
 from .post import _is_pd
-from .selection import SolverOptions, l1_cls_fit, screen_order, screen_size
+from .selection import FIT_ERRORS, SolverOptions, l1_cls_fit, screen_order, screen_size
 
 __all__ = [
     "PrecisionEstimate",
@@ -125,8 +125,8 @@ def _fit_batch(S, off, cols, k, ball_opts, n):
         try:
             sub = CorrectedMoments(gamma_mat=blocks[i], gamma_vec=g[i], n=n, p=k)
             thetas[i, T[i]] = l1_cls_fit(sub, 0.0, ball_opts).beta
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-            raise RuntimeError(f"neighborhood fit failed at column {cols[i]}: {exc}") from exc
+        except FIT_ERRORS as exc:
+            raise ArithmeticError(f"neighborhood fit failed at column {cols[i]}: {exc}") from exc
     return thetas, T, alone
 
 
@@ -176,7 +176,7 @@ def estimate_precision(data: SurrogateDataset, a_n, radius) -> PrecisionEstimate
     (`_fit_columns`), assembly, symmetrization.  A ValueError rejects a dataset
     without missing-data noise, an a_n that is not a whole number in [1, p-1],
     a radius that is not positive and a non-finite corrected covariance before
-    any column is fitted; a failing column aborts with its index named."""
+    any column is fitted; a failing column raises an ArithmeticError naming it."""
     if data.p < 2:
         raise ValueError("need at least two columns")
     S = corrected_covariance(data)

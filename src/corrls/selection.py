@@ -20,6 +20,7 @@ import numpy as np
 from .moments import CorrectedMoments
 
 __all__ = [
+    "FIT_ERRORS",
     "SolverOptions",
     "FitResult",
     "screen_order",
@@ -30,6 +31,10 @@ __all__ = [
     "l1_cls_fit",
     "support",
 ]
+
+#: A fit failed: a bad input or singular matrix (numpy's linear-algebra error
+#: is a ValueError) or a diverged `l1_cls_fit` (ArithmeticError).
+FIT_ERRORS = (ValueError, ArithmeticError)
 
 
 @dataclass(frozen=True)

@@ -162,10 +162,7 @@ def gen_regression(config: SimConfig, beta0=None, rho=None):
 
 
 def _normalize_pair(theta_raw):
-    # PD repair, then rescale so the covariance has a unit diagonal
-    vals = np.linalg.eigvalsh(theta_raw)
-    if vals[0] <= 0:
-        theta_raw = theta_raw + (abs(vals[0]) + 0.1) * np.eye(theta_raw.shape[0])
+    # rescale the positive-definite theta_raw so the covariance has a unit diagonal
     sigma = np.linalg.inv(theta_raw)
     scale = np.sqrt(np.diag(sigma))
     sigma = sigma / np.outer(scale, scale)
@@ -175,8 +172,8 @@ def _normalize_pair(theta_raw):
 
 
 def generate_band_precision(p, bandwidth=None):
-    """Banded precision matrix: unit diagonal, 0.5^|i-j| inside the band,
-    repaired to PD and normalized so the covariance diagonal is all ones.
+    """Banded precision matrix: unit diagonal, 0.5^|i-j| inside the band, positive
+    definite at every bandwidth, normalized so the covariance diagonal is all ones.
 
     Returns (Theta, Sigma) with Theta = inverse of Sigma.
     """
@@ -191,20 +188,16 @@ def generate_band_precision(p, bandwidth=None):
 
 
 def generate_cluster_precision(p, n_clusters=None):
-    """Block-diagonal precision: equal-size blocks with 0.5 off-diagonals,
-    same PD repair and unit-diagonal normalization as the band generator."""
+    """Block-diagonal precision: equal-size blocks with 0.5 off-diagonals (eigenvalues
+    0.5 and 1 + 0.5 (size - 1)), normalized as the band generator is."""
     if n_clusters is None:
         n_clusters = max(1, round(p / 20))
     if not 1 <= n_clusters <= p:
         raise ValueError("n_clusters must lie in [1, p]")
     sizes = [p // n_clusters + (1 if k < p % n_clusters else 0) for k in range(n_clusters)]
-    theta_raw = np.zeros((p, p))
-    start = 0
-    for sz in sizes:
-        block = np.full((sz, sz), 0.5)
-        np.fill_diagonal(block, 1.0)
-        theta_raw[start : start + sz, start : start + sz] = block
-        start += sz
+    cluster = np.repeat(np.arange(n_clusters), sizes)
+    theta_raw = np.where(cluster[:, None] == cluster, 0.5, 0.0)
+    np.fill_diagonal(theta_raw, 1.0)
     return _normalize_pair(theta_raw)
 
 

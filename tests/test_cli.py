@@ -154,6 +154,21 @@ def test_tune_without_a_finite_loss_writes_the_curve_then_fails(tmp_path, capsys
     assert captured.out == ""
 
 
+def test_tune_without_out_writes_the_curve_to_stdout(tmp_path, sim_config, capsys):
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    main(["simulate", "--config", str(sim_config), "--out", str(train_csv)])
+    main(["simulate", "--config", str(sim_config), "--seed", "6", "--out", str(test_csv)])
+    capsys.readouterr()
+    assert main(["tune", "--data", str(train_csv), "--test-data", str(test_csv),
+                 "--noise", "missing", "--method", "cs_post", "--radius", "15"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "value,loss"
+    curve = lines[1:-2]  # the two summary lines follow the curve
+    assert [line.split(",")[0] for line in curve] == [str(a) for a in range(1, len(curve) + 1)]
+    assert lines[-2].startswith("best value: ")
+    assert lines[-1].startswith("grid points with infinite loss: ")
+
+
 def test_precision_command(tmp_path):
     from corrls.data import write_dataset_csv
     from corrls.simulate import gen_graph_data, generate_band_precision
@@ -171,6 +186,39 @@ def test_precision_command(tmp_path):
     assert theta_hat.shape == (12, 12)
     assert np.max(np.abs(theta_hat - theta_hat.T)) == 0.0
     assert diag_csv.read_text().splitlines()[0] == "column,support_size,d,fallback"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_fit_that_diverges_exits_2_with_one_line(tmp_path, capsys):
+    from corrls.data import write_dataset_csv
+    from corrls.simulate import gen_regression
+
+    data, _, _ = gen_regression(SimConfig(n=50, p=20, s=3, noise_kind="additive", seed=4))
+    data_csv = tmp_path / "data.csv"
+    write_dataset_csv(data, data_csv)
+    # on this indefinite corrected Gram a ball of radius 1e300 does not bound the iterates
+    assert main(["fit", "--data", str(data_csv), "--noise", "additive",
+                 "--sigma-w-ar1", "0.5", "0.25", "--method", "l1cls", "--tuning", "0",
+                 "--radius", "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "corrls: error: diverged: non-finite objective in solver\n"
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_precision_fit_that_diverges_exits_2_and_names_the_column(tmp_path, capsys):
+    from corrls.data import write_dataset_csv
+    from corrls.simulate import gen_graph_data, generate_band_precision
+
+    _, sigma = generate_band_precision(30, 3)
+    data_csv, out = tmp_path / "graph.csv", tmp_path / "theta.csv"
+    write_dataset_csv(gen_graph_data(sigma, 40, 1.0, (0.3, 0.6), 3), data_csv)
+    assert main(["precision", "--data", str(data_csv), "--an", "12", "--radius", "1e300",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("corrls: error: neighborhood fit failed at column 0: "
+                            "diverged: non-finite objective in solver\n")
+    assert captured.out == "" and not out.exists()
 
 
 def test_experiment_determinism_across_workers(tmp_path):
@@ -260,6 +308,20 @@ def test_experiment_save_coefs_sidecar(tmp_path):
     assert main(["experiment", "--config", str(cfg), "--out", str(out),
                  "--save-coefs", "--no-timing"]) == 0
     assert (tmp_path / "res.csv.coefs.csv").exists()
+
+
+def test_experiment_strict_exits_1_on_an_error_row(tmp_path, capsys):
+    # noise this loud leaves every leading block of the corrected Gram
+    # indefinite, so CS+post has no finite held-out loss: an error row
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({**GRID, "noise_kind": "additive", "c_w": 50.0}))
+    out = tmp_path / "res.csv"
+    run = ["experiment", "--config", str(cfg), "--out", str(out), "--no-timing"]
+    assert main(run) == 0
+    assert "(1 error rows)" in capsys.readouterr().out
+    assert main(run + ["--strict"]) == 1
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 3 and sum(",nan," in row for row in rows) == 1
 
 
 def test_precision_reports_negative_d(tmp_path, capsys):

@@ -231,6 +231,16 @@ def _line_checked_read(path, noise):
     return SurrogateDataset(Z=Z, y=y, noise=noise)
 
 
+@pytest.mark.parametrize("cell", ["-NA", "+NA"])
+def test_signed_na_loads_as_missing_through_both_readers(tmp_path, cell):
+    path = tmp_path / "signed.csv"
+    path.write_text(f"z1,z2\n1,2\n3,{cell}\n")
+    for read in (read_dataset_csv, _line_checked_read):
+        data = read(path, MissingNoise([0.0, 0.0]))
+        assert data.mask.tolist() == [[True, True], [True, False]]
+        assert data.Z.tolist() == [[1.0, 2.0], [3.0, 0.0]]
+
+
 def _outcome(read, path, noise):
     """The bytes of Z, y and mask a reader returns, or the message it raises."""
     try:

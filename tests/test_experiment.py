@@ -212,6 +212,14 @@ class TestRunGrid:
         assert record.error == "cross-validation failed at every grid point"
         assert np.isnan(record.tuning) and record.false_positives == -1
 
+    def test_a_failing_refit_is_an_error_row_with_its_message(self, monkeypatch):
+        def diverging(*args):
+            raise ArithmeticError("diverged: non-finite objective in solver")
+
+        monkeypatch.setattr(corrls.post, "fit_method", diverging)
+        records = run_grid(_tiny_spec())
+        assert [r.error for r in records] == ["diverged: non-finite objective in solver"] * 3
+
     def test_no_timing_zeroes_wall_time(self):
         records = run_grid(_tiny_spec(), no_timing=True)
         assert all(r.wall_time_s == 0.0 for r in records)

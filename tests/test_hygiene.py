@@ -123,3 +123,22 @@ def test_positive_definite_threshold_has_one_home():
     or of a stack, is `post._is_pd`."""
     sources = sorted((ROOT / "src" / "corrls").glob("*.py"))
     assert [p.name for p in sources if p.name != "post.py" and "_PD_EPS" in p.read_text()] == []
+
+
+def test_failed_fit_rule_has_one_home():
+    """Only `selection` spells which exceptions mean a fit failed (`FIT_ERRORS`).
+    numpy's LinAlgError is caught only where a factorization is the question
+    itself, `post._is_pd` and `simulate._cholesky`, and no module wraps a
+    failure in a RuntimeError, which no caller catches."""
+    sources = {p.name: p.read_text() for p in sorted((ROOT / "src" / "corrls").glob("*.py"))}
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    spelled = [name for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Tuple)
+               and "ArithmeticError" in {getattr(e, "id", None) for e in node.elts}]
+    assert spelled == ["selection.py"]
+    assert [name for name, text in sources.items() if "LinAlgError" in text] == \
+        ["post.py", "simulate.py"]
+    catching = sorted((name, f.name) for name, tree in trees.items() for f in ast.walk(tree)
+                      if isinstance(f, ast.FunctionDef) and "LinAlgError" in ast.unparse(f))
+    assert catching == [("post.py", "_is_pd"), ("simulate.py", "_cholesky")]
+    assert [name for name, text in sources.items() if "RuntimeError" in text] == []

@@ -157,6 +157,11 @@ class TestPostClsFit:
         with pytest.raises(ValueError, match="empty support"):
             post_cls_fit(_m(np.eye(2), [1.0, 1.0]), [], OPTS)
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_out_of_range_support_rejected(self, index):
+        with pytest.raises(ValueError, match="support index out of range"):
+            post_cls_fit(_m(np.eye(2), [1.0, 1.0]), [0, index], OPTS)
+
     def test_oversized_support_warns(self):
         m = _m(np.eye(3), [1.0, 1.0, 1.0], n=2)
         with pytest.warns(UserWarning):
@@ -277,6 +282,28 @@ class TestCrossValidate:
         m = _m(np.diag([0.0, 1.0, 1.0]), [5.0, 0.1, 0.1])
         best, losses, fit = cross_validate(m, m, [1, 2, 3], "cs_post", OPTS)
         assert losses == [np.inf] * 3 and best == 1 and fit is None
+
+    def test_empty_grid_rejected(self):
+        m = _m(np.eye(3), [1.0, 0.5, 0.1])
+        with pytest.raises(ValueError, match="empty tuning grid"):
+            cross_validate(m, m, [], "cs_post", OPTS)
+
+    def test_train_test_dimension_mismatch_rejected(self):
+        train, test = _m(np.eye(3), [1.0, 0.5, 0.1]), _m(np.eye(2), [1.0, 0.5])
+        with pytest.raises(ValueError, match="train and test dimension mismatch"):
+            cross_validate(train, test, [1, 2], "cs_post", OPTS)
+
+    @pytest.mark.parametrize("rule", ["cs_post", "l1cls"])
+    def test_a_failing_refit_at_the_chosen_value_propagates(self, monkeypatch, rule):
+        def diverging(*args):
+            raise ArithmeticError("diverged: non-finite objective in solver")
+
+        monkeypatch.setattr(corrls.post, "fit_method", diverging)
+        train, test, beta0, _ = _split_pair(5)
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        grid = [2, 4, 8] if rule == "cs_post" else default_lambda_grid()
+        with pytest.raises(ArithmeticError, match="diverged"):
+            _cv(train, test, grid, rule, opts)
 
     def test_lambda_grid_shape(self):
         grid = default_lambda_grid()

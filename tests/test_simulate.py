@@ -179,6 +179,20 @@ class TestPrecisionGenerators:
         assert np.max(np.abs(theta @ sigma - np.eye(60))) <= 1e-8
         assert np.linalg.eigvalsh(sigma)[0] > 0
 
+    def test_positive_definite_at_every_bandwidth_and_cluster_count(self):
+        """The raw matrices need no repair.  The band's eigenvalues lie within
+        the range of its symbol 1 + 2 sum_{k<=b} 0.5^k cos(k t): they are
+        1 + cos(k pi/(p+1)) > 0 at b = 1, the symbol is at least 0.25 at b = 2
+        and at least 1/3 - 2 * 0.5^b > 0 at b >= 3.  A cluster block has
+        eigenvalues 0.5 and 1 + 0.5 (size - 1)."""
+        p = 30
+        pairs = [generate_band_precision(p, b) for b in range(1, p)]
+        pairs += [generate_cluster_precision(p, c) for c in range(1, p + 1)]
+        for theta, sigma in pairs:
+            np.linalg.cholesky(theta)
+            assert np.max(np.abs(np.diag(sigma) - 1.0)) <= 1e-10
+            assert np.max(np.abs(theta @ sigma - np.eye(p))) <= 1e-8
+
     def test_cluster_identity_reduction(self):
         theta, sigma = generate_cluster_precision(6, 6)
         assert np.allclose(theta, np.eye(6)) and np.allclose(sigma, np.eye(6))
