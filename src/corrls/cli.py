@@ -238,10 +238,12 @@ def build_parser():
 
 def main(argv=None):
     """Run one subcommand; a bad input value or file, or a failed fit (`FIT_ERRORS`),
-    prints ``corrls: error: ...`` to stderr and returns 2, as argparse does for a bad argument."""
+    prints ``corrls: error: ...`` to stderr and returns 2, as argparse does for a bad argument.
+    numpy's floating-point warnings are off for the command, so that line is all it prints."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # non-finite results are checked, not warned of
+            return args.func(args)
     except (*FIT_ERRORS, OSError) as exc:
         print(f"corrls: error: {exc}", file=sys.stderr)
         return 2

@@ -33,13 +33,18 @@ NA_TOKEN = "NA"
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _finite(a):
-    """``a``, after checking that every entry is finite, in blocks of leading-axis
-    slices, so that no boolean array of its size is made."""
+def _row_blocks(a):
+    """Slices of consecutive leading-axis rows of ``a``, of about `_BLOCK_ENTRIES`
+    entries each (at least one row), the last one partial."""
     step = max(1, _BLOCK_ENTRIES * len(a) // max(1, a.size))
-    for i in range(0, len(a), step):
-        if not np.isfinite(a[i:i + step]).all():
-            raise ValueError("non-finite corrected moments")
+    return [slice(i, i + step) for i in range(0, len(a), step)]
+
+
+def _finite(a):
+    """``a``, after checking that every entry is finite, in `_row_blocks`, so
+    that no boolean array of its size is made."""
+    if not all(np.isfinite(a[rows]).all() for rows in _row_blocks(a)):
+        raise ValueError("non-finite corrected moments")
     return a
 
 
@@ -114,7 +119,7 @@ class SurrogateDataset:
             mask = np.asarray(self.mask, dtype=bool)
             if mask.shape != Z.shape:
                 raise ValueError("mask shape must match Z")
-            if np.any(np.logical_and(Z, ~mask)):
+            if any(np.logical_and(Z[rows], ~mask[rows]).any() for rows in _row_blocks(Z)):
                 raise ValueError("Z must be zero-filled where the mask is False")
             if self.noise.p != Z.shape[1]:
                 raise ValueError("rho length must equal the number of columns of Z")

@@ -121,10 +121,15 @@ class CorrectedMoments:
         if self.factor is None or not self.wide:
             return lipschitz_estimate(self.gamma_mat)
         Z, q = self.factor
-        step = max(1, _BLOCK_ENTRIES // self.n)
-        AA = Z @ Z.T if self.source[1] is None else sum(map(  # one block alive at a time
-            lambda A: A @ A.T, (Z[:, j:j + step] / q[j:j + step] for j in range(0, self.p, step))))
-        return lipschitz_estimate(_finite(AA / self.n))
+        if self.source[1] is None:
+            AA = Z @ Z.T
+        else:  # 0 + A_1 A_1' + A_2 A_2' + ... added into one n x n buffer
+            AA, step = np.zeros((self.n, self.n)), max(1, _BLOCK_ENTRIES // self.n)
+            for j in range(0, self.p, step):
+                A = Z[:, j:j + step] / q[j:j + step]
+                AA += A @ A.T
+                del A  # one block alive at a time
+        return lipschitz_estimate(_finite(np.divide(AA, self.n, out=AA)))
 
 
 def active_rows_matvec(G, b):
@@ -146,7 +151,7 @@ def estimate_missing_rates(mask):
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2 or mask.shape[0] < 1:
         raise ValueError("mask must be a non-empty n x p boolean matrix")
-    rho_hat = 1.0 - mask.mean(axis=0)
+    rho_hat = 1.0 - np.count_nonzero(mask, axis=0) / mask.shape[0]
     dead = np.flatnonzero(rho_hat >= 1.0)
     if dead.size:
         raise ValueError(f"degenerate column: column(s) {dead.tolist()} fully missing")

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._rng import substream
-from .data import AdditiveNoise, MissingNoise, SurrogateDataset
+from .data import AdditiveNoise, MissingNoise, SurrogateDataset, _row_blocks
 
 __all__ = [
     "SimConfig",
@@ -112,11 +112,20 @@ def _ar1_noise(p, phi, c_w):
 
 
 def _apply_missingness(X, rho, seed):
+    """Cell (i, j) is observed when the "mask" substream's uniform there is below
+    1 - rho_j.  Zero-fills the caller's ``X`` in place where it is not and returns
+    (X, mask).  The uniforms are drawn one block of `_row_blocks` at a time into
+    one buffer: consecutive draws of a stream give the bytes of one (n, p) draw."""
     n, p = X.shape
-    rng = substream(seed, "mask", n, p)
-    mask = rng.random((n, p)) < (1.0 - rho)[None, :]
-    Z = np.where(mask, X, 0.0)
-    return Z, mask
+    rng, q = substream(seed, "mask", n, p), 1.0 - rho
+    mask = np.empty((n, p), dtype=bool)
+    blocks = _row_blocks(X)
+    buf = np.empty_like(X[blocks[0]])
+    for rows in blocks:
+        u = rng.random(out=buf[:len(X[rows])])
+        np.less(u, q, out=mask[rows])
+        np.copyto(X[rows], 0.0, where=~mask[rows])
+    return X, mask
 
 
 def _draw_rho(p, rho_range, seed):

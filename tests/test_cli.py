@@ -188,24 +188,26 @@ def test_precision_command(tmp_path):
     assert diag_csv.read_text().splitlines()[0] == "column,support_size,d,fallback"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_fit_that_diverges_exits_2_with_one_line(tmp_path, capsys):
+def test_fit_that_diverges_exits_2_with_one_line(tmp_path):
     from corrls.data import write_dataset_csv
     from corrls.simulate import gen_regression
 
     data, _, _ = gen_regression(SimConfig(n=50, p=20, s=3, noise_kind="additive", seed=4))
     data_csv = tmp_path / "data.csv"
     write_dataset_csv(data, data_csv)
-    # on this indefinite corrected Gram a ball of radius 1e300 does not bound the iterates
-    assert main(["fit", "--data", str(data_csv), "--noise", "additive",
-                 "--sigma-w-ar1", "0.5", "0.25", "--method", "l1cls", "--tuning", "0",
-                 "--radius", "1e300"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "corrls: error: diverged: non-finite objective in solver\n"
-    assert captured.out == ""
+    # on this indefinite corrected Gram a ball of radius 1e300 does not bound the iterates;
+    # in a process of its own, so that numpy's overflow warning would reach its stderr
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corrls.cli", "fit", "--data", str(data_csv), "--noise",
+         "additive", "--sigma-w-ar1", "0.5", "0.25", "--method", "l1cls", "--tuning", "0",
+         "--radius", "1e300"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "corrls: error: diverged: non-finite objective in solver\n"
+    assert proc.stdout == ""
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_precision_fit_that_diverges_exits_2_and_names_the_column(tmp_path, capsys):
     from corrls.data import write_dataset_csv
     from corrls.simulate import gen_graph_data, generate_band_precision
@@ -343,7 +345,6 @@ def test_precision_reports_negative_d(tmp_path, capsys):
     assert (f"{len(negative)} columns with d_j <= 0 (1-based): " + " ".join(negative)) in summary
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_precision_non_finite_corrected_covariance_exits_2(tmp_path, capsys):
     rows = ["z1,z2,z3"] + [f"{a:.17g},{b:.17g},{c:.17g}"
                            for a, b, c in np.random.default_rng(6).standard_normal((30, 3))]

@@ -38,6 +38,18 @@ class TestNoiseModels:
         with pytest.raises(ValueError, match="zero-filled"):
             SurrogateDataset(Z=Z, y=np.zeros(2), noise=noise, mask=mask)
 
+    @pytest.mark.parametrize("row", ["first", "last"])
+    def test_non_zero_masked_cell_rejected_in_the_first_and_last_row_block(self, row):
+        # the check runs in blocks of 262 rows at p=1000: rows 0-261, then 262-500
+        n, p = 501, 1000
+        assert n % (corrls.data._BLOCK_ENTRIES // p) != 0
+        Z, mask = np.zeros((n, p)), np.zeros((n, p), dtype=bool)
+        noise = MissingNoise(np.full(p, 0.5))
+        SurrogateDataset(Z=Z, y=None, noise=noise, mask=mask)
+        Z[0 if row == "first" else n - 1, p - 1] = 1.0
+        with pytest.raises(ValueError, match="zero-filled"):
+            SurrogateDataset(Z=Z, y=None, noise=noise, mask=mask)
+
     def test_negative_zero_at_a_masked_cell_accepted(self):
         Z = np.array([[1.0, -0.0], [-0.0, 2.0]])
         mask = np.array([[True, False], [False, True]])

@@ -41,6 +41,10 @@ class TestEstimateMissingRates:
         with pytest.raises(ValueError, match="degenerate column"):
             estimate_missing_rates(mask)
 
+    def test_rates_equal_one_less_the_mean_of_the_mask(self):
+        mask = np.random.default_rng(3).random((333, 50)) < 0.7
+        assert estimate_missing_rates(mask).tobytes() == (1.0 - mask.mean(axis=0)).tobytes()
+
 
 class TestBuildMaskMatrix:
     def test_constant_half(self):
@@ -228,6 +232,25 @@ class TestLipschitzBound:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * _BLOCK_ENTRIES < m.source[0].Z.nbytes / 4
+
+    @pytest.mark.parametrize("build", [corrected_moments, uncorrected_moments])
+    def test_wide_bound_sees_the_bytes_of_the_block_sum_over_n(self, monkeypatch, build):
+        # three blocks of columns, the last one partial, summed as sum() adds them;
+        # the raw Gram's Z Z' is one block
+        m = build(_wide("missing", 9, n=100, p=6000))
+        seen = []
+        original = corrls.selection.lipschitz_estimate
+        monkeypatch.setattr(corrls.selection, "lipschitz_estimate",
+                            lambda G: seen.append(G.copy()) or original(G))
+        Z, q = m.factor
+        step = _BLOCK_ENTRIES // m.n
+        blocks = [Z[:, j:j + step] / np.broadcast_to(q, m.p)[j:j + step]
+                  for j in range(0, m.p, step)]
+        assert len(blocks) == 3
+        raw = build is uncorrected_moments
+        expected = (Z @ Z.T if raw else sum(A @ A.T for A in blocks)) / m.n
+        assert m.lipschitz == original(expected)
+        assert seen[0].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("noise_kind", ["missing", "additive"])
     @pytest.mark.parametrize("build", [corrected_moments, uncorrected_moments])

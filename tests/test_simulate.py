@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from corrls import (
     simulate,
 )
 from corrls._rng import substream
+from corrls.data import _BLOCK_ENTRIES
 
 
 class TestGenBeta0:
@@ -123,6 +126,60 @@ class TestGenRegression:
             beta0=beta0, rho=np.full(5, 0.2))
         assert np.array_equal(beta2, beta0)
         assert np.array_equal(data2.noise.rho, np.full(5, 0.2))
+
+
+def _one_shot_missingness(X, rho, seed):
+    """The mask and zero-filled Z from one (n, p) draw of the "mask" substream."""
+    n, p = X.shape
+    mask = substream(seed, "mask", n, p).random((n, p)) < 1 - rho
+    return np.where(mask, X, 0.0), mask
+
+
+#: (n, p): one block of rows; two, the last one partial (262 + 239 rows at p=1000)
+BLOCK_SHAPES = [(50, 100), (501, 1000)]
+
+
+class TestBlockedMissingness:
+    """The mask's uniforms are drawn a block of rows at a time and X is zero-filled
+    in place, with the bytes of the one-shot draw and `np.where`."""
+
+    @pytest.mark.parametrize("n, p", BLOCK_SHAPES)
+    def test_gen_regression_bytes_equal_the_one_shot_formula(self, n, p):
+        cfg = SimConfig(n=n, p=p, s=3, noise_kind="missing", seed=21)
+        data, beta0, _ = gen_regression(cfg)
+        X = substream(cfg.seed, "x", n, p).standard_normal((n, p))
+        y = X @ beta0 + cfg.sigma_eps * substream(cfg.seed, "eps", n).standard_normal(n)
+        Z, mask = _one_shot_missingness(X, data.noise.rho, cfg.seed)
+        assert data.Z.tobytes() == Z.tobytes()
+        assert data.mask.tobytes() == mask.tobytes()
+        assert data.y.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("n, p", BLOCK_SHAPES)
+    def test_gen_graph_data_bytes_equal_the_one_shot_formula(self, n, p):
+        sigma = ar1_covariance(p, 0.5)
+        data = gen_graph_data(sigma, n, 2.0, (0.05, 0.75), seed=22)
+        X = sample_gaussian(n, 2.0 * sigma, 22, label="x_graph")
+        Z, mask = _one_shot_missingness(X, data.noise.rho, 22)
+        assert data.Z.tobytes() == Z.tobytes()
+        assert data.mask.tobytes() == mask.tobytes()
+
+    def test_peak_memory_is_z_the_mask_and_one_block(self):
+        # Z is the drawn X, zero-filled in place, so past Z and the mask the one large
+        # array is the buffer of one block of uniforms; a whole (n, p) draw of them, or
+        # a Z apart from X, would add 16 MB.  The slack covers the p-vectors (beta0,
+        # rho, 1 - rho), one block of ~mask and Python objects
+        n, p = 500, 4000
+        cfg = SimConfig(n=n, p=p, s=4, noise_kind="missing", seed=3)
+        z_bytes, mask_bytes, block_bytes = n * p * 8, n * p, (_BLOCK_ENTRIES // p) * p * 8
+        slack = 1 << 20
+        gen_regression(SimConfig(n=5, p=40, s=4, noise_kind="missing", seed=3))  # warm up
+        tracemalloc.start()
+        try:
+            gen_regression(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < z_bytes + mask_bytes + block_bytes + slack
 
 
 def _additive_reference(cfg):
