@@ -40,6 +40,17 @@ def _row_blocks(a):
     return [slice(i, i + step) for i in range(0, len(a), step)]
 
 
+def _zero_unobserved(block, observed, scratch):
+    """Zero the float ``block`` in place where the boolean ``observed`` is False: a
+    bitwise AND of its int64 view with a keep mask, -1 (all bits set) where observed
+    and 0 elsewhere, written into the leading rows of the int64 ``scratch``.  The
+    result is the bytes of ``np.where(observed, block, 0.0)``: observed cells keep
+    every bit, -0.0 included, and the others become +0.0."""
+    bits, keep = block.view(np.int64), scratch[:len(block)]
+    np.negative(observed.view(np.int8), out=keep)
+    np.bitwise_and(bits, keep, out=bits)
+
+
 def _finite(a):
     """``a``, after checking that every entry is finite, in `_row_blocks`, so
     that no boolean array of its size is made."""
@@ -287,9 +298,11 @@ def read_dataset_csv(path, noise):
     Expects a header row; a column named "y" (if present) becomes the
     response, all remaining columns become Z in file order.  Missing cells
     carry the token "NA" (or "-NA", "+NA") and are only legal under a missing-data
-    noise model, where they zero-fill Z and clear the mask.  Every other
-    cell must be a finite number.  A file that the one-pass `_clean_cells`
-    cannot prove clean is read again by `_checked_cells`, which names its fault.
+    noise model, where they clear the mask and are zero-filled (+0.0) in place
+    by the bitwise `_zero_unobserved`, a block of rows at a time, so an observed
+    "-0" keeps its sign.  Every other cell must be a finite number.  A file that
+    the one-pass `_clean_cells` cannot prove clean is read again by
+    `_checked_cells`, which names its fault.
     """
     with open(path, newline="") as fh:
         header = read_header(fh)
@@ -302,11 +315,14 @@ def read_dataset_csv(path, noise):
         if np.isnan(y).any():
             raise ValueError(f"{path}: NA in the y column")
         cells = np.delete(cells, header.index("y"), axis=1)
-    missing = np.isnan(cells)
-    np.copyto(cells, 0.0, where=missing)
+    observed = ~np.isnan(cells)
+    blocks = _row_blocks(cells)
+    scratch = np.empty(cells[blocks[0]].shape, dtype=np.int64)
+    for rows in blocks:
+        _zero_unobserved(cells[rows], observed[rows], scratch)
     if isinstance(noise, MissingNoise):
-        return SurrogateDataset(Z=cells, y=y, noise=noise, mask=~missing)
-    if missing.any():
+        return SurrogateDataset(Z=cells, y=y, noise=noise, mask=observed)
+    if not observed.all():
         raise ValueError(f"{path}: NA entries present but noise model is additive")
     return SurrogateDataset(Z=cells, y=y, noise=noise)
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._rng import substream
-from .data import AdditiveNoise, MissingNoise, SurrogateDataset, _row_blocks
+from .data import AdditiveNoise, MissingNoise, SurrogateDataset, _row_blocks, _zero_unobserved
 
 __all__ = [
     "SimConfig",
@@ -113,9 +113,11 @@ def _ar1_noise(p, phi, c_w):
 
 def _apply_missingness(X, rho, seed):
     """Cell (i, j) is observed when the "mask" substream's uniform there is below
-    1 - rho_j.  Zero-fills the caller's ``X`` in place where it is not and returns
-    (X, mask).  The uniforms are drawn one block of `_row_blocks` at a time into
-    one buffer: consecutive draws of a stream give the bytes of one (n, p) draw."""
+    1 - rho_j.  Zero-fills the caller's ``X`` in place where it is not, by the
+    bitwise `_zero_unobserved`, and returns (X, mask).  The uniforms are drawn one
+    block of `_row_blocks` at a time into one buffer: consecutive draws of a stream
+    give the bytes of one (n, p) draw.  Once a block's mask is taken, the same
+    buffer, viewed as int64, holds its keep mask."""
     n, p = X.shape
     rng, q = substream(seed, "mask", n, p), 1.0 - rho
     mask = np.empty((n, p), dtype=bool)
@@ -124,7 +126,7 @@ def _apply_missingness(X, rho, seed):
     for rows in blocks:
         u = rng.random(out=buf[:len(X[rows])])
         np.less(u, q, out=mask[rows])
-        np.copyto(X[rows], 0.0, where=~mask[rows])
+        _zero_unobserved(X[rows], mask[rows], buf.view(np.int64))
     return X, mask
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import corrls.data
 from corrls import AdditiveNoise, MissingNoise, SurrogateDataset
-from corrls.data import (_checked_cells, read_dataset_csv, read_header, read_matrix_csv,
-                         write_dataset_csv, write_matrix_csv)
+from corrls.data import (_checked_cells, _zero_unobserved, read_dataset_csv, read_header,
+                         read_matrix_csv, write_dataset_csv, write_matrix_csv)
 from corrls.simulate import SimConfig, gen_regression
 
 
@@ -251,6 +251,33 @@ def test_signed_na_loads_as_missing_through_both_readers(tmp_path, cell):
         data = read(path, MissingNoise([0.0, 0.0]))
         assert data.mask.tolist() == [[True, True], [True, False]]
         assert data.Z.tolist() == [[1.0, 2.0], [3.0, 0.0]]
+
+
+@pytest.mark.parametrize("one_pass", [True, False])
+def test_na_reads_as_plus_zero_and_an_observed_minus_zero_keeps_its_sign(
+        tmp_path, monkeypatch, one_pass):
+    # blocks of two rows, the last one partial; False: the line-checked reader
+    monkeypatch.setattr(corrls.data, "_BLOCK_ENTRIES", 4)
+    if not one_pass:
+        monkeypatch.setattr(corrls.data, "_clean_cells", lambda fh, width: None)
+    path = tmp_path / "signs.csv"
+    path.write_text("z1,y,z2\nNA,1,-0\n-0,2,NA\n-0,3,-0.0\n")
+    data = read_dataset_csv(path, MissingNoise([0.0, 0.0]))
+    assert data.Z.tolist() == [[0.0, 0.0]] * 3
+    assert np.signbit(data.Z).tolist() == [[False, True], [True, False], [True, True]]
+    assert data.mask.tolist() == [[False, True], [True, False], [True, True]]
+
+
+def test_zero_unobserved_is_np_where_to_the_byte():
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((7, 9))
+    block[rng.random(block.shape) < 0.2] = -0.0
+    block[0, :3] = [5e-324, -5e-324, -np.inf]
+    observed = rng.random(block.shape) < 0.6
+    ref = np.where(observed, block, 0.0)
+    scratch = np.full((10, 9), 123, dtype=np.int64)  # more rows than the block
+    _zero_unobserved(block, observed, scratch)
+    assert block.tobytes() == ref.tobytes()
 
 
 def _outcome(read, path, noise):

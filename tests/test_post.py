@@ -1,5 +1,6 @@
 import ast
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +139,18 @@ class TestPostClsFit:
         assert fit.fallback_used and fit.iterations > 0
         assert fit.support_used == tuple(support(fit.beta))
         assert len(fit.support_used) == 15
+
+    def test_fallback_refit_reports_its_inner_fits_iterations_and_convergence(self):
+        # the a_n = 47 cell above: its indefinite block is fitted by l1_cls_fit
+        seed = corrls.experiment._cell_seed(0, 500, 100, 4, 2)
+        train, beta0, _ = gen_regression(SimConfig(n=500, p=100, s=4, noise_kind="missing",
+                                                   seed=seed))
+        m = corrected_moments(with_estimated_missing_rates(train))
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        full, capped = cs_post_fit(m, 47, opts), cs_post_fit(m, 47, replace(opts, max_iters=2))
+        assert full.fallback_used and capped.fallback_used
+        assert full.iterations > 2 and full.converged is True
+        assert capped.iterations == 2 and capped.converged is False
 
     @pytest.mark.parametrize("rep, k_star", [(0, 27), (1, 30), (2, 44)])
     def test_refit_falls_back_exactly_past_the_positive_definite_prefix(self, rep, k_star):

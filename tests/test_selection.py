@@ -291,6 +291,13 @@ class TestL1ClsFit:
             assert cur <= prev + 1e-12
             beta, prev = fit.beta, cur
 
+    def test_only_a_fit_stopped_by_the_iteration_cap_reports_not_converged(self):
+        m, radius = _sim_moments("missing", 200, 40, seed=17)
+        full = l1_cls_fit(m, 0.1, SolverOptions(radius=radius))
+        capped = l1_cls_fit(m, 0.1, SolverOptions(radius=radius, max_iters=2))
+        assert full.iterations > 2 and full.converged is True
+        assert capped.iterations == 2 and capped.converged is False
+
     def test_indefinite_gamma_returns_bounded_best_iterate(self):
         G = np.diag([1.0, -0.5])
         fit = l1_cls_fit(_m(G, [0.5, 0.3]), 0.05, SolverOptions(radius=1.5))
