@@ -167,12 +167,12 @@ def _cmd_experiment(args):
     print(f"{len(records)} records written to {args.out} ({n_err} error rows)")
     if args.save_coefs:
         sidecar = args.out + ".coefs.csv"
-        with open(sidecar, "w") as fh:
-            fh.write("scenario,method," + "coefs...\n")
+        with open(sidecar, "w") as fh:  # long form: one row per coefficient, j 1-based
+            fh.write("scenario,method,j,coef\n")
             for r in records:
                 if r.beta is not None:
-                    fh.write(f"{r.scenario},{r.method}," +
-                             ",".join(f"{b:.17g}" for b in r.beta) + "\n")
+                    fh.writelines(f"{r.scenario},{r.method},{j},{b:.17g}\n"
+                                  for j, b in enumerate(r.beta.tolist(), start=1))
         print(f"coefficients written to {sidecar}")
     if args.strict and n_err:
         return 1

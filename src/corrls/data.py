@@ -159,6 +159,14 @@ class SurrogateDataset:
         return S
 
     @cached_property
+    def zy(self):
+        """Z'y/n, formed once for the corrected and the raw moments of this dataset
+        after one check that Z and y are finite; read-only."""
+        g = (_finite(self.Z).T @ _finite(self.y)) / self.n
+        g.flags.writeable = False
+        return g
+
+    @cached_property
     def gram_rows(self):
         """The `GramRows` store of Z'Z/n, made once for every moments of this dataset."""
         return GramRows(self.Z)
@@ -174,15 +182,25 @@ class GramRows:
     def __init__(self, Z):
         self.Z, (self.n, p) = Z, Z.shape
         self.diag = _finite(np.einsum("ij,ij->j", Z, Z) / self.n)
-        self.rows, self.count = np.empty((0, p)), 0
+        self.rows, self.count, self.gathered = np.empty((0, p)), 0, None
         self.slot = np.full(p, -1)  # slot[j]: the row of `rows` holding row j of S, or -1
 
     def matvec(self, v):
         """S @ v: while at most one entry of v in 16 is non-zero and the rows not
-        yet kept fit, from the kept rows at the non-zeros; else Z'(Z v)/n."""
+        yet kept fit, from the kept rows at the non-zeros; else Z'(Z v)/n.  The last
+        block gathered (at most `_BLOCK_ENTRIES` entries) is ``gathered`` with its
+        non-zeros, read again while they repeat: kept rows never change, even when
+        the buffer grows, so it holds the bytes a new gather would."""
         nz = v.nonzero()[0]
-        if 16 * nz.size <= v.size and self._keep(nz[self.slot[nz] < 0]):
-            return v[nz].dot(self.rows.take(self.slot[nz], axis=0))
+        if 16 * nz.size <= v.size:
+            if self.gathered is not None and np.array_equal(self.gathered[0], nz):
+                return v[nz].dot(self.gathered[1])
+            if self._keep(nz[self.slot[nz] < 0]):
+                self.gathered = None  # freed before the next block is gathered
+                rows = self.rows.take(self.slot[nz], axis=0)
+                if rows.size <= _BLOCK_ENTRIES:
+                    self.gathered = nz, rows
+                return v[nz].dot(rows)
         return self.Z.T.dot(self.Z.dot(v)) / self.n
 
     def _keep(self, new):

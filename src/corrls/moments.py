@@ -58,6 +58,7 @@ class CorrectedMoments:
         if G is not None:
             self.gamma_mat = 0.5 * (_finite(G) + G.T)
         self.gamma_vec, self.n, self.p, self.source = _finite(g), n, p, source
+        self.columns = None
 
     @cached_property
     def gamma_mat(self) -> np.ndarray:
@@ -171,13 +172,12 @@ def build_mask_matrix(rho):
 
 
 def _dataset_moments(data: SurrogateDataset, noise) -> CorrectedMoments:
-    """Moments of ``data`` corrected for ``noise``; a non-finite Z or y is
-    rejected here, without waiting for gamma_mat."""
+    """Moments of ``data`` corrected for ``noise``, from its shared Z'y/n
+    (`SurrogateDataset.zy`): a non-finite Z or y is rejected here, once per
+    dataset, without waiting for gamma_mat."""
     if data.y is None:
         raise ValueError("dataset has no response; moments need y")
-    _finite(data.Z)
-    _finite(data.y)
-    g = (data.Z.T @ data.y) / data.n
+    g = data.zy
     if isinstance(noise, MissingNoise):
         g = g / (1.0 - noise.rho)
     return CorrectedMoments(None, g, data.n, data.p, source=(data, noise))
@@ -203,7 +203,9 @@ def uncorrected_moments(data: SurrogateDataset) -> CorrectedMoments:
 def corrected_loss(beta, m: CorrectedMoments):
     """Quadratic loss 0.5 b'Gb - g'b; may be negative and unbounded below
     when gamma_mat is indefinite.  For `wide` moments it is taken on the
-    support T of beta, from Z[:, T] and d_T (`factor`) or `CorrectedMoments.block`."""
+    support T of beta, from Z[:, T] and d_T (`factor`) or `CorrectedMoments.block`.
+    Those depend on T alone: ``m.columns`` keeps (T, Z[:, T], q_T, n d_T) of the
+    last T (at most `_BLOCK_ENTRIES` entries) for a beta on the same T."""
     beta = np.asarray(beta, dtype=float).ravel()
     if beta.size != m.p:
         raise ValueError(f"beta has length {beta.size}, expected {m.p}")
@@ -213,8 +215,13 @@ def corrected_loss(beta, m: CorrectedMoments):
     b = beta[idx]
     if m.factor is None:
         return 0.5 * b @ m.block(idx) @ b - m.gamma_vec[idx] @ b
-    Z, q = m.factor
-    Z, q = Z[:, idx], np.broadcast_to(q, m.p)[idx]
-    u, nd = Z @ (b / q), np.einsum("ij,ij->j", Z, Z) * (1.0 - q) / q**2  # nd = n d_T
+    cols = m.columns
+    if cols is None or not np.array_equal(cols[0], idx):
+        Z, q = m.factor
+        Z, q = Z[:, idx], np.broadcast_to(q, m.p)[idx]
+        cols = idx, Z, q, np.einsum("ij,ij->j", Z, Z) * (1.0 - q) / q**2  # n d_T
+        m.columns = cols if Z.size <= _BLOCK_ENTRIES else None
+    _, Z, q, nd = cols
+    u = Z @ (b / q)
     return 0.5 * (u @ u - nd @ (b * b)) / m.n - m.gamma_vec[idx] @ b
 

@@ -68,8 +68,11 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
     restricted l1 ball of radius opts.radius (`l1_cls_fit` at penalty 0),
     flagged as a fallback; its ``support_used`` keeps only the coordinates of
     T_hat that `support` finds non-zero.  Coordinates off T_hat are exact
-    zeros by assignment.
+    zeros by assignment.  An index that is not a whole number is rejected.
     """
+    T_hat = list(T_hat)
+    if any(int(j) != j for j in T_hat):
+        raise ValueError(f"support index must be a whole number, got {T_hat}")
     T = sorted(set(int(j) for j in T_hat))
     if not T:
         raise ValueError("empty support")

@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -304,12 +305,27 @@ def test_sigma_w_error_names_the_file_and_its_line(tmp_path, capsys):
 
 
 def test_experiment_save_coefs_sidecar(tmp_path):
+    # two p values: a row of 2 + p fields per record would give rows of two widths
+    grid = {**GRID, "p_values": [10, 14]}
     cfg = tmp_path / "grid.json"
-    cfg.write_text(json.dumps(GRID))
+    cfg.write_text(json.dumps(grid))
     out = tmp_path / "res.csv"
     assert main(["experiment", "--config", str(cfg), "--out", str(out),
                  "--save-coefs", "--no-timing"]) == 0
-    assert (tmp_path / "res.csv.coefs.csv").exists()
+    with open(f"{out}.coefs.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["scenario", "method", "j", "coef"]
+    assert all(len(row) == 4 for row in rows)
+    coefs = {}
+    for scenario, method, j, coef in rows:
+        coefs.setdefault((scenario, method), []).append((int(j), float(coef)))
+    records = corrls.experiment.run_grid(_load_config(GridSpec, cfg), keep_beta=True,
+                                         no_timing=True)
+    assert len(coefs) == len(records) == 6
+    for r in records:
+        js, beta = zip(*coefs[r.scenario, r.method])
+        assert list(js) == list(range(1, r.p + 1))  # 1-based, as `corrls fit` prints
+        assert np.array(beta).tobytes() == r.beta.tobytes()
 
 
 def test_experiment_strict_exits_1_on_an_error_row(tmp_path, capsys):

@@ -2,12 +2,14 @@ import gc
 import tracemalloc
 import weakref
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrls.post
 import corrls.selection
 from corrls import (
     AdditiveNoise,
@@ -20,7 +22,8 @@ from corrls import (
     estimate_missing_rates,
     uncorrected_moments,
 )
-from corrls.data import _BLOCK_ENTRIES
+from corrls.data import _BLOCK_ENTRIES, GramRows
+from corrls.experiment import GridSpec, run_grid
 from corrls.post import cross_validate, default_lambda_grid
 from corrls.selection import SolverOptions, l1_cls_fit, lipschitz_estimate
 from corrls.simulate import SimConfig, ar1_covariance, gen_beta0, gen_regression, sample_gaussian
@@ -549,3 +552,128 @@ class TestProductBytes:
         for beta in self._vectors(m.p, 22):
             ref = 0.5 * beta @ m.gamma_mat @ beta - m.gamma_vec @ beta
             assert np.float64(corrected_loss(beta, m)).tobytes() == ref.tobytes()
+
+
+class _Gathers(np.ndarray):
+    """A view that counts in ``counts`` the gathers made through it: "rows" for a
+    `take`, "columns" for a subscript whose last index is an index array."""
+
+    counts = None
+
+    def take(self, *args, **kwargs):
+        _Gathers.counts["rows"] += 1
+        return np.asarray(self).take(*args, **kwargs)
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and isinstance(key[-1], np.ndarray):
+            _Gathers.counts["columns"] += 1
+        return np.asarray(self)[key]
+
+
+class _SpiedStore(GramRows):
+    """A store of Gram rows read through `_Gathers`, which records the non-zeros
+    of each sparse product (at most one entry in 16 non-zero)."""
+
+    def __init__(self, Z):
+        self.supports = []
+        super().__init__(Z)
+
+    @property
+    def rows(self):
+        return self._rows.view(_Gathers)
+
+    @rows.setter
+    def rows(self, rows):
+        self._rows = rows
+
+    def matvec(self, v):
+        if 16 * np.count_nonzero(v) <= v.size:
+            self.supports.append(tuple(v.nonzero()[0]))
+        return super().matvec(v)
+
+
+def _runs(supports):
+    """The number of runs of equal consecutive supports."""
+    return sum(1 for k, T in enumerate(supports) if k == 0 or T != supports[k - 1])
+
+
+class TestGatherOncePerSupport:
+    def test_one_gather_per_run_of_equal_supports(self, monkeypatch):
+        # the wide cell of tests/data/reference.json: every sparse product and every
+        # held-out loss reads its rows or columns of Z once per run of equal supports
+        monkeypatch.setattr(_Gathers, "counts", {"rows": 0, "columns": 0})
+        stores, losses = [], []
+
+        def store(data):
+            stores.append(_SpiedStore(data.Z))
+            return stores[-1]
+
+        def factor(m, original=CorrectedMoments.factor.func):
+            f = original(m)
+            return f if f is None else (f[0].view(_Gathers), f[1])
+
+        def loss(beta, m, original=corrls.post.corrected_loss):
+            if m.wide and m.factor is not None:
+                losses.append((m, tuple(np.flatnonzero(beta))))
+            return original(beta, m)
+
+        for cls, name, method in ((SurrogateDataset, "gram_rows", store),
+                                  (CorrectedMoments, "factor", factor)):
+            prop = cached_property(method)
+            prop.__set_name__(cls, name)
+            monkeypatch.setattr(cls, name, prop)
+        monkeypatch.setattr(corrls.post, "corrected_loss", loss)
+        spec = GridSpec(n_values=(100,), p_values=(300,), s_values=(4,), noise_kind="missing",
+                        replicates=2, base_seed=0)
+        assert all(r.error is None for r in run_grid(spec))
+        assert len(stores) == 2 and all(s.count < s.n for s in stores)  # no product refused
+        products = sum(len(s.supports) for s in stores)
+        assert _Gathers.counts["rows"] == sum(_runs(s.supports) for s in stores) < products
+        per_moments = {}
+        for m, T in losses:
+            per_moments.setdefault(id(m), []).append(T)  # `losses` keeps every m alive
+        runs = sum(map(_runs, per_moments.values()))
+        assert _Gathers.counts["columns"] == runs < len(losses)
+
+    def test_a_block_past_the_budget_is_not_kept(self):
+        data = _wide("missing", 10, n=100, p=5000)
+        store, m = data.gram_rows, corrected_moments(data)
+        for nnz, kept in ((10, True), (60, False)):  # 60 * 5000 > _BLOCK_ENTRIES
+            v = np.zeros(5000)
+            v[:nnz] = 1.0
+            store.matvec(v)
+            assert (store.gathered is not None) == kept == (nnz * 5000 <= _BLOCK_ENTRIES)
+        for nnz, kept in ((10, True), (3000, False)):  # 3000 * 100 > _BLOCK_ENTRIES
+            beta = np.zeros(5000)
+            beta[:nnz] = 1.0
+            corrected_loss(beta, m)
+            assert (m.columns is not None) == kept == (nnz * 100 <= _BLOCK_ENTRIES)
+
+    def test_a_reused_block_is_the_gathers_bytes(self):
+        store = _wide("missing", 8).gram_rows
+        rng = np.random.default_rng(8)
+        idx = rng.choice(300, 12, replace=False)
+        blocks = []
+        for _ in range(3):
+            v = np.zeros(300)
+            v[idx] = rng.standard_normal(idx.size)
+            nz = v.nonzero()[0]
+            out = store.matvec(v)
+            assert out.tobytes() == v[nz].dot(store.rows.take(store.slot[nz], axis=0)).tobytes()
+            blocks.append(store.gathered[1])
+        assert blocks[0] is blocks[1] is blocks[2]
+
+    @pytest.mark.parametrize("build", [corrected_moments, uncorrected_moments])
+    def test_a_reused_support_is_the_losss_bytes(self, build):
+        data = _wide("missing", 9)
+        m = build(data)
+        rng = np.random.default_rng(9)
+        idx = rng.choice(300, 12, replace=False)
+        kept = []
+        for _ in range(3):
+            beta = np.zeros(300)
+            beta[idx] = rng.standard_normal(idx.size)
+            fresh = corrected_loss(beta, build(data))  # moments that keep nothing yet
+            assert np.float64(corrected_loss(beta, m)).tobytes() == np.float64(fresh).tobytes()
+            kept.append(m.columns)
+        assert kept[0] is kept[1] is kept[2]

@@ -175,6 +175,20 @@ class TestPostClsFit:
         with pytest.raises(ValueError, match="support index out of range"):
             post_cls_fit(_m(np.eye(2), [1.0, 1.0]), [0, index], OPTS)
 
+    @pytest.mark.parametrize("T", [[1.5, 2.9], [0, 2.5], np.array([1.0, 0.5])])
+    def test_fractional_support_index_rejected(self, T):
+        # int() would truncate [1.5, 2.9] to the columns (1, 2) and refit those
+        data, _, _ = gen_regression(SimConfig(n=50, p=10, s=2, noise_kind="missing", seed=1))
+        with pytest.raises(ValueError, match="support index must be a whole number"):
+            post_cls_fit(corrected_moments(data), T, OPTS)
+
+    def test_whole_float_support_indices_are_the_integer_ones(self):
+        data, _, _ = gen_regression(SimConfig(n=50, p=10, s=2, noise_kind="missing", seed=1))
+        m = corrected_moments(data)
+        fit = post_cls_fit(m, [1.0, np.float64(2.0)], OPTS)
+        assert fit.support_used == (1, 2)
+        assert fit.beta.tobytes() == post_cls_fit(m, [1, 2], OPTS).beta.tobytes()
+
     def test_oversized_support_warns(self):
         m = _m(np.eye(3), [1.0, 1.0, 1.0], n=2)
         with pytest.warns(UserWarning):
