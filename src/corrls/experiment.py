@@ -27,7 +27,14 @@ __all__ = ["GridSpec", "ExperimentRecord", "grid_cells", "run_grid", "emit_resul
 _FIT_RULES = {label: name for name, label in _LABELS.items()}  # record label -> fit rule
 METHODS = tuple(_FIT_RULES)
 
-CSV_HEADER = "scenario,n,p,s,noise,method,seed,tuning,ree,fp,tpr,wall_s"
+#: CSV column -> `ExperimentRecord` field, in file order
+_COLUMNS = {"scenario": "scenario", "n": "n", "p": "p", "s": "s", "noise": "noise_kind",
+            "method": "method", "seed": "seed", "tuning": "tuning", "ree": "ree",
+            "fp": "false_positives", "tpr": "true_positive_rate", "wall_s": "wall_time_s"}
+CSV_HEADER = ",".join(_COLUMNS)
+#: the scores of an error row: no tuning value, REE or TPR, and -1 false positives
+_ERROR_SCORES = {"tuning": float("nan"), "ree": float("nan"), "false_positives": -1,
+                 "true_positive_rate": float("nan")}
 
 
 @dataclass(frozen=True)
@@ -49,10 +56,11 @@ class GridSpec:
             vals = tuple(getattr(self, name))
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
+            if name != "methods":  # stored as int: a float or bool n crashes the generator
+                if any(isinstance(v, bool) or not v > 0 or v % 1 for v in vals):
+                    raise ValueError(f"{name} must hold positive whole numbers")
+                vals = tuple(map(int, vals))
             object.__setattr__(self, name, vals)
-        for name in ("n_values", "p_values", "s_values"):
-            if any(v <= 0 or int(v) != v for v in getattr(self, name)):
-                raise ValueError(f"{name} must hold positive whole numbers")
         if max(self.s_values) > min(self.p_values):
             raise ValueError(f"s value {max(self.s_values)} exceeds p value {min(self.p_values)}")
         if self.replicates < 1:
@@ -61,9 +69,13 @@ class GridSpec:
         if bad:
             raise ValueError(f"unknown methods: {sorted(bad)}")
         # the model fields, checked by SimConfig at the least n and p and the greatest s
-        SimConfig(n=min(self.n_values), p=min(self.p_values), s=max(self.s_values),
-                  noise_kind=self.noise_kind, sigma_eps=self.sigma_eps, ar_phi=self.ar_phi,
-                  c_w=self.c_w, rho_range=self.rho_range)
+        self._sim_config(min(self.n_values), min(self.p_values), max(self.s_values))
+
+    def _sim_config(self, n, p, s, seed=0):
+        """The scenario of cell (n, p, s) under this spec's model, drawn with ``seed``."""
+        return SimConfig(n=n, p=p, s=s, noise_kind=self.noise_kind, seed=seed,
+                         sigma_eps=self.sigma_eps, ar_phi=self.ar_phi, c_w=self.c_w,
+                         rho_range=self.rho_range)
 
 
 @dataclass(frozen=True)
@@ -97,9 +109,7 @@ def _cell_seed(base_seed, n, p, s, rep):
 
 def _run_cell(spec: GridSpec, n, p, s, rep, keep_beta):
     seed = _cell_seed(spec.base_seed, n, p, s, rep)
-    cfg = SimConfig(n=n, p=p, s=s, noise_kind=spec.noise_kind, seed=seed,
-                    sigma_eps=spec.sigma_eps, ar_phi=spec.ar_phi, c_w=spec.c_w,
-                    rho_range=spec.rho_range)
+    cfg = spec._sim_config(n, p, s, seed)
     train, beta0, T = gen_regression(cfg)
     test_cfg = replace(cfg, seed=_cell_seed(seed, n, p, s, "test"))
     rho_true = train.noise.rho if spec.noise_kind == "missing" else None
@@ -123,21 +133,16 @@ def _run_cell(spec: GridSpec, n, p, s, rep, keep_beta):
             best, _, fit = cross_validate(*pairs[build], method_grid(rule, n, p), rule, opts)
             if fit is None:
                 raise ArithmeticError("cross-validation failed at every grid point")
-            tuning = float(best)
-            records.append(ExperimentRecord(
-                scenario=scenario, n=n, p=p, s=s, noise_kind=spec.noise_kind,
-                method=method, seed=seed, tuning=tuning,
-                ree=ree(fit.beta, beta0),
-                false_positives=false_positives(fit.support_used, T),
-                true_positive_rate=true_positive_rate(fit.support_used, T),
-                wall_time_s=time.perf_counter() - t0,
-                beta=fit.beta.copy() if keep_beta else None))
+            scores = {"tuning": float(best), "ree": ree(fit.beta, beta0),
+                      "false_positives": false_positives(fit.support_used, T),
+                      "true_positive_rate": true_positive_rate(fit.support_used, T)}
+            wall = time.perf_counter() - t0  # the beta copy is not timed
+            beta, error = (fit.beta.copy() if keep_beta else None), None
         except Exception as exc:  # error row, not a run abort
-            records.append(ExperimentRecord(
-                scenario=scenario, n=n, p=p, s=s, noise_kind=spec.noise_kind,
-                method=method, seed=seed, tuning=float("nan"),
-                ree=float("nan"), false_positives=-1, true_positive_rate=float("nan"),
-                wall_time_s=time.perf_counter() - t0, error=str(exc)))
+            scores, wall, beta, error = _ERROR_SCORES, time.perf_counter() - t0, None, str(exc)
+        records.append(ExperimentRecord(
+            scenario=scenario, n=n, p=p, s=s, noise_kind=spec.noise_kind, method=method,
+            seed=seed, **scores, wall_time_s=wall, beta=beta, error=error))
     return records
 
 
@@ -189,18 +194,12 @@ def run_grid(spec: GridSpec, workers=1, keep_beta=False, no_timing=False):
     return records
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
 def emit_results(records, path):
-    """Write records as CSV with a fixed header and round-trip-exact floats."""
+    """Write records as the `_COLUMNS` of a CSV: floats with ``%.17g``, all else by str."""
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(",".join([
-            r.scenario, str(r.n), str(r.p), str(r.s), r.noise_kind, r.method,
-            str(r.seed), _fmt(r.tuning), _fmt(r.ree), str(r.false_positives),
-            _fmt(r.true_positive_rate), _fmt(r.wall_time_s)]))
+        values = (getattr(r, name) for name in _COLUMNS.values())
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in values))
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import _BLOCK_ENTRIES, AdditiveNoise, MissingNoise, SurrogateDataset, _finite
+from .data import _BLOCK_ENTRIES, AdditiveNoise, MissingNoise, SurrogateDataset, _finite, _row_blocks
 
 __all__ = [
     "CorrectedMoments",
@@ -125,9 +125,9 @@ class CorrectedMoments:
         if self.source[1] is None:
             AA = Z @ Z.T
         else:  # 0 + A_1 A_1' + A_2 A_2' + ... added into one n x n buffer
-            AA, step = np.zeros((self.n, self.n)), max(1, _BLOCK_ENTRIES // self.n)
-            for j in range(0, self.p, step):
-                A = Z[:, j:j + step] / q[j:j + step]
+            AA = np.zeros((self.n, self.n))
+            for cols in _row_blocks(Z.T):
+                A = Z[:, cols] / q[cols]
                 AA += A @ A.T
                 del A  # one block alive at a time
         return lipschitz_estimate(_finite(np.divide(AA, self.n, out=AA)))

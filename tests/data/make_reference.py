@@ -11,7 +11,9 @@ false positives and the coefficients printed with ``%.17g``.  It also holds
 one precision estimate at p=30.  ``tests/test_reference.py`` recomputes
 every record and compares it with the file.  A change that moves estimates
 on purpose reruns this script and lists every record that moved, which
-``--diff`` prints against the committed file without writing it.
+``--diff`` prints against the committed file without writing it.  ``--diff``
+compares exactly, so "no record moved" means the same bytes; it marks each
+moved record as within or beyond the test's tolerance and ends with a count.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ PATH = Path(__file__).resolve().parent / "reference.json"
 CELLS = [("missing", 0, 3, 500, 100), ("additive", 0, 3, 500, 100), ("missing", 0, 2, 100, 300)]
 #: p, n, a_n and data seed of the precision estimate
 PRECISION = {"p": 30, "n": 600, "a_n": 4, "seed": 5}
+#: tolerance of ``tests/test_reference.py``: supports, tuning values and false
+#: positives match exactly; coefficients, REE, d and Theta within RTOL relative,
+#: plus ATOL for entries near zero (last-bit BLAS differences, not a new estimator)
+RTOL, ATOL = 1e-9, 1e-12
 
 
 def _floats(values):
@@ -68,18 +74,33 @@ def snapshot():
     return {"regression": regression_records(), "precision": precision_record()}
 
 
+def close(actual, expected):
+    """Whether two ``%.17g`` float lists agree within `RTOL` and `ATOL`."""
+    return np.allclose(_parse(actual), _parse(expected), rtol=RTOL, atol=ATOL)
+
+
+def _within(was, r):
+    """Whether regression record ``r`` passes the test against the snapshot's ``was``."""
+    return (r["tuning"] == was["tuning"] and r["support"] == was["support"]
+            and r["fp"] == was["fp"] and close(r["beta"], was["beta"])
+            and abs(r["ree"] - was["ree"]) <= max(RTOL * abs(was["ree"]), ATOL))
+
+
 def moved(old, new):
     """One line per record of snapshot ``new`` that differs from ``old``:
     noise, scenario, method, tuning before -> after, the support indices
-    dropped (-) and added (+), and the largest |change| of a coefficient; or
-    "added" for a record that ``old`` does not have."""
+    dropped (-) and added (+), the largest |change| of a coefficient, and
+    whether the record is within or beyond the tolerance of
+    ``tests/test_reference.py``; or "added" for a record that ``old`` does not
+    have.  A last line counts the moved records."""
     before = {(r["noise"], r["scenario"], r["method"]): r for r in old["regression"]}
-    lines = []
+    lines, beyond = [], 0
     for r in new["regression"]:
         key = (r["noise"], r["scenario"], r["method"])
         was = before.get(key)
         if was is None:
-            lines.append(f"{' '.join(key)}: added")
+            lines.append(f"{' '.join(key)}: added, beyond tolerance")
+            beyond += 1
             continue
         if was == r:
             continue
@@ -87,14 +108,25 @@ def moved(old, new):
         dropped = sorted(set(was["support"]) - set(r["support"]))
         added = sorted(set(r["support"]) - set(was["support"]))
         change = f"-{dropped} +{added}" if dropped or added else "unchanged"
+        within = _within(was, r)
+        beyond += not within
         lines.append(f"{' '.join(key)}: tuning {was['tuning']} -> {r['tuning']}, "
-                     f"support {change}, max |dbeta| {step:.3g}")
-    if new["precision"] != old["precision"]:
-        step = np.max(np.abs(_parse(new["precision"]["theta"]) - _parse(old["precision"]["theta"])))
-        same = new["precision"]["supports"] == old["precision"]["supports"]
+                     f"support {change}, max |dbeta| {step:.3g}, "
+                     f"{'within' if within else 'beyond'} tolerance")
+    new_p, old_p = new["precision"], old["precision"]
+    if new_p != old_p:
+        step = np.max(np.abs(_parse(new_p["theta"]) - _parse(old_p["theta"])))
+        same = new_p["supports"] == old_p["supports"]
+        within = (same and new_p["negative_d"] == old_p["negative_d"]
+                  and close(new_p["d"], old_p["d"]) and close(new_p["theta"], old_p["theta"]))
+        beyond += not within
         lines.append(f"precision: supports {'unchanged' if same else 'changed'}, "
-                     f"max |dtheta| {step:.3g}")
-    return lines
+                     f"max |dtheta| {step:.3g}, {'within' if within else 'beyond'} tolerance")
+    total = len(new["regression"]) + 1
+    if not lines:
+        return [f"no record moved ({total} records)"]
+    return lines + [f"{len(lines)} of {total} records moved: {len(lines) - beyond} within "
+                    f"tolerance, {beyond} beyond"]
 
 
 def _parse(text):
@@ -107,7 +139,7 @@ if __name__ == "__main__":
                         help="print the records that moved against the committed "
                              "reference.json instead of writing it")
     if parser.parse_args().diff:
-        print("\n".join(moved(json.loads(PATH.read_text()), snapshot())) or "no record moved")
+        print("\n".join(moved(json.loads(PATH.read_text()), snapshot())))
     else:
         PATH.write_text(json.dumps(snapshot(), indent=1) + "\n")
         print(f"wrote {PATH}")

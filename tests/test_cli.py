@@ -238,6 +238,18 @@ def test_experiment_determinism_across_workers(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_whole_number_floats_in_a_grid_config_run_as_integers(tmp_path):
+    outs = []
+    for name, value in [("ints", 1), ("floats", 1.0)]:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({**GRID, **{k: [value * v for v in GRID[k]]
+                                              for k in ("n_values", "p_values", "s_values")}}))
+        out = tmp_path / f"{name}.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out), "--no-timing"]) == 0
+        outs.append(out.read_bytes())
+    assert b"n70_p10_s2_r0,70,10,2," in outs[0] and outs[1] == outs[0]
+
+
 def test_pool_grid_output_is_the_one_blas_thread_serial_output(tmp_path, monkeypatch):
     # at the paper cell the BLAS thread count changes the last bits of beta
     # (1 against 2 threads: 29 of 48 records on a 16-cell grid), so a pool
@@ -383,13 +395,14 @@ def test_precision_non_finite_corrected_covariance_exits_2(tmp_path, capsys):
     ("simulate", {**SIM, "n": "120"}, "'n'"),
     ("simulate", {**SIM, "s": True}, "'s'"),
     ("experiment", {**GRID, "n_values": [60.5]}, "n_values"),
+    ("experiment", {**GRID, "n_values": [True]}, "n_values"),
     ("experiment", {**GRID, "p_values": [10, 3], "s_values": [4]}, "s value 4 exceeds p value 3"),
     ("experiment", {**GRID, "noise_kind": "misssing"}, "unknown noise kind 'misssing'"),
     ("experiment", {**GRID, "sigma_eps": -1}, "sigma_eps must be positive"),
     ("experiment", {**GRID, "ar_phi": 1.5}, "ar_phi must lie in [0, 1)"),
     ("experiment", {**GRID, "rho_range": [0.5, 0.2]}, "rho_range must satisfy"),
     ("simulate", {**SIM, "noise_kind": "additive", "c_w": -1}, "c_w must be positive"),
-], ids=["unknown", "missing", "c_x", "solver_max_iters", "string", "bool", "fractional",
+], ids=["unknown", "missing", "c_x", "solver_max_iters", "string", "bool", "fractional", "bool_n",
         "s_above_p", "noise_kind", "sigma_eps", "ar_phi", "rho_range", "c_w"])
 def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, command, cfg, field):
     path = tmp_path / "cfg.json"

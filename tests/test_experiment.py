@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import pickle
@@ -292,6 +293,26 @@ class TestEmitResults:
         emit_results(run_grid(spec, workers=1, no_timing=True), p1)
         emit_results(run_grid(spec, workers=2, no_timing=True), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_result_and_error_rows_read_back_by_column_name(self, tmp_path, monkeypatch):
+        error = _error_row(monkeypatch)
+        monkeypatch.undo()
+        (result,) = run_grid(_tiny_spec(methods=("Lasso",)))
+        assert error.error is not None and result.error is None and result.wall_time_s > 0
+        path = tmp_path / "out.csv"
+        emit_results([result, error], path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        columns = {"scenario": "scenario", "n": "n", "p": "p", "s": "s", "noise": "noise_kind",
+                   "method": "method", "seed": "seed", "tuning": "tuning", "ree": "ree",
+                   "fp": "false_positives", "tpr": "true_positive_rate",
+                   "wall_s": "wall_time_s"}
+        assert CSV_HEADER == ",".join(columns) and len(rows) == 2
+        for row, record in zip(rows, [result, error]):
+            for column, name in columns.items():
+                value = getattr(record, name)
+                read = type(value)(row[column])
+                assert read == value or math.isnan(read) and math.isnan(value), (column, row)
 
     def test_bad_path_raises_with_context(self):
         with pytest.raises(OSError, match="no/such/dir"):

@@ -3,8 +3,9 @@
 Supports, tuning values, false positives and precision supports must match
 exactly; coefficients, REE, d and Theta within `RTOL` relative (plus `ATOL`
 for entries near zero), which admits last-bit differences between BLAS
-builds and thread counts but not a change of the estimator.  A change that
-moves estimates on purpose reruns ``tests/data/make_reference.py``.
+builds and thread counts but not a change of the estimator.  Both are
+defined in ``tests/data/make_reference.py``, which a change that moves
+estimates on purpose reruns.
 """
 
 import importlib.util
@@ -15,7 +16,6 @@ import numpy as np
 import pytest
 
 DATA = Path(__file__).resolve().parent / "data"
-RTOL, ATOL = 1e-9, 1e-12
 
 
 def _load_script():
@@ -26,15 +26,8 @@ def _load_script():
 
 
 make_reference = _load_script()
+RTOL, ATOL, _close = make_reference.RTOL, make_reference.ATOL, make_reference.close
 REFERENCE = json.loads((DATA / "reference.json").read_text())
-
-
-def _floats(text):
-    return np.array([float(x) for x in text.split(",")])
-
-
-def _close(actual, expected):
-    return np.allclose(_floats(actual), _floats(expected), rtol=RTOL, atol=ATOL)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +51,7 @@ def test_regression_records_match(regression):
         assert got["support"] == ref["support"], key
         assert got["fp"] == ref["fp"], key
         assert _close(got["beta"], ref["beta"]), key
-        assert got["ree"] == pytest.approx(ref["ree"], rel=RTOL), key
+        assert got["ree"] == pytest.approx(ref["ree"], rel=RTOL, abs=ATOL), key
 
 
 def test_precision_record_matches():
@@ -67,3 +60,21 @@ def test_precision_record_matches():
     assert got["negative_d"] == ref["negative_d"]
     assert _close(got["d"], ref["d"])
     assert _close(got["theta"], ref["theta"])
+
+
+def test_moved_marks_each_record_within_or_beyond_the_tolerance():
+    new = json.loads(json.dumps(REFERENCE))
+    nudged, scaled, retuned = new["regression"][:3]
+    beta = make_reference._parse(nudged["beta"])
+    j = np.argmax(np.abs(beta))
+    beta[j] = np.nextafter(beta[j], np.inf)  # one ulp
+    nudged["beta"] = make_reference._floats(beta)
+    beta = make_reference._parse(scaled["beta"])
+    scaled["beta"] = make_reference._floats(beta * (1 + 1e-6))
+    retuned["tuning"] += 0.05
+    lines = make_reference.moved(REFERENCE, new)
+    assert [line.rsplit(", ", 1)[-1] for line in lines[:3]] == \
+        ["within tolerance", "beyond tolerance", "beyond tolerance"]
+    n = len(REFERENCE["regression"]) + 1
+    assert lines[3:] == [f"3 of {n} records moved: 1 within tolerance, 2 beyond"]
+    assert make_reference.moved(REFERENCE, REFERENCE) == [f"no record moved ({n} records)"]
