@@ -32,14 +32,7 @@ from .data import (
     write_matrix_csv,
 )
 from .experiment import GridSpec, emit_results, run_grid
-from .post import (
-    METHODS,
-    cross_validate,
-    fit_method,
-    method_grid,
-    method_moments,
-    with_estimated_missing_rates,
-)
+from .post import METHODS, cross_validate, with_estimated_missing_rates
 from .precision import estimate_precision
 from .selection import FIT_ERRORS, SolverOptions, screen_size
 from .simulate import SimConfig, ar1_covariance, gen_regression
@@ -102,9 +95,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_fit(args):
-    data = _load_dataset(args, args.data)
-    fit = fit_method(args.method, method_moments(args.method)(data), args.tuning,
-                     SolverOptions(radius=args.radius))
+    method = METHODS[args.method]
+    fit = method.fit_at(method.moments(_load_dataset(args, args.data)), args.tuning,
+                        SolverOptions(radius=args.radius))
     print(f"method={fit.method} tuning={args.tuning:g} objective={fit.objective:.6g} "
           f"iterations={fit.iterations} converged={fit.converged}")
     if fit.fallback_used:
@@ -120,10 +113,10 @@ def _cmd_fit(args):
 
 
 def _cmd_tune(args):
-    build = method_moments(args.method)
-    train_m = build(_load_dataset(args, args.data))
-    test_m = build(_load_dataset(args, args.test_data))
-    grid = method_grid(args.method, train_m.n, train_m.p)
+    method = METHODS[args.method]
+    train_m = method.moments(_load_dataset(args, args.data))
+    test_m = method.moments(_load_dataset(args, args.test_data))
+    grid = method.grid(train_m.n, train_m.p)
     best, losses, _ = cross_validate(train_m, test_m, grid, args.method,
                                     SolverOptions(radius=args.radius))
     lines = ["value,loss"] + [f"{v:.17g},{l:.17g}" for v, l in zip(grid, losses)]

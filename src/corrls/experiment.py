@@ -17,14 +17,13 @@ import numpy as np
 
 from ._rng import substream
 from .metrics import false_positives, ree, true_positive_rate
-from .post import METHODS as _LABELS, cross_validate, method_grid, method_moments
-from .post import with_estimated_missing_rates
+from .post import METHODS as _RECORDS, cross_validate, with_estimated_missing_rates
 from .selection import SolverOptions
 from .simulate import SimConfig, gen_regression
 
 __all__ = ["GridSpec", "ExperimentRecord", "grid_cells", "run_grid", "emit_results", "CSV_HEADER"]
 
-_FIT_RULES = {label: name for name, label in _LABELS.items()}  # record label -> fit rule
+_FIT_RULES = {m.label: name for name, m in _RECORDS.items()}  # record label -> fit rule
 METHODS = tuple(_FIT_RULES)
 
 #: CSV column -> `ExperimentRecord` field, in file order
@@ -56,6 +55,8 @@ class GridSpec:
             vals = tuple(getattr(self, name))
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
+            if len(set(vals)) < len(vals):  # a repeat would write the same rows twice
+                raise ValueError(f"{name} must not repeat a value, got {list(vals)}")
             if name != "methods":  # stored as int: a float or bool n crashes the generator
                 if any(isinstance(v, bool) or not v > 0 or v % 1 for v in vals):
                     raise ValueError(f"{name} must hold positive whole numbers")
@@ -121,16 +122,16 @@ def _run_cell(spec: GridSpec, n, p, s, rep, keep_beta):
     opts = SolverOptions(radius=radius)
     scenario = f"n{n}_p{p}_s{s}_r{rep}"
     records = []
-    builds = [method_moments(_FIT_RULES[method]) for method in spec.methods]
+    rules = [_FIT_RULES[method] for method in spec.methods]
+    builds = [_RECORDS[rule].moments for rule in rules]
     pairs = {}  # builder -> (train, test) moments, kept while a method left to run needs them
-    for k, (method, build) in enumerate(zip(spec.methods, builds)):
+    for k, (method, rule, build) in enumerate(zip(spec.methods, rules, builds)):
         pairs = {b: pair for b, pair in pairs.items() if b in builds[k:]}
         t0 = time.perf_counter()
         try:
-            rule = _FIT_RULES[method]
             if build not in pairs:
                 pairs[build] = (build(train), build(test))
-            best, _, fit = cross_validate(*pairs[build], method_grid(rule, n, p), rule, opts)
+            best, _, fit = cross_validate(*pairs[build], _RECORDS[rule].grid(n, p), rule, opts)
             if fit is None:
                 raise ArithmeticError("cross-validation failed at every grid point")
             scores = {"tuning": float(best), "ree": ree(fit.beta, beta0),

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -30,9 +31,7 @@ from .selection import screen_order, screen_size
 
 __all__ = [
     "METHODS",
-    "method_moments",
-    "method_grid",
-    "fit_method",
+    "Method",
     "post_cls_fit",
     "cs_post_fit",
     "best_grid_index",
@@ -44,9 +43,6 @@ __all__ = [
 ]
 
 _PD_EPS = 1e-8
-
-#: method name (CLI and cross-validation) -> label in FitResult.method and experiment records
-METHODS = {"cs_post": "CS+post", "l1cls": "L1CLS", "lasso": "Lasso"}
 
 
 def _is_pd(B):
@@ -128,33 +124,6 @@ def default_lambda_grid():
     return [round(0.05 * k, 2) for k in range(21)]
 
 
-def _check_method(method):
-    if method not in METHODS:
-        raise ValueError(f"unknown fit rule {method!r}; expected one of {list(METHODS)}")
-
-
-def method_moments(method):
-    """The builder (dataset -> moments) a method fits on: `uncorrected_moments`
-    for the Lasso, else `corrected_moments`, read from this module's globals
-    so that a wrapper patched in here (tracer, test counter) is what runs."""
-    _check_method(method)
-    return uncorrected_moments if method == "lasso" else corrected_moments
-
-
-def method_grid(method, n, p):
-    """Default tuning grid: screening sizes a_n for cs_post, penalty levels otherwise."""
-    _check_method(method)
-    return default_an_grid(n, p) if method == "cs_post" else default_lambda_grid()
-
-
-def fit_method(method, m: CorrectedMoments, value, opts: SolverOptions) -> FitResult:
-    """Fit a method on moments ``m`` at one tuning value (a_n or lambda)."""
-    _check_method(method)
-    if method == "cs_post":
-        return cs_post_fit(m, value, opts)
-    return replace(l1_cls_fit(m, float(value), opts), method=METHODS[method])
-
-
 def pd_prefix_length(B):
     """Largest k such that the leading k x k block of the symmetric B passes
     `_is_pd`, the test under which `post_cls_fit` solves directly (0 if none).
@@ -175,8 +144,9 @@ def pd_prefix_length(B):
     return good
 
 
-def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid):
-    """Held-out loss of CS+post at each a_n of the grid, from one Cholesky factor.
+def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid, opts):
+    """Held-out loss of CS+post at each a_n of the grid, from one Cholesky factor
+    (``opts`` is unused: every refit here is a direct solve).
 
     The screened supports are prefixes of one |gamma| ordering, so the refit
     at a_n = k solves the leading k x k block B_k of the ordered training
@@ -224,6 +194,43 @@ def _penalized_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     return losses
 
 
+def _corrected(data):
+    return corrected_moments(data)
+
+
+def _uncorrected(data):
+    return uncorrected_moments(data)
+
+
+@dataclass(frozen=True)
+class Method:
+    """How one method is fitted and tuned.  Its functions read the moment
+    builders and solvers from this module's globals at call time, so that a
+    wrapper patched in here (tracer, test counter) is what runs; methods that
+    fit the same moments share one builder object."""
+
+    label: str  # FitResult.method and the experiment's method column
+    moments: Callable  # dataset -> the moments the method fits on
+    grid: Callable  # (n, p) -> default tuning grid
+    fit: Callable  # (moments, tuning value, opts) -> FitResult
+    losses: Callable  # (train moments, test moments, grid, opts) -> held-out losses
+
+    def fit_at(self, m: CorrectedMoments, value, opts: SolverOptions) -> FitResult:
+        """`fit` at one tuning value, labelled with this method's label."""
+        return replace(self.fit(m, value, opts), method=self.label)
+
+
+#: method name (CLI and cross-validation) -> how it is fitted and tuned
+METHODS = {
+    "cs_post": Method("CS+post", _corrected, default_an_grid,
+                      lambda m, a_n, opts: cs_post_fit(m, a_n, opts), _cs_post_losses),
+    "l1cls": Method("L1CLS", _corrected, lambda n, p: default_lambda_grid(),
+                    lambda m, lam, opts: l1_cls_fit(m, float(lam), opts), _penalized_losses),
+    "lasso": Method("Lasso", _uncorrected, lambda n, p: default_lambda_grid(),
+                    lambda m, lam, opts: l1_cls_fit(m, float(lam), opts), _penalized_losses),
+}
+
+
 def best_grid_index(losses, grid):
     """Index of the smallest grid value among those whose loss is within
     1e-12 * max(1, |best|) of the best loss.
@@ -242,7 +249,7 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
 
     ``fit_rule`` is a name in `METHODS` (ValueError otherwise).  Fits use
     the training moments ``train_m``; the loss is evaluated with the test
-    moments ``test_m``.  Both must be of the kind `method_moments(fit_rule)`
+    moments ``test_m``.  Both must be of the kind its record's ``moments``
     builds (the test split self-corrects with its own estimated missing
     rates).  A failed fit records an infinite loss for that grid point.
     L1CLS and the Lasso fit the grid as one warm-started path
@@ -252,20 +259,19 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     smaller value.
 
     Returns (best_value, losses, fit): losses aligned to the grid, and a fresh
-    `fit_method` fit from zero at best_value, or None if no loss is finite.  A
+    `Method.fit_at` fit from zero at best_value, or None if no loss is finite.  A
     failure of that fit propagates.
     """
-    _check_method(fit_rule)
+    if fit_rule not in METHODS:
+        raise ValueError(f"unknown fit rule {fit_rule!r}; expected one of {list(METHODS)}")
+    method = METHODS[fit_rule]
     grid = list(grid)
     if not grid:
         raise ValueError("empty tuning grid")
     if train_m.p != test_m.p:
         raise ValueError("train and test dimension mismatch")
-    if fit_rule == "cs_post":
-        losses = _cs_post_losses(train_m, test_m, grid)
-    else:
-        losses = _penalized_losses(train_m, test_m, grid, opts)
+    losses = method.losses(train_m, test_m, grid, opts)
     i = best_grid_index(losses, grid)
     if losses[i] == np.inf:
         return grid[i], losses, None
-    return grid[i], losses, fit_method(fit_rule, train_m, grid[i], opts)
+    return grid[i], losses, method.fit_at(train_m, grid[i], opts)

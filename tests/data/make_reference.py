@@ -13,13 +13,15 @@ every record and compares it with the file.  A change that moves estimates
 on purpose reruns this script and lists every record that moved, which
 ``--diff`` prints against the committed file without writing it.  ``--diff``
 compares exactly, so "no record moved" means the same bytes; it marks each
-moved record as within or beyond the test's tolerance and ends with a count.
+moved record as within or beyond the test's tolerance, ends with a count, and
+exits 1 if any record is beyond the tolerance, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -137,9 +139,12 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Regenerate reference.json.")
     parser.add_argument("--diff", action="store_true",
                         help="print the records that moved against the committed "
-                             "reference.json instead of writing it")
+                             "reference.json instead of writing it; exit 1 if one is "
+                             "beyond the test tolerance")
     if parser.parse_args().diff:
-        print("\n".join(moved(json.loads(PATH.read_text()), snapshot())))
+        lines = moved(json.loads(PATH.read_text()), snapshot())
+        print("\n".join(lines))
+        sys.exit(any(line.endswith("beyond tolerance") for line in lines))
     else:
         PATH.write_text(json.dumps(snapshot(), indent=1) + "\n")
         print(f"wrote {PATH}")

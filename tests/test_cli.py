@@ -16,7 +16,7 @@ from corrls import (MissingNoise, SolverOptions, corrected_moments, l1_cls_fit, 
 from corrls.cli import _load_config, main
 from corrls.data import read_dataset_csv, read_matrix_csv
 from corrls.experiment import GridSpec
-from corrls.post import fit_method, with_estimated_missing_rates
+from corrls.post import METHODS, with_estimated_missing_rates
 from corrls.simulate import SimConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -72,7 +72,7 @@ def test_fit_penalized_matches_direct_fit(tmp_path, sim_config, capsys, method):
     data = with_estimated_missing_rates(read_dataset_csv(data_csv, MissingNoise(np.zeros(12))))
     opts = SolverOptions(radius=15.0)
     ref = l1_cls_fit(corrected_moments(data), 0.05, opts) if method == "l1cls" \
-        else fit_method("lasso", uncorrected_moments(data), 0.05, opts)
+        else METHODS["lasso"].fit_at(uncorrected_moments(data), 0.05, opts)
     assert np.array_equal(read_matrix_csv(coef_csv).ravel(), ref.beta)
     printed = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("support (1-based):")]
@@ -411,6 +411,18 @@ def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, command, cfg, f
     captured = capsys.readouterr()
     assert captured.err.startswith(f"corrls: error: {path}: ") and field in captured.err
     assert captured.out == "" and not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("field, values", [("methods", ["CS+post", "CS+post"]),
+                                           ("p_values", [10, 10])])
+def test_a_repeated_grid_value_exits_2_with_one_line(tmp_path, capsys, field, values):
+    path, out = tmp_path / "grid.json", tmp_path / "results.csv"
+    path.write_text(json.dumps({**GRID, field: values}))
+    assert main(["experiment", "--config", str(path), "--out", str(out), "--save-coefs"]) == 2
+    captured = capsys.readouterr()
+    message = f"{field} must not repeat a value, got {values}"
+    assert captured.err == f"corrls: error: {path}: {message}\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_simulate_requires_a_config(tmp_path):

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import threading
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -60,6 +60,14 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="s value 21 exceeds p value 20"):
             _tiny_spec(s_values=(2, 21))
         assert _tiny_spec(p_values=(20, 4), s_values=(4,)).s_values == (4,)
+
+    @pytest.mark.parametrize("field, values", [
+        ("n_values", (60, 70, 60)), ("p_values", (10, 10)), ("s_values", (2, 2.0)),
+        ("methods", ("CS+post", "CS+post"))])
+    def test_a_repeated_value_is_rejected_by_field(self, field, values):
+        # a repeat would write two rows with the same scenario and method
+        with pytest.raises(ValueError, match=f"{field} must not repeat a value"):
+            _tiny_spec(**{field: values})
 
 
 def _error_row(monkeypatch):
@@ -217,7 +225,8 @@ class TestRunGrid:
         def diverging(*args):
             raise ArithmeticError("diverged: non-finite objective in solver")
 
-        monkeypatch.setattr(corrls.post, "fit_method", diverging)
+        for name, method in list(corrls.post.METHODS.items()):
+            monkeypatch.setitem(corrls.post.METHODS, name, replace(method, fit=diverging))
         records = run_grid(_tiny_spec())
         assert [r.error for r in records] == ["diverged: non-finite objective in solver"] * 3
 

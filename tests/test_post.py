@@ -28,8 +28,6 @@ from corrls.post import (
     best_grid_index,
     default_an_grid,
     default_lambda_grid,
-    fit_method,
-    method_moments,
     with_estimated_missing_rates,
 )
 from corrls.simulate import SimConfig, gen_regression
@@ -202,7 +200,7 @@ class TestLassoFit:
         y = rng.standard_normal(30)
         data = SurrogateDataset(Z=Z, y=y, noise=AdditiveNoise(np.zeros((5, 5))))
         opts = SolverOptions(radius=5.0)
-        a = fit_method("lasso", uncorrected_moments(data), 0.2, opts)
+        a = METHODS["lasso"].fit_at(uncorrected_moments(data), 0.2, opts)
         b = l1_cls_fit(corrected_moments(data), 0.2, opts)
         assert np.allclose(a.beta, b.beta, atol=1e-10)
 
@@ -212,8 +210,8 @@ class TestLassoFit:
         y = rng.standard_normal(60)
         data = SurrogateDataset(Z=Z, y=y, noise=AdditiveNoise(np.zeros((4, 4))))
         target, *_ = np.linalg.lstsq(Z, y, rcond=None)
-        fit = fit_method("lasso", uncorrected_moments(data), 0.0,
-                         SolverOptions(radius=50.0, rel_tol=1e-12))
+        fit = METHODS["lasso"].fit_at(uncorrected_moments(data), 0.0,
+                                      SolverOptions(radius=50.0, rel_tol=1e-12))
         assert np.linalg.norm(fit.beta - target) < 1e-4
 
     def test_huge_lambda_kills_everything(self):
@@ -222,8 +220,8 @@ class TestLassoFit:
         y = rng.standard_normal(30)
         data = SurrogateDataset(Z=Z, y=y, noise=AdditiveNoise(np.zeros((4, 4))))
         g = Z.T @ y / 30
-        fit = fit_method("lasso", uncorrected_moments(data), float(np.abs(g).max()) + 1.0,
-                         SolverOptions(radius=5.0))
+        fit = METHODS["lasso"].fit_at(uncorrected_moments(data), float(np.abs(g).max()) + 1.0,
+                                      SolverOptions(radius=5.0))
         assert np.array_equal(fit.beta, np.zeros(4))
 
 
@@ -232,9 +230,9 @@ class TestFitMethod:
         rng = np.random.default_rng(8)
         m = _m(np.eye(6), rng.standard_normal(6))
         with pytest.raises(ValueError, match="whole number"):
-            fit_method("cs_post", m, 3.9, OPTS)
-        assert fit_method("cs_post", m, 3.0, OPTS).support_used == \
-            fit_method("cs_post", m, 3, OPTS).support_used
+            METHODS["cs_post"].fit_at(m, 3.9, OPTS)
+        assert METHODS["cs_post"].fit_at(m, 3.0, OPTS).support_used == \
+            METHODS["cs_post"].fit_at(m, 3, OPTS).support_used
 
 
 def _split_pair(seed, n=400, p=30, s=3):
@@ -250,7 +248,7 @@ def _split_pair(seed, n=400, p=30, s=3):
 
 def _cv(train, test, grid, rule, opts):
     """Cross-validate on the moments of the kind that ``rule`` fits on."""
-    build = method_moments(rule)
+    build = METHODS[rule].moments
     return cross_validate(build(train), build(test), grid, rule, opts)
 
 
@@ -325,7 +323,7 @@ class TestCrossValidate:
         def diverging(*args):
             raise ArithmeticError("diverged: non-finite objective in solver")
 
-        monkeypatch.setattr(corrls.post, "fit_method", diverging)
+        monkeypatch.setitem(corrls.post.METHODS, rule, replace(METHODS[rule], fit=diverging))
         train, test, beta0, _ = _split_pair(5)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
         grid = [2, 4, 8] if rule == "cs_post" else default_lambda_grid()
@@ -355,7 +353,7 @@ class TestCrossValidate:
         fresh = {
             "cs_post": lambda v: cs_post_fit(corrected_moments(train), v, opts),
             "l1cls": lambda v: l1_cls_fit(corrected_moments(train), v, opts),
-            "lasso": lambda v: fit_method("lasso", uncorrected_moments(train), v, opts),
+            "lasso": lambda v: METHODS["lasso"].fit_at(uncorrected_moments(train), v, opts),
         }
         for rule, refit in fresh.items():
             grid = [2, 4, 8] if rule == "cs_post" else default_lambda_grid()
@@ -472,7 +470,7 @@ class TestWideCsPost:
         try:
             best, losses, fit = cross_validate(train_m, test_m, default_an_grid(n, p),
                                                "cs_post", opts)
-            fit_method("cs_post", train_m, best, opts)
+            METHODS["cs_post"].fit_at(train_m, best, opts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -663,9 +661,23 @@ class TestDefaultGrids:
 def test_only_post_names_the_methods(module):
     """The CLI and the grid read method names and labels from post.METHODS;
     neither module spells one out."""
-    names = set(METHODS) | set(METHODS.values())
+    names = set(METHODS) | {method.label for method in METHODS.values()}
     with open(module.__file__) as fh:
         tree = ast.parse(fh.read())
     spelled = {node.value for node in ast.walk(tree)
                if isinstance(node, ast.Constant) and node.value in names}
     assert not spelled, f"{module.__name__} names methods {sorted(spelled)}"
+
+
+@pytest.mark.parametrize("module", [corrls.post, corrls.cli, corrls.experiment])
+def test_no_comparison_branches_on_a_method_name(module):
+    """What a method is lives in its METHODS record: no ==, !=, in or not in
+    has a method name or label among its operands."""
+    names = set(METHODS) | {method.label for method in METHODS.values()}
+    with open(module.__file__) as fh:
+        tree = ast.parse(fh.read())
+    branches = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and any(isinstance(leaf, ast.Constant) and leaf.value in names
+                        for operand in (node.left, *node.comparators)
+                        for leaf in ast.walk(operand))]
+    assert not branches, f"{module.__name__} compares with a method name at lines {branches}"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from corrls import (
+    AdditiveNoise,
     CorrectedMoments,
     SolverOptions,
     cs_screen,
@@ -68,6 +70,24 @@ class TestCsScreen:
     @settings(max_examples=50, deadline=None)
     def test_downward_scale_invariance(self, g, a_n, scale):
         assert cs_screen(scale * g, a_n) == cs_screen(g, a_n)
+
+
+class TestScreenWithoutSigmaW:
+    """Screening selects without the bias-correction matrix: under additive
+    noise the screened set at a fixed a_n is the same whatever Sigma_w the
+    moments are built with, so a mis-stated Sigma_w cannot move it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scaled_sigma_w_gives_the_same_screen(self, seed):
+        data, _, _ = gen_regression(SimConfig(n=500, p=100, s=4, noise_kind="additive",
+                                              seed=seed))
+        sigma_w = data.noise.sigma_w
+        gammas = {c: corrected_moments(replace(data, noise=AdditiveNoise(c * sigma_w))).gamma_vec
+                  for c in (0.5, 1.0, 2.0)}
+        for c in (0.5, 2.0):
+            assert screen_order(gammas[c]).tolist() == screen_order(gammas[1.0]).tolist()
+            for a_n in (1, 4, 10, 40, 80):
+                assert cs_screen(gammas[c], a_n) == cs_screen(gammas[1.0], a_n), (c, a_n)
 
 
 class TestScreenOrder2D:
