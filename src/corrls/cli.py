@@ -103,8 +103,8 @@ def _cmd_fit(args):
     if fit.fallback_used:
         size = screen_size(args.tuning, fit.beta.size)
         print(f"corrls: warning: the refit matrix on the {size} selected columns is not "
-              f"positive definite; refit by projected gradient over the l1 ball, not a "
-              f"linear solve", file=sys.stderr)
+              f"positive definite, or its linear solve leaves the l1 ball of --radius "
+              f"{args.radius:g}; refit by projected gradient over that ball", file=sys.stderr)
     print("support (1-based):", " ".join(str(j + 1) for j in fit.support_used))
     if args.out:
         write_matrix_csv(fit.beta.reshape(-1, 1), args.out)

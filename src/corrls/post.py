@@ -3,10 +3,10 @@ support, plus cross-validated tuning and the ordinary-Lasso baseline.
 
 Restricting the corrected quadratic to the selected coordinates turns the
 problem into a small linear system whenever the restricted matrix passes
-one positive-definite test (`_is_pd`).  Otherwise, as under additive noise
-or when the support outgrows the sample, the minimization is run as
-projected gradient descent over an l1 ball, mirroring the constraint used by
-the penalized stage.
+one positive-definite test (`_is_pd`) and the solution lies in the l1 ball
+of the penalized stage; otherwise it is minimized by projected gradient
+over that ball.  `_refit` states this rule once, for `post_cls_fit` and the
+precision batch; CS+post's cross-validation scores only its direct solves.
 """
 
 from __future__ import annotations
@@ -56,15 +56,41 @@ def _is_pd(B):
     return np.ones(B.shape[:-2], dtype=bool) if B.ndim > 2 else True
 
 
-def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
-    """Minimize the corrected loss over the coordinates in T_hat only.
+def _outside_ball(betas, radius):
+    """Whether each row of betas has l1 norm above the radius, up to rounding."""
+    return np.abs(betas).sum(axis=-1) > radius * (1 + 1e-12)
 
-    A restricted matrix that passes `_is_pd` is solved directly.  Any other,
-    singular or indefinite, is minimized by projected gradient over the
-    restricted l1 ball of radius opts.radius (`l1_cls_fit` at penalty 0),
-    flagged as a fallback; its ``support_used`` keeps only the coordinates of
-    T_hat that `support` finds non-zero.  Coordinates off T_hat are exact
-    zeros by assignment.  An index that is not a whole number is rejected.
+
+def _refit(blocks, g, n, opts: SolverOptions):
+    """The refit rule on a stack of k x k blocks with right-hand sides g (one row
+    each, from n samples): the blocks that pass `_is_pd` are solved by one batched
+    solve, and a solution is kept if it lies inside the l1 ball of radius
+    opts.radius; every other block is fitted by `l1_cls_fit` at penalty 0 over it.
+    Returns (betas, {index: FitResult of each block that fell back}); a failing
+    fit propagates with its block's index as the exception's ``block``."""
+    is_pd = _is_pd(blocks)
+    betas = np.zeros(g.shape)
+    betas[is_pd] = np.linalg.solve(blocks[is_pd], g[is_pd, :, None])[..., 0]
+    fits = {}
+    for i in np.flatnonzero(~is_pd | _outside_ball(betas, opts.radius)):
+        try:
+            sub = CorrectedMoments(gamma_mat=blocks[i], gamma_vec=g[i], n=n, p=g.shape[1])
+            fits[i] = l1_cls_fit(sub, 0.0, opts)
+        except FIT_ERRORS as exc:
+            exc.block = i
+            raise
+        betas[i] = fits[i].beta
+    return betas, fits
+
+
+def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
+    """Minimize the corrected loss over the coordinates in T_hat only, by the
+    refit rule (`_refit`) on the restricted block: solved directly if it passes
+    `_is_pd` and the solution lies in the l1 ball of radius opts.radius, else
+    minimized by projected gradient over that ball and flagged as a fallback,
+    whose ``support_used`` keeps only the coordinates of T_hat that `support`
+    finds non-zero.  Coordinates off T_hat are exact zeros by assignment.  An
+    index that is not a whole number is rejected.
     """
     T_hat = list(T_hat)
     if any(int(j) != j for j in T_hat):
@@ -76,28 +102,13 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
         raise ValueError("support index out of range")
     if len(T) > m.n:
         warnings.warn(f"support size {len(T)} exceeds sample size {m.n}", stacklevel=2)
-    G_TT = m.block(T)
-    g_T = m.gamma_vec[T]
     beta = np.zeros(m.p)
-    used, iters, converged = tuple(T), 0, True
-    fallback = not _is_pd(G_TT)
-    if fallback:
-        sub = CorrectedMoments(gamma_mat=G_TT, gamma_vec=g_T, n=m.n, p=len(T))
-        fit = l1_cls_fit(sub, 0.0, opts)
-        beta[T] = fit.beta
-        used = tuple(T[j] for j in fit.support_used)
-        iters, converged = fit.iterations, fit.converged
-    else:
-        beta[T] = np.linalg.solve(G_TT, g_T)
-    return FitResult(
-        beta=beta,
-        support_used=used,
-        method="CS+post",
-        iterations=iters,
-        objective=float(corrected_loss(beta, m)),
-        converged=converged,
-        fallback_used=fallback,
-    )
+    (beta[T],), fits = _refit(m.block(T)[None], m.gamma_vec[T][None], m.n, opts)
+    fit = fits.get(0)
+    return FitResult(beta=beta, method="CS+post", objective=float(corrected_loss(beta, m)),
+                     support_used=tuple(T[j] for j in fit.support_used) if fit else tuple(T),
+                     iterations=fit.iterations if fit else 0,
+                     converged=fit.converged if fit else True, fallback_used=fit is not None)
 
 
 def cs_post_fit(m: CorrectedMoments, a_n, opts: SolverOptions) -> FitResult:
@@ -145,14 +156,15 @@ def pd_prefix_length(B):
 
 
 def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid, opts):
-    """Held-out loss of CS+post at each a_n of the grid, from one Cholesky factor
-    (``opts`` is unused: every refit here is a direct solve).
+    """Held-out loss of CS+post at each a_n of the grid, from one Cholesky factor.
 
     The screened supports are prefixes of one |gamma| ordering, so the refit
     at a_n = k solves the leading k x k block B_k of the ordered training
     Gram.  With B = L L' on the positive-definite prefix (`pd_prefix_length`)
     and w = L^-1 g, the refit is beta_k = L_k'^-1 w[:k].  Points past that
-    prefix, and a_n that `screen_size` rejects, record inf without a fit.
+    prefix, points whose solve leaves the l1 ball of radius opts.radius
+    (where `_refit` would fall back), and a_n that `screen_size` rejects
+    record inf without a fit.
     """
     sizes = []
     for v in grid:
@@ -173,7 +185,8 @@ def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid, o
         betas = np.linalg.solve(L.T, np.triu(np.tile(w[:, None], k_star)))
         H, h = test_m.block(idx), test_m.gamma_vec[idx]
         loss = 0.5 * np.einsum("ik,ik->k", betas, H @ betas) - h @ betas
-        prefix[1:] = np.where(np.isfinite(loss), loss, np.inf)
+        inside = ~_outside_ball(betas.T, opts.radius)  # else the refit would fall back
+        prefix[1:] = np.where(np.isfinite(loss) & inside, loss, np.inf)
     return [float(prefix[k]) if 0 < k <= k_star else np.inf for k in sizes]
 
 
@@ -253,10 +266,10 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     builds (the test split self-corrects with its own estimated missing
     rates).  A failed fit records an infinite loss for that grid point.
     L1CLS and the Lasso fit the grid as one warm-started path
-    (`_penalized_losses`).  CS+post records an infinite loss past the
-    positive-definite prefix of its screening order (`pd_prefix_length`)
-    without fitting there.  Ties (`best_grid_index`) break toward the
-    smaller value.
+    (`_penalized_losses`).  CS+post records an infinite loss, without a fit,
+    past the positive-definite prefix of its screening order
+    (`pd_prefix_length`) and where its solve leaves the l1 ball, so its pick
+    is a direct solve.  Ties (`best_grid_index`) break toward the smaller value.
 
     Returns (best_value, losses, fit): losses aligned to the grid, and a fresh
     `Method.fit_at` fit from zero at best_value, or None if no loss is finite.  A

@@ -16,8 +16,8 @@ import numpy as np
 
 from .data import _BLOCK_ENTRIES, MissingNoise, SurrogateDataset
 from .moments import CorrectedMoments, _corrected, _finite
-from .post import _is_pd
-from .selection import FIT_ERRORS, SolverOptions, l1_cls_fit, screen_order, screen_size
+from .post import _refit
+from .selection import FIT_ERRORS, SolverOptions, screen_order, screen_size
 
 __all__ = [
     "PrecisionEstimate",
@@ -72,11 +72,6 @@ def _off_diagonal(A):
     return A.reshape(-1)[1:].reshape(p - 1, p + 1)[:, :-1]
 
 
-def _outside_ball(theta, radius):
-    """Whether each row of theta has l1 norm above the radius, up to rounding."""
-    return np.abs(theta).sum(axis=-1) > radius * (1 + 1e-12)
-
-
 def _fit_columns(S, cols, a_n, radius, n):
     """Screen each column j in ``cols`` of the symmetric corrected covariance S
     (of a dataset with ``n`` rows), then refit on the a_n x a_n block it
@@ -85,12 +80,11 @@ def _fit_columns(S, cols, a_n, radius, n):
     scores then each hold at most ``_BLOCK_ENTRIES`` entries, so that memory
     stays bounded at any a_n and p.
 
-    A column whose block passes `_is_pd`, the refit's positive-definite
-    test, is solved directly, and kept if it lies inside the l1 ball of the
-    given radius.  Any other column is refit alone by projected gradient over
-    that ball.  Returns three arrays, one row per column: the slopes over the
-    p-1 other columns, the sorted screened supports (indices into those p-1)
-    and whether the refit fell back."""
+    Each block is refit by the one rule of `post._refit`, that of
+    `post_cls_fit`, over the l1 ball of the given radius.  Returns three
+    arrays, one row per column: the slopes over the p-1 other columns, the
+    sorted screened supports (indices into those p-1) and whether the refit
+    fell back."""
     p = S.shape[0]
     if not 1 <= a_n <= p - 1:
         raise ValueError(f"a_n must lie in [1, {p - 1}]")
@@ -105,29 +99,21 @@ def _fit_columns(S, cols, a_n, radius, n):
 
 
 def _fit_batch(S, off, cols, k, ball_opts, n):
-    """One screen of the rows ``cols`` of ``off``, one `_is_pd` call on their
-    k x k blocks (the test `post_cls_fit` applies to one block) and one
-    ``solve`` of those that pass.  A column whose block fails the test, or
-    whose solution leaves the ball, is refit alone by projected gradient
-    (`l1_cls_fit` at penalty 0 under ``ball_opts``)."""
+    """One screen of the rows ``cols`` of ``off``, then the refit rule
+    (`post._refit`, as `post_cls_fit` applies it to one block) on their
+    k x k blocks at once, under ``ball_opts``."""
     off = off[cols]
     T = np.sort(screen_order(off, k), axis=1)  # as cs_screen, into each row of off
     idx = T + (T >= cols[:, None])  # the same columns, indexed in S
     blocks = S[idx[:, :, None], idx[:, None, :]]
-    g = np.take_along_axis(off, T, axis=1)
-    is_pd = _is_pd(blocks)
-    pd = np.flatnonzero(is_pd)
+    try:
+        betas, fits = _refit(blocks, np.take_along_axis(off, T, axis=1), n, ball_opts)
+    except FIT_ERRORS as exc:
+        j = cols[exc.block]
+        raise ArithmeticError(f"neighborhood fit failed at column {j}: {exc}") from exc
     thetas = np.zeros(off.shape)
-    thetas[pd[:, None], T[pd]] = np.linalg.solve(blocks[pd], g[pd, :, None])[..., 0]
-    alone = ~is_pd  # each of these falls back
-    alone[pd] = _outside_ball(thetas[pd], ball_opts.radius)
-    for i in np.flatnonzero(alone):
-        try:
-            sub = CorrectedMoments(gamma_mat=blocks[i], gamma_vec=g[i], n=n, p=k)
-            thetas[i, T[i]] = l1_cls_fit(sub, 0.0, ball_opts).beta
-        except FIT_ERRORS as exc:
-            raise ArithmeticError(f"neighborhood fit failed at column {cols[i]}: {exc}") from exc
-    return thetas, T, alone
+    np.put_along_axis(thetas, T, betas, axis=1)
+    return thetas, T, np.array([i in fits for i in range(cols.size)])
 
 
 def assemble_precision(fits, S) -> PrecisionEstimate:

@@ -91,22 +91,41 @@ def test_fit_rejects_fractional_an(tmp_path, sim_config, capsys):
         assert captured.err == f"corrls: error: {message}\n" and captured.out == ""
 
 
-def test_fit_warns_when_the_refit_is_not_a_linear_solve(tmp_path, capsys):
+def _additive_cs_post_fit(tmp_path):
+    """`corrls fit` arguments for a_n = 10 on an additive dataset, up to the
+    scale of --sigma-w-ar1."""
     cfg = {"n": 150, "p": 10, "s": 2, "noise_kind": "additive", "seed": 8}
     cfg_path = tmp_path / "sim.json"
     cfg_path.write_text(json.dumps(cfg))
     data_csv = tmp_path / "data.csv"
     main(["simulate", "--config", str(cfg_path), "--out", str(data_csv)])
-    fit = ["fit", "--data", str(data_csv), "--noise", "additive", "--method", "cs_post",
-           "--tuning", "10", "--radius", "20", "--sigma-w-ar1", "0.5"]
+    return ["fit", "--data", str(data_csv), "--noise", "additive", "--method", "cs_post",
+            "--tuning", "10", "--sigma-w-ar1", "0.5"]
+
+
+def test_fit_warns_when_the_refit_is_not_a_linear_solve(tmp_path, capsys):
+    fit = _additive_cs_post_fit(tmp_path)
     capsys.readouterr()
-    assert main(fit + ["0.25"]) == 0
+    assert main(fit + ["0.25", "--radius", "20"]) == 0
     assert capsys.readouterr().err == ""
     # overstating the noise leaves an indefinite corrected Gram
-    assert main(fit + ["5"]) == 0
+    assert main(fit + ["5", "--radius", "20"]) == 0
     err = capsys.readouterr().err
     assert err.startswith("corrls: warning:") and "projected gradient" in err
     assert "on the 10 selected columns" in err
+
+
+def test_fit_warns_when_the_solve_leaves_the_ball(tmp_path, capsys):
+    # the positive-definite block of the test above, whose solve lies inside
+    # a ball of radius 20, leaves one of radius 0.5
+    coef_csv = tmp_path / "coef.csv"
+    capsys.readouterr()
+    assert main(_additive_cs_post_fit(tmp_path) + ["0.25", "--radius", "0.5",
+                                                   "--out", str(coef_csv)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("corrls: warning: the refit matrix on the 10 selected columns")
+    assert "its linear solve leaves the l1 ball of --radius 0.5" in err
+    assert np.abs(read_matrix_csv(coef_csv)).sum() <= 0.5 + 1e-10
 
 
 def test_fit_additive_with_ar1_sigma(tmp_path, capsys):

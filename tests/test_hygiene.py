@@ -91,17 +91,25 @@ def test_tracer_observers_read_real_results(tmp_path):
     m = corrected_moments(data)
     indefinite = CorrectedMoments(gamma_mat=np.diag([1.0, -1.0]), gamma_vec=np.array([0.5, 0.2]),
                                   n=60, p=2)
+    unit = CorrectedMoments(gamma_mat=np.eye(2), gamma_vec=np.ones(2), n=60, p=2)
     opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
     path = tmp_path / "data.csv"
     write_dataset_csv(data, path)
     size = path.stat().st_size
     # (function, args, kwargs, the counters its observer must derive from the result)
     cases = [
-        (post_cls_fit, (m, [0, 1], opts), {}, {"fallback": 0}),
+        # the direct solve on [0, 1] has l1 norm 9.1: inside a ball of radius 10,
+        # outside the one of opts; (1, 1) lies outside a ball of radius 0.5
+        (post_cls_fit, (m, [0, 1], SolverOptions(radius=10.0)), {}, {"fallback": 0}),
+        (post_cls_fit, (m, [0, 1], opts), {}, {"fallback": 1}),
+        (post_cls_fit, (unit, [0, 1], SolverOptions(radius=0.5)), {}, {"fallback": 1}),
         (post_cls_fit, (indefinite, [0, 1], opts), {}, {"fallback": 1}),
         (l1_cls_fit, (m, 0.1, opts), {},
          {"iters": l1_cls_fit(m, 0.1, opts).iterations, "unconverged": 0}),
-        (cross_validate, (m, m, [0, 1, 2], "cs_post", opts), {}, {"points": 3, "inf": 1}),
+        # a_n 0 is rejected; at a_n 2 the solve leaves the ball of opts
+        (cross_validate, (m, m, [0, 1, 2], "cs_post", SolverOptions(radius=10.0)), {},
+         {"points": 3, "inf": 1}),
+        (cross_validate, (m, m, [0, 1, 2], "cs_post", opts), {}, {"points": 3, "inf": 2}),
         (lipschitz_estimate, (m.gamma_mat,), {}, {"flop": 2 * 6**3}),
         (lipschitz_estimate, (), {"G": m.gamma_mat}, {"flop": 2 * 6**3}),
         (corrected_loss, (beta0, m), {}, {"flop": 2 * 6**2}),
@@ -123,6 +131,20 @@ def test_positive_definite_threshold_has_one_home():
     or of a stack, is `post._is_pd`."""
     sources = sorted((ROOT / "src" / "corrls").glob("*.py"))
     assert [p.name for p in sources if p.name != "post.py" and "_PD_EPS" in p.read_text()] == []
+
+
+def test_refit_rule_has_one_home():
+    """Only `post` refits a screened block: `precision` calls neither
+    `np.linalg.solve` nor `l1_cls_fit` (its batch goes through `post._refit`),
+    and only `post.py` defines `_outside_ball`, the ball half of the rule."""
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted((ROOT / "src" / "corrls").glob("*.py"))}
+    called = {ast.unparse(node.func) for node in ast.walk(trees["precision.py"])
+              if isinstance(node, ast.Call)}
+    assert {"np.linalg.solve", "l1_cls_fit"} & called == set()
+    assert "_refit" in called
+    assert [name for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_outside_ball"] == ["post.py"]
 
 
 def test_failed_fit_rule_has_one_home():

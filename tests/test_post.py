@@ -150,9 +150,11 @@ class TestPostClsFit:
         assert full.iterations > 2 and full.converged is True
         assert capped.iterations == 2 and capped.converged is False
 
-    @pytest.mark.parametrize("rep, k_star", [(0, 27), (1, 30), (2, 44)])
-    def test_refit_falls_back_exactly_past_the_positive_definite_prefix(self, rep, k_star):
-        # the missing-data cells of the reference snapshot (base seed 0)
+    @pytest.mark.parametrize("rep, k_star, first_outside", [(0, 27, 9), (1, 30, 8), (2, 44, 5)])
+    def test_refit_falls_back_exactly_past_the_prefix_or_outside_the_ball(self, rep, k_star,
+                                                                          first_outside):
+        # the missing-data cells of the reference snapshot (base seed 0): the
+        # direct solve leaves the ball from a_n = first_outside to k_star
         seed = corrls.experiment._cell_seed(0, 500, 100, 4, rep)
         train, beta0, _ = gen_regression(SimConfig(n=500, p=100, s=4, noise_kind="missing",
                                                    seed=seed))
@@ -161,8 +163,22 @@ class TestPostClsFit:
         grid = default_an_grid(500, 100)
         order = corrls.selection.screen_order(m.gamma_vec, grid[-1])
         assert corrls.post.pd_prefix_length(m.block(order)) == k_star < grid[-1]
+        for a in grid[:k_star]:
+            T = sorted(order[:a])
+            direct = np.linalg.solve(m.block(T), m.gamma_vec[T])
+            assert (np.abs(direct).sum() > opts.radius) == (a >= first_outside), a
         assert [cs_post_fit(m, a, opts).fallback_used for a in grid] == \
-            [a > k_star for a in grid]
+            [a > k_star or a >= first_outside for a in grid]
+
+    def test_direct_solve_outside_the_ball_falls_back(self):
+        # the solve (1, 1) of the identity block has l1 norm 2; the fit over
+        # the ball of radius 0.5 is (0.25, 0.25)
+        fit = post_cls_fit(_m(np.eye(2), [1.0, 1.0]), [0, 1], SolverOptions(radius=0.5))
+        assert fit.fallback_used and fit.iterations > 0
+        assert np.abs(fit.beta).sum() <= 0.5 + 1e-10
+        assert np.allclose(fit.beta, [0.25, 0.25], atol=1e-6)
+        inside = post_cls_fit(_m(np.eye(2), [1.0, 1.0]), [0, 1], SolverOptions(radius=2.0))
+        assert not inside.fallback_used and inside.beta.tolist() == [1.0, 1.0]
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError, match="empty support"):
@@ -567,16 +583,23 @@ class TestPositiveDefinitePrefix:
         assert 0 in found and len(found) > 5
 
     def test_prefix_losses_match_refit_reference(self):
+        # a point whose refit falls back, its direct solve outside the ball,
+        # is not scored; every other matches the refit's held-out loss
         train_m, test_m, radius = _paper_cell(0)
         opts = SolverOptions(radius=radius)
         k_star = _linear_scan(_ordered_block(train_m))
         grid = list(range(1, k_star + 1))
         _, losses, _ = cross_validate(train_m, test_m, grid, "cs_post", opts)
+        scored = []
         for k, loss in zip(grid, losses):
             fit = post_cls_fit(train_m, corrls.selection.cs_screen(train_m.gamma_vec, k), opts)
-            assert not fit.fallback_used
+            if fit.fallback_used:
+                assert loss == np.inf, k
+                continue
+            scored.append(k)
             ref = float(corrected_loss(fit.beta, test_m))
             assert abs(loss - ref) <= 1e-9 * abs(ref), k
+        assert scored == list(range(1, 11)) and k_star == 46
 
     def test_tail_is_infinite_and_the_pick_inside_the_prefix(self):
         train_m, test_m, radius = _paper_cell(0)
@@ -585,9 +608,11 @@ class TestPositiveDefinitePrefix:
         grid = default_an_grid(500, 100)
         assert 0 < k_star < grid[-1]
         best, losses, fit = cross_validate(train_m, test_m, grid, "cs_post", opts)
-        assert all(np.isfinite(losses[:k_star]))
-        assert losses[k_star:] == [np.inf] * (len(grid) - k_star)
+        # inside the prefix, the solves from a_n = 11 on leave the ball
+        assert all(np.isfinite(losses[:10]))
+        assert losses[10:] == [np.inf] * (len(grid) - 10)
         assert best <= k_star
+        assert not fit.fallback_used and np.abs(fit.beta).sum() <= radius
         assert np.array_equal(fit.beta, cs_post_fit(train_m, best, opts).beta)
 
     def test_missing_data_cv_makes_no_projected_gradient_fit(self, monkeypatch):
@@ -604,6 +629,30 @@ class TestPositiveDefinitePrefix:
         cross_validate(train_m, test_m, default_an_grid(500, 100), "cs_post",
                        SolverOptions(radius=radius))
         assert calls == []
+
+
+@pytest.mark.parametrize("noise, base_seed", [("missing", 1605), ("missing", 1606),
+                                              ("additive", 1605), ("additive", 1606),
+                                              ("additive", 1607), ("additive", 1608)])
+def test_panel_picks_are_direct_solves_inside_the_ball(monkeypatch, noise, base_seed):
+    """On the benchmark's paper-cell panels (base seeds 1605 + group) every
+    CS+post pick is a direct solve inside the ball.  Before the refit rule held
+    CV to the ball, the picks of replicates 1 and 2 at 1605 and 2 at 1606
+    (missing), and 1 at 1606 and 3 at 1608 (additive), left it."""
+    picks = []
+
+    def recording(*args):
+        out = cross_validate(*args)
+        picks.append((out[2], args[-1].radius))
+        return out
+
+    monkeypatch.setattr(corrls.experiment, "cross_validate", recording)
+    corrls.experiment.run_grid(corrls.experiment.GridSpec(
+        n_values=(500,), p_values=(100,), s_values=(4,), noise_kind=noise, replicates=4,
+        base_seed=base_seed, methods=("CS+post",)))
+    assert len(picks) == 4
+    for fit, radius in picks:
+        assert not fit.fallback_used and np.abs(fit.beta).sum() <= radius
 
 
 def _spectral_block(eigenvalues, seed):

@@ -228,12 +228,13 @@ class TestEstimatePrecision:
 
 def _parent_route(data, a_n, radius):
     """The pipeline as it was before it read S directly: full (p-1)-dimensional
-    moments per column, then screen, refit and ball re-solve.  S and the
+    moments per column, then screen and refit by `post_cls_fit`.  S and the
     assembly are in-test copies of the old formula and keep-list loop.  Also
-    returns the branch each column took."""
-    from corrls.moments import CorrectedMoments, build_mask_matrix
-    from corrls.post import post_cls_fit
-    from corrls.selection import SolverOptions, cs_screen, l1_cls_fit
+    returns the branch each column took: a direct solve, a block that fails
+    `_is_pd`, or a direct solve that leaves the ball."""
+    from corrls.moments import build_mask_matrix
+    from corrls.post import _is_pd, post_cls_fit
+    from corrls.selection import SolverOptions, cs_screen
 
     S = (data.Z.T @ data.Z) / data.n / build_mask_matrix(data.noise.rho)
     S = 0.5 * (S + S.T)
@@ -243,17 +244,9 @@ def _parent_route(data, a_n, radius):
         m = neighborhood_moments(S, j, data.n)
         T_hat = cs_screen(m.gamma_vec, a_n)
         fit = post_cls_fit(m, T_hat, ball_opts)
-        theta, fallback = fit.beta, fit.fallback_used
-        branch = "not_pd" if fallback else "solve"
-        if not fallback and np.abs(theta).sum() > radius * (1 + 1e-12):
-            T = list(T_hat)
-            sub = CorrectedMoments(gamma_mat=m.gamma_mat[np.ix_(T, T)],
-                                   gamma_vec=m.gamma_vec[T], n=m.n, p=len(T))
-            theta = np.zeros(m.p)
-            theta[T] = l1_cls_fit(sub, 0.0, ball_opts).beta
-            fallback, branch = True, "ball"
-        fits.append((theta, T_hat, fallback))
-        branches.append(branch)
+        fits.append((fit.beta, T_hat, fit.fallback_used))
+        branches.append("solve" if not fit.fallback_used
+                        else "ball" if _is_pd(m.block(T_hat)) else "not_pd")
     p = data.p
     theta_raw, d, negative_d = np.zeros((p, p)), np.zeros(p), []
     for j, (theta, _, _) in enumerate(fits):
@@ -289,26 +282,21 @@ class TestPipelineReadsSDirectly:
 
 def _reference_fit(S, j, a_n, radius, n):
     """Column j fitted alone, as the pipeline fitted every column before the
-    batch: screen by `cs_screen`, refit by `post_cls_fit`, and re-solve a
-    direct refit that leaves the ball.  Returns (theta, support, fallback)."""
+    batch: screen by `cs_screen`, refit by `post_cls_fit`.  Returns (theta,
+    support, fallback)."""
     from corrls.moments import CorrectedMoments
     from corrls.post import post_cls_fit
-    from corrls.selection import SolverOptions, cs_screen, l1_cls_fit
+    from corrls.selection import SolverOptions, cs_screen
 
     keep = np.delete(np.arange(S.shape[0]), j)
     g = S[keep, j]
     T = list(cs_screen(g, a_n))
     sub = CorrectedMoments(gamma_mat=S[np.ix_(keep[T], keep[T])], gamma_vec=g[T], n=n,
                            p=len(T))
-    opts = SolverOptions(radius=radius)
-    fit = post_cls_fit(sub, range(len(T)), opts)
+    fit = post_cls_fit(sub, range(len(T)), SolverOptions(radius=radius))
     theta = np.zeros(keep.size)
     theta[T] = fit.beta
-    fallback = fit.fallback_used
-    if not fallback and np.abs(theta).sum() > radius * (1 + 1e-12):
-        theta[T] = l1_cls_fit(sub, 0.0, opts).beta
-        fallback = True
-    return theta, tuple(T), fallback
+    return theta, tuple(T), fit.fallback_used
 
 
 def _reference_assemble(fits, S):
@@ -427,7 +415,7 @@ class TestBatchedNeighborhoods:
         _assert_same_estimate(estimate_precision(data, a_n, radius), ref)
 
     def test_columns_pd_inside_the_ball_are_not_refit_alone(self, monkeypatch):
-        from corrls import precision
+        from corrls import post
         from corrls.selection import l1_cls_fit
 
         calls = []
@@ -436,14 +424,14 @@ class TestBatchedNeighborhoods:
             calls.append(1)
             return l1_cls_fit(*args, **kwargs)
 
-        monkeypatch.setattr(precision, "l1_cls_fit", counting)
+        data = _graph_data(150, (0.2, 0.7), seed=1)
+        _, branches = _parent_route(data, a_n=6, radius=2.5)
+        monkeypatch.setattr(post, "l1_cls_fit", counting)
         est = estimate_precision(_graph_data(2000, (0.05, 0.3), seed=3), a_n=4, radius=50.0)
         assert not any(est.fallback_flags) and calls == []
         # one projected-gradient fit per fallback column, whether its block
         # failed the positive-definite test or its solution left the ball
-        data = _graph_data(150, (0.2, 0.7), seed=1)
         est = estimate_precision(data, a_n=6, radius=2.5)
-        _, branches = _parent_route(data, a_n=6, radius=2.5)
         assert branches.count("ball") > 0 and branches.count("not_pd") > 0
         assert sum(est.fallback_flags) == len(calls) == len(branches) - branches.count("solve")
 
@@ -468,6 +456,35 @@ class TestBatchedNeighborhoods:
         assert 0 < sum(one.fallback_flags) < data.p
         assert sum(sizes) == data.p
         assert max(sizes) == max(1, block_entries // max(a_n * a_n, data.p))
+
+    @pytest.mark.parametrize("block_entries", [None, 36 * 7])
+    @pytest.mark.parametrize("which", [1, 5, -1])
+    def test_a_failing_column_is_named(self, monkeypatch, block_entries, which):
+        # the fit of one fallback column raises, found by its screened scores and
+        # not by the order of the calls; the error names that column, in one batch
+        # and in batches of seven columns
+        from corrls import post, precision
+        from corrls.selection import cs_screen, l1_cls_fit
+
+        data = _graph_data(150, (0.2, 0.7), seed=1)
+        fell_back = np.flatnonzero(estimate_precision(data, 6, radius=2.5).fallback_flags)
+        j = int(fell_back[which])
+        assert j > 0 and len(fell_back) > 6
+        S = corrected_covariance(data)
+        g = np.delete(S[:, j], j)
+        g = g[list(cs_screen(g, 6))]
+
+        def failing(sub, *args, **kwargs):
+            if np.array_equal(sub.gamma_vec, g):
+                raise ArithmeticError("diverged: non-finite objective in solver")
+            return l1_cls_fit(sub, *args, **kwargs)
+
+        monkeypatch.setattr(post, "l1_cls_fit", failing)
+        if block_entries:
+            monkeypatch.setattr(precision, "_BLOCK_ENTRIES", block_entries)
+        message = f"neighborhood fit failed at column {j}: diverged: non-finite objective"
+        with pytest.raises(ArithmeticError, match=message):
+            estimate_precision(data, 6, radius=2.5)
 
     def test_fractional_an_rejected_before_any_fit(self):
         data = _graph_data(100, (0.05, 0.3), seed=4)
