@@ -115,9 +115,10 @@ class CorrectedMoments:
         """Lipschitz constant of the loss gradient, computed once per instance.
         When `wide` with a `factor`, the eigenvalues of gamma_mat lie in
         [-max d, lambda_max(A'A/n)], d_j = rho_j (A'A/n)_jj < lambda_max: it is
-        lambda_max(AA'/n) (A = Z if raw), exact for the raw Gram, else a bound.
-        AA' is summed over blocks of columns of A, so Z / q is never copied whole."""
-        from .selection import lipschitz_estimate  # selection imports this module
+        lambda_max(AA'/n) (A = Z if raw) by `_lanczos_top`: for the raw Gram it agrees
+        with `eigvalsh` to 1e-12 relative, else it is a bound.  AA' is summed over
+        blocks of columns of A, so Z / q is never copied whole."""
+        from .selection import _lanczos_top, lipschitz_estimate  # selection imports this module
 
         if self.factor is None or not self.wide:
             return lipschitz_estimate(self.gamma_mat)
@@ -130,7 +131,7 @@ class CorrectedMoments:
                 A = Z[:, cols] / q[cols]
                 AA += A @ A.T
                 del A  # one block alive at a time
-        return lipschitz_estimate(_finite(np.divide(AA, self.n, out=AA)))
+        return _lanczos_top(_finite(np.divide(AA, self.n, out=AA)))
 
 
 def active_rows_matvec(G, b):

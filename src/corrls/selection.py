@@ -119,7 +119,7 @@ def project_l1_ball(v, R, shrink=0.0):
     that sums it once and sorts it only outside the ball.  With shrink 0, v
     is projected as given, negative zeros kept."""
     v = np.asarray(v, dtype=float).ravel()
-    if R <= 0:
+    if not R > 0:
         raise ValueError("radius must be positive")
     x = _project_l1_ball(v, R, shrink)[0]
     return x.copy() if x is v else x
@@ -152,6 +152,33 @@ def lipschitz_estimate(G):
     """Largest |eigenvalue| of symmetric G, the gradient's Lipschitz constant."""
     vals = np.linalg.eigvalsh(np.asarray(G, dtype=float))
     return float(np.max(np.abs(vals), initial=0.0))
+
+
+def _lanczos_top(G):
+    """Largest eigenvalue of a symmetric positive semidefinite n x n G by Lanczos
+    with full reorthogonalization from a fixed start: the top Ritz value once its
+    residual bound beta_j |s_j| is at most 1e-10 of it, or at step n, where it is
+    exact.  Its products are matrix-vector ones, whose bytes do not depend on the
+    BLAS thread count."""
+    n = G.shape[0]
+    Q = np.empty((n, n))  # row j is the j-th Lanczos vector
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    alpha, beta = [], []
+    for j in range(n):
+        Q[j] = q
+        w = G.dot(q)
+        alpha.append(float(q.dot(w)))
+        for _ in range(2):  # Gram-Schmidt twice against every earlier vector
+            w -= Q[:j + 1].dot(w).dot(Q[:j + 1])
+        b = float(np.linalg.norm(w))
+        stop = j + 1 == n or b <= 1e-10 * max(alpha)  # <= 1e-10 theta; w / b is rounding noise
+        if stop or (j >= 29 and j % 10 == 9):  # else checked every 10 steps from step 30
+            theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1), UPLO="L")
+            if stop or b * abs(S[-1, -1]) <= 1e-10 * theta[-1]:
+                return float(theta[-1])
+        beta.append(b)
+        q = w / b
 
 
 def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> FitResult:

@@ -1,8 +1,12 @@
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,19 +187,31 @@ def _exact_lipschitz(m):
     return np.max(np.abs(np.linalg.eigvalsh(m.gamma_mat)))
 
 
-def _bounded_on(monkeypatch, m):
-    """The shapes of the matrices `lipschitz_estimate` sees while `m.lipschitz`
-    is computed."""
-    original = corrls.selection.lipschitz_estimate
+def _bounded_on(monkeypatch, m, name="lipschitz_estimate"):
+    """The shapes of the matrices the bound ``corrls.selection.<name>`` sees
+    while `m.lipschitz` is computed."""
+    original = getattr(corrls.selection, name)
     shapes = []
 
     def recording(G):
         shapes.append(np.shape(G))
         return original(G)
 
-    monkeypatch.setattr(corrls.selection, "lipschitz_estimate", recording)
+    monkeypatch.setattr(corrls.selection, name, recording)
     m.lipschitz
     return shapes
+
+
+def _wide_bound_matrix(monkeypatch, m):
+    """The n x n matrix `_lanczos_top` bounds for the wide moments m, and the
+    bound `m.lipschitz` it gives."""
+    seen = []
+    original = corrls.selection._lanczos_top
+    monkeypatch.setattr(corrls.selection, "_lanczos_top",
+                        lambda G: seen.append(G.copy()) or original(G))
+    L = m.lipschitz
+    (G,) = seen
+    return G, L
 
 
 class TestLipschitzBound:
@@ -222,7 +238,9 @@ class TestLipschitzBound:
 
     @pytest.mark.parametrize("build", [corrected_moments, uncorrected_moments])
     def test_one_n_by_n_estimate_when_p_exceeds_n(self, monkeypatch, build):
-        assert _bounded_on(monkeypatch, build(_wide("missing", 5))) == [(100, 100)]
+        # one n x n matrix, bounded by Lanczos; the full eigendecomposition sees none
+        assert _bounded_on(monkeypatch, build(_wide("missing", 5))) == []
+        assert _bounded_on(monkeypatch, build(_wide("missing", 5)), "_lanczos_top") == [(100, 100)]
 
     def test_corrected_wide_bound_copies_z_a_block_of_columns_at_a_time(self):
         # A = Z / q whole would be as large as Z (16 MB at p=20000); the bound holds
@@ -241,10 +259,9 @@ class TestLipschitzBound:
         # three blocks of columns, the last one partial, summed as sum() adds them;
         # the raw Gram's Z Z' is one block
         m = build(_wide("missing", 9, n=100, p=6000))
-        seen = []
-        original = corrls.selection.lipschitz_estimate
+        original = corrls.selection._lanczos_top
         monkeypatch.setattr(corrls.selection, "lipschitz_estimate",
-                            lambda G: seen.append(G.copy()) or original(G))
+                            lambda G: pytest.fail("a full eigendecomposition at p > n"))
         Z, q = m.factor
         step = _BLOCK_ENTRIES // m.n
         blocks = [Z[:, j:j + step] / np.broadcast_to(q, m.p)[j:j + step]
@@ -252,8 +269,36 @@ class TestLipschitzBound:
         assert len(blocks) == 3
         raw = build is uncorrected_moments
         expected = (Z @ Z.T if raw else sum(A @ A.T for A in blocks)) / m.n
-        assert m.lipschitz == original(expected)
-        assert seen[0].tobytes() == expected.tobytes()
+        seen, L = _wide_bound_matrix(monkeypatch, m)
+        assert seen.tobytes() == expected.tobytes()
+        assert L == original(expected)
+        exact = lipschitz_estimate(expected)
+        assert abs(L - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("n, p", [(100, 300), (100, 6000), (500, 1000)])
+    @pytest.mark.parametrize("build", [corrected_moments, uncorrected_moments])
+    def test_wide_bound_agrees_with_eigvalsh_to_1e_12(self, monkeypatch, build, n, p):
+        G, L = _wide_bound_matrix(monkeypatch, build(_wide("missing", 4, n=n, p=p)))
+        exact = np.max(np.abs(np.linalg.eigvalsh(G)))
+        assert abs(L - exact) <= 1e-12 * exact
+
+    def test_wide_bound_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the Gram product's bytes may depend on the thread count, so one fixed
+        # matrix is bounded in each process
+        A = np.random.default_rng(5).standard_normal((500, 1000))
+        np.save(tmp_path / "G.npy", A @ A.T / 1000)
+        script = ("import sys, numpy as np; from corrls.selection import _lanczos_top; "
+                  "print(_lanczos_top(np.load(sys.argv[1])).hex())")
+        src = str(Path(corrls.selection.__file__).resolve().parents[1])
+        bounds = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "G.npy")],
+                                 env=env, check=True, capture_output=True, text=True,
+                                 timeout=120)
+            bounds.append(out.stdout.strip())
+        assert bounds[0] == bounds[1]
 
     @pytest.mark.parametrize("noise_kind", ["missing", "additive"])
     @pytest.mark.parametrize("build", [corrected_moments, uncorrected_moments])
@@ -359,6 +404,21 @@ class TestWideRoute:
         assert "gamma_mat" not in vars(train_m) and "gamma_mat" not in vars(test_m)
         assert "gram" not in vars(test)  # held-out losses work from the columns of Z
         assert "gram" not in vars(train)  # products read the store of its rows
+
+    @pytest.mark.parametrize("rule, build", [("l1cls", corrected_moments),
+                                             ("lasso", uncorrected_moments)])
+    def test_penalized_cross_validation_decomposes_no_n_by_n_matrix(
+            self, monkeypatch, rule, build):
+        train, test, radius = self._cell(100, 300)
+        shapes = []
+        for name in ("eigvalsh", "eigh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=original, **kw:
+                                shapes.append(np.shape(a)) or _f(a, *args, **kw))
+        _, losses, fit = cross_validate(build(train), build(test), default_lambda_grid(), rule,
+                                        SolverOptions(radius=radius))
+        assert fit is not None and np.all(np.isfinite(losses))
+        assert shapes and (100, 100) not in shapes  # Lanczos decomposes its small T only
 
     def test_one_gram_footprint(self):
         # forming gamma_mat would hold the Gram, the mask matrix and gamma_mat: 3 p^2

@@ -19,6 +19,7 @@ from corrls import (
 from corrls.moments import active_rows_matvec, corrected_loss, corrected_moments
 from corrls.post import default_lambda_grid
 from corrls.selection import (
+    _lanczos_top,
     _project_l1_ball,
     lipschitz_estimate,
     screen_order,
@@ -254,8 +255,9 @@ class TestShrinkAndProject:
                 project_l1_ball(np.array(v), 1.0, shrink)
 
     def test_rejects_non_positive_radius(self):
-        with pytest.raises(ValueError, match="radius must be positive"):
-            project_l1_ball(np.array([0.1]), 0.0, 0.1)
+        for R in (0.0, float("nan")):  # nan fails R > 0 too, before any sort
+            with pytest.raises(ValueError, match="radius must be positive"):
+                project_l1_ball(np.array([0.1]), R, 0.1)
 
 
 def _m(G, g):
@@ -511,6 +513,49 @@ class TestLipschitzEstimate:
         m = _m(np.diag([2.0, 1.0]), [1.0, 1.0])
         assert m.lipschitz == pytest.approx(2.0)
         assert "lipschitz" in vars(m)
+
+
+class TestLanczosTop:
+    @staticmethod
+    def _agrees(G):
+        exact = float(np.max(np.abs(np.linalg.eigvalsh(G)), initial=0.0))
+        assert abs(_lanczos_top(G) - exact) <= 1e-12 * exact
+        return exact
+
+    def test_zero_matrix_gives_zero(self):
+        # L = 0 keeps the solver's step rule at 1
+        assert _lanczos_top(np.zeros((40, 40))) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 45])  # n=1: a 1 x 1 matrix
+    def test_multiples_of_the_identity(self, n):
+        assert self._agrees(2.5 * np.eye(n)) == 2.5
+
+    def test_rank_one(self):
+        u = np.random.default_rng(1).standard_normal(80)
+        self._agrees(np.outer(u, u))
+
+    def test_two_blocks_with_equal_top_eigenvalues(self):
+        rng = np.random.default_rng(2)
+        blocks = []
+        for k in (30, 50):
+            Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            blocks.append((Q * np.linspace(0.0, 4.0, k)) @ Q.T)
+        G = np.zeros((80, 80))
+        G[:30, :30], G[30:, 30:] = blocks
+        assert self._agrees(0.5 * (G + G.T)) == pytest.approx(4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [20, 60])
+    def test_equally_spaced_spectrum_ends_within_n_steps(self, monkeypatch, n):
+        # the top eigenvalue stands out no more than any other; at n=20 the first
+        # check comes at step n, so only the step-n stop can end the loop
+        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))
+        G = (Q * np.arange(1.0, n + 1)) @ Q.T
+        sizes = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda T, **kw: sizes.append(len(T))
+                            or original(T, **kw))
+        assert self._agrees(0.5 * (G + G.T)) == pytest.approx(n, rel=1e-12)
+        assert sizes and max(sizes) <= n
 
 
 def _reference_support(beta):
