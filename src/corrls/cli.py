@@ -19,18 +19,12 @@ import argparse
 import json
 import sys
 import typing
+from contextlib import nullcontext
 
 import numpy as np
 
-from .data import (
-    AdditiveNoise,
-    MissingNoise,
-    read_dataset_csv,
-    read_header,
-    read_matrix_csv,
-    write_dataset_csv,
-    write_matrix_csv,
-)
+from .data import (AdditiveNoise, MissingNoise, read_dataset_csv, read_header, read_matrix_csv,
+                   write_dataset_csv, write_matrix_csv, write_table)
 from .experiment import GridSpec, emit_results, run_grid
 from .post import METHODS, cross_validate, with_estimated_missing_rates
 from .precision import estimate_precision
@@ -74,10 +68,12 @@ def _load_missing(path):
 def _load_dataset(args, path):
     """Load a dataset file under the noise model the arguments declare."""
     if args.noise == "missing":
+        if args.sigma_w is not None or args.sigma_w_ar1 is not None:
+            raise ValueError("--sigma-w and --sigma-w-ar1 apply to --noise additive only")
         return _load_missing(path)
-    if args.sigma_w:
+    if args.sigma_w is not None:
         noise = AdditiveNoise(read_matrix_csv(args.sigma_w))
-    elif args.sigma_w_ar1:
+    elif args.sigma_w_ar1 is not None:
         noise = AdditiveNoise(ar1_covariance(_z_width(path), *args.sigma_w_ar1))
     else:
         raise ValueError("additive noise needs --sigma-w FILE or --sigma-w-ar1 PHI SCALE")
@@ -119,13 +115,8 @@ def _cmd_tune(args):
     grid = method.grid(train_m.n, train_m.p)
     best, losses, _ = cross_validate(train_m, test_m, grid, args.method,
                                     SolverOptions(radius=args.radius))
-    lines = ["value,loss"] + [f"{v:.17g},{l:.17g}" for v, l in zip(grid, losses)]
-    out = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    with open(args.out, "w", newline="\n") if args.out else nullcontext(sys.stdout) as fh:
+        write_table(fh, ["value", "loss"], zip(grid, losses))
     if min(losses) == np.inf:
         raise ValueError("no grid point has a finite held-out loss")
     print(f"best value: {best:g}")
@@ -142,12 +133,10 @@ def _cmd_precision(args):
     print(f"precision matrix ({data.p}x{data.p}) written to {args.out}; "
           f"{len(est.negative_d)} columns with d_j <= 0" + (f" (1-based): {neg}" if neg else ""))
     if args.diagnostics:
-        lines = ["column,support_size,d,fallback"]
-        for j in range(data.p):
-            lines.append(f"{j + 1},{len(est.neighborhood_supports[j])},"
-                         f"{est.d[j]:.17g},{int(est.fallback_flags[j])}")
-        with open(args.diagnostics, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(args.diagnostics, "w", newline="\n") as fh:
+            write_table(fh, ["column", "support_size", "d", "fallback"],
+                        zip(range(1, data.p + 1), map(len, est.neighborhood_supports),
+                            est.d.tolist(), map(int, est.fallback_flags)))
     return 0
 
 
@@ -160,12 +149,10 @@ def _cmd_experiment(args):
     print(f"{len(records)} records written to {args.out} ({n_err} error rows)")
     if args.save_coefs:
         sidecar = args.out + ".coefs.csv"
-        with open(sidecar, "w") as fh:  # long form: one row per coefficient, j 1-based
-            fh.write("scenario,method,j,coef\n")
-            for r in records:
-                if r.beta is not None:
-                    fh.writelines(f"{r.scenario},{r.method},{j},{b:.17g}\n"
-                                  for j, b in enumerate(r.beta.tolist(), start=1))
+        with open(sidecar, "w", newline="\n") as fh:  # long form: one row per coefficient
+            write_table(fh, ["scenario", "method", "j", "coef"],
+                        ((r.scenario, r.method, j, b) for r in records if r.beta is not None
+                         for j, b in enumerate(r.beta.tolist(), start=1)))  # j 1-based
         print(f"coefficients written to {sidecar}")
     if args.strict and n_err:
         return 1
@@ -175,9 +162,10 @@ def _cmd_experiment(args):
 def _add_dataset_args(sp):
     sp.add_argument("--data", required=True, help="dataset CSV (header row, NA for missing)")
     sp.add_argument("--noise", choices=["additive", "missing"], required=True)
-    sp.add_argument("--sigma-w", help="covariate-noise covariance CSV (additive)")
-    sp.add_argument("--sigma-w-ar1", nargs=2, type=float, metavar=("PHI", "SCALE"),
-                    help="AR(1) covariate-noise covariance (additive)")
+    sigma = sp.add_mutually_exclusive_group()
+    sigma.add_argument("--sigma-w", help="covariate-noise covariance CSV (additive)")
+    sigma.add_argument("--sigma-w-ar1", nargs=2, type=float, metavar=("PHI", "SCALE"),
+                       help="AR(1) covariate-noise covariance (additive)")
 
 
 def build_parser():

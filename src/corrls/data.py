@@ -26,6 +26,7 @@ __all__ = [
     "write_dataset_csv",
     "read_matrix_csv",
     "write_matrix_csv",
+    "write_table",
 ]
 
 NA_TOKEN = "NA"
@@ -189,8 +190,8 @@ class GramRows:
         """S @ v: while at most one entry of v in 16 is non-zero and the rows not
         yet kept fit, from the kept rows at the non-zeros; else Z'(Z v)/n.  The last
         block gathered (at most `_BLOCK_ENTRIES` entries) is ``gathered`` with its
-        non-zeros, read again while they repeat: kept rows never change, even when
-        the buffer grows, so it holds the bytes a new gather would."""
+        non-zeros, read again while they repeat: kept rows never change, so it
+        holds the bytes a new gather would."""
         nz = v.nonzero()[0]
         if 16 * nz.size <= v.size:
             if self.gathered is not None and np.array_equal(self.gathered[0], nz):
@@ -209,9 +210,8 @@ class GramRows:
         k, m = self.count, self.count + new.size
         if m > self.n:
             return False
-        if m > len(self.rows):  # double the buffer, to at most n rows
-            kept, self.rows = self.rows, np.empty((min(self.n, max(2 * k, m)), self.Z.shape[1]))
-            self.rows[:k] = kept[:k]
+        if m > len(self.rows):  # the first rows kept: room for all n, made once
+            self.rows = np.empty((self.n, self.Z.shape[1]))
         if m > k:
             block = self.rows[k:m]
             np.matmul(self.Z[:, new].T, self.Z, out=block)
@@ -383,3 +383,10 @@ def write_matrix_csv(mat, path):
             zero = row == 0
             cells = np.where(zero, np.where(np.signbit(row), "-0", "0"), "%.17g")
             fh.write(",".join(cells.tolist()) % tuple(row[~zero].tolist()) + "\n")
+
+
+def write_table(fh, header, rows):
+    """Write ``header`` and each of ``rows`` as a comma-separated line ending in "\\n" to
+    the open text file ``fh``: floats (numpy's too) by ``%.17g``, all else by ``str``."""
+    fh.writelines(",".join(f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v)
+                           for v in row) + "\n" for row in itertools.chain([header], rows))

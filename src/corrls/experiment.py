@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._rng import substream
+from .data import write_table
 from .metrics import false_positives, ree, true_positive_rate
 from .post import METHODS as _RECORDS, cross_validate, with_estimated_missing_rates
 from .selection import SolverOptions
@@ -196,13 +197,10 @@ def run_grid(spec: GridSpec, workers=1, keep_beta=False, no_timing=False):
 
 
 def emit_results(records, path):
-    """Write records as the `_COLUMNS` of a CSV: floats with ``%.17g``, all else by str."""
-    lines = [CSV_HEADER]
-    for r in records:
-        values = (getattr(r, name) for name in _COLUMNS.values())
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in values))
+    """Write records as the `_COLUMNS` of a CSV table (`write_table`)."""
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            write_table(fh, _COLUMNS, ([getattr(r, f) for f in _COLUMNS.values()]
+                                       for r in records))
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc

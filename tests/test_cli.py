@@ -10,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import corrls.cli
 import corrls.experiment
-from corrls import (MissingNoise, SolverOptions, corrected_moments, l1_cls_fit, support,
-                    uncorrected_moments)
+from corrls import (MissingNoise, PrecisionEstimate, SolverOptions, corrected_moments,
+                    l1_cls_fit, support, uncorrected_moments)
 from corrls.cli import _load_config, main
 from corrls.data import read_dataset_csv, read_matrix_csv
-from corrls.experiment import GridSpec
+from corrls.experiment import ExperimentRecord, GridSpec
 from corrls.post import METHODS, with_estimated_missing_rates
 from corrls.simulate import SimConfig
 
@@ -499,6 +500,33 @@ def test_additive_noise_without_sigma_exits_2(tmp_path, sim_config, capsys, comm
                             "or --sigma-w-ar1 PHI SCALE\n") and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["fit", "tune"])
+@pytest.mark.parametrize("sigma", [["--sigma-w", "{absent}"], ["--sigma-w-ar1", "0.5", "0.25"]],
+                         ids=["sigma-w", "sigma-w-ar1"])
+def test_sigma_w_under_missing_noise_exits_2(tmp_path, sim_config, capsys, command, sigma):
+    data_csv = tmp_path / "data.csv"
+    main(["simulate", "--config", str(sim_config), "--out", str(data_csv)])
+    capsys.readouterr()
+    args = ["--tuning", "3"] if command == "fit" else ["--test-data", str(data_csv)]
+    sigma = [a.format(absent=tmp_path / "absent.csv") for a in sigma]
+    assert main([command, "--data", str(data_csv), "--noise", "missing", *sigma,
+                 "--method", "cs_post", "--radius", "15", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("corrls: error: --sigma-w and --sigma-w-ar1 apply to "
+                            "--noise additive only\n") and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["fit", "tune"])
+def test_both_sigma_w_flags_are_a_usage_error(tmp_path, capsys, command):
+    args = ["--tuning", "3"] if command == "fit" else ["--test-data", "test.csv"]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--data", "data.csv", "--noise", "additive", "--sigma-w", "sigma.csv",
+              "--sigma-w-ar1", "0.5", "0.25", "--method", "cs_post", "--radius", "15", *args])
+    assert exit_.value.code == 2
+    assert ("argument --sigma-w-ar1: not allowed with argument --sigma-w"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "--data", "{missing}", "--noise", "missing", "--method", "cs_post",
      "--tuning", "3", "--radius", "15"],
@@ -511,3 +539,99 @@ def test_missing_file_exits_2(tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("corrls: error: ") and str(missing) in err
+
+
+# Golden bytes of the four tables corrls writes.  The numbers are fixed stand-ins
+# for a fit's results, so the bytes do not depend on the BLAS that computed them.
+TINY_DATA = "y,z1,z2,z3\n1,0.5,NA,2\n-1,1.5,0.25,NA\n2,NA,-1,0.5\n0.5,2,1,1\n-2,-1,0.5,-0.5\n"
+FIXED_LOSSES = (0.1, 1 / 3, np.inf, np.float64(2.5))
+GOLDEN_CURVES = {
+    "cs_post": ("value,loss\n1,0.10000000000000001\n2,0.33333333333333331\n3,inf\n",
+                "best value: 2\ngrid points with infinite loss: 1 of 3\n"),
+    "l1cls": ("value,loss\n0,0.10000000000000001\n0.050000000000000003,0.33333333333333331\n"
+              "0.10000000000000001,inf\n0.14999999999999999,2.5\n0.20000000000000001,"
+              "0.10000000000000001\n0.25,0.33333333333333331\n0.29999999999999999,inf\n"
+              "0.34999999999999998,2.5\n0.40000000000000002,0.10000000000000001\n0.45000000000000001,"
+              "0.33333333333333331\n0.5,inf\n0.55000000000000004,2.5\n0.59999999999999998,"
+              "0.10000000000000001\n0.65000000000000002,0.33333333333333331\n0.69999999999999996,inf\n"
+              "0.75,2.5\n0.80000000000000004,0.10000000000000001\n0.84999999999999998,"
+              "0.33333333333333331\n0.90000000000000002,inf\n0.94999999999999996,2.5\n"
+              "1,0.10000000000000001\n",
+              "best value: 0.05\ngrid points with infinite loss: 5 of 21\n"),
+}
+
+
+def _fixed_curve(train_m, test_m, grid, fit_rule, opts):
+    """`cross_validate`'s (best, losses, fit) with the losses `FIXED_LOSSES` repeated."""
+    return grid[1], [FIXED_LOSSES[i % len(FIXED_LOSSES)] for i in range(len(grid))], None
+
+
+@pytest.mark.parametrize("method", GOLDEN_CURVES)
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+def test_tune_curve_golden_bytes(tmp_path, capsys, monkeypatch, method, to_file):
+    monkeypatch.setattr(corrls.cli, "cross_validate", _fixed_curve)
+    data_csv, curve = tmp_path / "data.csv", tmp_path / "curve.csv"
+    data_csv.write_text(TINY_DATA)
+    out = ["--out", str(curve)] if to_file else []
+    assert main(["tune", "--data", str(data_csv), "--test-data", str(data_csv), "--noise",
+                 "missing", "--method", method, "--radius", "5", *out]) == 0
+    table, summary = GOLDEN_CURVES[method]
+    if to_file:
+        assert curve.read_bytes() == table.encode()
+        assert capsys.readouterr().out == summary
+    else:
+        assert capsys.readouterr().out == table + summary
+
+
+def test_precision_diagnostics_golden_bytes(tmp_path, capsys, monkeypatch):
+    theta = np.array([[2.0, -1 / 3, 0.0], [-1 / 3, 1.5, 0.0], [0.0, 0.0, 0.1]])
+    est = PrecisionEstimate(theta=theta, theta_raw=theta, d=np.array([0.5, 1 / 3, -0.1]),
+                            neighborhood_supports=[[1], [0, 2], []],
+                            fallback_flags=[False, True, False], negative_d=[2])
+    monkeypatch.setattr(corrls.cli, "estimate_precision", lambda data, an, radius: est)
+    data_csv, out, diag = tmp_path / "graph.csv", tmp_path / "theta.csv", tmp_path / "diag.csv"
+    data_csv.write_text("".join(line.split(",", 1)[1] + "\n"
+                                for line in TINY_DATA.splitlines()))
+    assert main(["precision", "--data", str(data_csv), "--an", "1", "--radius", "5",
+                 "--out", str(out), "--diagnostics", str(diag)]) == 0
+    assert diag.read_bytes() == (b"column,support_size,d,fallback\n1,1,0.5,0\n"
+                                 b"2,2,0.33333333333333331,1\n3,0,-0.10000000000000001,0\n")
+    assert out.read_bytes() == (b"2,-0.33333333333333331,0\n-0.33333333333333331,1.5,0\n"
+                                b"0,0,0.10000000000000001\n")
+
+
+def _fixed_records():
+    """Two fitted records and an error row of one cell, with fixed values."""
+    common = dict(scenario="n70_p3_s2_r0", n=70, p=3, s=2, noise_kind="missing", seed=123)
+    return [
+        ExperimentRecord(
+            **common, method="CS+post", tuning=2.0, ree=1 / 3, false_positives=0,
+            true_positive_rate=1.0, wall_time_s=0.0, beta=np.array([-0.0, 0.1, 2.0])),
+        ExperimentRecord(
+            **common, method="L1CLS", tuning=0.05, ree=np.float64(1e-300), false_positives=1,
+            true_positive_rate=0.5, wall_time_s=0.0, beta=np.array([1 / 3, 0.0, -1e300])),
+        ExperimentRecord(
+            **common, method="Lasso", tuning=float("nan"), ree=float("nan"),
+            false_positives=-1, true_positive_rate=float("nan"), wall_time_s=0.25,
+            error="cross-validation failed at every grid point"),
+    ]
+
+
+def test_experiment_results_and_sidecar_golden_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(corrls.cli, "run_grid", lambda spec, **kw: _fixed_records())
+    cfg, out = tmp_path / "grid.json", tmp_path / "res.csv"
+    cfg.write_text(json.dumps(GRID))
+    assert main(["experiment", "--config", str(cfg), "--out", str(out), "--save-coefs"]) == 0
+    assert out.read_bytes() == (
+        b"scenario,n,p,s,noise,method,seed,tuning,ree,fp,tpr,wall_s\n"
+        b"n70_p3_s2_r0,70,3,2,missing,CS+post,123,2,0.33333333333333331,0,1,0\n"
+        b"n70_p3_s2_r0,70,3,2,missing,L1CLS,123,0.050000000000000003,1e-300,"
+        b"1,0.5,0\n"
+        b"n70_p3_s2_r0,70,3,2,missing,Lasso,123,nan,nan,-1,nan,0.25\n")
+    assert Path(f"{out}.coefs.csv").read_bytes() == (
+        b"scenario,method,j,coef\n"
+        b"n70_p3_s2_r0,CS+post,1,-0\nn70_p3_s2_r0,CS+post,2,0.10000000000000001\n"
+        b"n70_p3_s2_r0,CS+post,3,2\nn70_p3_s2_r0,L1CLS,1,0.33333333333333331\n"
+        b"n70_p3_s2_r0,L1CLS,2,0\nn70_p3_s2_r0,L1CLS,3,-1.0000000000000001e+300\n")
+    assert capsys.readouterr().out == (f"3 records written to {out} (1 error rows)\n"
+                                       f"coefficients written to {out}.coefs.csv\n")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import corrls.data
 from corrls import AdditiveNoise, MissingNoise, SurrogateDataset
 from corrls.data import (_checked_cells, _zero_unobserved, read_dataset_csv, read_header,
-                         read_matrix_csv, write_dataset_csv, write_matrix_csv)
+                         read_matrix_csv, write_dataset_csv, write_matrix_csv, write_table)
 from corrls.simulate import SimConfig, gen_regression
 
 
@@ -117,6 +117,17 @@ class TestCsvRoundTrip:
         back = read_matrix_csv(path)
         assert back.shape == (len(mat), mat.size // len(mat))
         assert np.array_equal(back.view(np.int64), mat.reshape(back.shape).view(np.int64))
+
+    def test_table_cells_and_line_ends(self, tmp_path):
+        """A float of any width by %.17g, reading back to its bits; every other
+        value, numpy's integers and bools included, by str; lines end in \\n."""
+        path = tmp_path / "t.csv"
+        rows = [(np.float32(0.1), np.int64(-3), True, "a b"), (-0.0, 7, np.bool_(False), np.nan)]
+        with open(path, "w", newline="\n") as fh:
+            write_table(fh, ["x", "k", "flag", "name"], rows)
+        assert path.read_bytes() == (b"x,k,flag,name\n0.10000000149011612,-3,True,a b\n"
+                                     b"-0,7,False,nan\n")
+        assert np.float32(float(path.read_text().split("\n")[1].split(",")[0])) == rows[0][0]
 
     def test_matrix_hash_is_a_cell_not_a_comment(self, tmp_path):
         path = tmp_path / "sigma.csv"

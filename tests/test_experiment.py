@@ -323,6 +323,23 @@ class TestEmitResults:
                 read = type(value)(row[column])
                 assert read == value or math.isnan(read) and math.isnan(value), (column, row)
 
+    def test_result_and_error_rows_golden_bytes(self, tmp_path):
+        common = dict(scenario="n70_p3_s2_r0", n=70, p=3, s=2, noise_kind="additive", seed=9)
+        records = [
+            ExperimentRecord(**common, method="CS+post", tuning=3.0, ree=0.1, false_positives=2,
+                             true_positive_rate=np.float64(2 / 3), wall_time_s=1e-5),
+            ExperimentRecord(**common, method="Lasso", tuning=float("nan"), ree=float("nan"),
+                             false_positives=-1, true_positive_rate=float("nan"),
+                             wall_time_s=0.5, error="diverged"),
+        ]
+        path = tmp_path / "out.csv"
+        emit_results(records, path)
+        assert path.read_bytes() == (
+            b"scenario,n,p,s,noise,method,seed,tuning,ree,fp,tpr,wall_s\n"
+            b"n70_p3_s2_r0,70,3,2,additive,CS+post,9,3,0.10000000000000001,2,"
+            b"0.66666666666666663,1.0000000000000001e-05\n"
+            b"n70_p3_s2_r0,70,3,2,additive,Lasso,9,nan,nan,-1,nan,0.5\n")
+
     def test_bad_path_raises_with_context(self):
         with pytest.raises(OSError, match="no/such/dir"):
             emit_results([], "/no/such/dir/out.csv")

@@ -164,3 +164,11 @@ def test_failed_fit_rule_has_one_home():
                       if isinstance(f, ast.FunctionDef) and "LinAlgError" in ast.unparse(f))
     assert catching == [("post.py", "_is_pd"), ("simulate.py", "_cholesky")]
     assert [name for name, text in sources.items() if "RuntimeError" in text] == []
+
+
+def test_round_trip_float_format_has_one_home():
+    """Only `data` spells ``%.17g``: its dataset and matrix writers format their
+    cells, and every table (results, coefficients, tuning curve, precision
+    diagnostics) is written by `data.write_table`."""
+    sources = sorted((ROOT / "src" / "corrls").glob("*.py"))
+    assert [p.name for p in sources if ".17g" in p.read_text()] == ["data.py"]

@@ -723,6 +723,19 @@ class TestGatherOncePerSupport:
             blocks.append(store.gathered[1])
         assert blocks[0] is blocks[1] is blocks[2]
 
+    def test_the_row_buffer_is_made_once(self):
+        # supports of 1, then 4 new, then 2 new and 1 kept rows: each keep writes
+        # into the one n-row buffer made at the first, and copies no row
+        store = _wide("missing", 10, n=40).gram_rows
+        buffers = []
+        for idx in ([7], [3, 11, 250, 299], [7, 40, 41]):
+            v = np.zeros(300)
+            v[idx] = 1.0
+            assert store.matvec(v).tobytes() == v[idx].dot(store.rows[store.slot[idx]]).tobytes()
+            buffers.append(store.rows)
+        assert buffers[0] is buffers[1] is buffers[2] and buffers[0].shape == (40, 300)
+        assert store.count == 7
+
     @pytest.mark.parametrize("build", [corrected_moments, uncorrected_moments])
     def test_a_reused_support_is_the_losss_bytes(self, build):
         data = _wide("missing", 9)
