@@ -92,9 +92,9 @@ def _cmd_simulate(args):
 
 def _cmd_fit(args):
     method = METHODS[args.method]
-    fit = method.fit_at(method.moments(_load_dataset(args, args.data)), args.tuning,
-                        SolverOptions(radius=args.radius))
-    print(f"method={fit.method} tuning={args.tuning:g} objective={fit.objective:.6g} "
+    fit = method.fit(method.moments(_load_dataset(args, args.data)), args.tuning,
+                     SolverOptions(radius=args.radius))
+    print(f"method={method.label} tuning={args.tuning:g} objective={fit.objective:.6g} "
           f"iterations={fit.iterations} converged={fit.converged}")
     if fit.fallback_used:
         size = screen_size(args.tuning, fit.beta.size)
@@ -113,7 +113,7 @@ def _cmd_tune(args):
     train_m = method.moments(_load_dataset(args, args.data))
     test_m = method.moments(_load_dataset(args, args.test_data))
     grid = method.grid(train_m.n, train_m.p)
-    best, losses, _ = cross_validate(train_m, test_m, grid, args.method,
+    best, losses, _ = cross_validate(train_m, test_m, grid, method,
                                     SolverOptions(radius=args.radius))
     with open(args.out, "w", newline="\n") if args.out else nullcontext(sys.stdout) as fh:
         write_table(fh, ["value", "loss"], zip(grid, losses))

@@ -65,8 +65,13 @@ class GridSpec:
             object.__setattr__(self, name, vals)
         if max(self.s_values) > min(self.p_values):
             raise ValueError(f"s value {max(self.s_values)} exceeds p value {min(self.p_values)}")
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
+        reps, seed = self.replicates, self.base_seed  # a bool or fraction would run as an int
+        if isinstance(reps, bool) or not reps >= 1 or reps % 1:
+            raise ValueError(f"replicates must be a whole number >= 1, got {reps!r}")
+        if isinstance(seed, bool) or seed % 1:  # nan and inf leave a nan remainder
+            raise ValueError(f"base_seed must be a whole number, got {seed!r}")
+        object.__setattr__(self, "replicates", int(reps))
+        object.__setattr__(self, "base_seed", int(seed))
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown methods: {sorted(bad)}")
@@ -123,16 +128,16 @@ def _run_cell(spec: GridSpec, n, p, s, rep, keep_beta):
     opts = SolverOptions(radius=radius)
     scenario = f"n{n}_p{p}_s{s}_r{rep}"
     records = []
-    rules = [_FIT_RULES[method] for method in spec.methods]
-    builds = [_RECORDS[rule].moments for rule in rules]
+    fitted = [_RECORDS[_FIT_RULES[label]] for label in spec.methods]  # read at call time
+    builds = [method.moments for method in fitted]
     pairs = {}  # builder -> (train, test) moments, kept while a method left to run needs them
-    for k, (method, rule, build) in enumerate(zip(spec.methods, rules, builds)):
+    for k, (method, build) in enumerate(zip(fitted, builds)):
         pairs = {b: pair for b, pair in pairs.items() if b in builds[k:]}
         t0 = time.perf_counter()
         try:
             if build not in pairs:
                 pairs[build] = (build(train), build(test))
-            best, _, fit = cross_validate(*pairs[build], _RECORDS[rule].grid(n, p), rule, opts)
+            best, _, fit = cross_validate(*pairs[build], method.grid(n, p), method, opts)
             if fit is None:
                 raise ArithmeticError("cross-validation failed at every grid point")
             scores = {"tuning": float(best), "ree": ree(fit.beta, beta0),
@@ -143,7 +148,7 @@ def _run_cell(spec: GridSpec, n, p, s, rep, keep_beta):
         except Exception as exc:  # error row, not a run abort
             scores, wall, beta, error = _ERROR_SCORES, time.perf_counter() - t0, None, str(exc)
         records.append(ExperimentRecord(
-            scenario=scenario, n=n, p=p, s=s, noise_kind=spec.noise_kind, method=method,
+            scenario=scenario, n=n, p=p, s=s, noise_kind=spec.noise_kind, method=method.label,
             seed=seed, **scores, wall_time_s=wall, beta=beta, error=error))
     return records
 

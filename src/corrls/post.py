@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -105,7 +105,7 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
     beta = np.zeros(m.p)
     (beta[T],), fits = _refit(m.block(T)[None], m.gamma_vec[T][None], m.n, opts)
     fit = fits.get(0)
-    return FitResult(beta=beta, method="CS+post", objective=float(corrected_loss(beta, m)),
+    return FitResult(beta=beta, objective=float(corrected_loss(beta, m)),
                      support_used=tuple(T[j] for j in fit.support_used) if fit else tuple(T),
                      iterations=fit.iterations if fit else 0,
                      converged=fit.converged if fit else True, fallback_used=fit is not None)
@@ -217,30 +217,27 @@ def _uncorrected(data):
 
 @dataclass(frozen=True)
 class Method:
-    """How one method is fitted and tuned.  Its functions read the moment
+    """How one method is fitted and tuned, and the only place its label is
+    spelled: a `FitResult` carries none.  Its functions read the moment
     builders and solvers from this module's globals at call time, so that a
     wrapper patched in here (tracer, test counter) is what runs; methods that
     fit the same moments share one builder object."""
 
-    label: str  # FitResult.method and the experiment's method column
+    label: str  # `corrls fit`'s method= and the experiment's method column
     moments: Callable  # dataset -> the moments the method fits on
     grid: Callable  # (n, p) -> default tuning grid
     fit: Callable  # (moments, tuning value, opts) -> FitResult
     losses: Callable  # (train moments, test moments, grid, opts) -> held-out losses
 
-    def fit_at(self, m: CorrectedMoments, value, opts: SolverOptions) -> FitResult:
-        """`fit` at one tuning value, labelled with this method's label."""
-        return replace(self.fit(m, value, opts), method=self.label)
 
-
-#: method name (CLI and cross-validation) -> how it is fitted and tuned
+#: method key (`corrls fit`/`tune --method`) -> how it is fitted and tuned
 METHODS = {
     "cs_post": Method("CS+post", _corrected, default_an_grid,
                       lambda m, a_n, opts: cs_post_fit(m, a_n, opts), _cs_post_losses),
     "l1cls": Method("L1CLS", _corrected, lambda n, p: default_lambda_grid(),
-                    lambda m, lam, opts: l1_cls_fit(m, float(lam), opts), _penalized_losses),
+                    lambda m, lam, opts: l1_cls_fit(m, lam, opts), _penalized_losses),
     "lasso": Method("Lasso", _uncorrected, lambda n, p: default_lambda_grid(),
-                    lambda m, lam, opts: l1_cls_fit(m, float(lam), opts), _penalized_losses),
+                    lambda m, lam, opts: l1_cls_fit(m, lam, opts), _penalized_losses),
 }
 
 
@@ -257,12 +254,12 @@ def best_grid_index(losses, grid):
 
 
 def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
-                   fit_rule, opts: SolverOptions):
-    """Pick the tuning value minimizing the held-out loss.
+                   method: Method, opts: SolverOptions):
+    """Pick the tuning value of ``method``, a `Method` record, minimizing the
+    held-out loss.
 
-    ``fit_rule`` is a name in `METHODS` (ValueError otherwise).  Fits use
-    the training moments ``train_m``; the loss is evaluated with the test
-    moments ``test_m``.  Both must be of the kind its record's ``moments``
+    Fits use the training moments ``train_m``; the loss is evaluated with the
+    test moments ``test_m``.  Both must be of the kind ``method.moments``
     builds (the test split self-corrects with its own estimated missing
     rates).  A failed fit records an infinite loss for that grid point.
     L1CLS and the Lasso fit the grid as one warm-started path
@@ -272,12 +269,9 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     is a direct solve.  Ties (`best_grid_index`) break toward the smaller value.
 
     Returns (best_value, losses, fit): losses aligned to the grid, and a fresh
-    `Method.fit_at` fit from zero at best_value, or None if no loss is finite.  A
+    ``method.fit`` from zero at best_value, or None if no loss is finite.  A
     failure of that fit propagates.
     """
-    if fit_rule not in METHODS:
-        raise ValueError(f"unknown fit rule {fit_rule!r}; expected one of {list(METHODS)}")
-    method = METHODS[fit_rule]
     grid = list(grid)
     if not grid:
         raise ValueError("empty tuning grid")
@@ -287,4 +281,4 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     i = best_grid_index(losses, grid)
     if losses[i] == np.inf:
         return grid[i], losses, None
-    return grid[i], losses, method.fit_at(train_m, grid[i], opts)
+    return grid[i], losses, method.fit(train_m, grid[i], opts)

@@ -54,7 +54,8 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Coefficient estimate plus solver diagnostics.
+    """Coefficient estimate plus solver diagnostics, with no method label: a
+    solver serves several methods, each named only by its `post.METHODS` record.
 
     ``objective`` is the value of the criterion that was minimized: the
     plain corrected loss for unpenalized fits, corrected loss plus
@@ -63,7 +64,6 @@ class FitResult:
 
     beta: np.ndarray
     support_used: tuple
-    method: str
     iterations: int
     objective: float
     converged: bool
@@ -98,7 +98,7 @@ def screen_order(scores, k=None):
 def screen_size(a_n, p):
     """How many of p coordinates a screening size a_n keeps: min(a_n, p).
     An a_n that is not a whole number, or is below 1, is rejected."""
-    k = int(a_n)
+    k = int(a_n) if math.isfinite(a_n) else None
     if k != a_n:
         raise ValueError(f"a_n must be a whole number, got {a_n!r}")
     if k < 1:
@@ -199,8 +199,9 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
     its scalars as Python floats: bit-equal to @, at about half the dispatch
     cost at p=100.
     """
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    lam = float(lam)
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be a finite number >= 0, got {lam!r}")
     g, p = m.gamma_vec, m.p
     R = opts.radius
     beta = np.zeros(p) if beta0 is None else project_l1_ball(beta0, R)
@@ -208,7 +209,6 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
         raise ValueError(f"beta0 has length {beta.size}, expected {p}")
     L = m.lipschitz
     eta = 1.0 / L if L > 0 else 1.0
-    lam = float(lam)
     matvec = m.product()
     Gb = matvec(beta)
     f = 0.5 * float(beta.dot(Gb)) - float(g.dot(beta)) + lam * float(np.abs(beta).sum())
@@ -236,14 +236,8 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
         if abs(df) < opts.rel_tol * max(1.0, abs(f)):
             converged = True
             break
-    return FitResult(
-        beta=best_beta,
-        support_used=tuple(support(best_beta)),
-        method="L1CLS",
-        iterations=iters,
-        objective=best_f,
-        converged=converged,
-    )
+    return FitResult(beta=best_beta, support_used=tuple(support(best_beta)), iterations=iters,
+                     objective=best_f, converged=converged)
 
 
 def support(beta):

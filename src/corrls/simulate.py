@@ -45,15 +45,15 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.s <= self.p:
             raise ValueError("need 0 < s <= p")
-        if self.sigma_eps <= 0:
-            raise ValueError("sigma_eps must be positive")
+        if not 0 < self.sigma_eps < np.inf:  # nan fails too
+            raise ValueError("sigma_eps must be positive and finite")
         if not 0 <= self.ar_phi < 1:
             raise ValueError("ar_phi must lie in [0, 1)")
-        if self.c_w <= 0:
+        if not self.c_w > 0:
             raise ValueError("c_w must be positive")
-        lo, hi = self.rho_range
-        if not 0 <= lo <= hi < 1:
-            raise ValueError("rho_range must satisfy 0 <= lo <= hi < 1")
+        rho = self.rho_range
+        if len(rho) != 2 or not 0 <= rho[0] <= rho[1] < 1:
+            raise ValueError(f"rho_range must satisfy 0 <= lo <= hi < 1 as (lo, hi), got {rho}")
         if self.noise_kind not in ("additive", "missing"):
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
 

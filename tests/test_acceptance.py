@@ -36,6 +36,7 @@ from corrls import (
 )
 from corrls._rng import substream
 from corrls.post import (
+    METHODS,
     cross_validate,
     default_an_grid,
     default_lambda_grid,
@@ -212,9 +213,11 @@ def _comparative_run(base_seed, reps=50):
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum(), max_iters=5000)
 
         train_m, test_m = corrected_moments(train), corrected_moments(test)
-        a_n, _, _ = cross_validate(train_m, test_m, default_an_grid(n, p), "cs_post", opts)
+        a_n, _, _ = cross_validate(train_m, test_m, default_an_grid(n, p), METHODS["cs_post"],
+                                   opts)
         fit_cs = cs_post_fit(train_m, int(a_n), opts)
-        lam, _, _ = cross_validate(train_m, test_m, default_lambda_grid(), "l1cls", opts)
+        lam, _, _ = cross_validate(train_m, test_m, default_lambda_grid(), METHODS["l1cls"],
+                                   opts)
         fit_l1 = l1_cls_fit(train_m, float(lam), opts)
 
         Tset = set(T)

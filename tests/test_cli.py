@@ -73,7 +73,7 @@ def test_fit_penalized_matches_direct_fit(tmp_path, sim_config, capsys, method):
     data = with_estimated_missing_rates(read_dataset_csv(data_csv, MissingNoise(np.zeros(12))))
     opts = SolverOptions(radius=15.0)
     ref = l1_cls_fit(corrected_moments(data), 0.05, opts) if method == "l1cls" \
-        else METHODS["lasso"].fit_at(uncorrected_moments(data), 0.05, opts)
+        else METHODS["lasso"].fit(uncorrected_moments(data), 0.05, opts)
     assert np.array_equal(read_matrix_csv(coef_csv).ravel(), ref.beta)
     printed = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("support (1-based):")]
@@ -84,12 +84,39 @@ def test_fit_rejects_fractional_an(tmp_path, sim_config, capsys):
     data_csv = tmp_path / "data.csv"
     main(["simulate", "--config", str(sim_config), "--out", str(data_csv)])
     for tuning, message in [("3.9", "a_n must be a whole number, got 3.9"),
-                            ("0", "empty selection not allowed")]:
+                            ("0", "empty selection not allowed"),
+                            ("nan", "a_n must be a whole number, got nan"),
+                            ("inf", "a_n must be a whole number, got inf")]:
         capsys.readouterr()
         assert main(["fit", "--data", str(data_csv), "--noise", "missing",
                      "--method", "cs_post", "--tuning", tuning, "--radius", "15"]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"corrls: error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("tuning", ["inf", "nan", "-0.5"])
+def test_fit_rejects_a_lambda_that_is_not_finite_and_non_negative(tmp_path, sim_config, capsys,
+                                                                   tuning):
+    data_csv = tmp_path / "data.csv"
+    main(["simulate", "--config", str(sim_config), "--out", str(data_csv)])
+    capsys.readouterr()
+    assert main(["fit", "--data", str(data_csv), "--noise", "missing",
+                 "--method", "l1cls", "--tuning", tuning, "--radius", "15"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"corrls: error: lambda must be a finite number >= 0, got {tuning}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("method, tuning, label", [("cs_post", "3", "CS+post"),
+                                                   ("l1cls", "0.05", "L1CLS"),
+                                                   ("lasso", "0.05", "Lasso")])
+def test_fit_prints_the_method_label_first(tmp_path, sim_config, capsys, method, tuning, label):
+    data_csv = tmp_path / "data.csv"
+    main(["simulate", "--config", str(sim_config), "--out", str(data_csv)])
+    capsys.readouterr()
+    assert main(["fit", "--data", str(data_csv), "--noise", "missing",
+                 "--method", method, "--tuning", tuning, "--radius", "15"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith(f"method={label} tuning={tuning} ")
 
 
 def _additive_cs_post_fit(tmp_path):
@@ -421,9 +448,18 @@ def test_precision_non_finite_corrected_covariance_exits_2(tmp_path, capsys):
     ("experiment", {**GRID, "sigma_eps": -1}, "sigma_eps must be positive"),
     ("experiment", {**GRID, "ar_phi": 1.5}, "ar_phi must lie in [0, 1)"),
     ("experiment", {**GRID, "rho_range": [0.5, 0.2]}, "rho_range must satisfy"),
+    ("experiment", {**GRID, "rho_range": [0.2]}, "rho_range must satisfy"),
+    ("simulate", {**SIM, "rho_range": [0.1, 0.2, 0.3]}, "rho_range must satisfy"),
+    ("experiment", {**GRID, "replicates": 2.5}, "'replicates'"),
+    ("experiment", {**GRID, "base_seed": 1.5}, "'base_seed'"),
     ("simulate", {**SIM, "noise_kind": "additive", "c_w": -1}, "c_w must be positive"),
+    ("simulate", {**SIM, "sigma_eps": float("nan")}, "sigma_eps must be positive and finite"),
+    ("simulate", {**SIM, "sigma_eps": float("inf")}, "sigma_eps must be positive and finite"),
+    ("simulate", {**SIM, "noise_kind": "additive", "c_w": float("nan")}, "c_w must be positive"),
 ], ids=["unknown", "missing", "c_x", "solver_max_iters", "string", "bool", "fractional", "bool_n",
-        "s_above_p", "noise_kind", "sigma_eps", "ar_phi", "rho_range", "c_w"])
+        "s_above_p", "noise_kind", "sigma_eps", "ar_phi", "rho_range", "rho_range_short",
+        "rho_range_long", "fractional_replicates", "fractional_base_seed", "c_w", "nan_sigma_eps",
+        "inf_sigma_eps", "nan_c_w"])
 def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, command, cfg, field):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -561,7 +597,7 @@ GOLDEN_CURVES = {
 }
 
 
-def _fixed_curve(train_m, test_m, grid, fit_rule, opts):
+def _fixed_curve(train_m, test_m, grid, method, opts):
     """`cross_validate`'s (best, losses, fit) with the losses `FIXED_LOSSES` repeated."""
     return grid[1], [FIXED_LOSSES[i % len(FIXED_LOSSES)] for i in range(len(grid))], None
 

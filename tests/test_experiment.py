@@ -51,6 +51,16 @@ class TestGridSpec:
             _tiny_spec(n_values=())
         with pytest.raises(ValueError):
             _tiny_spec(replicates=0)
+        # a fraction or bool would run as its int part; each message names the field
+        for field, value in [("replicates", 2.5), ("replicates", True), ("base_seed", 1.5),
+                             ("base_seed", True), ("base_seed", float("nan"))]:
+            with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+                _tiny_spec(**{field: value})
+        for rho_range in [(0.2,), (0.1, 0.2, 0.3)]:
+            with pytest.raises(ValueError, match="rho_range must satisfy"):
+                _tiny_spec(rho_range=rho_range)
+        spec = _tiny_spec(replicates=2.0, base_seed=-3.0)  # whole floats are stored as ints
+        assert (spec.replicates, spec.base_seed) == (2, -3) and type(spec.base_seed) is int
         with pytest.raises(ValueError, match="n_values must hold positive whole numbers"):
             _tiny_spec(n_values=(60.5,))
         with pytest.raises(ValueError):

@@ -84,6 +84,7 @@ def test_tracer_observers_read_real_results(tmp_path):
     from corrls import (CorrectedMoments, MissingNoise, SolverOptions, corrected_loss,
                         corrected_moments, cross_validate, l1_cls_fit, post_cls_fit)
     from corrls.data import read_dataset_csv, write_dataset_csv
+    from corrls.post import METHODS
     from corrls.selection import lipschitz_estimate
     from corrls.simulate import SimConfig, gen_regression
 
@@ -107,9 +108,9 @@ def test_tracer_observers_read_real_results(tmp_path):
         (l1_cls_fit, (m, 0.1, opts), {},
          {"iters": l1_cls_fit(m, 0.1, opts).iterations, "unconverged": 0}),
         # a_n 0 is rejected; at a_n 2 the solve leaves the ball of opts
-        (cross_validate, (m, m, [0, 1, 2], "cs_post", SolverOptions(radius=10.0)), {},
+        (cross_validate, (m, m, [0, 1, 2], METHODS["cs_post"], SolverOptions(radius=10.0)), {},
          {"points": 3, "inf": 1}),
-        (cross_validate, (m, m, [0, 1, 2], "cs_post", opts), {}, {"points": 3, "inf": 2}),
+        (cross_validate, (m, m, [0, 1, 2], METHODS["cs_post"], opts), {}, {"points": 3, "inf": 2}),
         (lipschitz_estimate, (m.gamma_mat,), {}, {"flop": 2 * 6**3}),
         (lipschitz_estimate, (), {"G": m.gamma_mat}, {"flop": 2 * 6**3}),
         (corrected_loss, (beta0, m), {}, {"flop": 2 * 6**2}),
@@ -172,3 +173,20 @@ def test_round_trip_float_format_has_one_home():
     diagnostics) is written by `data.write_table`."""
     sources = sorted((ROOT / "src" / "corrls").glob("*.py"))
     assert [p.name for p in sources if ".17g" in p.read_text()] == ["data.py"]
+
+
+def test_method_labels_have_one_home():
+    """The labels "CS+post", "L1CLS" and "Lasso" are spelled only in the
+    `post.METHODS` assignment: a `FitResult` carries no label, and every other
+    module reads a method's label from its `Method` record."""
+    labels = {"CS+post", "L1CLS", "Lasso"}
+    homes, elsewhere = [], []
+    for path in sorted((ROOT / "src" / "corrls").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        home = [stmt for stmt in tree.body if path.name == "post.py"
+                and isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "METHODS"]
+        inside = {id(node) for stmt in home for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in labels:
+                (homes if id(node) in inside else elsewhere).append((path.name, node.lineno))
+    assert len(homes) == len(labels) and elsewhere == []

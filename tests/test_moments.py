@@ -28,7 +28,7 @@ from corrls import (
 )
 from corrls.data import _BLOCK_ENTRIES, GramRows
 from corrls.experiment import GridSpec, run_grid
-from corrls.post import cross_validate, default_lambda_grid
+from corrls.post import METHODS, cross_validate, default_lambda_grid
 from corrls.selection import SolverOptions, l1_cls_fit, lipschitz_estimate
 from corrls.simulate import SimConfig, ar1_covariance, gen_beta0, gen_regression, sample_gaussian
 from corrls._rng import substream
@@ -398,8 +398,8 @@ class TestWideRoute:
     def test_penalized_cross_validation_never_forms_gamma_mat(self, build):
         train, test, radius = self._cell(100, 300)
         train_m, test_m = build(train), build(test)
-        _, losses, fit = cross_validate(train_m, test_m, default_lambda_grid(), "l1cls",
-                                        SolverOptions(radius=radius))
+        _, losses, fit = cross_validate(train_m, test_m, default_lambda_grid(),
+                                        METHODS["l1cls"], SolverOptions(radius=radius))
         assert fit is not None and np.all(np.isfinite(losses))
         assert "gamma_mat" not in vars(train_m) and "gamma_mat" not in vars(test_m)
         assert "gram" not in vars(test)  # held-out losses work from the columns of Z
@@ -415,8 +415,8 @@ class TestWideRoute:
             original = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=original, **kw:
                                 shapes.append(np.shape(a)) or _f(a, *args, **kw))
-        _, losses, fit = cross_validate(build(train), build(test), default_lambda_grid(), rule,
-                                        SolverOptions(radius=radius))
+        _, losses, fit = cross_validate(build(train), build(test), default_lambda_grid(),
+                                        METHODS[rule], SolverOptions(radius=radius))
         assert fit is not None and np.all(np.isfinite(losses))
         assert shapes and (100, 100) not in shapes  # Lanczos decomposes its small T only
 
@@ -428,7 +428,7 @@ class TestWideRoute:
         train_m, test_m = corrected_moments(train), corrected_moments(test)
         tracemalloc.start()
         try:
-            cross_validate(train_m, test_m, default_lambda_grid(), "l1cls",
+            cross_validate(train_m, test_m, default_lambda_grid(), METHODS["l1cls"],
                            SolverOptions(radius=radius))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

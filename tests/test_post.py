@@ -216,7 +216,7 @@ class TestLassoFit:
         y = rng.standard_normal(30)
         data = SurrogateDataset(Z=Z, y=y, noise=AdditiveNoise(np.zeros((5, 5))))
         opts = SolverOptions(radius=5.0)
-        a = METHODS["lasso"].fit_at(uncorrected_moments(data), 0.2, opts)
+        a = METHODS["lasso"].fit(uncorrected_moments(data), 0.2, opts)
         b = l1_cls_fit(corrected_moments(data), 0.2, opts)
         assert np.allclose(a.beta, b.beta, atol=1e-10)
 
@@ -226,8 +226,8 @@ class TestLassoFit:
         y = rng.standard_normal(60)
         data = SurrogateDataset(Z=Z, y=y, noise=AdditiveNoise(np.zeros((4, 4))))
         target, *_ = np.linalg.lstsq(Z, y, rcond=None)
-        fit = METHODS["lasso"].fit_at(uncorrected_moments(data), 0.0,
-                                      SolverOptions(radius=50.0, rel_tol=1e-12))
+        fit = METHODS["lasso"].fit(uncorrected_moments(data), 0.0,
+                                   SolverOptions(radius=50.0, rel_tol=1e-12))
         assert np.linalg.norm(fit.beta - target) < 1e-4
 
     def test_huge_lambda_kills_everything(self):
@@ -236,8 +236,8 @@ class TestLassoFit:
         y = rng.standard_normal(30)
         data = SurrogateDataset(Z=Z, y=y, noise=AdditiveNoise(np.zeros((4, 4))))
         g = Z.T @ y / 30
-        fit = METHODS["lasso"].fit_at(uncorrected_moments(data), float(np.abs(g).max()) + 1.0,
-                                      SolverOptions(radius=5.0))
+        fit = METHODS["lasso"].fit(uncorrected_moments(data), float(np.abs(g).max()) + 1.0,
+                                   SolverOptions(radius=5.0))
         assert np.array_equal(fit.beta, np.zeros(4))
 
 
@@ -246,9 +246,9 @@ class TestFitMethod:
         rng = np.random.default_rng(8)
         m = _m(np.eye(6), rng.standard_normal(6))
         with pytest.raises(ValueError, match="whole number"):
-            METHODS["cs_post"].fit_at(m, 3.9, OPTS)
-        assert METHODS["cs_post"].fit_at(m, 3.0, OPTS).support_used == \
-            METHODS["cs_post"].fit_at(m, 3, OPTS).support_used
+            METHODS["cs_post"].fit(m, 3.9, OPTS)
+        assert METHODS["cs_post"].fit(m, 3.0, OPTS).support_used == \
+            METHODS["cs_post"].fit(m, 3, OPTS).support_used
 
 
 def _split_pair(seed, n=400, p=30, s=3):
@@ -263,9 +263,9 @@ def _split_pair(seed, n=400, p=30, s=3):
 
 
 def _cv(train, test, grid, rule, opts):
-    """Cross-validate on the moments of the kind that ``rule`` fits on."""
-    build = METHODS[rule].moments
-    return cross_validate(build(train), build(test), grid, rule, opts)
+    """Cross-validate the record ``METHODS[rule]`` on the moments it fits on."""
+    method = METHODS[rule]
+    return cross_validate(method.moments(train), method.moments(test), grid, method, opts)
 
 
 class TestCrossValidate:
@@ -308,31 +308,31 @@ class TestCrossValidate:
     def test_negative_lambda_records_infinite_loss(self):
         train, test, beta0, _ = _split_pair(4)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        best, losses, _ = _cv(train, test, [-0.1, 0.1], "l1cls", opts)
-        assert losses[0] == np.inf and np.isfinite(losses[1]) and best == 0.1
+        best, losses, _ = _cv(train, test, [-0.1, np.inf, np.nan, 0.1], "l1cls", opts)
+        assert losses[:3] == [np.inf] * 3 and np.isfinite(losses[3]) and best == 0.1
 
     def test_fractional_an_records_infinite_loss(self):
         train, test, beta0, _ = _split_pair(4)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        best, losses, _ = _cv(train, test, [3.9, 4], "cs_post", opts)
-        assert losses[0] == np.inf and np.isfinite(losses[1]) and best == 4
+        best, losses, _ = _cv(train, test, [3.9, np.nan, np.inf, 4], "cs_post", opts)
+        assert losses[:3] == [np.inf] * 3 and np.isfinite(losses[3]) and best == 4
 
     def test_no_finite_loss_returns_no_fit(self):
         # the first screened column has a zero diagonal, so no prefix of
         # the screening order is positive definite and every a_n is inf
         m = _m(np.diag([0.0, 1.0, 1.0]), [5.0, 0.1, 0.1])
-        best, losses, fit = cross_validate(m, m, [1, 2, 3], "cs_post", OPTS)
+        best, losses, fit = cross_validate(m, m, [1, 2, 3], METHODS["cs_post"], OPTS)
         assert losses == [np.inf] * 3 and best == 1 and fit is None
 
     def test_empty_grid_rejected(self):
         m = _m(np.eye(3), [1.0, 0.5, 0.1])
         with pytest.raises(ValueError, match="empty tuning grid"):
-            cross_validate(m, m, [], "cs_post", OPTS)
+            cross_validate(m, m, [], METHODS["cs_post"], OPTS)
 
     def test_train_test_dimension_mismatch_rejected(self):
         train, test = _m(np.eye(3), [1.0, 0.5, 0.1]), _m(np.eye(2), [1.0, 0.5])
         with pytest.raises(ValueError, match="train and test dimension mismatch"):
-            cross_validate(train, test, [1, 2], "cs_post", OPTS)
+            cross_validate(train, test, [1, 2], METHODS["cs_post"], OPTS)
 
     @pytest.mark.parametrize("rule", ["cs_post", "l1cls"])
     def test_a_failing_refit_at_the_chosen_value_propagates(self, monkeypatch, rule):
@@ -369,20 +369,12 @@ class TestCrossValidate:
         fresh = {
             "cs_post": lambda v: cs_post_fit(corrected_moments(train), v, opts),
             "l1cls": lambda v: l1_cls_fit(corrected_moments(train), v, opts),
-            "lasso": lambda v: METHODS["lasso"].fit_at(uncorrected_moments(train), v, opts),
+            "lasso": lambda v: METHODS["lasso"].fit(uncorrected_moments(train), v, opts),
         }
         for rule, refit in fresh.items():
             grid = [2, 4, 8] if rule == "cs_post" else default_lambda_grid()
             best, losses, fit = _cv(train, test, grid, rule, opts)
             assert np.array_equal(fit.beta, refit(best).beta), rule
-            assert fit.method == refit(best).method
-
-    def test_unknown_rule_raises_before_fitting(self):
-        train, test, beta0, _ = _split_pair(7)
-        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        with pytest.raises(ValueError, match="unknown fit rule 'cs-post'"):
-            cross_validate(corrected_moments(train), corrected_moments(test), [1, 2, 3],
-                           "cs-post", opts)
 
     @pytest.mark.parametrize("rule", ["l1cls", "lasso"])
     def test_one_lipschitz_bound_per_moments(self, monkeypatch, rule):
@@ -468,7 +460,7 @@ class TestWarmStartedPath:
         grid = default_lambda_grid()
         cold = sum(l1_cls_fit(train_m, lam, opts).iterations for lam in grid)
         calls = _recording_fit(monkeypatch)
-        cross_validate(train_m, test_m, grid, "l1cls", opts)
+        cross_validate(train_m, test_m, grid, METHODS["l1cls"], opts)
         *path, _ = calls  # the last call is the winner's refit
         assert len(path) == len(grid)
         assert 2 * sum(fit.iterations for _, _, fit in path) <= cold
@@ -485,8 +477,8 @@ class TestWideCsPost:
         tracemalloc.start()
         try:
             best, losses, fit = cross_validate(train_m, test_m, default_an_grid(n, p),
-                                               "cs_post", opts)
-            METHODS["cs_post"].fit_at(train_m, best, opts)
+                                               METHODS["cs_post"], opts)
+            METHODS["cs_post"].fit(train_m, best, opts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -503,8 +495,8 @@ class TestWideCsPost:
         dense = [_m(m.gamma_mat, m.gamma_vec, n=m.n) for m in (train_m, test_m)]
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
         grid = default_an_grid(100, 300)
-        best, losses, fit = cross_validate(train_m, test_m, grid, "cs_post", opts)
-        ref_best, ref_losses, ref_fit = cross_validate(*dense, grid, "cs_post", opts)
+        best, losses, fit = cross_validate(train_m, test_m, grid, METHODS["cs_post"], opts)
+        ref_best, ref_losses, ref_fit = cross_validate(*dense, grid, METHODS["cs_post"], opts)
         assert best == ref_best and np.array_equal(np.isinf(losses), np.isinf(ref_losses))
         finite = np.isfinite(ref_losses)
         assert np.allclose(np.array(losses)[finite], np.array(ref_losses)[finite],
@@ -551,7 +543,7 @@ class TestPositiveDefinitePrefix:
         assert 0.0 < least < 1e-8
         np.linalg.cholesky(B[:2, :2])
         m = _m(B, [4.0, 3.0, 2.0, 1.0])
-        best, losses, fit = cross_validate(m, m, [1, 2, 3, 4], "cs_post", OPTS)
+        best, losses, fit = cross_validate(m, m, [1, 2, 3, 4], METHODS["cs_post"], OPTS)
         assert np.isfinite(losses[0]) and losses[1:] == [np.inf] * 3
         assert best == 1 and fit.support_used == (0,)
         assert corrls.post.pd_prefix_length(B) == 1
@@ -589,7 +581,7 @@ class TestPositiveDefinitePrefix:
         opts = SolverOptions(radius=radius)
         k_star = _linear_scan(_ordered_block(train_m))
         grid = list(range(1, k_star + 1))
-        _, losses, _ = cross_validate(train_m, test_m, grid, "cs_post", opts)
+        _, losses, _ = cross_validate(train_m, test_m, grid, METHODS["cs_post"], opts)
         scored = []
         for k, loss in zip(grid, losses):
             fit = post_cls_fit(train_m, corrls.selection.cs_screen(train_m.gamma_vec, k), opts)
@@ -607,7 +599,7 @@ class TestPositiveDefinitePrefix:
         k_star = _linear_scan(_ordered_block(train_m))
         grid = default_an_grid(500, 100)
         assert 0 < k_star < grid[-1]
-        best, losses, fit = cross_validate(train_m, test_m, grid, "cs_post", opts)
+        best, losses, fit = cross_validate(train_m, test_m, grid, METHODS["cs_post"], opts)
         # inside the prefix, the solves from a_n = 11 on leave the ball
         assert all(np.isfinite(losses[:10]))
         assert losses[10:] == [np.inf] * (len(grid) - 10)
@@ -626,7 +618,7 @@ class TestPositiveDefinitePrefix:
         monkeypatch.setattr(corrls.post, "l1_cls_fit", counting)
         train_m, test_m, radius = _paper_cell(0)
         assert _linear_scan(_ordered_block(train_m)) < 100
-        cross_validate(train_m, test_m, default_an_grid(500, 100), "cs_post",
+        cross_validate(train_m, test_m, default_an_grid(500, 100), METHODS["cs_post"],
                        SolverOptions(radius=radius))
         assert calls == []
 

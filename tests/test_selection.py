@@ -23,6 +23,7 @@ from corrls.selection import (
     _project_l1_ball,
     lipschitz_estimate,
     screen_order,
+    screen_size,
 )
 from corrls.simulate import SimConfig, ar1_covariance, gen_regression
 
@@ -485,15 +486,23 @@ class TestActiveRowsMatvec:
             assert np.allclose(active_rows_matvec(A, b), (A.T if transposed else A) @ b)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: SolverOptions(max_iters=0),
-    lambda: SolverOptions(rel_tol=0),
-    lambda: SolverOptions(radius=0),
-    lambda: SolverOptions(radius=float("nan")),
-    lambda: l1_cls_fit(_m(np.eye(2), [1.0, 0.0]), -0.1, SolverOptions()),
-], ids=["max_iters", "rel_tol", "radius", "nan_radius", "negative_lambda"])
-def test_invalid_solver_input_raises(build):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("build, match", [
+    (lambda: SolverOptions(max_iters=0), "max_iters must be >= 1"),
+    (lambda: SolverOptions(rel_tol=0), "rel_tol must be positive"),
+    (lambda: SolverOptions(radius=0), "radius must be positive"),
+    (lambda: SolverOptions(radius=float("nan")), "radius must be positive"),
+    (lambda: l1_cls_fit(_m(np.eye(2), [1.0, 0.0]), -0.1, SolverOptions()),
+     "lambda must be a finite number >= 0, got -0.1"),
+    (lambda: l1_cls_fit(_m(np.eye(2), [1.0, 0.0]), np.inf, SolverOptions()),
+     "lambda must be a finite number >= 0, got inf"),
+    (lambda: l1_cls_fit(_m(np.eye(2), [1.0, 0.0]), np.float64("nan"), SolverOptions()),
+     "lambda must be a finite number >= 0, got nan"),
+    (lambda: screen_size(float("nan"), 5), "a_n must be a whole number, got nan"),
+    (lambda: screen_size(-np.inf, 5), "a_n must be a whole number, got -inf"),
+], ids=["max_iters", "rel_tol", "radius", "nan_radius", "negative_lambda", "inf_lambda",
+        "nan_lambda", "nan_an", "inf_an"])
+def test_invalid_solver_input_raises(build, match):
+    with pytest.raises(ValueError, match=match):
         build()
 
 
