@@ -18,14 +18,14 @@ import numpy as np
 from ._rng import substream
 from .data import write_table
 from .metrics import false_positives, ree, true_positive_rate
-from .post import METHODS as _RECORDS, cross_validate, with_estimated_missing_rates
+from .post import METHODS as _RECORDS, PAPER_METHODS, cross_validate, with_estimated_missing_rates
 from .selection import SolverOptions
 from .simulate import SimConfig, gen_regression
 
 __all__ = ["GridSpec", "ExperimentRecord", "grid_cells", "run_grid", "emit_results", "CSV_HEADER"]
 
 _FIT_RULES = {m.label: name for name, m in _RECORDS.items()}  # record label -> fit rule
-METHODS = tuple(_FIT_RULES)
+METHODS = tuple(_RECORDS[key].label for key in PAPER_METHODS)  # a grid's default methods
 
 #: CSV column -> `ExperimentRecord` field, in file order
 _COLUMNS = {"scenario": "scenario", "n": "n", "p": "p", "s": "s", "noise": "noise_kind",
@@ -72,7 +72,7 @@ class GridSpec:
             raise ValueError(f"base_seed must be a whole number, got {seed!r}")
         object.__setattr__(self, "replicates", int(reps))
         object.__setattr__(self, "base_seed", int(seed))
-        bad = set(self.methods) - set(METHODS)
+        bad = set(self.methods) - set(_FIT_RULES)
         if bad:
             raise ValueError(f"unknown methods: {sorted(bad)}")
         # the model fields, checked by SimConfig at the least n and p and the greatest s

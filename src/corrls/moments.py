@@ -116,7 +116,7 @@ class CorrectedMoments:
         When `wide` with a `factor`, the eigenvalues of gamma_mat lie in
         [-max d, lambda_max(A'A/n)], d_j = rho_j (A'A/n)_jj < lambda_max: it is
         lambda_max(AA'/n) (A = Z if raw) by `_lanczos_top`: for the raw Gram it agrees
-        with `eigvalsh` to 1e-12 relative, else it is a bound.  AA' is summed over
+        with `eigvalsh` to 1e-13 relative, else it is a bound.  AA' is summed over
         blocks of columns of A, so Z / q is never copied whole."""
         from .selection import _lanczos_top, lipschitz_estimate  # selection imports this module
 

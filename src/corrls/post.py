@@ -31,6 +31,7 @@ from .selection import screen_order, screen_size
 
 __all__ = [
     "METHODS",
+    "PAPER_METHODS",
     "Method",
     "post_cls_fit",
     "cs_post_fit",
@@ -164,7 +165,7 @@ def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid, o
     and w = L^-1 g, the refit is beta_k = L_k'^-1 w[:k].  Points past that
     prefix, points whose solve leaves the l1 ball of radius opts.radius
     (where `_refit` would fall back), and a_n that `screen_size` rejects
-    record inf without a fit.
+    record inf without a fit.  Returns (losses, {}): it makes no fit.
     """
     sizes = []
     for v in grid:
@@ -187,24 +188,29 @@ def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid, o
         loss = 0.5 * np.einsum("ik,ik->k", betas, H @ betas) - h @ betas
         inside = ~_outside_ball(betas.T, opts.radius)  # else the refit would fall back
         prefix[1:] = np.where(np.isfinite(loss) & inside, loss, np.inf)
-    return [float(prefix[k]) if 0 < k <= k_star else np.inf for k in sizes]
+    return [float(prefix[k]) if 0 < k <= k_star else np.inf for k in sizes], {}
 
 
 def _penalized_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
                       opts: SolverOptions):
     """Held-out loss of `l1_cls_fit` at each penalty, aligned to the grid (inf
     where the fit or its loss failed), fitted in ascending order as one path:
-    each fit starts from the beta of the last that succeeded, the first at 0."""
-    losses = [np.inf] * len(grid)
+    each fit starts from the beta of the last that succeeded, the first at 0.
+    Returns (losses, {index: fit} of the first fit that succeeded, which is the
+    method's fit from zero there)."""
+    losses, cold = [np.inf] * len(grid), {}
     beta0 = None
     for i in sorted(range(len(grid)), key=grid.__getitem__):
         try:
-            beta0 = l1_cls_fit(train_m, float(grid[i]), opts, beta0=beta0).beta
+            fit = l1_cls_fit(train_m, float(grid[i]), opts, beta0=beta0)
+            if not cold:  # the first fit that succeeded, which started at 0
+                cold[i] = fit
+            beta0 = fit.beta
             loss = float(corrected_loss(beta0, test_m))
         except FIT_ERRORS:
             continue
         losses[i] = loss if np.isfinite(loss) else np.inf
-    return losses
+    return losses, cold
 
 
 def _corrected(data):
@@ -227,7 +233,7 @@ class Method:
     moments: Callable  # dataset -> the moments the method fits on
     grid: Callable  # (n, p) -> default tuning grid
     fit: Callable  # (moments, tuning value, opts) -> FitResult
-    losses: Callable  # (train moments, test moments, grid, opts) -> held-out losses
+    losses: Callable  # (train, test, grid, opts) -> (losses, {grid index: its fit from zero})
 
 
 #: method key (`corrls fit`/`tune --method`) -> how it is fitted and tuned
@@ -239,6 +245,7 @@ METHODS = {
     "lasso": Method("Lasso", _uncorrected, lambda n, p: default_lambda_grid(),
                     lambda m, lam, opts: l1_cls_fit(m, lam, opts), _penalized_losses),
 }
+PAPER_METHODS = ("cs_post", "l1cls", "lasso")  # the methods the paper compares: a grid's default
 
 
 def best_grid_index(losses, grid):
@@ -268,17 +275,17 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     (`pd_prefix_length`) and where its solve leaves the l1 ball, so its pick
     is a direct solve.  Ties (`best_grid_index`) break toward the smaller value.
 
-    Returns (best_value, losses, fit): losses aligned to the grid, and a fresh
-    ``method.fit`` from zero at best_value, or None if no loss is finite.  A
-    failure of that fit propagates.
+    Returns (best_value, losses, fit): losses aligned to the grid, and the fit
+    from zero at best_value, or None if no loss is finite: the one ``method.losses``
+    made there, if any, else a fresh ``method.fit``, whose failure propagates.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("empty tuning grid")
     if train_m.p != test_m.p:
         raise ValueError("train and test dimension mismatch")
-    losses = method.losses(train_m, test_m, grid, opts)
+    losses, cold = method.losses(train_m, test_m, grid, opts)
     i = best_grid_index(losses, grid)
     if losses[i] == np.inf:
         return grid[i], losses, None
-    return grid[i], losses, method.fit(train_m, grid[i], opts)
+    return grid[i], losses, cold[i] if i in cold else method.fit(train_m, grid[i], opts)

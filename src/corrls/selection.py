@@ -156,10 +156,11 @@ def lipschitz_estimate(G):
 
 def _lanczos_top(G):
     """Largest eigenvalue of a symmetric positive semidefinite n x n G by Lanczos
-    with full reorthogonalization from a fixed start: the top Ritz value once its
-    residual bound beta_j |s_j| is at most 1e-10 of it, or at step n, where it is
-    exact.  Its products are matrix-vector ones, whose bytes do not depend on the
-    BLAS thread count."""
+    with full reorthogonalization from a fixed start: the top Ritz value theta once
+    its residual bound r = beta_j |s_j| is at most 1e-10 theta, or once the value's
+    error bound r^2 / gap (Parlett 1998; gap ~ theta - the next Ritz value) is at
+    most 1e-14 theta, or at step n, where it is exact.  Its products are
+    matrix-vector ones, whose bytes do not depend on the BLAS thread count."""
     n = G.shape[0]
     Q = np.empty((n, n))  # row j is the j-th Lanczos vector
     q = np.random.default_rng(0).standard_normal(n)
@@ -175,8 +176,9 @@ def _lanczos_top(G):
         stop = j + 1 == n or b <= 1e-10 * max(alpha)  # <= 1e-10 theta; w / b is rounding noise
         if stop or (j >= 29 and j % 10 == 9):  # else checked every 10 steps from step 30
             theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1), UPLO="L")
-            if stop or b * abs(S[-1, -1]) <= 1e-10 * theta[-1]:
-                return float(theta[-1])
+            top, r = theta[-1], b * abs(S[-1, -1])
+            if stop or r <= 1e-10 * top or r * r <= 1e-14 * top * (top - theta[-2]):
+                return float(top)
         beta.append(b)
         q = w / b
 

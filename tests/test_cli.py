@@ -15,10 +15,10 @@ import corrls.experiment
 from corrls import (MissingNoise, PrecisionEstimate, SolverOptions, corrected_moments,
                     l1_cls_fit, support, uncorrected_moments)
 from corrls.cli import _load_config, main
-from corrls.data import read_dataset_csv, read_matrix_csv
+from corrls.data import read_dataset_csv, read_matrix_csv, write_dataset_csv
 from corrls.experiment import ExperimentRecord, GridSpec
 from corrls.post import METHODS, with_estimated_missing_rates
-from corrls.simulate import SimConfig
+from corrls.simulate import SimConfig, gen_regression
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(corrls.experiment.__file__).resolve().parent.parent
@@ -385,6 +385,39 @@ def test_experiment_save_coefs_sidecar(tmp_path):
         js, beta = zip(*coefs[r.scenario, r.method])
         assert list(js) == list(range(1, r.p + 1))  # 1-based, as `corrls fit` prints
         assert np.array(beta).tobytes() == r.beta.tobytes()
+
+
+def test_fit_at_a_wide_experiment_pick_gives_the_saved_coefficients(tmp_path, capsys):
+    # the reference snapshot's wide cell: L1CLS picks lambda = 0, the first fit of
+    # its path, and the Lasso 0.25 and 0.4, refitted after L1CLS filled the
+    # train split's shared row store; `corrls fit` on that split starts afresh
+    grid = {"n_values": [100], "p_values": [300], "s_values": [4], "noise_kind": "missing",
+            "replicates": 2, "base_seed": 0}
+    cfg, out = tmp_path / "grid.json", tmp_path / "res.csv"
+    cfg.write_text(json.dumps(grid))
+    assert main(["experiment", "--config", str(cfg), "--out", str(out), "--save-coefs",
+                 "--no-timing"]) == 0
+    with open(out, newline="") as fh:
+        picks = {(r["scenario"], r["method"]): r["tuning"] for r in csv.DictReader(fh)}
+    saved = {}
+    with open(f"{out}.coefs.csv", newline="") as fh:
+        for scenario, method, _, coef in list(csv.reader(fh))[1:]:
+            saved.setdefault((scenario, method), []).append(coef)
+    assert [[float(picks[f"n100_p300_s4_r{rep}", METHODS[key].label]) for rep in (0, 1)]
+            for key in ("l1cls", "lasso")] == [[0.0, 0.0], [0.25, 0.4]]
+    spec = _load_config(GridSpec, cfg)
+    for rep in range(2):
+        seed = corrls.experiment._cell_seed(0, 100, 300, 4, rep)
+        train, beta0, _ = gen_regression(spec._sim_config(100, 300, 4, seed))
+        data_csv = tmp_path / f"train{rep}.csv"
+        write_dataset_csv(train, data_csv)
+        radius = repr(1.1 * float(np.abs(beta0).sum()))  # the experiment's radius
+        for key in ("l1cls", "lasso"):
+            cell, coef_csv = (f"n100_p300_s4_r{rep}", METHODS[key].label), tmp_path / "coef.csv"
+            assert main(["fit", "--data", str(data_csv), "--noise", "missing", "--method", key,
+                         "--tuning", picks[cell], "--radius", radius,
+                         "--out", str(coef_csv)]) == 0
+            assert coef_csv.read_text().split() == saved[cell], cell
 
 
 def test_experiment_strict_exits_1_on_an_error_row(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import math
 import os
 import pickle
@@ -21,12 +22,12 @@ from corrls.experiment import _POOL_MIN_CELLS, CSV_HEADER, _run_cell, grid_cells
 from corrls.metrics import ree
 
 
-def _tiny_spec(**over):
+def _tiny_spec(grid_spec=GridSpec, **over):
     base = dict(n_values=(80,), p_values=(20,), s_values=(2,),
                 noise_kind="missing", replicates=1, base_seed=77,
                 rho_range=(0.1, 0.3))
     base.update(over)
-    return GridSpec(**base)
+    return grid_spec(**base)
 
 
 class TestGridSpec:
@@ -78,6 +79,20 @@ class TestGridSpec:
         # a repeat would write two rows with the same scenario and method
         with pytest.raises(ValueError, match=f"{field} must not repeat a value"):
             _tiny_spec(**{field: values})
+
+    def test_a_new_method_record_joins_no_default_grid(self, monkeypatch):
+        # corrls.experiment loaded afresh once post.METHODS holds a fourth record:
+        # a grid runs it when asked, and by default still the paper's three
+        monkeypatch.setitem(corrls.post.METHODS, "fourth",
+                            replace(corrls.post.METHODS["l1cls"], label="Fourth"))
+        spec = importlib.util.spec_from_file_location("corrls._experiment_reloaded",
+                                                      corrls.experiment.__file__)
+        reloaded = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, reloaded)  # its dataclasses look it up
+        spec.loader.exec_module(reloaded)
+        paper = tuple(corrls.post.METHODS[key].label for key in ("cs_post", "l1cls", "lasso"))
+        assert _tiny_spec(reloaded.GridSpec).methods == paper
+        assert _tiny_spec(reloaded.GridSpec, methods=("Fourth",)).methods == ("Fourth",)
 
 
 def _error_row(monkeypatch):

@@ -29,7 +29,7 @@ from corrls import (
 from corrls.data import _BLOCK_ENTRIES, GramRows
 from corrls.experiment import GridSpec, run_grid
 from corrls.post import METHODS, cross_validate, default_lambda_grid
-from corrls.selection import SolverOptions, l1_cls_fit, lipschitz_estimate
+from corrls.selection import SolverOptions, _lanczos_top, l1_cls_fit, lipschitz_estimate
 from corrls.simulate import SimConfig, ar1_covariance, gen_beta0, gen_regression, sample_gaussian
 from corrls._rng import substream
 
@@ -315,6 +315,87 @@ class TestLipschitzBound:
         plain = CorrectedMoments(gamma_mat=m.gamma_mat, gamma_vec=m.gamma_vec, n=m.n, p=m.p)
         assert _bounded_on(monkeypatch, plain) == [(300, 300)]
         assert plain.lipschitz == _exact_lipschitz(m)
+
+
+#: (n, p) of the wide missing-data cells whose n x n bound matrices the stopping
+#: rule of `_lanczos_top` is checked on, corrected and raw
+LANCZOS_SHAPES = [(100, 300), (200, 600), (500, 1000)]
+
+
+class _CountedProducts:
+    """An n x n matrix as `_lanczos_top` reads it, ``shape`` and ``dot``,
+    counting its matrix-vector products."""
+
+    def __init__(self, G):
+        self.G, self.shape, self.products = G, G.shape, 0
+
+    def dot(self, q):
+        self.products += 1
+        return self.G.dot(q)
+
+
+def _residual_rule_products(G):
+    """The products Lanczos takes on G, from `_lanczos_top`'s start and on its
+    cadence, when it stops only once the top Ritz value's residual bound is at
+    most 1e-10 of it (or at step n, or on an invariant subspace)."""
+    n = G.shape[0]
+    Q = np.empty((n, n))
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    alpha, beta = [], []
+    for j in range(n):
+        Q[j] = q
+        w = G.dot(q)
+        alpha.append(float(q.dot(w)))
+        for _ in range(2):
+            w -= Q[:j + 1].dot(w).dot(Q[:j + 1])
+        b = float(np.linalg.norm(w))
+        stop = j + 1 == n or b <= 1e-10 * max(alpha)
+        if stop or (j >= 29 and j % 10 == 9):
+            theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1), UPLO="L")
+            if stop or b * abs(S[-1, -1]) <= 1e-10 * theta[-1]:
+                return j + 1
+        beta.append(b)
+        q = w / b
+
+
+@pytest.fixture(scope="module")
+def lanczos_matrices():
+    """{(moments function name, n, p): the n x n matrix `_lanczos_top` bounds}."""
+    with pytest.MonkeyPatch.context() as mp:
+        return {(build.__name__, n, p):
+                _wide_bound_matrix(mp, build(_wide("missing", 11, n, p)))[0]
+                for n, p in LANCZOS_SHAPES
+                for build in (corrected_moments, uncorrected_moments)}
+
+
+class TestLanczosStoppingRule:
+    def test_top_eigenvalue_within_1e_13_of_eigvalsh(self, lanczos_matrices):
+        for key, G in lanczos_matrices.items():
+            exact = np.linalg.eigvalsh(G)[-1]
+            assert abs(_lanczos_top(G) - exact) <= 1e-13 * exact, key
+
+    def test_no_more_products_than_the_residual_rule(self, lanczos_matrices):
+        for key, G in lanczos_matrices.items():
+            counted = _CountedProducts(G)
+            assert _lanczos_top(counted) == _lanczos_top(G)
+            assert counted.products <= _residual_rule_products(G), key
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, lanczos_matrices, tmp_path):
+        path = tmp_path / "G.npz"
+        np.savez(path, *lanczos_matrices.values())
+        script = ("import sys, numpy as np; from corrls.selection import _lanczos_top; "
+                  "f = np.load(sys.argv[1]); "
+                  "print(' '.join(_lanczos_top(f[k]).hex() for k in f.files))")
+        src = str(Path(corrls.selection.__file__).resolve().parents[1])
+        bounds = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                 check=True, capture_output=True, text=True, timeout=120)
+            bounds.append(out.stdout.split())
+        assert len(bounds[0]) == len(lanczos_matrices) and bounds[0] == bounds[1]
 
 
 #: (moments function, noise kind) of the three kinds of dataset moments

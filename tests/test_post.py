@@ -418,6 +418,7 @@ class TestWarmStartedPath:
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
         grid = default_lambda_grid()[::-1]
         best, _, fit = _cv(train, test, grid, rule, opts)
+        assert best > min(grid)  # seed 5 picks past the path's first fit: the last call refits
         *path, refit = calls
         assert [lam for lam, _, _ in path] == sorted(grid)
         assert path[0][1] is None
@@ -460,10 +461,34 @@ class TestWarmStartedPath:
         grid = default_lambda_grid()
         cold = sum(l1_cls_fit(train_m, lam, opts).iterations for lam in grid)
         calls = _recording_fit(monkeypatch)
-        cross_validate(train_m, test_m, grid, METHODS["l1cls"], opts)
-        *path, _ = calls  # the last call is the winner's refit
+        best, _, _ = cross_validate(train_m, test_m, grid, METHODS["l1cls"], opts)
+        assert best > min(grid)  # seed 9 picks past the path's first fit: the last call refits
+        *path, _ = calls
         assert len(path) == len(grid)
         assert 2 * sum(fit.iterations for _, _, fit in path) <= cold
+
+    def test_a_pick_at_the_path_start_is_not_fitted_again(self, monkeypatch):
+        # the reference snapshot's wide cell, whose L1CLS picks lambda = 0 in both
+        # replicates: the path's first fit, made from zero, is the fit returned
+        calls = _recording_fit(monkeypatch)
+        runs = []
+
+        def recording(train_m, test_m, grid, method, opts):
+            before = len(calls)
+            best, losses, fit = cross_validate(train_m, test_m, grid, method, opts)
+            runs.append((train_m.source[0], grid, opts, best, fit, len(calls) - before))
+            return best, losses, fit
+
+        monkeypatch.setattr(corrls.experiment, "cross_validate", recording)
+        corrls.experiment.run_grid(corrls.experiment.GridSpec(
+            n_values=(100,), p_values=(300,), s_values=(4,), noise_kind="missing",
+            replicates=2, base_seed=0, methods=(METHODS["l1cls"].label,)))
+        assert len(runs) == 2
+        for data, grid, opts, best, fit, fits_made in runs:
+            assert best == 0 and fits_made == len(grid)
+            fresh = SurrogateDataset(Z=data.Z, y=data.y, noise=data.noise, mask=data.mask)
+            assert fit.beta.tobytes() == \
+                l1_cls_fit(corrected_moments(fresh), 0.0, opts).beta.tobytes()
 
 
 class TestWideCsPost:
