@@ -30,7 +30,8 @@ METHODS = tuple(_RECORDS[key].label for key in PAPER_METHODS)  # a grid's defaul
 #: CSV column -> `ExperimentRecord` field, in file order
 _COLUMNS = {"scenario": "scenario", "n": "n", "p": "p", "s": "s", "noise": "noise_kind",
             "method": "method", "seed": "seed", "tuning": "tuning", "ree": "ree",
-            "fp": "false_positives", "tpr": "true_positive_rate", "wall_s": "wall_time_s"}
+            "fp": "false_positives", "tpr": "true_positive_rate", "wall_s": "wall_time_s",
+            "error": "error_type"}
 CSV_HEADER = ",".join(_COLUMNS)
 #: the scores of an error row: no tuning value, REE or TPR, and -1 false positives
 _ERROR_SCORES = {"tuning": float("nan"), "ree": float("nan"), "false_positives": -1,
@@ -100,7 +101,8 @@ class ExperimentRecord:
     true_positive_rate: float
     wall_time_s: float
     beta: np.ndarray | None = field(default=None, compare=False)
-    error: str | None = None
+    error: str | None = None  # an error row's message
+    error_type: str = ""  # an error row's exception class name
 
 
 def grid_cells(spec: GridSpec):
@@ -144,12 +146,13 @@ def _run_cell(spec: GridSpec, n, p, s, rep, keep_beta):
                       "false_positives": false_positives(fit.support_used, T),
                       "true_positive_rate": true_positive_rate(fit.support_used, T)}
             wall = time.perf_counter() - t0  # the beta copy is not timed
-            beta, error = (fit.beta.copy() if keep_beta else None), None
+            beta, failed = (fit.beta.copy() if keep_beta else None), {}
         except Exception as exc:  # error row, not a run abort
-            scores, wall, beta, error = _ERROR_SCORES, time.perf_counter() - t0, None, str(exc)
+            scores, wall, beta = _ERROR_SCORES, time.perf_counter() - t0, None
+            failed = {"error": str(exc), "error_type": type(exc).__name__}
         records.append(ExperimentRecord(
             scenario=scenario, n=n, p=p, s=s, noise_kind=spec.noise_kind, method=method.label,
-            seed=seed, **scores, wall_time_s=wall, beta=beta, error=error))
+            seed=seed, **scores, wall_time_s=wall, beta=beta, **failed))
     return records
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "cs_post_fit",
     "best_grid_index",
     "cross_validate",
-    "pd_prefix_length",
     "with_estimated_missing_rates",
     "default_an_grid",
     "default_lambda_grid",
@@ -136,15 +135,18 @@ def default_lambda_grid():
     return [round(0.05 * k, 2) for k in range(21)]
 
 
-def pd_prefix_length(B):
-    """Largest k such that the leading k x k block of the symmetric B passes
-    `_is_pd`, the test under which `post_cls_fit` solves directly (0 if none).
+def _prefix_refits(B, g, radius):
+    """The direct solve beta_k of each leading k x k block of the symmetric B
+    with the same rows of g, up to the longest block, k*, that passes `_is_pd`.
 
     Leading blocks are nested, so by eigenvalue interlacing their least
     eigenvalues do not increase with k: the whole of B is tried first, and
-    only if it fails does a bisection over k find the end.
+    only if it fails does a bisection over k find k*.  The k* x k* block is
+    factored again unshifted, L L', and beta_k = L_k'^-1 (L^-1 g)[:k].
+    Returns (betas, inside): column k-1 of betas is beta_k padded with zeros,
+    and inside[k-1] whether beta_k lies in the l1 ball of the radius, where
+    `_refit` keeps a direct solve.
     """
-    B = np.asarray(B, dtype=float)
     good, bad = 0, len(B) + 1  # prefix `good` passes, prefix `bad` does not
     k = len(B)
     while bad - good > 1:
@@ -153,19 +155,22 @@ def pd_prefix_length(B):
         else:
             bad = k
         k = (good + bad) // 2
-    return good
+    L = np.linalg.cholesky(B[:good, :good])
+    w = np.linalg.solve(L, g[:good])
+    # L' x = (w[:k], 0) is solved by x = (beta_k, 0) as L' is upper triangular
+    betas = np.linalg.solve(L.T, np.triu(np.tile(w[:, None], good)))
+    return betas, ~_outside_ball(betas.T, radius)
 
 
 def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid, opts):
     """Held-out loss of CS+post at each a_n of the grid, from one Cholesky factor.
 
     The screened supports are prefixes of one |gamma| ordering, so the refit
-    at a_n = k solves the leading k x k block B_k of the ordered training
-    Gram.  With B = L L' on the positive-definite prefix (`pd_prefix_length`)
-    and w = L^-1 g, the refit is beta_k = L_k'^-1 w[:k].  Points past that
-    prefix, points whose solve leaves the l1 ball of radius opts.radius
-    (where `_refit` would fall back), and a_n that `screen_size` rejects
-    record inf without a fit.  Returns (losses, {}): it makes no fit.
+    at a_n = k solves the leading k x k block of the ordered training Gram
+    (`_prefix_refits`).  Points past its positive-definite prefix, points
+    whose solve leaves the l1 ball of radius opts.radius (where `_refit`
+    would fall back), and a_n that `screen_size` rejects record inf without
+    a fit.  Returns (losses, {}): it makes no fit.
     """
     sizes = []
     for v in grid:
@@ -174,21 +179,12 @@ def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid, o
         except FIT_ERRORS:
             sizes.append(0)
     idx = screen_order(train_m.gamma_vec, max(sizes))
-    B = train_m.block(idx)
-    k_star = pd_prefix_length(B)
-    prefix = np.full(k_star + 1, np.inf)  # prefix[k]: held-out loss at a_n = k
-    if k_star:
-        idx = idx[:k_star]
-        L = np.linalg.cholesky(B[:k_star, :k_star])
-        w = np.linalg.solve(L, train_m.gamma_vec[idx])
-        # column k-1 holds beta_k padded with zeros: L' x = (w[:k], 0) is
-        # solved by x = (beta_k, 0) as L' is upper triangular
-        betas = np.linalg.solve(L.T, np.triu(np.tile(w[:, None], k_star)))
-        H, h = test_m.block(idx), test_m.gamma_vec[idx]
-        loss = 0.5 * np.einsum("ik,ik->k", betas, H @ betas) - h @ betas
-        inside = ~_outside_ball(betas.T, opts.radius)  # else the refit would fall back
-        prefix[1:] = np.where(np.isfinite(loss) & inside, loss, np.inf)
-    return [float(prefix[k]) if 0 < k <= k_star else np.inf for k in sizes], {}
+    betas, inside = _prefix_refits(train_m.block(idx), train_m.gamma_vec[idx], opts.radius)
+    idx = idx[:len(betas)]
+    H, h = test_m.block(idx), test_m.gamma_vec[idx]
+    loss = 0.5 * np.einsum("ik,ik->k", betas, H @ betas) - h @ betas
+    prefix = np.append(np.inf, np.where(np.isfinite(loss) & inside, loss, np.inf))  # by a_n
+    return [float(prefix[k]) if k < len(prefix) else np.inf for k in sizes], {}
 
 
 def _penalized_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
@@ -272,7 +268,7 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     L1CLS and the Lasso fit the grid as one warm-started path
     (`_penalized_losses`).  CS+post records an infinite loss, without a fit,
     past the positive-definite prefix of its screening order
-    (`pd_prefix_length`) and where its solve leaves the l1 ball, so its pick
+    (`_prefix_refits`) and where its solve leaves the l1 ball, so its pick
     is a direct solve.  Ties (`best_grid_index`) break toward the smaller value.
 
     Returns (best_value, losses, fit): losses aligned to the grid, and the fit

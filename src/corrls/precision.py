@@ -121,8 +121,8 @@ def assemble_precision(fits, S) -> PrecisionEstimate:
     arrays (slopes, supports, fallback flags) that `_fit_columns` returns.
 
     Column j gets d_j = 1/(S_jj - S_{j,-j} theta^j) on the diagonal and
-    -d_j * theta^j elsewhere.  A denominator at zero is rejected; a
-    negative one is legal but recorded.
+    0 - d_j * theta^j elsewhere, +0 (not -0) where a slope is zero.  A
+    denominator at zero is rejected; a negative one is legal but recorded.
     """
     thetas, supports, fallback = fits
     S = np.asarray(S, dtype=float)
@@ -135,7 +135,7 @@ def assemble_precision(fits, S) -> PrecisionEstimate:
         raise ValueError(f"residual variance degenerate at column {degenerate[0]}")
     d = 1.0 / denom
     columns = np.zeros((p, p))  # row j is column j of theta_raw
-    _off_diagonal(columns)[:] = (-d[:, None] * thetas).reshape(p - 1, p)
+    _off_diagonal(columns)[:] = (0.0 - d[:, None] * thetas).reshape(p - 1, p)
     np.fill_diagonal(columns, d)
     theta_raw = columns.T
     negative_d = np.flatnonzero(denom <= 0).tolist()

@@ -682,7 +682,7 @@ def _fixed_records():
         ExperimentRecord(
             **common, method="Lasso", tuning=float("nan"), ree=float("nan"),
             false_positives=-1, true_positive_rate=float("nan"), wall_time_s=0.25,
-            error="cross-validation failed at every grid point"),
+            error="cross-validation failed at every grid point", error_type="ArithmeticError"),
     ]
 
 
@@ -692,11 +692,11 @@ def test_experiment_results_and_sidecar_golden_bytes(tmp_path, capsys, monkeypat
     cfg.write_text(json.dumps(GRID))
     assert main(["experiment", "--config", str(cfg), "--out", str(out), "--save-coefs"]) == 0
     assert out.read_bytes() == (
-        b"scenario,n,p,s,noise,method,seed,tuning,ree,fp,tpr,wall_s\n"
-        b"n70_p3_s2_r0,70,3,2,missing,CS+post,123,2,0.33333333333333331,0,1,0\n"
+        b"scenario,n,p,s,noise,method,seed,tuning,ree,fp,tpr,wall_s,error\n"
+        b"n70_p3_s2_r0,70,3,2,missing,CS+post,123,2,0.33333333333333331,0,1,0,\n"
         b"n70_p3_s2_r0,70,3,2,missing,L1CLS,123,0.050000000000000003,1e-300,"
-        b"1,0.5,0\n"
-        b"n70_p3_s2_r0,70,3,2,missing,Lasso,123,nan,nan,-1,nan,0.25\n")
+        b"1,0.5,0,\n"
+        b"n70_p3_s2_r0,70,3,2,missing,Lasso,123,nan,nan,-1,nan,0.25,ArithmeticError\n")
     assert Path(f"{out}.coefs.csv").read_bytes() == (
         b"scenario,method,j,coef\n"
         b"n70_p3_s2_r0,CS+post,1,-0\nn70_p3_s2_r0,CS+post,2,0.10000000000000001\n"

@@ -340,7 +340,7 @@ class TestEmitResults:
         columns = {"scenario": "scenario", "n": "n", "p": "p", "s": "s", "noise": "noise_kind",
                    "method": "method", "seed": "seed", "tuning": "tuning", "ree": "ree",
                    "fp": "false_positives", "tpr": "true_positive_rate",
-                   "wall_s": "wall_time_s"}
+                   "wall_s": "wall_time_s", "error": "error_type"}
         assert CSV_HEADER == ",".join(columns) and len(rows) == 2
         for row, record in zip(rows, [result, error]):
             for column, name in columns.items():
@@ -355,15 +355,24 @@ class TestEmitResults:
                              true_positive_rate=np.float64(2 / 3), wall_time_s=1e-5),
             ExperimentRecord(**common, method="Lasso", tuning=float("nan"), ree=float("nan"),
                              false_positives=-1, true_positive_rate=float("nan"),
-                             wall_time_s=0.5, error="diverged"),
+                             wall_time_s=0.5, error="diverged", error_type="ArithmeticError"),
         ]
         path = tmp_path / "out.csv"
         emit_results(records, path)
         assert path.read_bytes() == (
-            b"scenario,n,p,s,noise,method,seed,tuning,ree,fp,tpr,wall_s\n"
+            b"scenario,n,p,s,noise,method,seed,tuning,ree,fp,tpr,wall_s,error\n"
             b"n70_p3_s2_r0,70,3,2,additive,CS+post,9,3,0.10000000000000001,2,"
-            b"0.66666666666666663,1.0000000000000001e-05\n"
-            b"n70_p3_s2_r0,70,3,2,additive,Lasso,9,nan,nan,-1,nan,0.5\n")
+            b"0.66666666666666663,1.0000000000000001e-05,\n"
+            b"n70_p3_s2_r0,70,3,2,additive,Lasso,9,nan,nan,-1,nan,0.5,ArithmeticError\n")
+
+    def test_an_error_row_writes_its_exception_class(self, tmp_path, monkeypatch):
+        record = _error_row(monkeypatch)
+        path = tmp_path / "out.csv"
+        emit_results([record], path)
+        with open(path, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["error"] == "ArithmeticError" == record.error_type
+        assert record.error == "cross-validation failed at every grid point"
 
     def test_bad_path_raises_with_context(self):
         with pytest.raises(OSError, match="no/such/dir"):

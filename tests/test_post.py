@@ -162,7 +162,10 @@ class TestPostClsFit:
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
         grid = default_an_grid(500, 100)
         order = corrls.selection.screen_order(m.gamma_vec, grid[-1])
-        assert corrls.post.pd_prefix_length(m.block(order)) == k_star < grid[-1]
+        betas, inside = corrls.post._prefix_refits(m.block(order), m.gamma_vec[order],
+                                                   opts.radius)
+        assert len(betas) == k_star < grid[-1]
+        assert inside.tolist() == [a < first_outside for a in grid[:k_star]]
         for a in grid[:k_star]:
             T = sorted(order[:a])
             direct = np.linalg.solve(m.block(T), m.gamma_vec[T])
@@ -529,13 +532,13 @@ class TestWideCsPost:
         assert np.max(np.abs(fit.beta - ref_fit.beta)) <= 1e-12 * np.max(np.abs(ref_fit.beta))
 
 
-def _paper_cell(seed):
-    """Corrected train/test moments of a missing-data paper cell (n=500,
-    p=100, s=4) and the radius the grid would use."""
-    cfg = SimConfig(n=500, p=100, s=4, noise_kind="missing", seed=seed)
-    train, beta0, _ = gen_regression(cfg)
-    test, _, _ = gen_regression(SimConfig(n=500, p=100, s=4, noise_kind="missing",
-                                          seed=seed + 10_000), beta0=beta0, rho=train.noise.rho)
+def _paper_cell(seed, noise="missing"):
+    """Corrected train/test moments of a paper cell (n=500, p=100, s=4) and
+    the radius the grid would use."""
+    train, beta0, _ = gen_regression(SimConfig(n=500, p=100, s=4, noise_kind=noise, seed=seed))
+    rho = train.noise.rho if noise == "missing" else None
+    test, _, _ = gen_regression(SimConfig(n=500, p=100, s=4, noise_kind=noise,
+                                          seed=seed + 10_000), beta0=beta0, rho=rho)
     return (corrected_moments(with_estimated_missing_rates(train)),
             corrected_moments(with_estimated_missing_rates(test)),
             1.1 * float(np.abs(beta0).sum()))
@@ -545,6 +548,23 @@ def _ordered_block(m):
     """The Gram of m in screening order: decreasing |gamma|, ties to the smaller index."""
     order = np.argsort(-np.abs(m.gamma_vec), kind="stable")
     return m.gamma_mat[np.ix_(order, order)]
+
+
+def _k_star(B):
+    """The number of leading blocks of B that `post._prefix_refits` solves."""
+    return len(corrls.post._prefix_refits(B, np.ones(len(B)), 1.0)[0])
+
+
+def _counting_cholesky(monkeypatch):
+    """Wrap np.linalg.cholesky; returns the list of the sizes it is called on."""
+    factored = []
+
+    def counting(a, original=np.linalg.cholesky):
+        factored.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return factored
 
 
 def _linear_scan(B, eps=1e-8):
@@ -571,20 +591,29 @@ class TestPositiveDefinitePrefix:
         best, losses, fit = cross_validate(m, m, [1, 2, 3, 4], METHODS["cs_post"], OPTS)
         assert np.isfinite(losses[0]) and losses[1:] == [np.inf] * 3
         assert best == 1 and fit.support_used == (0,)
-        assert corrls.post.pd_prefix_length(B) == 1
+        assert _k_star(B) == 1
 
-    def test_a_positive_definite_block_takes_one_cholesky(self, monkeypatch):
+    def test_a_positive_definite_block_takes_one_test_and_one_factor(self, monkeypatch):
         # as on an additive paper cell, whose whole screened block passes
         A = np.random.default_rng(3).standard_normal((100, 500))
-        factored = []
+        factored = _counting_cholesky(monkeypatch)
+        assert _k_star(A @ A.T / 500) == 100
+        assert factored == [100, 100]
 
-        def counting(a, original=np.linalg.cholesky):
-            factored.append(len(a))
-            return original(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
-        assert corrls.post.pd_prefix_length(A @ A.T / 500) == 100
-        assert factored == [100]
+    @pytest.mark.parametrize("noise, factored", [
+        ("additive", [100, 100]),  # the whole ordered block passes: k* = 100
+        ("missing", [100, 50, 25, 37, 43, 46, 48, 47, 46]),  # bisection to k* = 46
+    ])
+    def test_held_out_losses_factor_the_bisection_then_the_prefix_once(self, monkeypatch,
+                                                                        noise, factored):
+        # every _is_pd test of the bisection, then one unshifted factor of the
+        # prefix for all of its solves; the shifted test's factor is not reused
+        train_m, test_m, radius = _paper_cell(0, noise)
+        calls = _counting_cholesky(monkeypatch)
+        losses, _ = METHODS["cs_post"].losses(train_m, test_m, default_an_grid(500, 100),
+                                              SolverOptions(radius=radius))
+        assert calls == factored
+        assert np.isinf(losses[factored[-1]:]).all()
 
     def test_bisection_matches_linear_scan(self):
         rng = np.random.default_rng(11)
@@ -594,9 +623,9 @@ class TestPositiveDefinitePrefix:
             A = rng.standard_normal((p, p + int(rng.integers(-p + 1, 5))))
             blocks.append(A @ A.T / A.shape[1] - rng.uniform(0, 0.5) * np.diag(rng.random(p)))
         blocks += [_ordered_block(_paper_cell(seed)[0]) for seed in range(3)]
-        found = {corrls.post.pd_prefix_length(B) for B in blocks}
+        found = {_k_star(B) for B in blocks}
         for B in blocks:
-            assert corrls.post.pd_prefix_length(B) == _linear_scan(B)
+            assert _k_star(B) == _linear_scan(B)
         assert 0 in found and len(found) > 5
 
     def test_prefix_losses_match_refit_reference(self):

@@ -162,6 +162,22 @@ class TestAssemblePrecision:
         est = assemble_precision(_hand_fits([[3.0], [3.0]], (0,)), sigma)
         assert est.negative_d == [0, 1]
 
+    def test_structural_zeros_are_positive_and_non_zeros_keep_their_bytes(self):
+        # every slope is exactly 0 off its screened support and every d_j > 0,
+        # so -d_j * theta^j would hold -0.0 there, which a CSV prints as -0
+        data = _graph_data(400, (0.05, 0.4), 3)
+        S = corrected_covariance(data)
+        fits = _fit_columns(S, range(30), 4, 10.0, data.n)
+        est = assemble_precision(fits, S)
+        signed = np.diag(est.d)  # theta_raw by -d_j * theta^j
+        for j, theta in enumerate(fits[0]):
+            signed[np.arange(30) != j, j] = -est.d[j] * theta
+        assert (est.d > 0).all() and np.signbit(signed[signed == 0]).all()
+        for got, ref in [(est.theta_raw, signed), (est.theta, symmetrize(signed))]:
+            zero = got == 0
+            assert zero.sum() > 30 * 20 and not np.signbit(got[zero]).any()
+            assert np.array_equal(got[~zero].view(np.int64), ref[~zero].view(np.int64))
+
 
 class TestSymmetrize:
     def test_fixed_point(self):
