@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,6 +59,25 @@ def _finite(a):
     if not all(np.isfinite(a[rows]).all() for rows in _row_blocks(a)):
         raise ValueError("non-finite corrected moments")
     return a
+
+
+def _whole(value, name, least=None):
+    """``value`` as an int, after checking that it is a whole number (not a bool,
+    a fraction, nan or +-inf) and, if ``least`` is given, at least ``least``: the
+    one check of every count, index and seed, whose ValueError names ``name``."""
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value) or value % 1:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return int(value)
+
+
+def _positive(value, name):
+    """``value``, after checking that it is positive and finite (nan fails): the
+    one check of every scale, whose ValueError names ``name``."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._rng import substream
-from .data import write_table
+from .data import _whole, write_table
 from .metrics import false_positives, ree, true_positive_rate
 from .post import METHODS as _RECORDS, PAPER_METHODS, cross_validate, with_estimated_missing_rates
 from .selection import SolverOptions
@@ -60,19 +60,12 @@ class GridSpec:
             if len(set(vals)) < len(vals):  # a repeat would write the same rows twice
                 raise ValueError(f"{name} must not repeat a value, got {list(vals)}")
             if name != "methods":  # stored as int: a float or bool n crashes the generator
-                if any(isinstance(v, bool) or not v > 0 or v % 1 for v in vals):
-                    raise ValueError(f"{name} must hold positive whole numbers")
-                vals = tuple(map(int, vals))
+                vals = tuple(_whole(v, name, 1) for v in vals)
             object.__setattr__(self, name, vals)
         if max(self.s_values) > min(self.p_values):
             raise ValueError(f"s value {max(self.s_values)} exceeds p value {min(self.p_values)}")
-        reps, seed = self.replicates, self.base_seed  # a bool or fraction would run as an int
-        if isinstance(reps, bool) or not reps >= 1 or reps % 1:
-            raise ValueError(f"replicates must be a whole number >= 1, got {reps!r}")
-        if isinstance(seed, bool) or seed % 1:  # nan and inf leave a nan remainder
-            raise ValueError(f"base_seed must be a whole number, got {seed!r}")
-        object.__setattr__(self, "replicates", int(reps))
-        object.__setattr__(self, "base_seed", int(seed))
+        object.__setattr__(self, "replicates", _whole(self.replicates, "replicates", 1))
+        object.__setattr__(self, "base_seed", _whole(self.base_seed, "base_seed"))
         bad = set(self.methods) - set(_FIT_RULES)
         if bad:
             raise ValueError(f"unknown methods: {sorted(bad)}")
@@ -191,8 +184,7 @@ def run_grid(spec: GridSpec, workers=1, keep_beta=False, no_timing=False):
     in the cell tuple regardless of execution order or worker count.
     ``workers`` sizes the process pool of a grid of at least
     `_POOL_MIN_CELLS` cells; smaller grids run serially in-process."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = _whole(workers, "workers", 1)
     cells = grid_cells(spec)
     if len(cells) < _POOL_MIN_CELLS:
         per_cell = [_run_cell(spec, *cell, keep_beta) for cell in cells]

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import MissingNoise, SurrogateDataset
+from .data import MissingNoise, SurrogateDataset, _whole
 from .moments import (
     CorrectedMoments,
     corrected_loss,
@@ -90,15 +90,12 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
     minimized by projected gradient over that ball and flagged as a fallback,
     whose ``support_used`` keeps only the coordinates of T_hat that `support`
     finds non-zero.  Coordinates off T_hat are exact zeros by assignment.  An
-    index that is not a whole number is rejected.
+    index that is not a whole number in [0, p) is rejected.
     """
-    T_hat = list(T_hat)
-    if any(int(j) != j for j in T_hat):
-        raise ValueError(f"support index must be a whole number, got {T_hat}")
-    T = sorted(set(int(j) for j in T_hat))
+    T = sorted({_whole(j, "support index", 0) for j in T_hat})
     if not T:
         raise ValueError("empty support")
-    if any(j < 0 or j >= m.p for j in T):
+    if T[-1] >= m.p:
         raise ValueError("support index out of range")
     if len(T) > m.n:
         warnings.warn(f"support size {len(T)} exceeds sample size {m.n}", stacklevel=2)

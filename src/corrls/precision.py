@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _BLOCK_ENTRIES, MissingNoise, SurrogateDataset
+from .data import _BLOCK_ENTRIES, MissingNoise, SurrogateDataset, _whole
 from .moments import CorrectedMoments, _corrected, _finite
 from .post import _refit
 from .selection import FIT_ERRORS, SolverOptions, screen_order, screen_size
@@ -58,8 +58,8 @@ def neighborhood_moments(S, j, n) -> CorrectedMoments:
     p = S.shape[0]
     if p < 2:
         raise ValueError("need at least two columns")
-    j = int(j)
-    if j < 0 or j >= p:
+    j = _whole(j, "column index", 0)
+    if j >= p:
         raise ValueError("column index out of range")
     keep = np.delete(np.arange(p), j)
     return CorrectedMoments(gamma_mat=S[np.ix_(keep, keep)], gamma_vec=S[keep, j], n=n, p=p - 1)
@@ -88,7 +88,7 @@ def _fit_columns(S, cols, a_n, radius, n):
     p = S.shape[0]
     if not 1 <= a_n <= p - 1:
         raise ValueError(f"a_n must lie in [1, {p - 1}]")
-    ball_opts = SolverOptions(radius=radius)  # rejects a radius that is not positive
+    ball_opts = SolverOptions(radius=radius)  # rejects a radius that is not positive and finite
     off = _off_diagonal(_finite(S)).reshape(p, p - 1)
     k = screen_size(a_n, p - 1)
     cols = np.asarray(cols, dtype=np.intp)
@@ -161,8 +161,9 @@ def estimate_precision(data: SurrogateDataset, a_n, radius) -> PrecisionEstimate
     """Full pipeline: corrected covariance, the p neighborhood fits as one batch
     (`_fit_columns`), assembly, symmetrization.  A ValueError rejects a dataset
     without missing-data noise, an a_n that is not a whole number in [1, p-1],
-    a radius that is not positive and a non-finite corrected covariance before
-    any column is fitted; a failing column raises an ArithmeticError naming it."""
+    a radius that is not positive and finite, and a non-finite corrected
+    covariance before any column is fitted; a failing column raises an
+    ArithmeticError naming it."""
     if data.p < 2:
         raise ValueError("need at least two columns")
     S = corrected_covariance(data)

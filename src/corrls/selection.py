@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _positive, _whole
 from .moments import CorrectedMoments
 
 __all__ = [
@@ -44,12 +45,9 @@ class SolverOptions:
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        object.__setattr__(self, "max_iters", _whole(self.max_iters, "max_iters", 1))
+        _positive(self.rel_tol, "rel_tol")
+        _positive(self.radius, "radius")
 
 
 @dataclass(frozen=True)
@@ -98,12 +96,7 @@ def screen_order(scores, k=None):
 def screen_size(a_n, p):
     """How many of p coordinates a screening size a_n keeps: min(a_n, p).
     An a_n that is not a whole number, or is below 1, is rejected."""
-    k = int(a_n) if math.isfinite(a_n) else None
-    if k != a_n:
-        raise ValueError(f"a_n must be a whole number, got {a_n!r}")
-    if k < 1:
-        raise ValueError("empty selection not allowed")
-    return min(k, p)
+    return min(_whole(a_n, "a_n", 1), p)
 
 
 def cs_screen(gamma_vec, a_n) -> tuple:
@@ -119,9 +112,7 @@ def project_l1_ball(v, R, shrink=0.0):
     that sums it once and sorts it only outside the ball.  With shrink 0, v
     is projected as given, negative zeros kept."""
     v = np.asarray(v, dtype=float).ravel()
-    if not R > 0:
-        raise ValueError("radius must be positive")
-    x = _project_l1_ball(v, R, shrink)[0]
+    x = _project_l1_ball(v, _positive(R, "radius"), shrink)[0]
     return x.copy() if x is v else x
 
 

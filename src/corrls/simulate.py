@@ -14,7 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._rng import substream
-from .data import AdditiveNoise, MissingNoise, SurrogateDataset, _row_blocks, _zero_unobserved
+from .data import (AdditiveNoise, MissingNoise, SurrogateDataset, _positive, _row_blocks, _whole,
+                   _zero_unobserved)
 
 __all__ = [
     "SimConfig",
@@ -43,14 +44,14 @@ class SimConfig:
     rho_range: tuple = (0.05, 0.75)
 
     def __post_init__(self):
-        if not 0 < self.s <= self.p:
+        for name, least in (("n", 1), ("p", 1), ("s", 1), ("seed", None)):  # stored as ints
+            object.__setattr__(self, name, _whole(getattr(self, name), name, least))
+        if self.s > self.p:
             raise ValueError("need 0 < s <= p")
-        if not 0 < self.sigma_eps < np.inf:  # nan fails too
-            raise ValueError("sigma_eps must be positive and finite")
+        _positive(self.sigma_eps, "sigma_eps")
         if not 0 <= self.ar_phi < 1:
             raise ValueError("ar_phi must lie in [0, 1)")
-        if not self.c_w > 0:
-            raise ValueError("c_w must be positive")
+        _positive(self.c_w, "c_w")  # checked under missing data too, which does not read it
         rho = self.rho_range
         if len(rho) != 2 or not 0 <= rho[0] <= rho[1] < 1:
             raise ValueError(f"rho_range must satisfy 0 <= lo <= hi < 1 as (lo, hi), got {rho}")
@@ -61,14 +62,13 @@ class SimConfig:
 def gen_beta0(p, s, seed):
     """Sparse coefficient vector: s entries at the leading indices, each
     with sign Bernoulli(1/2) and magnitude Uniform(1, 4); the rest zero."""
+    s = _whole(s, "s", 0)
     if s > p:
         raise ValueError("s cannot exceed p")
     beta = np.zeros(p)
-    if s > 0:
-        rng = substream(seed, "beta0", p, s)
-        mags = rng.uniform(1.0, 4.0, size=s)
-        signs = rng.choice([-1.0, 1.0], size=s)
-        beta[:s] = signs * mags
+    rng = substream(seed, "beta0", p, s)
+    mags = rng.uniform(1.0, 4.0, size=s)
+    beta[:s] = rng.choice([-1.0, 1.0], size=s) * mags
     return beta
 
 
@@ -76,15 +76,13 @@ def ar1_covariance(p, phi, scale=1.0):
     """scale * phi^|i-j|; positive definite for |phi| < 1."""
     if not abs(phi) < 1:
         raise ValueError("|phi| must be < 1")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
     idx = np.arange(p)
-    return scale * phi ** np.abs(idx[:, None] - idx[None, :])
+    return _positive(scale, "scale") * phi ** np.abs(idx[:, None] - idx[None, :])
 
 
 def sample_gaussian(n, Sigma, seed, label="gauss"):
     """n i.i.d. mean-zero Gaussian rows with the given covariance."""
-    return _draw_gaussian(n, _cholesky(Sigma), seed, label)
+    return _draw_gaussian(_whole(n, "n", 1), _cholesky(Sigma), seed, label)
 
 
 def _cholesky(Sigma):
@@ -188,9 +186,8 @@ def generate_band_precision(p, bandwidth=None):
 
     Returns (Theta, Sigma) with Theta = inverse of Sigma.
     """
-    if bandwidth is None:
-        bandwidth = max(1, round(p / 20))
-    if not 1 <= bandwidth < p:
+    bandwidth = max(1, round(p / 20)) if bandwidth is None else _whole(bandwidth, "bandwidth", 1)
+    if bandwidth >= p:
         raise ValueError("bandwidth must lie in [1, p)")
     idx = np.arange(p)
     dist = np.abs(idx[:, None] - idx[None, :])
@@ -201,9 +198,9 @@ def generate_band_precision(p, bandwidth=None):
 def generate_cluster_precision(p, n_clusters=None):
     """Block-diagonal precision: equal-size blocks with 0.5 off-diagonals (eigenvalues
     0.5 and 1 + 0.5 (size - 1)), normalized as the band generator is."""
-    if n_clusters is None:
-        n_clusters = max(1, round(p / 20))
-    if not 1 <= n_clusters <= p:
+    n_clusters = (max(1, round(p / 20)) if n_clusters is None
+                  else _whole(n_clusters, "n_clusters", 1))
+    if n_clusters > p:
         raise ValueError("n_clusters must lie in [1, p]")
     sizes = [p // n_clusters + (1 if k < p % n_clusters else 0) for k in range(n_clusters)]
     cluster = np.repeat(np.arange(n_clusters), sizes)
@@ -216,7 +213,7 @@ def gen_graph_data(Sigma, n, c_x, rho_range, seed) -> SurrogateDataset:
     """Graph-setting data: X ~ N(0, c_x * Sigma), per-column missingness,
     no response."""
     Sigma = np.asarray(Sigma, dtype=float)
-    X = sample_gaussian(n, c_x * Sigma, seed, label="x_graph")
+    X = sample_gaussian(n, _positive(c_x, "c_x") * Sigma, seed, label="x_graph")
     rho = _draw_rho(Sigma.shape[0], rho_range, seed)
     Z, mask = _apply_missingness(X, rho, seed)
     return SurrogateDataset(Z=Z, y=None, noise=MissingNoise(rho), mask=mask)

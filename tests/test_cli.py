@@ -84,7 +84,7 @@ def test_fit_rejects_fractional_an(tmp_path, sim_config, capsys):
     data_csv = tmp_path / "data.csv"
     main(["simulate", "--config", str(sim_config), "--out", str(data_csv)])
     for tuning, message in [("3.9", "a_n must be a whole number, got 3.9"),
-                            ("0", "empty selection not allowed"),
+                            ("0", "a_n must be at least 1, got 0.0"),
                             ("nan", "a_n must be a whole number, got nan"),
                             ("inf", "a_n must be a whole number, got inf")]:
         capsys.readouterr()
@@ -502,6 +502,18 @@ def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, command, cfg, f
     assert captured.out == "" and not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("noise_kind", ["missing", "additive"])
+def test_simulate_rejects_an_infinite_c_w_under_either_noise_kind(tmp_path, capsys, noise_kind):
+    # under missing data, which never reads c_w, such a config used to exit 0
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps({**SIM, "noise_kind": noise_kind, "c_w": float("inf")}))
+    assert '"c_w": Infinity' in path.read_text()
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"corrls: error: {path}: c_w must be positive and finite, got inf\n"
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("field, values", [("methods", ["CS+post", "CS+post"]),
                                            ("p_values", [10, 10])])
 def test_a_repeated_grid_value_exits_2_with_one_line(tmp_path, capsys, field, values):
@@ -541,8 +553,8 @@ def test_seed_override(sim_config, tmp_path):
 @pytest.mark.parametrize("an, radius, message", [
     ("0", "6", "a_n must lie in [1, 11]"),
     ("12", "6", "a_n must lie in [1, 11]"),
-    ("4", "-1", "radius must be positive"),
-    ("4", "nan", "radius must be positive"),
+    ("4", "-1", "radius must be positive and finite, got -1.0"),
+    ("4", "nan", "radius must be positive and finite, got nan"),
 ])
 def test_precision_rejects_bad_an_or_radius(tmp_path, capsys, an, radius, message):
     from corrls.data import write_dataset_csv

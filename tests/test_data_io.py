@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,9 +8,68 @@ from hypothesis import strategies as st
 
 import corrls.data
 from corrls import AdditiveNoise, MissingNoise, SurrogateDataset
-from corrls.data import (_checked_cells, _zero_unobserved, read_dataset_csv, read_header,
-                         read_matrix_csv, write_dataset_csv, write_matrix_csv, write_table)
+from corrls.data import (_checked_cells, _positive, _whole, _zero_unobserved, read_dataset_csv,
+                         read_header, read_matrix_csv, write_dataset_csv, write_matrix_csv,
+                         write_table)
 from corrls.simulate import SimConfig, gen_regression
+
+
+class TestNumberRules:
+    @pytest.mark.parametrize("value, least", [(3, None), (3.0, 1), (np.int64(-2), None),
+                                              (np.float64(0.0), 0), (10**20, 1)])
+    def test_whole_returns_a_python_int(self, value, least):
+        whole = _whole(value, "k", least)
+        assert whole == value and type(whole) is int
+
+    @pytest.mark.parametrize("value", [2.5, -0.5, float("nan"), float("inf"), -np.inf, True,
+                                       np.bool_(True), np.float64(1e-300)])
+    def test_whole_rejects_a_fraction_non_finite_or_bool(self, value):
+        message = f"k must be a whole number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _whole(value, "k", 0)
+
+    @pytest.mark.parametrize("value, least", [(0, 1), (-1, 0), (1.0, 2)])
+    def test_whole_rejects_a_value_below_its_least(self, value, least):
+        message = f"k must be at least {least}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _whole(value, "k", least)
+
+    @pytest.mark.parametrize("value", [1e-300, 2, np.float64(7.5)])
+    def test_positive_returns_the_value(self, value):
+        assert _positive(value, "scale") is value
+
+    @pytest.mark.parametrize("value", [0, -0.0, -1.5, float("nan"), float("inf"), -np.inf])
+    def test_positive_rejects_zero_negative_or_non_finite(self, value):
+        message = f"scale must be positive and finite, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _positive(value, "scale")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda tmp: AdditiveNoise(np.ones((2, 3))), "sigma_w must be a square matrix"),
+    (lambda tmp: AdditiveNoise(np.array([[1.0, np.nan], [np.nan, 1.0]])),
+     "sigma_w has non-finite entries"),
+    (lambda tmp: MissingNoise([]), "rho must be non-empty"),
+    (lambda tmp: SurrogateDataset(Z=np.empty((0, 2)), y=None, noise=MissingNoise([0.1, 0.1]),
+                                  mask=np.empty((0, 2), dtype=bool)),
+     "Z must be a non-empty n x p matrix"),
+    (lambda tmp: SurrogateDataset(Z=np.ones((3, 2)), y=np.ones(2), noise=AdditiveNoise(np.eye(2))),
+     "y length must equal the number of rows of Z"),
+    (lambda tmp: SurrogateDataset(Z=np.ones((3, 2)), y=None, noise=MissingNoise([0.1, 0.1]),
+                                  mask=np.ones((3, 1), dtype=bool)),
+     "mask shape must match Z"),
+    (lambda tmp: SurrogateDataset(Z=np.ones((3, 2)), y=None, noise=MissingNoise([0.1]),
+                                  mask=np.ones((3, 2), dtype=bool)),
+     "rho length must equal the number of columns of Z"),
+    (lambda tmp: SurrogateDataset(Z=np.ones((3, 2)), y=None, noise=AdditiveNoise(np.eye(3))),
+     "sigma_w dimension must equal the number of columns of Z"),
+    (lambda tmp: write_matrix_csv(np.zeros((2, 2, 2)), tmp / "m.csv"),
+     "Expected 1D or 2D array, got 3D array instead"),
+], ids=["sigma_w_not_square", "sigma_w_non_finite", "rho_empty", "z_empty", "y_length",
+        "mask_shape", "rho_length", "sigma_w_dimension", "matrix_3d"])
+def test_invalid_dataset_input_raises(tmp_path, build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(tmp_path)
 
 
 class TestNoiseModels:

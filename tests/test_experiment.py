@@ -62,7 +62,7 @@ class TestGridSpec:
                 _tiny_spec(rho_range=rho_range)
         spec = _tiny_spec(replicates=2.0, base_seed=-3.0)  # whole floats are stored as ints
         assert (spec.replicates, spec.base_seed) == (2, -3) and type(spec.base_seed) is int
-        with pytest.raises(ValueError, match="n_values must hold positive whole numbers"):
+        with pytest.raises(ValueError, match="n_values must be a whole number, got 60.5"):
             _tiny_spec(n_values=(60.5,))
         with pytest.raises(ValueError):
             _tiny_spec(methods=("Ridge",))
@@ -71,6 +71,16 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="s value 21 exceeds p value 20"):
             _tiny_spec(s_values=(2, 21))
         assert _tiny_spec(p_values=(20, 4), s_values=(4,)).s_values == (4,)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("p_values", (10.5,), "p_values must be a whole number, got 10.5"),
+        ("s_values", (0,), "s_values must be at least 1, got 0"),
+        ("replicates", 0, "replicates must be at least 1, got 0"),
+        ("base_seed", float("inf"), "base_seed must be a whole number, got inf"),
+    ])
+    def test_counts_follow_the_shared_rule(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _tiny_spec(**{field: value})
 
     @pytest.mark.parametrize("field, values", [
         ("n_values", (60, 70, 60)), ("p_values", (10, 10)), ("s_values", (2, 2.0)),
@@ -262,6 +272,12 @@ class TestRunGrid:
     @pytest.mark.parametrize("workers", [0, -2])
     def test_worker_count_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            run_grid(_tiny_spec(), workers=workers)
+
+    @pytest.mark.parametrize("workers", [1.5, True, float("inf")])
+    def test_worker_count_that_is_not_whole_rejected(self, workers):
+        # a fractional or bool count used to be accepted
+        with pytest.raises(ValueError, match=f"^workers must be a whole number, got {workers}$"):
             run_grid(_tiny_spec(), workers=workers)
 
     def test_small_grid_runs_every_cell_in_the_calling_thread(self, monkeypatch):

@@ -190,3 +190,12 @@ def test_method_labels_have_one_home():
             if isinstance(node, ast.Constant) and node.value in labels:
                 (homes if id(node) in inside else elsewhere).append((path.name, node.lineno))
     assert len(homes) == len(labels) and elsewhere == []
+
+
+@pytest.mark.parametrize("phrase", ["must be a whole number", "must be at least",
+                                    "must be positive and finite"])
+def test_count_and_scale_rules_have_one_home(phrase):
+    """Only `data` spells the messages of its two rules: every count, index and
+    seed is checked by `data._whole`, and every scale by `data._positive`."""
+    sources = sorted((ROOT / "src" / "corrls").glob("*.py"))
+    assert [p.name for p in sources if phrase in p.read_text()] == ["data.py"]

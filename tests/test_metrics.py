@@ -55,3 +55,13 @@ class TestColumnNormError:
         with pytest.raises(ValueError):
             column_norm_error(np.eye(2), np.eye(3))
 
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ree(np.ones(2), np.zeros(2)), "beta0 is zero; relative error undefined"),
+    (lambda: true_positive_rate({0, 1}, set()), "true support is empty"),
+    (lambda: column_norm_error(np.eye(2), np.eye(3)), "shape mismatch"),
+], ids=["ree_zero_truth", "tpr_empty_truth", "column_norm_shape"])
+def test_undefined_metric_raises(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

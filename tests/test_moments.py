@@ -831,3 +831,21 @@ class TestGatherOncePerSupport:
             assert np.float64(corrected_loss(beta, m)).tobytes() == np.float64(fresh).tobytes()
             kept.append(m.columns)
         assert kept[0] is kept[1] is kept[2]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CorrectedMoments(gamma_mat=np.eye(2), gamma_vec=np.ones(3), n=10, p=3),
+     "moment dimensions disagree with p"),
+    (lambda: CorrectedMoments(gamma_mat=np.eye(2), gamma_vec=np.ones(2), n=10, p=3),
+     "moment dimensions disagree with p"),
+    (lambda: estimate_missing_rates(np.ones(3, dtype=bool)),
+     "mask must be a non-empty n x p boolean matrix"),
+    (lambda: estimate_missing_rates(np.ones((0, 3), dtype=bool)),
+     "mask must be a non-empty n x p boolean matrix"),
+    (lambda: corrected_moments(SurrogateDataset(Z=np.eye(2), y=None,
+                                                noise=AdditiveNoise(np.zeros((2, 2))))),
+     "dataset has no response; moments need y"),
+], ids=["vector_length", "matrix_shape", "mask_1d", "mask_no_rows", "no_response"])
+def test_invalid_moments_input_raises(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

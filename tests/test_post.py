@@ -189,7 +189,8 @@ class TestPostClsFit:
 
     @pytest.mark.parametrize("index", [-1, 2])
     def test_out_of_range_support_rejected(self, index):
-        with pytest.raises(ValueError, match="support index out of range"):
+        message = "support index must be at least 0" if index < 0 else "support index out of range"
+        with pytest.raises(ValueError, match=message):
             post_cls_fit(_m(np.eye(2), [1.0, 1.0]), [0, index], OPTS)
 
     @pytest.mark.parametrize("T", [[1.5, 2.9], [0, 2.5], np.array([1.0, 0.5])])

@@ -536,3 +536,24 @@ class TestScreenOrder:
         assert top.dtype == ref.dtype and np.array_equal(top, ref)
         for row, ref_row in zip(scores, ref):  # a 1-D array is one row
             assert np.array_equal(screen_order(row, k), ref_row)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: neighborhood_moments(np.eye(1), 0, 10), "need at least two columns"),
+    (lambda: neighborhood_moments(np.eye(3), 3, 10), "column index out of range"),
+    (lambda: neighborhood_moments(np.eye(3), -1, 10), "column index must be at least 0, got -1"),
+    # int() used to truncate a fractional index to a column
+    (lambda: neighborhood_moments(np.eye(3), 1.5, 10),
+     "column index must be a whole number, got 1.5"),
+    (lambda: assemble_precision((np.zeros((2, 2)), [(), ()], np.zeros(2, bool)), np.eye(3)),
+     "need 3 neighborhood fits, got 2"),
+    (lambda: symmetrize(np.ones((2, 3))), "expected a square matrix"),
+    (lambda: estimate_precision(SurrogateDataset(Z=np.ones((5, 1)), y=None,
+                                                 noise=MissingNoise([0.0]),
+                                                 mask=np.ones((5, 1), bool)), 1, 1.0),
+     "need at least two columns"),
+], ids=["neighborhood_one_column", "column_past_p", "column_negative", "column_fraction",
+        "fit_count", "symmetrize_not_square", "estimate_one_column"])
+def test_invalid_precision_input_raises(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -46,7 +47,7 @@ class TestCsScreen:
         assert cs_screen(np.array([1.0, 1.0, 0.0]), 1) == (0,)
 
     def test_empty_selection_rejected(self):
-        with pytest.raises(ValueError, match="empty selection"):
+        with pytest.raises(ValueError, match="a_n must be at least 1, got 0"):
             cs_screen(np.array([1.0, 2.0]), 0)
 
     @given(finite_vecs, st.integers(min_value=1, max_value=20),
@@ -487,7 +488,7 @@ class TestActiveRowsMatvec:
 
 
 @pytest.mark.parametrize("build, match", [
-    (lambda: SolverOptions(max_iters=0), "max_iters must be >= 1"),
+    (lambda: SolverOptions(max_iters=0), "max_iters must be at least 1, got 0"),
     (lambda: SolverOptions(rel_tol=0), "rel_tol must be positive"),
     (lambda: SolverOptions(radius=0), "radius must be positive"),
     (lambda: SolverOptions(radius=float("nan")), "radius must be positive"),
@@ -504,6 +505,29 @@ class TestActiveRowsMatvec:
 def test_invalid_solver_input_raises(build, match):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    # rel_tol=inf stopped every fit after one step as converged; nan ran to max_iters
+    (lambda: SolverOptions(rel_tol=np.inf), "rel_tol must be positive and finite, got inf"),
+    (lambda: SolverOptions(rel_tol=np.nan), "rel_tol must be positive and finite, got nan"),
+    (lambda: SolverOptions(max_iters=2.5), "max_iters must be a whole number, got 2.5"),
+    (lambda: SolverOptions(max_iters=True), "max_iters must be a whole number, got True"),
+    (lambda: SolverOptions(radius=np.inf), "radius must be positive and finite, got inf"),
+    (lambda: project_l1_ball(np.ones(2), np.inf), "radius must be positive and finite, got inf"),
+    (lambda: screen_size(True, 5), "a_n must be a whole number, got True"),
+    (lambda: cs_screen(np.ones(3), -2), "a_n must be at least 1, got -2"),
+], ids=["inf_rel_tol", "nan_rel_tol", "fractional_max_iters", "bool_max_iters", "inf_radius",
+        "inf_projection_radius", "bool_an", "negative_an"])
+def test_solver_counts_and_scales_follow_the_shared_rules(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_whole_float_iteration_cap_is_stored_as_an_int():
+    opts = SolverOptions(max_iters=25.0)
+    assert opts.max_iters == 25 and type(opts.max_iters) is int
+    assert screen_size(np.float64(3.0), 5) == 3 and type(screen_size(3.0, 5)) is int
 
 
 class TestLipschitzEstimate:

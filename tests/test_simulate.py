@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -282,3 +283,70 @@ class TestGenGraphData:
         a = gen_graph_data(sigma, 40, 1.0, (0.05, 0.75), seed=3)
         b = gen_graph_data(sigma, 40, 1.0, (0.05, 0.75), seed=3)
         assert np.array_equal(a.Z, b.Z) and np.array_equal(a.mask, b.mask)
+
+
+def _config(**over):
+    return SimConfig(**{"n": 20, "p": 5, "s": 2, "noise_kind": "missing", **over})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _config(n=10.5), "n must be a whole number, got 10.5"),
+    (lambda: _config(n=0), "n must be at least 1, got 0"),
+    (lambda: _config(p=True), "p must be a whole number, got True"),
+    (lambda: _config(s=0), "s must be at least 1, got 0"),
+    (lambda: _config(seed=1.5), "seed must be a whole number, got 1.5"),
+    (lambda: _config(seed=float("nan")), "seed must be a whole number, got nan"),
+    (lambda: _config(sigma_eps=0.0), "sigma_eps must be positive and finite, got 0.0"),
+    (lambda: _config(c_w=np.inf), "c_w must be positive and finite, got inf"),
+    (lambda: _config(c_w=np.inf, noise_kind="additive"),
+     "c_w must be positive and finite, got inf"),
+    (lambda: ar1_covariance(5, 0.5, float("nan")), "scale must be positive and finite, got nan"),
+    (lambda: ar1_covariance(5, 0.5, 0.0), "scale must be positive and finite, got 0.0"),
+    (lambda: generate_band_precision(20, 2.5), "bandwidth must be a whole number, got 2.5"),
+    (lambda: generate_band_precision(20, 0), "bandwidth must be at least 1, got 0"),
+    (lambda: generate_cluster_precision(20, 2.5), "n_clusters must be a whole number, got 2.5"),
+    (lambda: generate_cluster_precision(20, 0), "n_clusters must be at least 1, got 0"),
+    (lambda: gen_beta0(10, 1.5, 0), "s must be a whole number, got 1.5"),
+    (lambda: gen_beta0(10, -1, 0), "s must be at least 0, got -1"),
+    # a graph dataset of non-finite c_x used to come out non-finite, without an error
+    (lambda: gen_graph_data(np.eye(3), 20, np.inf, (0.1, 0.2), 1),
+     "c_x must be positive and finite, got inf"),
+    (lambda: gen_graph_data(np.eye(3), 20.5, 1.0, (0.1, 0.2), 1),
+     "n must be a whole number, got 20.5"),
+    (lambda: sample_gaussian(0, np.eye(2), 1), "n must be at least 1, got 0"),
+], ids=["fractional_n", "zero_n", "bool_p", "zero_s", "fractional_seed", "nan_seed",
+        "zero_sigma_eps", "inf_c_w_missing", "inf_c_w_additive", "nan_scale", "zero_scale",
+        "fractional_bandwidth", "zero_bandwidth", "fractional_clusters", "zero_clusters",
+        "fractional_beta0_s", "negative_beta0_s", "inf_graph_c_x", "fractional_graph_n",
+        "zero_gaussian_n"])
+def test_counts_and_scales_follow_the_shared_rules(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_whole_float_counts_are_stored_as_ints_and_draw_the_same_data():
+    ints = _config(n=40, p=12, s=3, seed=5)
+    floats = _config(n=40.0, p=12.0, s=3.0, seed=np.float64(5))
+    assert floats == ints and {type(getattr(floats, f)) for f in ("n", "p", "s", "seed")} == {int}
+    (a, beta_a, T_a), (b, beta_b, T_b) = gen_regression(ints), gen_regression(floats)
+    assert a.Z.tobytes() == b.Z.tobytes() and a.y.tobytes() == b.y.tobytes()
+    assert beta_a.tobytes() == beta_b.tobytes() and T_a == T_b
+    assert gen_beta0(12, 3.0, 5).tobytes() == beta_a.tobytes()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ar1_covariance(5, 1.0), "|phi| must be < 1"),
+    (lambda: ar1_covariance(5, float("nan")), "|phi| must be < 1"),
+    (lambda: _config(s=6), "need 0 < s <= p"),
+    (lambda: _config(ar_phi=1.0), "ar_phi must lie in [0, 1)"),
+    (lambda: _config(rho_range=(0.5, 0.2)), "rho_range must satisfy 0 <= lo <= hi < 1"),
+    (lambda: _config(noise_kind="both"), "unknown noise kind 'both'"),
+    (lambda: gen_beta0(3, 4, 0), "s cannot exceed p"),
+    (lambda: generate_band_precision(20, 20), "bandwidth must lie in [1, p)"),
+    (lambda: generate_cluster_precision(20, 21), "n_clusters must lie in [1, p]"),
+    (lambda: sample_gaussian(3, -np.eye(2), 0), "covariance not PD"),
+], ids=["phi_one", "phi_nan", "s_above_p", "ar_phi", "rho_range", "noise_kind",
+        "beta0_s_above_p", "bandwidth_p", "clusters_above_p", "not_pd"])
+def test_invalid_simulation_input_raises(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        build()
