@@ -10,6 +10,8 @@ import hashlib
 
 import numpy as np
 
+from .data import _whole
+
 __all__ = ["substream"]
 
 
@@ -25,7 +27,8 @@ def substream(seed, *labels):
     """Return a Philox generator keyed by ``seed`` and the label path.
 
     The same (seed, labels) pair yields a byte-identical stream on every
-    call, independent of process, thread count, or call order.
+    call, independent of process, thread count, or call order.  The seed is any
+    whole number (`data._whole`), taken modulo 2**64.
     """
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, *_label_words(labels)])
+    ss = np.random.SeedSequence([_whole(seed, "seed") & 0xFFFFFFFFFFFFFFFF, *_label_words(labels)])
     return np.random.Generator(np.random.Philox(ss))

@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import typing
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -65,19 +66,20 @@ def _load_missing(path):
     return with_estimated_missing_rates(data)
 
 
-def _load_dataset(args, path):
-    """Load a dataset file under the noise model the arguments declare."""
+def _load_datasets(args, *paths):
+    """Load each dataset file under the noise model the arguments declare, an additive
+    one built once for all (an AR(1) Sigma_w as wide as the first file)."""
     if args.noise == "missing":
         if args.sigma_w is not None or args.sigma_w_ar1 is not None:
             raise ValueError("--sigma-w and --sigma-w-ar1 apply to --noise additive only")
-        return _load_missing(path)
+        return [_load_missing(path) for path in paths]
     if args.sigma_w is not None:
         noise = AdditiveNoise(read_matrix_csv(args.sigma_w))
     elif args.sigma_w_ar1 is not None:
-        noise = AdditiveNoise(ar1_covariance(_z_width(path), *args.sigma_w_ar1))
+        noise = AdditiveNoise(ar1_covariance(_z_width(paths[0]), *args.sigma_w_ar1))
     else:
         raise ValueError("additive noise needs --sigma-w FILE or --sigma-w-ar1 PHI SCALE")
-    return read_dataset_csv(path, noise)
+    return [read_dataset_csv(path, noise) for path in paths]
 
 
 def _cmd_simulate(args):
@@ -92,8 +94,8 @@ def _cmd_simulate(args):
 
 def _cmd_fit(args):
     method = METHODS[args.method]
-    fit = method.fit(method.moments(_load_dataset(args, args.data)), args.tuning,
-                     SolverOptions(radius=args.radius))
+    (data,) = _load_datasets(args, args.data)
+    fit = method.fit(method.moments(data), args.tuning, SolverOptions(radius=args.radius))
     print(f"method={method.label} tuning={args.tuning:g} objective={fit.objective:.6g} "
           f"iterations={fit.iterations} converged={fit.converged}")
     if fit.fallback_used:
@@ -110,8 +112,7 @@ def _cmd_fit(args):
 
 def _cmd_tune(args):
     method = METHODS[args.method]
-    train_m = method.moments(_load_dataset(args, args.data))
-    test_m = method.moments(_load_dataset(args, args.test_data))
+    train_m, test_m = map(method.moments, _load_datasets(args, args.data, args.test_data))
     grid = method.grid(train_m.n, train_m.p)
     best, losses, _ = cross_validate(train_m, test_m, grid, method,
                                     SolverOptions(radius=args.radius))
@@ -217,13 +218,19 @@ def build_parser():
     return parser
 
 
+def _show_warning(message, *_):
+    print(f"corrls: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     """Run one subcommand; a bad input value or file, or a failed fit (`FIT_ERRORS`),
     prints ``corrls: error: ...`` to stderr and returns 2, as argparse does for a bad argument.
-    numpy's floating-point warnings are off for the command, so that line is all it prints."""
+    numpy's floating-point warnings are off for the command, so that line is all it prints,
+    and a Python warning that is shown prints as one ``corrls: warning: ...`` line."""
     args = build_parser().parse_args(argv)
     try:
-        with np.errstate(all="ignore"):  # non-finite results are checked, not warned of
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.showwarning = _show_warning
             return args.func(args)
     except (*FIT_ERRORS, OSError) as exc:
         print(f"corrls: error: {exc}", file=sys.stderr)

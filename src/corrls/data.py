@@ -64,8 +64,9 @@ def _finite(a):
 def _whole(value, name, least=None):
     """``value`` as an int, after checking that it is a whole number (not a bool,
     a fraction, nan or +-inf) and, if ``least`` is given, at least ``least``: the
-    one check of every count, index and seed, whose ValueError names ``name``."""
-    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value) or value % 1:
+    one check of every count, index and seed, whose ValueError names ``name``.  The
+    comparison with +-inf, unlike math.isfinite, takes an int of any size."""
+    if isinstance(value, (bool, np.bool_)) or not -math.inf < value < math.inf or value % 1:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")

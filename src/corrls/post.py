@@ -160,21 +160,22 @@ def _prefix_refits(B, g, radius):
 
 
 def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid, opts):
-    """Held-out loss of CS+post at each a_n of the grid, from one Cholesky factor.
+    """Held-out loss of CS+post at each a_n of the grid, from one Cholesky factor,
+    and {}: it makes no fit.
 
     The screened supports are prefixes of one |gamma| ordering, so the refit
     at a_n = k solves the leading k x k block of the ordered training Gram
-    (`_prefix_refits`).  Points past its positive-definite prefix, points
-    whose solve leaves the l1 ball of radius opts.radius (where `_refit`
-    would fall back), and a_n that `screen_size` rejects record inf without
-    a fit.  Returns (losses, {}): it makes no fit.
-    """
+    (`_prefix_refits`).  Points past its positive-definite prefix, points whose
+    solve leaves the l1 ball of radius opts.radius (where `_refit` would fall
+    back), and a_n that `screen_size` rejects record inf."""
     sizes = []
     for v in grid:
         try:
             sizes.append(screen_size(v, train_m.p))
         except FIT_ERRORS:
             sizes.append(0)
+    if not any(sizes):  # no valid a_n: nothing to screen
+        return [np.inf] * len(grid), {}
     idx = screen_order(train_m.gamma_vec, max(sizes))
     betas, inside = _prefix_refits(train_m.block(idx), train_m.gamma_vec[idx], opts.radius)
     idx = idx[:len(betas)]

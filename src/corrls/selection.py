@@ -68,21 +68,21 @@ class FitResult:
     fallback_used: bool = False
 
 
-def screen_order(scores, k=None):
-    """The first k (all if None) indices of each row of ``scores`` by decreasing
-    |score|, ties to the smaller index: the order in which correlation screening
-    admits coordinates.  A 1-D array is one row.  For k below the row length the
-    k are found by a partition, not a sort of the row, then ordered stably."""
+def screen_order(scores, k):
+    """The first k indices of each row of ``scores`` by decreasing |score|, ties to
+    the smaller index, k by `screen_size`: the order in which correlation screening
+    admits coordinates.  A 1-D array is one row.  Below the row length the k are
+    found by a partition, not a sort of the row, then ordered stably."""
     g = np.asarray(scores, dtype=float)
     a = np.abs(g if g.ndim == 2 else g.reshape(1, -1))
+    k = screen_size(k, a.shape[1])
     if not math.isfinite(np.maximum.reduce(a, axis=None, initial=0.0)):
         raise ValueError("screening scores must be finite")
-    m = a.shape[1]
-    if k is None or not 0 < k < m:
+    if k == a.shape[1]:
         # stable sort on (-|g|, index) gives magnitude order with index tie-break
-        order = np.argsort(-a, axis=1, kind="stable")[:, :k]
+        order = np.argsort(-a, axis=1, kind="stable")
     else:
-        kth = np.partition(a, m - k, axis=1)[:, m - k, None]  # k-th largest of each row
+        kth = np.partition(a, -k, axis=1)[:, -k, None]  # k-th largest of each row
         keep = a >= kth
         surplus = keep.sum(axis=1) - k  # ties at the k-th largest beyond the k kept
         for i in np.flatnonzero(surplus):
@@ -101,9 +101,8 @@ def screen_size(a_n, p):
 
 def cs_screen(gamma_vec, a_n) -> tuple:
     """Sorted indices of the a_n largest |gamma_vec| (0-based; reports print
-    1-based), the first `screen_size` of `screen_order`."""
-    g = np.ravel(gamma_vec)
-    return tuple(sorted(int(j) for j in screen_order(g, screen_size(a_n, g.size))))
+    1-based), the first a_n of `screen_order`."""
+    return tuple(sorted(int(j) for j in screen_order(np.ravel(gamma_vec), a_n)))
 
 
 def project_l1_ball(v, R, shrink=0.0):

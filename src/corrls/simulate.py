@@ -52,17 +52,21 @@ class SimConfig:
         if not 0 <= self.ar_phi < 1:
             raise ValueError("ar_phi must lie in [0, 1)")
         _positive(self.c_w, "c_w")  # checked under missing data too, which does not read it
-        rho = self.rho_range
-        if len(rho) != 2 or not 0 <= rho[0] <= rho[1] < 1:
-            raise ValueError(f"rho_range must satisfy 0 <= lo <= hi < 1 as (lo, hi), got {rho}")
+        _check_rho_range(self.rho_range)
         if self.noise_kind not in ("additive", "missing"):
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
+
+
+def _check_rho_range(rho):
+    """Reject a missing-rate range that is not two values with 0 <= lo <= hi < 1."""
+    if len(rho) != 2 or not 0 <= rho[0] <= rho[1] < 1:
+        raise ValueError(f"rho_range must satisfy 0 <= lo <= hi < 1 as (lo, hi), got {rho}")
 
 
 def gen_beta0(p, s, seed):
     """Sparse coefficient vector: s entries at the leading indices, each
     with sign Bernoulli(1/2) and magnitude Uniform(1, 4); the rest zero."""
-    s = _whole(s, "s", 0)
+    p, s = _whole(p, "p", 1), _whole(s, "s", 0)
     if s > p:
         raise ValueError("s cannot exceed p")
     beta = np.zeros(p)
@@ -76,7 +80,7 @@ def ar1_covariance(p, phi, scale=1.0):
     """scale * phi^|i-j|; positive definite for |phi| < 1."""
     if not abs(phi) < 1:
         raise ValueError("|phi| must be < 1")
-    idx = np.arange(p)
+    idx = np.arange(_whole(p, "p", 1))
     return _positive(scale, "scale") * phi ** np.abs(idx[:, None] - idx[None, :])
 
 
@@ -186,6 +190,7 @@ def generate_band_precision(p, bandwidth=None):
 
     Returns (Theta, Sigma) with Theta = inverse of Sigma.
     """
+    p = _whole(p, "p", 1)
     bandwidth = max(1, round(p / 20)) if bandwidth is None else _whole(bandwidth, "bandwidth", 1)
     if bandwidth >= p:
         raise ValueError("bandwidth must lie in [1, p)")
@@ -198,6 +203,7 @@ def generate_band_precision(p, bandwidth=None):
 def generate_cluster_precision(p, n_clusters=None):
     """Block-diagonal precision: equal-size blocks with 0.5 off-diagonals (eigenvalues
     0.5 and 1 + 0.5 (size - 1)), normalized as the band generator is."""
+    p = _whole(p, "p", 1)
     n_clusters = (max(1, round(p / 20)) if n_clusters is None
                   else _whole(n_clusters, "n_clusters", 1))
     if n_clusters > p:
@@ -212,6 +218,7 @@ def generate_cluster_precision(p, n_clusters=None):
 def gen_graph_data(Sigma, n, c_x, rho_range, seed) -> SurrogateDataset:
     """Graph-setting data: X ~ N(0, c_x * Sigma), per-column missingness,
     no response."""
+    _check_rho_range(rho_range)
     Sigma = np.asarray(Sigma, dtype=float)
     X = sample_gaussian(n, _positive(c_x, "c_x") * Sigma, seed, label="x_graph")
     rho = _draw_rho(Sigma.shape[0], rho_range, seed)

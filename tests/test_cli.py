@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,10 @@ import corrls.experiment
 from corrls import (MissingNoise, PrecisionEstimate, SolverOptions, corrected_moments,
                     l1_cls_fit, support, uncorrected_moments)
 from corrls.cli import _load_config, main
-from corrls.data import read_dataset_csv, read_matrix_csv, write_dataset_csv
+from corrls.data import read_dataset_csv, read_matrix_csv, write_dataset_csv, write_matrix_csv
 from corrls.experiment import ExperimentRecord, GridSpec
 from corrls.post import METHODS, with_estimated_missing_rates
-from corrls.simulate import SimConfig, gen_regression
+from corrls.simulate import SimConfig, ar1_covariance, gen_regression
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(corrls.experiment.__file__).resolve().parent.parent
@@ -202,6 +203,26 @@ def test_tune_without_a_finite_loss_writes_the_curve_then_fails(tmp_path, capsys
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag", ["--sigma-w", "--sigma-w-ar1"])
+def test_tune_builds_the_additive_noise_once(tmp_path, capsys, monkeypatch, flag):
+    # each data file built its own: the Sigma_w CSV was read and checked twice
+    cfg = SimConfig(n=150, p=10, s=2, noise_kind="additive", seed=8)
+    paths = [tmp_path / "train.csv", tmp_path / "test.csv"]
+    for seed, path in zip((8, 9), paths):
+        write_dataset_csv(gen_regression(replace(cfg, seed=seed))[0], path)
+    sigma_csv = tmp_path / "sigma.csv"
+    write_matrix_csv(ar1_covariance(10, 0.5, 0.25), sigma_csv)
+    calls = []
+    built = {"--sigma-w": "read_matrix_csv", "--sigma-w-ar1": "ar1_covariance"}[flag]
+    original = getattr(corrls.cli, built)
+    monkeypatch.setattr(corrls.cli, built, lambda *a: calls.append(a) or original(*a))
+    sigma = [str(sigma_csv)] if flag == "--sigma-w" else ["0.5", "0.25"]
+    assert main(["tune", "--data", str(paths[0]), "--test-data", str(paths[1]), "--noise",
+                 "additive", flag, *sigma, "--method", "cs_post", "--radius", "20"]) == 0
+    assert len(calls) == 1
+    assert "best value:" in capsys.readouterr().out
+
+
 def test_tune_without_out_writes_the_curve_to_stdout(tmp_path, sim_config, capsys):
     train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
     main(["simulate", "--config", str(sim_config), "--out", str(train_csv)])
@@ -236,24 +257,40 @@ def test_precision_command(tmp_path):
     assert diag_csv.read_text().splitlines()[0] == "column,support_size,d,fallback"
 
 
-def test_fit_that_diverges_exits_2_with_one_line(tmp_path):
-    from corrls.data import write_dataset_csv
-    from corrls.simulate import gen_regression
+def _cli_process(*argv):
+    """``corrls`` run in a process of its own, with Python's default warning filters,
+    so that a warning it does not report itself would reach its stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "corrls.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
+
+def test_fit_that_diverges_exits_2_with_one_line(tmp_path):
     data, _, _ = gen_regression(SimConfig(n=50, p=20, s=3, noise_kind="additive", seed=4))
     data_csv = tmp_path / "data.csv"
     write_dataset_csv(data, data_csv)
-    # on this indefinite corrected Gram a ball of radius 1e300 does not bound the iterates;
-    # in a process of its own, so that numpy's overflow warning would reach its stderr
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "corrls.cli", "fit", "--data", str(data_csv), "--noise",
-         "additive", "--sigma-w-ar1", "0.5", "0.25", "--method", "l1cls", "--tuning", "0",
-         "--radius", "1e300"], env=env, capture_output=True, text=True, timeout=60)
+    # on this indefinite corrected Gram a ball of radius 1e300 does not bound the iterates,
+    # and numpy's overflow warning is not printed
+    proc = _cli_process("fit", "--data", str(data_csv), "--noise", "additive", "--sigma-w-ar1",
+                        "0.5", "0.25", "--method", "l1cls", "--tuning", "0", "--radius", "1e300")
     assert proc.returncode == 2
     assert proc.stderr == "corrls: error: diverged: non-finite objective in solver\n"
     assert proc.stdout == ""
+
+
+def test_fit_reports_a_python_warning_as_one_corrls_line(tmp_path):
+    # a support of 50 columns on 40 rows: post_cls_fit warns, which printed Python's
+    # "post.py:113: UserWarning: ..." and a source line
+    data, _, _ = gen_regression(SimConfig(n=40, p=60, s=3, noise_kind="missing", seed=4))
+    data_csv = tmp_path / "data.csv"
+    write_dataset_csv(data, data_csv)
+    proc = _cli_process("fit", "--data", str(data_csv), "--noise", "missing", "--method",
+                        "cs_post", "--tuning", "50", "--radius", "20")
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert "corrls: warning: support size 50 exceeds sample size 40" in lines
+    assert all(line.startswith("corrls:") for line in lines), proc.stderr
 
 
 def test_precision_fit_that_diverges_exits_2_and_names_the_column(tmp_path, capsys):

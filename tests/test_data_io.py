@@ -15,8 +15,11 @@ from corrls.simulate import SimConfig, gen_regression
 
 
 class TestNumberRules:
+    # an int too large for a float raised OverflowError, which names no setting
     @pytest.mark.parametrize("value, least", [(3, None), (3.0, 1), (np.int64(-2), None),
-                                              (np.float64(0.0), 0), (10**20, 1)])
+                                              (np.float64(0.0), 0), (10**20, 1),
+                                              pytest.param(10**400, 1, id="10**400-1"),
+                                              (-2**70, None), (np.uint64(2**64 - 1), 0)])
     def test_whole_returns_a_python_int(self, value, least):
         whole = _whole(value, "k", least)
         assert whole == value and type(whole) is int

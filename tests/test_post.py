@@ -321,6 +321,16 @@ class TestCrossValidate:
         best, losses, _ = _cv(train, test, [3.9, np.nan, np.inf, 4], "cs_post", opts)
         assert losses[:3] == [np.inf] * 3 and np.isfinite(losses[3]) and best == 4
 
+    def test_a_grid_with_no_valid_an_records_inf_without_a_screen(self, monkeypatch):
+        def no_screen(*args):
+            raise AssertionError("screened with no valid a_n")
+
+        monkeypatch.setattr(corrls.post, "screen_order", no_screen)
+        train, test, beta0, _ = _split_pair(4)
+        opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
+        best, losses, fit = _cv(train, test, [0, 3.9, -2, np.inf], "cs_post", opts)
+        assert losses == [np.inf] * 4 and best == -2 and fit is None
+
     def test_no_finite_loss_returns_no_fit(self):
         # the first screened column has a zero diagonal, so no prefix of
         # the screening order is positive definite and every a_n is inf

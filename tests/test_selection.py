@@ -88,7 +88,7 @@ class TestScreenWithoutSigmaW:
         gammas = {c: corrected_moments(replace(data, noise=AdditiveNoise(c * sigma_w))).gamma_vec
                   for c in (0.5, 1.0, 2.0)}
         for c in (0.5, 2.0):
-            assert screen_order(gammas[c]).tolist() == screen_order(gammas[1.0]).tolist()
+            assert screen_order(gammas[c], 100).tolist() == screen_order(gammas[1.0], 100).tolist()
             for a_n in (1, 4, 10, 40, 80):
                 assert cs_screen(gammas[c], a_n) == cs_screen(gammas[1.0], a_n), (c, a_n)
 
@@ -104,18 +104,18 @@ class TestScreenOrder2D:
     @given(tied_rows)
     @settings(max_examples=100, deadline=None)
     def test_rows_ordered_as_row_wise_calls(self, G):
-        order = screen_order(G)
+        order = screen_order(G, G.shape[1])
         assert order.shape == G.shape
         for row, got in zip(G, order):
-            assert np.array_equal(got, screen_order(row))
+            assert np.array_equal(got, screen_order(row, row.size))
 
     def test_ties_and_negative_zero_go_to_the_smaller_index(self):
         G = np.array([[-0.0, 0.0, 1.0, -1.0], [2.0, -0.0, -2.0, 0.0]])
-        assert screen_order(G).tolist() == [[2, 3, 0, 1], [0, 2, 1, 3]]
+        assert screen_order(G, 4).tolist() == [[2, 3, 0, 1], [0, 2, 1, 3]]
 
     def test_non_finite_row_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            screen_order(np.array([[1.0, 2.0], [np.inf, 0.0]]))
+            screen_order(np.array([[1.0, 2.0], [np.inf, 0.0]]), 2)
 
 
 def _grid_search_ball(v, R, steps=400):
@@ -522,6 +522,21 @@ def test_invalid_solver_input_raises(build, match):
 def test_solver_counts_and_scales_follow_the_shared_rules(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize("scores", [np.arange(5.0), np.arange(10.0).reshape(2, 5)],
+                         ids=["1-D", "2-D"])
+@pytest.mark.parametrize("k, message", [
+    # 0 returned no index, -1 dropped the last one, 2.5 and nan raised numpy's TypeError
+    (0, "a_n must be at least 1, got 0"),
+    (-1, "a_n must be at least 1, got -1"),
+    (2.5, "a_n must be a whole number, got 2.5"),
+    (True, "a_n must be a whole number, got True"),
+    (np.nan, "a_n must be a whole number, got nan"),
+], ids=["zero", "negative", "fraction", "bool", "nan"])
+def test_screen_order_takes_its_count_by_screen_size(scores, k, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        screen_order(scores, k)
 
 
 def test_a_whole_float_iteration_cap_is_stored_as_an_int():

@@ -350,3 +350,50 @@ def test_whole_float_counts_are_stored_as_ints_and_draw_the_same_data():
 def test_invalid_simulation_input_raises(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    # a fractional or bool seed ran as its integer part, a nan one raised numpy's error
+    (lambda: gen_graph_data(np.eye(3), 20, 1.0, (0.1, 0.3), 1.5),
+     "seed must be a whole number, got 1.5"),
+    (lambda: sample_gaussian(5, np.eye(2), 2.7), "seed must be a whole number, got 2.7"),
+    (lambda: gen_beta0(10, 3, 3.9), "seed must be a whole number, got 3.9"),
+    (lambda: gen_beta0(10, 3, True), "seed must be a whole number, got True"),
+    (lambda: gen_beta0(10, 3, float("nan")), "seed must be a whole number, got nan"),
+    (lambda: substream(-np.inf, "x"), "seed must be a whole number, got -inf"),
+    # a fractional p was rounded up or raised numpy's TypeError; True and 0 made 1x1 and 0x0
+    (lambda: ar1_covariance(2.5, 0.5), "p must be a whole number, got 2.5"),
+    (lambda: ar1_covariance(True, 0.5), "p must be a whole number, got True"),
+    (lambda: ar1_covariance(0, 0.5), "p must be at least 1, got 0"),
+    (lambda: generate_band_precision(40.5), "p must be a whole number, got 40.5"),
+    (lambda: generate_cluster_precision(40.5), "p must be a whole number, got 40.5"),
+    (lambda: gen_beta0(2.5, 1, 0), "p must be a whole number, got 2.5"),
+], ids=["graph_seed", "gaussian_seed", "beta0_seed", "bool_seed", "nan_seed", "inf_seed",
+        "fractional_ar1_p", "bool_ar1_p", "zero_ar1_p", "band_p", "cluster_p", "beta0_p"])
+def test_seeds_and_dimensions_follow_the_whole_number_rule(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("seed, same", [(-1, 2**64 - 1), (2**64 + 5, 5), (7.0, 7),
+                                        pytest.param(10**400, 10**400 % 2**64, id="10**400")])
+def test_a_whole_seed_draws_the_streams_of_its_value_modulo_2_to_the_64(seed, same):
+    # SimConfig(seed=10**400) raised OverflowError
+    a, beta_a, _ = gen_regression(_config(seed=seed))
+    b, beta_b, _ = gen_regression(_config(seed=same))
+    assert a.Z.tobytes() == b.Z.tobytes() and a.mask.tobytes() == b.mask.tobytes()
+    assert a.y.tobytes() == b.y.tobytes() and beta_a.tobytes() == beta_b.tobytes()
+
+
+@pytest.mark.parametrize("rho_range", [(0.5, 0.2), (-0.5, -0.1), (0.1, 1.0), (0.2,)])
+def test_rho_range_is_checked_before_any_draw(monkeypatch, rho_range):
+    # gen_graph_data failed inside numpy's uniform draw, or in MissingNoise after X was drawn
+    def no_draw(*args):
+        raise AssertionError("drew before checking rho_range")
+
+    monkeypatch.setattr(simulate, "substream", no_draw)
+    message = f"rho_range must satisfy 0 <= lo <= hi < 1 as (lo, hi), got {rho_range}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _config(rho_range=rho_range)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gen_graph_data(np.eye(3), 20, 1.0, rho_range, 1)
