@@ -334,7 +334,7 @@ def _clean_cells(fh, width):
 def read_dataset_csv(path, noise):
     """Load a dataset from a delimited file.
 
-    Expects a header row; a column named "y" (if present) becomes the
+    Expects a header row; a column named "y" (at most one) becomes the
     response, all remaining columns become Z in file order.  Missing cells
     carry the token "NA" (or "-NA", "+NA") and are only legal under a missing-data
     noise model, where they clear the mask and are zero-filled (+0.0) in place
@@ -345,6 +345,8 @@ def read_dataset_csv(path, noise):
     """
     with open(path, newline="") as fh:
         header = read_header(fh)
+        if header.count("y") > 1:
+            raise ValueError(f"{path}: more than one y column")
         cells = _clean_cells(fh, len(header))
     if cells is None:
         cells = _checked_cells(path)

@@ -62,14 +62,12 @@ class GridSpec:
             if name != "methods":  # stored as int: a float or bool n crashes the generator
                 vals = tuple(_whole(v, name, 1) for v in vals)
             object.__setattr__(self, name, vals)
-        if max(self.s_values) > min(self.p_values):
-            raise ValueError(f"s value {max(self.s_values)} exceeds p value {min(self.p_values)}")
         object.__setattr__(self, "replicates", _whole(self.replicates, "replicates", 1))
         object.__setattr__(self, "base_seed", _whole(self.base_seed, "base_seed"))
         bad = set(self.methods) - set(_FIT_RULES)
         if bad:
             raise ValueError(f"unknown methods: {sorted(bad)}")
-        # the model fields, checked by SimConfig at the least n and p and the greatest s
+        # the model fields and s <= p, checked by SimConfig at the least n and p and the greatest s
         self._sim_config(min(self.n_values), min(self.p_values), max(self.s_values))
 
     def _sim_config(self, n, p, s, seed=0):

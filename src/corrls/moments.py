@@ -20,6 +20,7 @@ __all__ = [
     "CorrectedMoments",
     "active_rows_matvec",
     "estimate_missing_rates",
+    "lipschitz_estimate",
     "build_mask_matrix",
     "corrected_moments",
     "uncorrected_moments",
@@ -118,8 +119,6 @@ class CorrectedMoments:
         lambda_max(AA'/n) (A = Z if raw) by `_lanczos_top`: for the raw Gram it agrees
         with `eigvalsh` to 1e-13 relative, else it is a bound.  AA' is summed over
         blocks of columns of A, so Z / q is never copied whole."""
-        from .selection import _lanczos_top, lipschitz_estimate  # selection imports this module
-
         if self.factor is None or not self.wide:
             return lipschitz_estimate(self.gamma_mat)
         Z, q = self.factor
@@ -132,6 +131,41 @@ class CorrectedMoments:
                 AA += A @ A.T
                 del A  # one block alive at a time
         return _lanczos_top(_finite(np.divide(AA, self.n, out=AA)))
+
+
+def lipschitz_estimate(G):
+    """Largest |eigenvalue| of symmetric G, the gradient's Lipschitz constant."""
+    vals = np.linalg.eigvalsh(np.asarray(G, dtype=float))
+    return float(np.max(np.abs(vals), initial=0.0))
+
+
+def _lanczos_top(G):
+    """Largest eigenvalue of a symmetric positive semidefinite n x n G by Lanczos
+    with full reorthogonalization from a fixed start: the top Ritz value theta once
+    its residual bound r = beta_j |s_j| is at most 1e-10 theta, or once the value's
+    error bound r^2 / gap (Parlett 1998; gap ~ theta - the next Ritz value) is at
+    most 1e-14 theta, or at step n, where it is exact.  Its products are
+    matrix-vector ones, whose bytes do not depend on the BLAS thread count."""
+    n = G.shape[0]
+    Q = np.empty((n, n))  # row j is the j-th Lanczos vector
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    alpha, beta = [], []
+    for j in range(n):
+        Q[j] = q
+        w = G.dot(q)
+        alpha.append(float(q.dot(w)))
+        for _ in range(2):  # Gram-Schmidt twice against every earlier vector
+            w -= Q[:j + 1].dot(w).dot(Q[:j + 1])
+        b = float(np.linalg.norm(w))
+        stop = j + 1 == n or b <= 1e-10 * max(alpha)  # <= 1e-10 theta; w / b is rounding noise
+        if stop or (j >= 29 and j % 10 == 9):  # else checked every 10 steps from step 30
+            theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1), UPLO="L")
+            top, r = theta[-1], b * abs(S[-1, -1])
+            if stop or r <= 1e-10 * top or r * r <= 1e-14 * top * (top - theta[-2]):
+                return float(top)
+        beta.append(b)
+        q = w / b
 
 
 def active_rows_matvec(G, b):

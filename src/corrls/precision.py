@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _BLOCK_ENTRIES, MissingNoise, SurrogateDataset, _whole
-from .moments import CorrectedMoments, _corrected, _finite
+from .data import _BLOCK_ENTRIES, MissingNoise, SurrogateDataset, _finite, _whole
+from .moments import CorrectedMoments, _corrected
 from .post import _refit
 from .selection import FIT_ERRORS, SolverOptions, screen_order, screen_size
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _positive, _whole
-from .moments import CorrectedMoments
+from .moments import CorrectedMoments, lipschitz_estimate  # perfbench/tracer.py wraps it here
 
 __all__ = [
     "FIT_ERRORS",
@@ -71,25 +71,24 @@ class FitResult:
 def screen_order(scores, k):
     """The first k indices of each row of ``scores`` by decreasing |score|, ties to
     the smaller index, k by `screen_size`: the order in which correlation screening
-    admits coordinates.  A 1-D array is one row.  Below the row length the k are
-    found by a partition, not a sort of the row, then ordered stably."""
+    admits coordinates.  A 1-D array is one row.  The k are found by a partition,
+    not a sort of the row, then ordered stably: at k equal to the row length, the
+    stable argsort of -|row|."""
     g = np.asarray(scores, dtype=float)
+    if g.ndim > 2 or g.shape[-1:] == (0,):
+        raise ValueError(f"screening scores must be non-empty 1-D or 2-D rows, got shape {g.shape}")
     a = np.abs(g if g.ndim == 2 else g.reshape(1, -1))
     k = screen_size(k, a.shape[1])
     if not math.isfinite(np.maximum.reduce(a, axis=None, initial=0.0)):
         raise ValueError("screening scores must be finite")
-    if k == a.shape[1]:
-        # stable sort on (-|g|, index) gives magnitude order with index tie-break
-        order = np.argsort(-a, axis=1, kind="stable")
-    else:
-        kth = np.partition(a, -k, axis=1)[:, -k, None]  # k-th largest of each row
-        keep = a >= kth
-        surplus = keep.sum(axis=1) - k  # ties at the k-th largest beyond the k kept
-        for i in np.flatnonzero(surplus):
-            keep[i, np.flatnonzero(a[i] == kth[i])[-surplus[i]:]] = False
-        kept = np.nonzero(keep)[1].reshape(-1, k)  # ascending in each row
-        rank = np.argsort(-np.take_along_axis(a, kept, axis=1), axis=1, kind="stable")
-        order = np.take_along_axis(kept, rank, axis=1)
+    kth = np.partition(a, -k, axis=1)[:, -k, None]  # k-th largest of each row
+    keep = a >= kth
+    surplus = keep.sum(axis=1) - k  # ties at the k-th largest beyond the k kept
+    for i in np.flatnonzero(surplus):
+        keep[i, np.flatnonzero(a[i] == kth[i])[-surplus[i]:]] = False
+    kept = np.nonzero(keep)[1].reshape(-1, k)  # ascending in each row
+    rank = np.argsort(-np.take_along_axis(a, kept, axis=1), axis=1, kind="stable")
+    order = np.take_along_axis(kept, rank, axis=1)
     return order if g.ndim == 2 else order[0]
 
 
@@ -105,20 +104,19 @@ def cs_screen(gamma_vec, a_n) -> tuple:
     return tuple(sorted(int(j) for j in screen_order(np.ravel(gamma_vec), a_n)))
 
 
-def project_l1_ball(v, R, shrink=0.0):
-    """Euclidean projection onto the l1 ball of radius R (Duchi et al.) of
-    sign(v) * max(|v| - shrink, 0), v soft-thresholded, in one pass over |v|
-    that sums it once and sorts it only outside the ball.  With shrink 0, v
-    is projected as given, negative zeros kept."""
+def project_l1_ball(v, R):
+    """Euclidean projection of v onto the l1 ball of radius R (Duchi et al.), by
+    `_project_l1_ball` with no shrink: negative zeros kept, a fresh array."""
     v = np.asarray(v, dtype=float).ravel()
-    x = _project_l1_ball(v, _positive(R, "radius"), shrink)[0]
+    x = _project_l1_ball(v, _positive(R, "radius"), 0.0)[0]
     return x.copy() if x is v else x
 
 
 def _project_l1_ball(v, R, shrink):
-    """`project_l1_ball` of a 1-D float v and a radius R > 0, unchecked, and the
-    l1 norm of its result as a Python float, bit-equal to np.abs(x).sum(); v
-    itself if it is kept."""
+    """Euclidean projection onto the l1 ball of radius R > 0 (unchecked) of the 1-D
+    float v soft-thresholded, sign(v) * max(|v| - shrink, 0), in one pass over |v| that
+    sums it once and sorts it only outside the ball; and the l1 norm of the result as a
+    Python float, bit-equal to np.abs(x).sum().  v itself if kept (shrink 0, inside)."""
     a = np.abs(v)
     if shrink:
         a -= shrink
@@ -138,47 +136,12 @@ def _project_l1_ball(v, R, shrink):
     return np.sign(v) * a, float(np.add.reduce(a))
 
 
-def lipschitz_estimate(G):
-    """Largest |eigenvalue| of symmetric G, the gradient's Lipschitz constant."""
-    vals = np.linalg.eigvalsh(np.asarray(G, dtype=float))
-    return float(np.max(np.abs(vals), initial=0.0))
-
-
-def _lanczos_top(G):
-    """Largest eigenvalue of a symmetric positive semidefinite n x n G by Lanczos
-    with full reorthogonalization from a fixed start: the top Ritz value theta once
-    its residual bound r = beta_j |s_j| is at most 1e-10 theta, or once the value's
-    error bound r^2 / gap (Parlett 1998; gap ~ theta - the next Ritz value) is at
-    most 1e-14 theta, or at step n, where it is exact.  Its products are
-    matrix-vector ones, whose bytes do not depend on the BLAS thread count."""
-    n = G.shape[0]
-    Q = np.empty((n, n))  # row j is the j-th Lanczos vector
-    q = np.random.default_rng(0).standard_normal(n)
-    q /= np.linalg.norm(q)
-    alpha, beta = [], []
-    for j in range(n):
-        Q[j] = q
-        w = G.dot(q)
-        alpha.append(float(q.dot(w)))
-        for _ in range(2):  # Gram-Schmidt twice against every earlier vector
-            w -= Q[:j + 1].dot(w).dot(Q[:j + 1])
-        b = float(np.linalg.norm(w))
-        stop = j + 1 == n or b <= 1e-10 * max(alpha)  # <= 1e-10 theta; w / b is rounding noise
-        if stop or (j >= 29 and j % 10 == 9):  # else checked every 10 steps from step 30
-            theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1), UPLO="L")
-            top, r = theta[-1], b * abs(S[-1, -1])
-            if stop or r <= 1e-10 * top or r * r <= 1e-14 * top * (top - theta[-2]):
-                return float(top)
-        beta.append(b)
-        q = w / b
-
-
 def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> FitResult:
     """Minimize 0.5 b'Gb - g'b + lam*||b||_1 subject to ||b||_1 <= radius.
 
     Accelerated projected gradient (FISTA, Beck & Teboulle 2009) with the
     fixed step 1/L (L cached on the moments): a gradient step from the
-    extrapolated point y, then one `project_l1_ball` pass that
+    extrapolated point y, then one `_project_l1_ball` pass that
     soft-thresholds by lam/L, projects onto the ball and gives the l1 norm
     of the candidate for its objective.  y runs on past the candidate along
     its step, unless the momentum points uphill, (y - cand) . step > 0, which

@@ -46,8 +46,7 @@ class SimConfig:
     def __post_init__(self):
         for name, least in (("n", 1), ("p", 1), ("s", 1), ("seed", None)):  # stored as ints
             object.__setattr__(self, name, _whole(getattr(self, name), name, least))
-        if self.s > self.p:
-            raise ValueError("need 0 < s <= p")
+        _check_s(self.s, self.p)
         _positive(self.sigma_eps, "sigma_eps")
         if not 0 <= self.ar_phi < 1:
             raise ValueError("ar_phi must lie in [0, 1)")
@@ -55,6 +54,11 @@ class SimConfig:
         _check_rho_range(self.rho_range)
         if self.noise_kind not in ("additive", "missing"):
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
+
+
+def _check_s(s, p):
+    if s > p:  # the one s <= p check, of SimConfig and gen_beta0
+        raise ValueError(f"s value {s} exceeds p value {p}")
 
 
 def _check_rho_range(rho):
@@ -67,8 +71,7 @@ def gen_beta0(p, s, seed):
     """Sparse coefficient vector: s entries at the leading indices, each
     with sign Bernoulli(1/2) and magnitude Uniform(1, 4); the rest zero."""
     p, s = _whole(p, "p", 1), _whole(s, "s", 0)
-    if s > p:
-        raise ValueError("s cannot exceed p")
+    _check_s(s, p)
     beta = np.zeros(p)
     rng = substream(seed, "beta0", p, s)
     mags = rng.uniform(1.0, 4.0, size=s)

@@ -184,6 +184,22 @@ def test_tune_writes_curve(tmp_path, sim_config, capsys):
         capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, args", [
+    ("fit", ["--noise", "missing", "--method", "cs_post", "--tuning", "1", "--radius", "5"]),
+    ("tune", ["--noise", "missing", "--method", "cs_post", "--radius", "5"]),
+    ("precision", ["--an", "1", "--radius", "5"]),
+])
+def test_a_dataset_with_two_y_columns_is_rejected(tmp_path, capsys, command, args):
+    data_csv = tmp_path / "two_y.csv"
+    data_csv.write_text("y,z1,z2,y\n1,2,3,4\n5,6,7,8\n9,1,2,3\n")
+    test = ["--test-data", str(data_csv)] if command == "tune" else []
+    out = ["--out", str(tmp_path / "out.csv")] if command != "fit" else []
+    assert main([command, "--data", str(data_csv), *test, *args, *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"corrls: error: {data_csv}: more than one y column\n"
+    assert captured.out == ""
+
+
 def test_tune_without_a_finite_loss_writes_the_curve_then_fails(tmp_path, capsys):
     # column 0 carries y, but the stated noise variance exceeds its second
     # moment, so the corrected Gram has a negative leading diagonal entry

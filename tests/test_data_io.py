@@ -295,6 +295,16 @@ class TestCsvFormat:
                 read_dataset_csv(path, noise)
         assert str(exc.value) == f"{path}: {message}"
 
+    def test_two_y_columns_rejected(self, tmp_path):
+        # the second y was read as a covariate; covariate names may repeat
+        path = tmp_path / "two_y.csv"
+        path.write_text("y,z1,y\n1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError) as exc:
+            read_dataset_csv(path, MissingNoise([0.0, 0.0]))
+        assert str(exc.value) == f"{path}: more than one y column"
+        path.write_text("y,z1,z1\n1,2,3\n4,5,6\n")
+        assert read_dataset_csv(path, MissingNoise([0.0, 0.0])).Z.tolist() == [[2, 3], [5, 6]]
+
 
 def _line_checked_read(path, noise):
     """Reference reader: every line checked before it is parsed (`_checked_cells`),

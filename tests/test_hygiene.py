@@ -199,3 +199,38 @@ def test_count_and_scale_rules_have_one_home(phrase):
     seed is checked by `data._whole`, and every scale by `data._positive`."""
     sources = sorted((ROOT / "src" / "corrls").glob("*.py"))
     assert [p.name for p in sources if phrase in p.read_text()] == ["data.py"]
+
+
+def _package_imports():
+    """{module file stem: [(the module it imports from, module level?)]} for every
+    relative import (``from .x import``) in `src/corrls`."""
+    edges = {}
+    for path in sorted((ROOT / "src" / "corrls").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(stmt) for stmt in tree.body}
+        edges[path.stem] = [(node.module, id(node) in top) for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom) and node.level]
+    return edges
+
+
+def test_package_imports_sit_at_module_top_and_form_no_cycle():
+    """No corrls module imports another inside a function, where an import cycle
+    can hide, and the graph of their imports is acyclic: `selection` depends on
+    `moments`, and not the reverse.  A stdlib import inside a function (the pool's
+    `multiprocessing`) is not a package import and stays legal."""
+    edges = _package_imports()
+    assert [(name, dep) for name, deps in edges.items() for dep, top in deps if not top] == []
+    graph = {name: {dep for dep, _ in deps} for name, deps in edges.items()}
+    done = set()
+    while len(done) < len(graph):  # peel off the modules whose imports are all done
+        ready = {name for name, deps in graph.items() if name not in done and deps <= done}
+        assert ready, f"import cycle among {sorted(set(graph) - done)}"
+        done |= ready
+    assert "moments" in graph["selection"]
+
+
+def test_s_at_most_p_check_has_one_home():
+    """Only `simulate` spells the s <= p message: `SimConfig` and `gen_beta0`
+    share one check, and `GridSpec` reaches it through `SimConfig`."""
+    sources = sorted((ROOT / "src" / "corrls").glob("*.py"))
+    assert [p.name for p in sources if "exceeds p value" in p.read_text()] == ["simulate.py"]

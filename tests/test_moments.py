@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrls.moments
 import corrls.post
-import corrls.selection
 from corrls import (
     AdditiveNoise,
     CorrectedMoments,
@@ -28,8 +28,9 @@ from corrls import (
 )
 from corrls.data import _BLOCK_ENTRIES, GramRows
 from corrls.experiment import GridSpec, run_grid
+from corrls.moments import _lanczos_top, lipschitz_estimate
 from corrls.post import METHODS, cross_validate, default_lambda_grid
-from corrls.selection import SolverOptions, _lanczos_top, l1_cls_fit, lipschitz_estimate
+from corrls.selection import SolverOptions, l1_cls_fit
 from corrls.simulate import SimConfig, ar1_covariance, gen_beta0, gen_regression, sample_gaussian
 from corrls._rng import substream
 
@@ -188,16 +189,16 @@ def _exact_lipschitz(m):
 
 
 def _bounded_on(monkeypatch, m, name="lipschitz_estimate"):
-    """The shapes of the matrices the bound ``corrls.selection.<name>`` sees
+    """The shapes of the matrices the bound ``corrls.moments.<name>`` sees
     while `m.lipschitz` is computed."""
-    original = getattr(corrls.selection, name)
+    original = getattr(corrls.moments, name)
     shapes = []
 
     def recording(G):
         shapes.append(np.shape(G))
         return original(G)
 
-    monkeypatch.setattr(corrls.selection, name, recording)
+    monkeypatch.setattr(corrls.moments, name, recording)
     m.lipschitz
     return shapes
 
@@ -206,8 +207,8 @@ def _wide_bound_matrix(monkeypatch, m):
     """The n x n matrix `_lanczos_top` bounds for the wide moments m, and the
     bound `m.lipschitz` it gives."""
     seen = []
-    original = corrls.selection._lanczos_top
-    monkeypatch.setattr(corrls.selection, "_lanczos_top",
+    original = corrls.moments._lanczos_top
+    monkeypatch.setattr(corrls.moments, "_lanczos_top",
                         lambda G: seen.append(G.copy()) or original(G))
     L = m.lipschitz
     (G,) = seen
@@ -259,8 +260,8 @@ class TestLipschitzBound:
         # three blocks of columns, the last one partial, summed as sum() adds them;
         # the raw Gram's Z Z' is one block
         m = build(_wide("missing", 9, n=100, p=6000))
-        original = corrls.selection._lanczos_top
-        monkeypatch.setattr(corrls.selection, "lipschitz_estimate",
+        original = corrls.moments._lanczos_top
+        monkeypatch.setattr(corrls.moments, "lipschitz_estimate",
                             lambda G: pytest.fail("a full eigendecomposition at p > n"))
         Z, q = m.factor
         step = _BLOCK_ENTRIES // m.n
@@ -287,9 +288,9 @@ class TestLipschitzBound:
         # matrix is bounded in each process
         A = np.random.default_rng(5).standard_normal((500, 1000))
         np.save(tmp_path / "G.npy", A @ A.T / 1000)
-        script = ("import sys, numpy as np; from corrls.selection import _lanczos_top; "
+        script = ("import sys, numpy as np; from corrls.moments import _lanczos_top; "
                   "print(_lanczos_top(np.load(sys.argv[1])).hex())")
-        src = str(Path(corrls.selection.__file__).resolve().parents[1])
+        src = str(Path(corrls.moments.__file__).resolve().parents[1])
         bounds = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
@@ -384,10 +385,10 @@ class TestLanczosStoppingRule:
     def test_bytes_do_not_depend_on_the_blas_thread_count(self, lanczos_matrices, tmp_path):
         path = tmp_path / "G.npz"
         np.savez(path, *lanczos_matrices.values())
-        script = ("import sys, numpy as np; from corrls.selection import _lanczos_top; "
+        script = ("import sys, numpy as np; from corrls.moments import _lanczos_top; "
                   "f = np.load(sys.argv[1]); "
                   "print(' '.join(_lanczos_top(f[k]).hex() for k in f.files))")
-        src = str(Path(corrls.selection.__file__).resolve().parents[1])
+        src = str(Path(corrls.moments.__file__).resolve().parents[1])
         bounds = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(

@@ -7,6 +7,7 @@ import pytest
 
 import corrls.cli
 import corrls.experiment
+import corrls.moments
 import corrls.post
 import corrls.selection
 from corrls import (
@@ -392,14 +393,14 @@ class TestCrossValidate:
 
     @pytest.mark.parametrize("rule", ["l1cls", "lasso"])
     def test_one_lipschitz_bound_per_moments(self, monkeypatch, rule):
-        original = corrls.selection.lipschitz_estimate
+        original = corrls.moments.lipschitz_estimate
         calls = []
 
         def counting(G):
             calls.append(G)
             return original(G)
 
-        monkeypatch.setattr(corrls.selection, "lipschitz_estimate", counting)
+        monkeypatch.setattr(corrls.moments, "lipschitz_estimate", counting)
         train, test, beta0, _ = _split_pair(6)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
         _cv(train, test, default_lambda_grid(), rule, opts)

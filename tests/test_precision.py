@@ -517,9 +517,10 @@ class TestBatchedNeighborhoods:
 
 
 class TestScreenOrder:
-    """`screen_order` keeps the k largest |scores| of each row, by a stable sort at
-    k equal to the row length and by a partition below it: either way the prefix
-    of numpy's stable argsort of -|scores|, in its order, ties to the smaller index."""
+    """`screen_order` keeps the k largest |scores| of each row by one route, a
+    partition and then a stable sort of the kept k, at every k up to the row length
+    and past it: the prefix of numpy's stable argsort of -|scores|, in its order,
+    ties to the smaller index."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_the_stable_argsort_prefix(self, seed):

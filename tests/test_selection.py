@@ -17,15 +17,15 @@ from corrls import (
     project_l1_ball,
     support,
 )
-from corrls.moments import active_rows_matvec, corrected_loss, corrected_moments
-from corrls.post import default_lambda_grid
-from corrls.selection import (
+from corrls.moments import (
     _lanczos_top,
-    _project_l1_ball,
+    active_rows_matvec,
+    corrected_loss,
+    corrected_moments,
     lipschitz_estimate,
-    screen_order,
-    screen_size,
 )
+from corrls.post import default_lambda_grid
+from corrls.selection import _project_l1_ball, screen_order, screen_size
 from corrls.simulate import SimConfig, ar1_covariance, gen_regression
 
 finite_vecs = hnp.arrays(
@@ -184,8 +184,8 @@ class TestProjectL1Ball:
 
 
 class TestShrinkAndProject:
-    """`project_l1_ball(v, R, shrink)` is the soft-threshold followed by the
-    projection, to the bit: negative zeros are where the two can part."""
+    """The solver's kernel `_project_l1_ball(v, R, shrink)` is the soft-threshold
+    followed by the projection, to the bit: negative zeros are where the two can part."""
 
     @pytest.mark.parametrize("v, R, shrink", [
         ([0.3, -0.2, 0.05], 1.0, 0.1),                # inside the ball
@@ -202,7 +202,7 @@ class TestShrinkAndProject:
     ])
     def test_matches_shrink_then_project(self, v, R, shrink):
         v = np.array(v)
-        out = project_l1_ball(v, R, shrink)
+        out = _project_l1_ball(v, R, shrink)[0]
         assert out.tobytes() == _reference_project(soft_threshold(v, shrink), R).tobytes()
 
     def test_without_shrink_negative_zeros_are_kept(self):
@@ -219,7 +219,7 @@ class TestShrinkAndProject:
     @settings(max_examples=200, deadline=None)
     def test_matches_shrink_then_project_on_random_vectors(self, v, R, shrink):
         ref = _reference_project(soft_threshold(v, shrink) if shrink else v, R)
-        assert project_l1_ball(v, R, shrink).tobytes() == ref.tobytes()
+        assert _project_l1_ball(v, R, shrink)[0].tobytes() == ref.tobytes()
 
     @given(hnp.arrays(dtype=float, shape=st.integers(1, 12),
                       elements=st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.25, 3.0])
@@ -230,7 +230,8 @@ class TestShrinkAndProject:
         # the solver's objective takes ||x||_1 from the kernel, inside the
         # ball and outside it
         x, norm = _project_l1_ball(v, R, shrink)
-        assert x.tobytes() == project_l1_ball(v, R, shrink).tobytes()
+        shrunk = soft_threshold(v, shrink) if shrink else v
+        assert x.tobytes() == project_l1_ball(shrunk, R).tobytes()
         assert np.float64(norm).tobytes() == np.abs(x).sum().tobytes()
 
     @pytest.mark.parametrize("v, shrink, outside", [
@@ -254,12 +255,12 @@ class TestShrinkAndProject:
     def test_rejects_non_finite_input(self, v, message):
         for shrink in (0.0, 0.1):
             with pytest.raises(ValueError, match=message):
-                project_l1_ball(np.array(v), 1.0, shrink)
+                _project_l1_ball(np.array(v), 1.0, shrink)
 
     def test_rejects_non_positive_radius(self):
         for R in (0.0, float("nan")):  # nan fails R > 0 too, before any sort
             with pytest.raises(ValueError, match="radius must be positive"):
-                project_l1_ball(np.array([0.1]), R, 0.1)
+                project_l1_ball(np.array([0.1]), R)
 
 
 def _m(G, g):
@@ -537,6 +538,14 @@ def test_solver_counts_and_scales_follow_the_shared_rules(build, message):
 def test_screen_order_takes_its_count_by_screen_size(scores, k, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         screen_order(scores, k)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (1, 3, 1, 2), (0,), (3, 0)])
+def test_screen_order_rejects_scores_that_are_not_rows(shape):
+    # a 3-D array was flattened: (2, 2, 2) at k = 3 gave [7 6 5], indices into no row
+    message = f"screening scores must be non-empty 1-D or 2-D rows, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        screen_order(np.arange(math.prod(shape), dtype=float).reshape(shape), 3)
 
 
 def test_a_whole_float_iteration_cap_is_stored_as_an_int():

@@ -337,11 +337,11 @@ def test_whole_float_counts_are_stored_as_ints_and_draw_the_same_data():
 @pytest.mark.parametrize("build, message", [
     (lambda: ar1_covariance(5, 1.0), "|phi| must be < 1"),
     (lambda: ar1_covariance(5, float("nan")), "|phi| must be < 1"),
-    (lambda: _config(s=6), "need 0 < s <= p"),
+    (lambda: _config(s=6), "s value 6 exceeds p value 5"),
     (lambda: _config(ar_phi=1.0), "ar_phi must lie in [0, 1)"),
     (lambda: _config(rho_range=(0.5, 0.2)), "rho_range must satisfy 0 <= lo <= hi < 1"),
     (lambda: _config(noise_kind="both"), "unknown noise kind 'both'"),
-    (lambda: gen_beta0(3, 4, 0), "s cannot exceed p"),
+    (lambda: gen_beta0(3, 4, 0), "s value 4 exceeds p value 3"),
     (lambda: generate_band_precision(20, 20), "bandwidth must lie in [1, p)"),
     (lambda: generate_cluster_precision(20, 21), "n_clusters must lie in [1, p]"),
     (lambda: sample_gaussian(3, -np.eye(2), 0), "covariance not PD"),
