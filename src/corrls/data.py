@@ -174,8 +174,8 @@ class SurrogateDataset:
     @cached_property
     def gram(self):
         """Z'Z/n, formed once for every moments of this dataset that read it whole
-        (not wide missing-data or raw ones: `gram_rows`); read-only and checked
-        finite when formed (`_finite`), so no moments scan it again."""
+        (not wide missing-data or raw ones, whose products read a `GramRows` store);
+        read-only and checked finite when formed (`_finite`), so no moments scan it again."""
         S = _finite((self.Z.T @ self.Z) / self.n)
         S.flags.writeable = False
         return S
@@ -188,18 +188,13 @@ class SurrogateDataset:
         g.flags.writeable = False
         return g
 
-    @cached_property
-    def gram_rows(self):
-        """The `GramRows` store of Z'Z/n, made once for every moments of this dataset."""
-        return GramRows(self.Z)
-
 
 class GramRows:
     """Rows of S = Z'Z/n, formed when a product first needs them and kept for
     every later one, at most n of them, so never more than Z holds.  ``diag``,
     the diagonal of S from the column norms of Z, is checked finite when the
     store is made: |S_ij| <= max(S_ii, S_jj) bounds every row formed later.
-    It takes no lock: moments of one dataset are not fitted from two threads at once."""
+    `CorrectedMoments.product` makes one per fit or path."""
 
     def __init__(self, Z):
         self.Z, (self.n, p) = Z, Z.shape

@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import _BLOCK_ENTRIES, AdditiveNoise, MissingNoise, SurrogateDataset, _finite, _row_blocks
+from .data import _BLOCK_ENTRIES, AdditiveNoise, GramRows, MissingNoise, SurrogateDataset
+from .data import _finite, _row_blocks
 
 __all__ = [
     "CorrectedMoments",
@@ -94,13 +95,13 @@ class CorrectedMoments:
     def product(self):
         """The function b -> gamma_mat @ b, chosen here and nowhere else: when
         `wide` with a `factor`, S b or (S (b/q)) / q - d b, d = diag(S) rho / q^2,
-        by `GramRows.matvec` of the dataset's store of S: its rows at the
+        by `GramRows.matvec` of a store of S made for this call: its rows at the
         non-zeros of b, or Z'(Z b)/n for a dense b; else `active_rows_matvec`,
-        dense below 256 columns (no gain there).  A solver takes it once per
-        fit; it holds arrays only, never these moments."""
+        dense below 256 columns (no gain there).  A solver takes it once per fit
+        or path, so no fit reads another's store; it holds arrays, never these moments."""
         if self.wide and self.factor is not None:
             data, noise = self.source
-            S = data.gram_rows  # its diagonal is checked finite when it is made
+            S = GramRows(data.Z)  # its diagonal is checked finite when it is made
             if noise is None:
                 return S.matvec
             q = 1.0 - noise.rho

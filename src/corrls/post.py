@@ -12,6 +12,7 @@ precision batch; CS+post's cross-validation scores only its direct solves.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -26,7 +27,7 @@ from .moments import (
     estimate_missing_rates,
     uncorrected_moments,
 )
-from .selection import FIT_ERRORS, FitResult, SolverOptions, cs_screen, l1_cls_fit
+from .selection import FIT_ERRORS, FitResult, SolverOptions, cs_screen, l1_cls_fit, l1_cls_path
 from .selection import screen_order, screen_size
 
 __all__ = [
@@ -97,8 +98,11 @@ def post_cls_fit(m: CorrectedMoments, T_hat, opts: SolverOptions) -> FitResult:
         raise ValueError("empty support")
     if T[-1] >= m.p:
         raise ValueError("support index out of range")
-    if len(T) > m.n:
-        warnings.warn(f"support size {len(T)} exceeds sample size {m.n}", stacklevel=2)
+    if len(T) > m.n:  # warned at the line of the first caller outside corrls
+        frame, level = sys._getframe(1), 2
+        while frame and frame.f_globals.get("__name__", "").startswith("corrls."):
+            frame, level = frame.f_back, level + 1
+        warnings.warn(f"support size {len(T)} exceeds sample size {m.n}", stacklevel=level)
     beta = np.zeros(m.p)
     (beta[T],), fits = _refit(m.block(T)[None], m.gamma_vec[T][None], m.n, opts)
     fit = fits.get(0)
@@ -187,20 +191,18 @@ def _cs_post_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid, o
 
 def _penalized_losses(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
                       opts: SolverOptions):
-    """Held-out loss of `l1_cls_fit` at each penalty, aligned to the grid (inf
-    where the fit or its loss failed), fitted in ascending order as one path:
-    each fit starts from the beta of the last that succeeded, the first at 0.
+    """Held-out loss of each fit of `l1_cls_path` on the grid from the largest
+    penalty down, aligned to the grid (inf where the fit or its loss failed).
     Returns (losses, {index: fit} of the first fit that succeeded, which is the
     method's fit from zero there)."""
+    order = sorted(range(len(grid)), key=grid.__getitem__, reverse=True)
     losses, cold = [np.inf] * len(grid), {}
-    beta0 = None
-    for i in sorted(range(len(grid)), key=grid.__getitem__):
+    for i, fit in zip(order, l1_cls_path(train_m, [grid[i] for i in order], opts)):
+        if fit is None:
+            continue
+        cold = cold or {i: fit}
         try:
-            fit = l1_cls_fit(train_m, float(grid[i]), opts, beta0=beta0)
-            if not cold:  # the first fit that succeeded, which started at 0
-                cold[i] = fit
-            beta0 = fit.beta
-            loss = float(corrected_loss(beta0, test_m))
+            loss = float(corrected_loss(fit.beta, test_m))
         except FIT_ERRORS:
             continue
         losses[i] = loss if np.isfinite(loss) else np.inf
@@ -263,8 +265,8 @@ def cross_validate(train_m: CorrectedMoments, test_m: CorrectedMoments, grid,
     test moments ``test_m``.  Both must be of the kind ``method.moments``
     builds (the test split self-corrects with its own estimated missing
     rates).  A failed fit records an infinite loss for that grid point.
-    L1CLS and the Lasso fit the grid as one warm-started path
-    (`_penalized_losses`).  CS+post records an infinite loss, without a fit,
+    L1CLS and the Lasso fit the grid as one path from the largest penalty
+    down (`_penalized_losses`).  CS+post records an infinite loss, without a fit,
     past the positive-definite prefix of its screening order
     (`_prefix_refits`) and where its solve leaves the l1 ball, so its pick
     is a direct solve.  Ties (`best_grid_index`) break toward the smaller value.

@@ -30,6 +30,7 @@ __all__ = [
     "project_l1_ball",
     "lipschitz_estimate",
     "l1_cls_fit",
+    "l1_cls_path",
     "support",
 ]
 
@@ -137,17 +138,46 @@ def _project_l1_ball(v, R, shrink):
 
 
 def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> FitResult:
-    """Minimize 0.5 b'Gb - g'b + lam*||b||_1 subject to ||b||_1 <= radius.
+    """Minimize 0.5 b'Gb - g'b + lam*||b||_1 subject to ||b||_1 <= radius by `_fista`, from
+    beta0 projected onto the ball or from zero, with a `CorrectedMoments.product` of its own."""
+    beta = np.zeros(m.p) if beta0 is None else project_l1_ball(beta0, opts.radius)
+    if beta.size != m.p:
+        raise ValueError(f"beta0 has length {beta.size}, expected {m.p}")
+    return _fista(m, m.product(), lam, beta, opts)
 
-    Accelerated projected gradient (FISTA, Beck & Teboulle 2009) with the
+
+def l1_cls_path(m: CorrectedMoments, lams, opts: SolverOptions) -> list:
+    """`l1_cls_fit` at each of ``lams`` in turn, with one product.  The first fit starts
+    from zero, the next from the last that succeeded, each later one from the secant
+    through the last two that did, b2 + (lam - lam2)/(lam2 - lam1) (b2 - b1), projected
+    onto the ball (b2 if lam1 == lam2): the solution is linear in lam between changes of
+    its support (Osborne et al. 2000).  None for a fit that raised `FIT_ERRORS`."""
+    matvec, fits, good = None, [], []  # good: (lam, beta) of the last two good fits
+    for lam in lams:
+        try:
+            lam, beta = float(lam), np.zeros(m.p)
+            matvec = matvec or m.product()
+            if good:
+                (lam1, b1), (lam2, b2) = good[0], good[-1]
+                beta = b2 if lam1 == lam2 else _project_l1_ball(
+                    b2 + (lam - lam2) / (lam2 - lam1) * (b2 - b1), opts.radius, 0.0)[0]
+            fits.append(_fista(m, matvec, lam, beta, opts))
+            good = good[-1:] + [(lam, fits[-1].beta)]
+        except FIT_ERRORS:
+            fits.append(None)
+    return fits
+
+
+def _fista(m: CorrectedMoments, matvec, lam, beta, opts: SolverOptions) -> FitResult:
+    """The loop of `l1_cls_fit` and `l1_cls_path`, from beta inside the ball:
+    accelerated projected gradient (FISTA, Beck & Teboulle 2009) with the
     fixed step 1/L (L cached on the moments): a gradient step from the
     extrapolated point y, then one `_project_l1_ball` pass that
     soft-thresholds by lam/L, projects onto the ball and gives the l1 norm
     of the candidate for its objective.  y runs on past the candidate along
     its step, unless the momentum points uphill, (y - cand) . step > 0, which
-    restarts it (O'Donoghue & Candes 2015).  G @ b, by the product
-    `CorrectedMoments.product` gives once per fit, is formed once per iterate,
-    and G @ y follows by linearity.  Stops when
+    restarts it (O'Donoghue & Candes 2015).  G @ b, by ``matvec``, is formed
+    once per iterate, and G @ y follows by linearity.  Stops when
     f of consecutive iterates changes by less than rel_tol * max(1, |f|);
     returns the best-objective iterate, which for an indefinite G may
     precede the last one.  The loop calls BLAS through ndarray.dot and keeps
@@ -157,14 +187,8 @@ def l1_cls_fit(m: CorrectedMoments, lam, opts: SolverOptions, beta0=None) -> Fit
     lam = float(lam)
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be a finite number >= 0, got {lam!r}")
-    g, p = m.gamma_vec, m.p
-    R = opts.radius
-    beta = np.zeros(p) if beta0 is None else project_l1_ball(beta0, R)
-    if beta.size != p:
-        raise ValueError(f"beta0 has length {beta.size}, expected {p}")
-    L = m.lipschitz
+    g, R, L = m.gamma_vec, opts.radius, m.lipschitz
     eta = 1.0 / L if L > 0 else 1.0
-    matvec = m.product()
     Gb = matvec(beta)
     f = 0.5 * float(beta.dot(Gb)) - float(g.dot(beta)) + lam * float(np.abs(beta).sum())
     best_beta, best_f = beta, f  # every iterate is a fresh array

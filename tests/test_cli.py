@@ -441,9 +441,9 @@ def test_experiment_save_coefs_sidecar(tmp_path):
 
 
 def test_fit_at_a_wide_experiment_pick_gives_the_saved_coefficients(tmp_path, capsys):
-    # the reference snapshot's wide cell: L1CLS picks lambda = 0, the first fit of
-    # its path, and the Lasso 0.25 and 0.4, refitted after L1CLS filled the
-    # train split's shared row store; `corrls fit` on that split starts afresh
+    # the reference snapshot's wide cell: L1CLS picks lambda = 0.95, refitted from
+    # zero, and 1.0, the first fit of its path, and the Lasso 0 and 0.4, refitted
+    # from zero; every fit from zero has a row store of its own, as `corrls fit` does
     grid = {"n_values": [100], "p_values": [300], "s_values": [4], "noise_kind": "missing",
             "replicates": 2, "base_seed": 0}
     cfg, out = tmp_path / "grid.json", tmp_path / "res.csv"
@@ -457,7 +457,7 @@ def test_fit_at_a_wide_experiment_pick_gives_the_saved_coefficients(tmp_path, ca
         for scenario, method, _, coef in list(csv.reader(fh))[1:]:
             saved.setdefault((scenario, method), []).append(coef)
     assert [[float(picks[f"n100_p300_s4_r{rep}", METHODS[key].label]) for rep in (0, 1)]
-            for key in ("l1cls", "lasso")] == [[0.0, 0.0], [0.25, 0.4]]
+            for key in ("l1cls", "lasso")] == [[0.95, 1.0], [0.0, 0.4]]
     spec = _load_config(GridSpec, cfg)
     for rep in range(2):
         seed = corrls.experiment._cell_seed(0, 100, 300, 4, rep)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import corrls.experiment
+import corrls.moments
 import corrls.post
 from corrls import (CorrectedMoments, ExperimentRecord, GridSpec, SurrogateDataset,
                     emit_results, run_grid)
@@ -196,19 +197,23 @@ class TestRunGrid:
         assert len(records) == 12 and all(r.error is None for r in records)
         assert (len(built), len(factored)) == (1, 1)
 
-    def test_wide_missing_cell_forms_one_gram(self, monkeypatch):
-        # p > n: one store of the rows of the train split's Z'Z/n serves L1CLS
-        # and the Lasso, no split forms its p x p Gram, and the held-out losses
-        # come from the columns of Z, so the test split forms no store either
-        formed = {"gram": [], "gram_rows": []}
-        for name, made in formed.items():
-            def counting(data, original=getattr(SurrogateDataset, name).func, made=made):
-                made.append(data)
-                return original(data)
+    def test_wide_missing_cell_forms_no_gram_and_one_store_per_product(self, monkeypatch):
+        # p > n: no split forms its p x p Gram; each product, one per path of L1CLS
+        # and of the Lasso and one per refit at a pick, makes its own store of the
+        # rows of the train split's Z'Z/n, and the held-out losses come from the
+        # columns of Z, so the test split makes no store
+        grams, stores = [], []
+        prop = cached_property(lambda data, original=SurrogateDataset.gram.func:
+                               grams.append(data) or original(data))
+        prop.__set_name__(SurrogateDataset, "gram")
+        monkeypatch.setattr(SurrogateDataset, "gram", prop)
 
-            prop = cached_property(counting)
-            prop.__set_name__(SurrogateDataset, name)
-            monkeypatch.setattr(SurrogateDataset, name, prop)
+        class Store(corrls.moments.GramRows):
+            def __init__(self, Z):
+                stores.append(Z)
+                super().__init__(Z)
+
+        monkeypatch.setattr(corrls.moments, "GramRows", Store)
         built, products = [], []
         for name in ("corrected_moments", "uncorrected_moments"):
             def recording(data, original=getattr(corrls.post, name)):
@@ -226,7 +231,8 @@ class TestRunGrid:
         records = _run_cell(spec, 100, 1000, 4, 0, False)
         assert all(r.error is None for r in records)
         train, test = (m.source[0] for m in built[:2])
-        assert formed == {"gram": [], "gram_rows": [train]}
+        assert grams == [] and len(stores) == len(products) >= 2
+        assert all(Z is train.Z for Z in stores)
         assert all(data is train for data, _ in products)
         assert {raw for _, raw in products} == {False, True}  # L1CLS and the Lasso
         assert all(m.source[0] is test and "gamma_mat" not in vars(m) for m in built[1::2])

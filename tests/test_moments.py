@@ -35,6 +35,20 @@ from corrls.simulate import SimConfig, ar1_covariance, gen_beta0, gen_regression
 from corrls._rng import substream
 
 
+def _recording_stores(monkeypatch, cls=GramRows):
+    """Patch `corrls.moments.GramRows`, the store `CorrectedMoments.product` makes,
+    to a subclass of ``cls`` that appends each store it makes to the returned list."""
+    stores = []
+
+    class Recording(cls):
+        def __init__(self, Z):
+            super().__init__(Z)
+            stores.append(self)
+
+    monkeypatch.setattr(corrls.moments, "GramRows", Recording)
+    return stores
+
+
 class TestEstimateMissingRates:
     def test_fully_observed_column(self):
         mask = np.ones((4, 1), dtype=bool)
@@ -519,17 +533,18 @@ class TestWideRoute:
 
     @pytest.mark.parametrize("n, p", [(200, 100), (300, 260), (100, 300)])
     @pytest.mark.parametrize("build, noise_kind", BUILT)
-    def test_a_fit_leaves_no_cycle_through_the_moments(self, build, noise_kind, n, p):
+    def test_a_fit_leaves_no_cycle_through_the_moments(self, monkeypatch, build, noise_kind,
+                                                       n, p):
         # dense, active-row and Gram-row products: the solver holds its product in
         # a local, so reference counting alone frees the moments and the Gram or
-        # the store of its rows
+        # the fit's own store of its rows, which the dataset does not keep
+        stores = _recording_stores(monkeypatch)
         m = build(_wide(noise_kind, 5, n=n, p=p))
         l1_cls_fit(m, 0.1, SolverOptions(radius=5.0))
         data = m.source[0]
-        store = vars(data).get("gram_rows")
-        assert (store is not None) == (m.wide and m.factor is not None)
-        refs = [weakref.ref(m), weakref.ref(data.gram if store is None else store)]
-        del data, store
+        assert len(stores) == (m.wide and m.factor is not None)
+        refs = [weakref.ref(m), weakref.ref(stores.pop() if stores else data.gram)]
+        del data
         gc.disable()
         try:
             del m
@@ -538,30 +553,31 @@ class TestWideRoute:
             gc.enable()
 
     def test_the_gram_is_checked_once_in_row_blocks(self, monkeypatch):
-        # both kinds of wide moments read one store of Gram rows and never the Gram:
-        # its diagonal is scanned once, when the store is made, and each block of
-        # rows when it is formed, with no boolean array of more than a block
+        # both kinds of wide moments read a store of Gram rows, one per product, and
+        # never the Gram: its diagonal is scanned once, when the store is made, and
+        # each block of rows when it is formed, with no boolean array of more than a block
         data = _wide("missing", 6, n=100, p=600)
-        scanned = []
+        scanned, stores = [], _recording_stores(monkeypatch)
 
         def recording(a, *args, original=np.isfinite, **kwargs):
             scanned.append(a)
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "isfinite", recording)
-        rng, count = np.random.default_rng(6), 0
+        rng = np.random.default_rng(6)
         for build in (corrected_moments, uncorrected_moments, corrected_moments):
-            b = np.zeros(600)
-            b[rng.choice(600, 30, replace=False)] = 1.0
             start = len(scanned)
-            build(data).product()(b)
-            store = data.gram_rows
+            product = build(data).product()
+            for _ in range(2):  # a second support: its new rows only
+                b = np.zeros(600)
+                b[rng.choice(600, 30, replace=False)] = 1.0
+                product(b)
+            store = stores[-1]
             blocks = [a for a in scanned[start:] if a.base is store.rows]
-            assert 0 < sum(map(len, blocks)) == store.count - count
+            assert len(blocks) == 2 and sum(map(len, blocks)) == store.count
             assert max(a.size for a in blocks) <= _BLOCK_ENTRIES
-            count = store.count
-        assert sum(a is store.diag or a.base is store.diag for a in scanned) == 1
-        assert "gram" not in vars(data)
+            assert sum(a is store.diag or a.base is store.diag for a in scanned[start:]) == 1
+        assert len(stores) == 3 and "gram" not in vars(data)
 
     def test_the_gram_is_shared_by_both_kinds_of_moments(self):
         data = _wide("missing", 3, n=200, p=100)
@@ -678,15 +694,20 @@ class TestProductBytes:
                 yield b
 
     @pytest.mark.parametrize("route", PRODUCT_ROUTES)
-    def test_each_route_is_the_matmul_product_to_the_byte(self, route):
+    def test_each_route_is_the_matmul_product_to_the_byte(self, monkeypatch, route):
         build, wide = PRODUCT_ROUTES[route]
-        m = build()
+        m, stores = build(), _recording_stores(monkeypatch)
         assert m.wide == wide
         product, kept = m.product(), {}
         for b in self._vectors(m.p, 21):
             assert product(b).tobytes() == _matmul_product(m, b, kept).tobytes()
-        if wide:
-            assert vars(m.source[0])["gram_rows"].count == len(kept) <= m.n
+        assert [s.count for s in stores] == ([len(kept)] if wide else [])
+        assert len(kept) <= m.n
+        if wide:  # a second product keeps no row of the first
+            again, kept = m.product(), {}
+            for b in self._vectors(m.p, 21):
+                assert again(b).tobytes() == _matmul_product(m, b, kept).tobytes()
+            assert stores[1].count == len(kept) == stores[0].count
 
     @pytest.mark.parametrize("route", ["dense", "active rows"])
     def test_dense_loss_is_the_matmul_loss_to_the_byte(self, route):
@@ -744,11 +765,7 @@ class TestGatherOncePerSupport:
         # the wide cell of tests/data/reference.json: every sparse product and every
         # held-out loss reads its rows or columns of Z once per run of equal supports
         monkeypatch.setattr(_Gathers, "counts", {"rows": 0, "columns": 0})
-        stores, losses = [], []
-
-        def store(data):
-            stores.append(_SpiedStore(data.Z))
-            return stores[-1]
+        stores, losses = _recording_stores(monkeypatch, _SpiedStore), []
 
         def factor(m, original=CorrectedMoments.factor.func):
             f = original(m)
@@ -759,16 +776,16 @@ class TestGatherOncePerSupport:
                 losses.append((m, tuple(np.flatnonzero(beta))))
             return original(beta, m)
 
-        for cls, name, method in ((SurrogateDataset, "gram_rows", store),
-                                  (CorrectedMoments, "factor", factor)):
-            prop = cached_property(method)
-            prop.__set_name__(cls, name)
-            monkeypatch.setattr(cls, name, prop)
+        prop = cached_property(factor)
+        prop.__set_name__(CorrectedMoments, "factor")
+        monkeypatch.setattr(CorrectedMoments, "factor", prop)
         monkeypatch.setattr(corrls.post, "corrected_loss", loss)
         spec = GridSpec(n_values=(100,), p_values=(300,), s_values=(4,), noise_kind="missing",
                         replicates=2, base_seed=0)
         assert all(r.error is None for r in run_grid(spec))
-        assert len(stores) == 2 and all(s.count < s.n for s in stores)  # no product refused
+        # per replicate, one store for each method's path and each pick not at its
+        # start: L1CLS refits 0.95 in replicate 0, the Lasso 0 and 0.4 (`reference.json`)
+        assert len(stores) == 7 and all(s.count < s.n for s in stores)  # no product refused
         products = sum(len(s.supports) for s in stores)
         assert _Gathers.counts["rows"] == sum(_runs(s.supports) for s in stores) < products
         per_moments = {}
@@ -779,7 +796,7 @@ class TestGatherOncePerSupport:
 
     def test_a_block_past_the_budget_is_not_kept(self):
         data = _wide("missing", 10, n=100, p=5000)
-        store, m = data.gram_rows, corrected_moments(data)
+        store, m = GramRows(data.Z), corrected_moments(data)
         for nnz, kept in ((10, True), (60, False)):  # 60 * 5000 > _BLOCK_ENTRIES
             v = np.zeros(5000)
             v[:nnz] = 1.0
@@ -792,7 +809,7 @@ class TestGatherOncePerSupport:
             assert (m.columns is not None) == kept == (nnz * 100 <= _BLOCK_ENTRIES)
 
     def test_a_reused_block_is_the_gathers_bytes(self):
-        store = _wide("missing", 8).gram_rows
+        store = GramRows(_wide("missing", 8).Z)
         rng = np.random.default_rng(8)
         idx = rng.choice(300, 12, replace=False)
         blocks = []
@@ -808,7 +825,7 @@ class TestGatherOncePerSupport:
     def test_the_row_buffer_is_made_once(self):
         # supports of 1, then 4 new, then 2 new and 1 kept rows: each keep writes
         # into the one n-row buffer made at the first, and copies no row
-        store = _wide("missing", 10, n=40).gram_rows
+        store = GramRows(_wide("missing", 10, n=40).Z)
         buffers = []
         for idx in ([7], [3, 11, 250, 299], [7, 40, 41]):
             v = np.zeros(300)

@@ -21,6 +21,7 @@ from corrls import (
     cs_post_fit,
     l1_cls_fit,
     post_cls_fit,
+    project_l1_ball,
     support,
     uncorrected_moments,
 )
@@ -31,6 +32,7 @@ from corrls.post import (
     default_lambda_grid,
     with_estimated_missing_rates,
 )
+from corrls.metrics import ree
 from corrls.simulate import SimConfig, gen_regression
 
 
@@ -119,6 +121,14 @@ class TestPostClsFit:
             fit = post_cls_fit(_m(G, Z.T @ y / 5, n=5), range(8), SolverOptions(radius=0.5))
         assert fit.fallback_used and fit.iterations > 0
         assert np.abs(fit.beta).sum() <= 0.5 + 1e-10
+
+    def test_the_size_warning_names_the_callers_line(self):
+        # through `cs_post_fit` too, the warning names this file, not corrls's own line
+        m = _m(np.eye(5), np.ones(5), n=3)
+        with pytest.warns(UserWarning, match="support size 5 exceeds sample size 3") as record:
+            cs_post_fit(m, 5, OPTS)
+            post_cls_fit(m, range(5), OPTS)
+        assert [w.filename for w in record] == [__file__, __file__]
 
     def test_indefinite_subblock_falls_back_to_projected_gradient(self):
         G = np.diag([1.0, -1.0])
@@ -407,57 +417,98 @@ class TestCrossValidate:
         assert len(calls) == 1
 
 
-def _recording_fit(monkeypatch, fail_at=()):
-    """Patch `corrls.post.l1_cls_fit` to record each call as [lam, beta0,
-    fit], fit None when it raised; a lam in ``fail_at`` raises
-    ArithmeticError, as a diverged fit would."""
-    original = corrls.post.l1_cls_fit
-    calls = []
+def _recording_path(monkeypatch, fail_at=()):
+    """Patch `corrls.post.l1_cls_path` to record each path as (lams, fits),
+    `corrls.post.l1_cls_fit` to record each fit it makes as (lam, beta0, fit), and
+    `corrls.selection._fista`, the loop both share, to record each fit's start as
+    (lam, beta); a lam in ``fail_at`` raises ArithmeticError there, as a diverged
+    fit would."""
+    paths, fits, starts = [], [], []
+    path, fit, fista = (corrls.post.l1_cls_path, corrls.post.l1_cls_fit,
+                        corrls.selection._fista)
 
-    def recording(m, lam, opts, beta0=None):
-        calls.append([lam, beta0, None])
+    def recording_path(m, lams, opts):
+        paths.append((list(lams), path(m, lams, opts)))
+        return paths[-1][1]
+
+    def recording_fit(m, lam, opts, beta0=None):
+        fits.append((lam, beta0, fit(m, lam, opts, beta0=beta0)))
+        return fits[-1][2]
+
+    def recording_fista(m, matvec, lam, beta, opts):
+        starts.append((lam, beta))
         if lam in fail_at:
             raise ArithmeticError("diverged")
-        calls[-1][2] = original(m, lam, opts, beta0=beta0)
-        return calls[-1][2]
+        return fista(m, matvec, lam, beta, opts)
 
-    monkeypatch.setattr(corrls.post, "l1_cls_fit", recording)
-    return calls
+    monkeypatch.setattr(corrls.post, "l1_cls_path", recording_path)
+    monkeypatch.setattr(corrls.post, "l1_cls_fit", recording_fit)
+    monkeypatch.setattr(corrls.selection, "_fista", recording_fista)
+    return paths, fits, starts
+
+
+def _secant(lam, last, opts):
+    """The start `l1_cls_path` takes at lam from its last two fits, (lam, fit) each."""
+    (lam1, fit1), (lam2, fit2) = last
+    b1, b2 = fit1.beta, fit2.beta
+    return project_l1_ball(b2 + (lam - lam2) / (lam2 - lam1) * (b2 - b1), opts.radius)
+
+
+def _wide_cell(rep):
+    """Train and test splits and options of replicate ``rep`` of the reference
+    snapshot's wide cell (n=100, p=300, s=4, missing data, base seed 0), as
+    `corrls.experiment` makes them."""
+    spec = corrls.experiment.GridSpec(n_values=(100,), p_values=(300,), s_values=(4,),
+                                      noise_kind="missing", replicates=2, base_seed=0)
+    seed = corrls.experiment._cell_seed(0, 100, 300, 4, rep)
+    cfg = spec._sim_config(100, 300, 4, seed)
+    train, beta0, _ = gen_regression(cfg)
+    test, _, _ = gen_regression(replace(cfg, seed=corrls.experiment._cell_seed(
+        seed, 100, 300, 4, "test")), beta0=beta0, rho=train.noise.rho)
+    return (with_estimated_missing_rates(train), with_estimated_missing_rates(test),
+            SolverOptions(radius=1.1 * float(np.abs(beta0).sum())))
 
 
 class TestWarmStartedPath:
     @pytest.mark.parametrize("rule", ["l1cls", "lasso"])
-    def test_ascending_path_then_one_cold_refit(self, monkeypatch, rule):
-        calls = _recording_fit(monkeypatch)
+    def test_descending_secant_path_then_one_cold_refit(self, monkeypatch, rule):
+        paths, refits, starts = _recording_path(monkeypatch)
         train, test, beta0, _ = _split_pair(5)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        grid = default_lambda_grid()[::-1]
+        grid = default_lambda_grid()
         best, _, fit = _cv(train, test, grid, rule, opts)
-        assert best > min(grid)  # seed 5 picks past the path's first fit: the last call refits
-        *path, refit = calls
-        assert [lam for lam, _, _ in path] == sorted(grid)
-        assert path[0][1] is None
-        for prev, cur in zip(path, path[1:]):
-            assert np.array_equal(cur[1], prev[2].beta)
-        assert refit[0] == best and refit[1] is None
-        assert np.array_equal(fit.beta, refit[2].beta)
+        assert best < max(grid)  # seed 5 picks past the path's first fit: one refit
+        [(lams, fits)] = paths
+        assert lams == sorted(grid, reverse=True) == [lam for lam, _ in starts[:len(grid)]]
+        assert not starts[0][1].any()
+        assert np.array_equal(starts[1][1], fits[0].beta)
+        for k in range(2, len(grid)):
+            secant = _secant(lams[k], zip(lams[k - 2:k], fits[k - 2:k]), opts)
+            assert np.array_equal(starts[k][1], secant)
+        [(lam, start, refit)] = refits
+        assert lam == best and start is None
+        assert np.array_equal(fit.beta, refit.beta)
 
     def test_a_failed_fit_records_inf_and_seeds_nothing(self, monkeypatch):
-        calls = _recording_fit(monkeypatch, fail_at=(0.05,))
+        paths, _, starts = _recording_path(monkeypatch, fail_at=(0.3, 0.05))
         train, test, beta0, _ = _split_pair(4)
         opts = SolverOptions(radius=1.1 * np.abs(beta0).sum())
-        grid = [0.1, -0.1, 0.05, 0.0]
+        grid = [0.1, -0.1, 0.3, 0.05, 0.0, 0.2]
         _, losses, _ = _cv(train, test, grid, "l1cls", opts)
-        assert losses[1] == np.inf and losses[2] == np.inf
-        assert np.isfinite(losses[0]) and np.isfinite(losses[3])
-        (neg, _, neg_fit), (zero, zero_start, zero_fit), (_, mid_start, _), \
-            (last, last_start, _) = calls[:4]
-        assert (neg, zero, last) == (-0.1, 0.0, 0.1) and neg_fit is None
-        # the negative penalty raised, so the fit at 0 starts cold; 0.05
-        # raised, so 0.1 starts from the fit at 0
-        assert zero_start is None
-        assert np.array_equal(mid_start, zero_fit.beta)
-        assert np.array_equal(last_start, zero_fit.beta)
+        assert list(np.isfinite(losses)) == [True, False, False, False, True, True]
+        [(lams, fits)] = paths
+        assert lams == [0.3, 0.2, 0.1, 0.05, 0.0, -0.1]
+        assert [f is None for f in fits] == [True, False, False, True, False, True]
+        # the negative penalty is rejected before its fit starts; 0.3 raised, so
+        # 0.2 starts from zero, and 0.05 raised, so 0.0 starts on the secant
+        # through the fits at 0.2 and 0.1, as 0.05 did
+        assert [lam for lam, _ in starts[:5]] == lams[:5]
+        (_, at_3), (_, at_2), (_, at_1), (_, at_05), (_, at_0) = starts[:5]
+        assert not at_3.any() and not at_2.any()
+        assert np.array_equal(at_1, fits[1].beta)
+        last = [(0.2, fits[1]), (0.1, fits[2])]
+        assert np.array_equal(at_05, _secant(0.05, last, opts))
+        assert np.array_equal(at_0, _secant(0.0, last, opts))
 
     def test_shuffled_grid_gives_the_same_loss_at_each_value(self):
         train, test, beta0, _ = _split_pair(5)
@@ -475,35 +526,67 @@ class TestWarmStartedPath:
         train_m, test_m = corrected_moments(train), corrected_moments(test)
         grid = default_lambda_grid()
         cold = sum(l1_cls_fit(train_m, lam, opts).iterations for lam in grid)
-        calls = _recording_fit(monkeypatch)
-        best, _, _ = cross_validate(train_m, test_m, grid, METHODS["l1cls"], opts)
-        assert best > min(grid)  # seed 9 picks past the path's first fit: the last call refits
-        *path, _ = calls
-        assert len(path) == len(grid)
-        assert 2 * sum(fit.iterations for _, _, fit in path) <= cold
+        paths, _, _ = _recording_path(monkeypatch)
+        cross_validate(train_m, test_m, grid, METHODS["l1cls"], opts)
+        [(_, fits)] = paths
+        assert len(fits) == len(grid)
+        assert 2 * sum(fit.iterations for fit in fits) <= cold
 
     def test_a_pick_at_the_path_start_is_not_fitted_again(self, monkeypatch):
-        # the reference snapshot's wide cell, whose L1CLS picks lambda = 0 in both
-        # replicates: the path's first fit, made from zero, is the fit returned
-        calls = _recording_fit(monkeypatch)
+        # the reference snapshot's wide cell, whose L1CLS picks lambda = 0.95 in
+        # replicate 0, fitted again from zero, and 1.0 in replicate 1: the path's
+        # first fit, made from zero, is the fit returned there
+        paths, refits, _ = _recording_path(monkeypatch)
         runs = []
 
         def recording(train_m, test_m, grid, method, opts):
-            before = len(calls)
+            before = len(refits)
             best, losses, fit = cross_validate(train_m, test_m, grid, method, opts)
-            runs.append((train_m.source[0], grid, opts, best, fit, len(calls) - before))
+            runs.append((train_m.source[0], opts, best, fit, len(refits) - before))
             return best, losses, fit
 
         monkeypatch.setattr(corrls.experiment, "cross_validate", recording)
         corrls.experiment.run_grid(corrls.experiment.GridSpec(
             n_values=(100,), p_values=(300,), s_values=(4,), noise_kind="missing",
             replicates=2, base_seed=0, methods=(METHODS["l1cls"].label,)))
-        assert len(runs) == 2
-        for data, grid, opts, best, fit, fits_made in runs:
-            assert best == 0 and fits_made == len(grid)
+        assert [(best, refitted) for _, _, best, _, refitted in runs] == [(0.95, 1), (1.0, 0)]
+        assert runs[1][3] is paths[1][1][0]
+        for data, opts, best, fit, _ in runs:
             fresh = SurrogateDataset(Z=data.Z, y=data.y, noise=data.noise, mask=data.mask)
             assert fit.beta.tobytes() == \
-                l1_cls_fit(corrected_moments(fresh), 0.0, opts).beta.tobytes()
+                l1_cls_fit(corrected_moments(fresh), best, opts).beta.tobytes()
+
+    @pytest.mark.parametrize("rep", [0, 1])
+    @pytest.mark.parametrize("key, other", [("l1cls", "lasso"), ("lasso", "l1cls")])
+    def test_a_fit_from_zero_does_not_depend_on_earlier_fits(self, key, other, rep):
+        # after the other method's whole path and pick on the same dataset, every
+        # fit from zero has the bytes of the same fit on a fresh dataset
+        train, test, opts = _wide_cell(rep)
+        method, grid = METHODS[other], default_lambda_grid()
+        cross_validate(method.moments(train), method.moments(test), grid, method, opts)
+        build = METHODS[key].moments
+        moved = [lam for lam in grid if l1_cls_fit(build(train), lam, opts).beta.tobytes()
+                 != l1_cls_fit(build(SurrogateDataset(Z=train.Z, y=train.y, noise=train.noise,
+                                                      mask=train.mask)), lam, opts).beta.tobytes()]
+        assert moved == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_l1cls_pick_lies_inside_a_loose_ball(seed):
+    """At R = 1000 ||beta0||_1 on a missing-data paper cell, L1CLS's CV pick lies
+    inside the ball, with an REE within 0.05 of the pick at the oracle radius
+    1.1 ||beta0||_1.  On a path from lambda = 0 the first fit runs to the ball of
+    the indefinite corrected Gram, and every warm-started fit after it stays there."""
+    train_m, test_m, oracle = _paper_cell(seed)
+    beta0 = gen_regression(SimConfig(n=500, p=100, s=4, noise_kind="missing", seed=seed))[1]
+    loose = 1000 * float(np.abs(beta0).sum())
+    grid = default_lambda_grid()
+    _, _, fit = cross_validate(train_m, test_m, grid, METHODS["l1cls"],
+                               SolverOptions(radius=loose))
+    _, _, oracle_fit = cross_validate(train_m, test_m, grid, METHODS["l1cls"],
+                                      SolverOptions(radius=oracle))
+    assert np.abs(fit.beta).sum() < loose * (1 - 1e-9)
+    assert abs(ree(fit.beta, beta0) - ree(oracle_fit.beta, beta0)) <= 0.05
 
 
 class TestWideCsPost:

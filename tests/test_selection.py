@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import corrls.selection
 from corrls import (
     AdditiveNoise,
     CorrectedMoments,
@@ -25,7 +26,7 @@ from corrls.moments import (
     lipschitz_estimate,
 )
 from corrls.post import default_lambda_grid
-from corrls.selection import _project_l1_ball, screen_order, screen_size
+from corrls.selection import _project_l1_ball, l1_cls_path, screen_order, screen_size
 from corrls.simulate import SimConfig, ar1_covariance, gen_regression
 
 finite_vecs = hnp.arrays(
@@ -462,6 +463,60 @@ class TestOneMatvecSolver:
     def test_start_of_the_wrong_length_rejected(self, p):
         with pytest.raises(ValueError, match=f"beta0 has length {p - 1}, expected {p}"):
             l1_cls_fit(_m(np.eye(p), np.ones(p)), 0.1, SolverOptions(), beta0=np.zeros(p - 1))
+
+
+def _recording_starts(monkeypatch):
+    """Patch `corrls.selection._fista`, the loop of `l1_cls_fit` and `l1_cls_path`,
+    to append each fit's start to a list; returns the list and the loop."""
+    starts, original = [], corrls.selection._fista
+
+    def recording(m, matvec, lam, beta, opts):
+        starts.append(beta)
+        return original(m, matvec, lam, beta, opts)
+
+    monkeypatch.setattr(corrls.selection, "_fista", recording)
+    return starts, original
+
+
+class TestSecantPath:
+    def test_from_the_third_fit_the_secant_starts_nearer_than_the_last_fit(self, monkeypatch):
+        # a dense positive-definite Gamma and a grid along which the active set stays
+        # {0, 1, 2}: the solution is linear in lambda there, so the secant through
+        # the last two fits is nearer the next solution than a plain warm start
+        A = np.random.default_rng(3).standard_normal((40, 8))
+        G = A.T @ A / 40 + 0.5 * np.eye(8)
+        m = _m(G, G @ np.array([3.0, -2.0, 1.5, 0, 0, 0, 0, 0]))
+        opts = SolverOptions(rel_tol=1e-14, radius=100.0)
+        lams = [0.3, 0.25, 0.2, 0.15, 0.1, 0.05]
+        tight = [l1_cls_fit(m, lam, opts) for lam in lams]
+        assert {fit.support_used for fit in tight} == {(0, 1, 2)}
+        starts, _ = _recording_starts(monkeypatch)
+        fits = l1_cls_path(m, lams, opts)
+        assert len(starts) == len(fits) == len(lams)
+        for k in range(2, len(lams)):
+            solution = tight[k].beta
+            assert (np.linalg.norm(starts[k] - solution)
+                    < np.linalg.norm(fits[k - 1].beta - solution)), lams[k]
+
+    @pytest.mark.parametrize("noise_kind, n, p", [("additive", 30, 50),
+                                                  ("missing", 200, 100),
+                                                  ("missing", 400, 300)])
+    def test_each_path_fit_is_the_fit_from_its_start(self, monkeypatch, noise_kind, n, p):
+        # one product for the whole path: each fit is the bytes of the loop from the
+        # start the path took with a product of its own (dense and active-row products,
+        # which keep no rows), and the first is `l1_cls_fit`'s from zero
+        m, radius = _sim_moments(noise_kind, n, p, seed=17)
+        opts = SolverOptions(radius=radius, max_iters=2000)
+        products = []
+        monkeypatch.setattr(CorrectedMoments, "product", lambda self, original=(
+            CorrectedMoments.product): products.append(self) or original(self))
+        starts, loop = _recording_starts(monkeypatch)
+        lams = default_lambda_grid()[::-1]
+        fits = l1_cls_path(m, lams, opts)
+        assert products == [m] and len(starts) == len(lams) and not starts[0].any()
+        for lam, start, fit in zip(lams, starts, fits):
+            assert loop(m, m.product(), lam, start, opts).beta.tobytes() == fit.beta.tobytes()
+        assert l1_cls_fit(m, lams[0], opts).beta.tobytes() == fits[0].beta.tobytes()
 
 
 class TestActiveRowsMatvec:
